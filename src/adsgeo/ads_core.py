@@ -42,10 +42,6 @@ def on_quadric(x, tol: float = ON_QUADRIC_TOL) -> bool:
     return abs(bilinear22(x, x) + 1.0) <= tol
 
 
-def is_null(x, tol: float = ON_QUADRIC_TOL) -> bool:
-    return abs(bilinear22(x, x)) <= tol
-
-
 def future_timelike(p):
     """Future-directed timelike tangent field T(p) = (0, 0, -p4, p3).
 

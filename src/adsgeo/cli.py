@@ -1,6 +1,6 @@
 """Command-line harness running the verification suites.
 
-Commands: check, mess, dual, extend, rigidity, fuchsian, version.  Options
+Commands: check, mess, dual, extend, rigidity, fuchsian, phik, version.  Options
 come from an optional flat key=value config file plus command-line flags
 (flags win).  Exit codes: 0 all checks pass, 1 at least one check failed,
 2 usage or configuration error.
@@ -8,6 +8,7 @@ come from an optional flat key=value config file plus command-line flags
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -70,13 +71,27 @@ class RunConfig:
     export_mesh: str | None = None
 
     def validate(self):
-        if self.fixture not in emb.CATALOG:
-            raise ConfigError(f"unknown fixture: {self.fixture!r} "
-                              f"(catalog: {', '.join(emb.CATALOG)})")
-        if not -np.pi / 2 < self.s <= 0.0:
-            raise ConfigError(f"s must lie in (-pi/2, 0], got {self.s}")
-        if self.s2 is not None and not -np.pi / 2 < self.s2 <= 0.0:
-            raise ConfigError(f"s2 must lie in (-pi/2, 0], got {self.s2}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        self.immersion()     # fixture name and its parameters
+        try:
+            emb.family_immersion(self.s)
+            if self.s2 is not None:
+                emb.family_immersion(self.s2)
+            if self.command == "rigidity":
+                rig.check_rigidity_parameter(self.s)
+            if self.command == "dual" and self.fixture != "graph_bump":
+                # the umbilic fixtures have B = tan(s) E, with s = 0 on the plane
+                s = self.s if self.fixture == "fuchsian_family" else 0.0
+                emb.require_strong_convexity(np.tan(s) * np.eye(2))
+        except AdsGeoError as exc:
+            raise ConfigError(f"{self.command}: {exc}") from exc
+        if self.s2 is not None and self.fixture != "fuchsian_family":
+            raise ConfigError("s2 applies to the fuchsian_family fixture only")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.samples <= 100000:
             raise ConfigError(f"samples must lie in [1, 100000], got {self.samples}")
         if not 1 <= self.points <= 10000:
@@ -104,12 +119,10 @@ class RunConfig:
                           immersion_step2=4.0 * self.fd_step)
 
     def immersion(self) -> emb.Immersion:
-        if self.fixture == "totally_geodesic":
-            return emb.make_immersion("totally_geodesic")
-        if self.fixture == "fuchsian_family":
-            return emb.make_immersion("fuchsian_family", s=self.s)
-        return emb.make_immersion("graph_bump", amplitude=self.amplitude,
-                                  width=self.width, base=self.base)
+        # an unknown fixture name is reported by make_immersion
+        _, names = emb.FIXTURES.get(self.fixture, (None, ()))
+        return emb.make_immersion(self.fixture,
+                                  **{name: getattr(self, name) for name in names})
 
     def provenance(self) -> dict:
         out = {"version": __version__, "command": self.command}
@@ -121,6 +134,7 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def parse_config_file(path: str) -> dict:
@@ -145,16 +159,10 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(cfg: RunConfig, key: str, raw: str):
-    template = {f.name: f for f in fields(RunConfig)}[key]
-    if key in ("s2", "tolerance", "fd_step"):
-        return float(raw)
-    kind = template.type
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+def _coerce(key: str, raw: str):
+    """Config-file value of ``key``, typed by its RunConfig annotation."""
+    kind = {f.name: f.type for f in fields(RunConfig)}[key]
+    return _PARSERS[kind.removesuffix(" | None")](raw)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +251,6 @@ def run_extend(cfg: RunConfig) -> CheckReport:
 
 def run_rigidity(cfg: RunConfig) -> CheckReport:
     report = CheckReport(provenance=cfg.provenance())
-    if cfg.s == 0.0:
-        raise ConfigError("rigidity fixture needs s strictly inside (-pi/2, 0)")
     mesh = fuc.genus2_mesh(cfg.mesh_level)
     op = rig.rigidity_operator(mesh, cfg.s)
     loc = f"level={cfg.mesh_level},s={cfg.s:+.4f}"
@@ -289,7 +295,8 @@ def run_fuchsian(cfg: RunConfig) -> CheckReport:
 
 
 def run_phi_k(cfg: RunConfig) -> CheckReport:
-    """phi_K rows appended by the fuchsian command when K is supplied."""
+    """phi_K rows: the slice parameter of curvature K, and the left and
+    normalized surface metrics against the hyperbolic metric."""
     report = CheckReport(provenance=cfg.provenance())
     rng = np.random.default_rng(cfg.seed)
     result = con.phi_k_fuchsian(cfg.k_curvature, cfg=cfg.diff())
@@ -409,7 +416,7 @@ def main(argv=None) -> int:
         if args.config:
             for key, raw in parse_config_file(args.config).items():
                 try:
-                    setattr(cfg, key, _coerce(cfg, key, raw))
+                    setattr(cfg, key, _coerce(key, raw))
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key}: {raw!r}") from exc
         for key, value in vars(args).items():

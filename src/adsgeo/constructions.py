@@ -20,28 +20,16 @@ from typing import Callable
 
 import numpy as np
 
-from . import ads_core
-from .embedding import (EmbeddingData, Immersion, brioschi_curvature,
+from .embedding import (STRONG_CONVEXITY_TOL, EmbeddingData, Immersion,
+                        brioschi_curvature, christoffel_symbols,
                         embedding_data_at, family_immersion, gaussian_curvature,
-                        metric_field, normal_field, third_fundamental_form)
-from .errors import ConvexityError, DomainError, FocalPointError
+                        metric_field, normal_field, require_strong_convexity,
+                        third_fundamental_form)
+from .errors import DomainError, FocalPointError
 from .fd import DEFAULT_DIFF, DiffConfig, FDScheme, d1, d2
 
-STRONG_CONVEXITY_TOL = 1e-8
-
-
-# ---------------------------------------------------------------------------
 # the umbilic family fixture (constant-curvature equidistants)
-
-def fuchsian_family(s: float) -> Immersion:
-    """F_s(y) = (cos(s) y, sin(s)) over the hyperboloid chart, s in (-pi/2, 0].
-
-    Induced curvature -1/cos(s)^2; shape operator tan(s) E with the future
-    normal convention.
-    """
-    if not -np.pi / 2 < s <= 0.0:
-        raise DomainError(f"family fixture requires s in (-pi/2, 0], got {s}")
-    return family_immersion(s)
+fuchsian_family = family_immersion
 
 
 # ---------------------------------------------------------------------------
@@ -64,9 +52,7 @@ def dual_data_pointwise(data: EmbeddingData, K: float | None = None,
     curvature (measured independently when available; the Gauss value
     -1 - det B is the fallback).
     """
-    det_b = float(np.linalg.det(data.B))
-    if det_b <= tol:
-        raise ConvexityError(f"duality undefined: det B = {det_b:.3e}")
+    det_b = require_strong_convexity(data.B, tol)
     if K is None:
         K = -1.0 - det_b
     return DualData(point=data.n.copy(),
@@ -197,15 +183,7 @@ def riemann_constant_curvature_residual(metric, p, scheme: FDScheme) -> float:
             ddh[a, b] = v
             ddh[b, a] = v
 
-    gamma = np.empty((3, 3, 3))
-    for c in range(3):
-        for a in range(3):
-            for b in range(3):
-                s = 0.0
-                for dd in range(3):
-                    s += h_inv[c, dd] * (dh[a][b, dd] + dh[b][a, dd] - dh[dd][a, b])
-                gamma[c, a, b] = 0.5 * s
-
+    gamma = christoffel_symbols(h_inv, dh)
     dh_inv = np.stack([-h_inv @ dh[a] @ h_inv for a in range(3)])
     dgamma = np.empty((3, 3, 3, 3))        # dgamma[e, c, a, b] = d_e Gamma^c_ab
     for e in range(3):

@@ -26,11 +26,12 @@ import numpy as np
 import scipy.linalg
 
 from . import ads_core
-from .errors import ConfigError, DegenerateDataError, DomainError
-from .fd import DEFAULT_DIFF, DiffConfig, d1, d2, gradient, hessian
+from .errors import ConfigError, ConvexityError, DegenerateDataError, DomainError
+from .fd import DEFAULT_DIFF, DiffConfig, d1, d2
 
 MAX_METRIC_CONDITION = 1e6
 SELF_ADJOINT_TOL = 1e-7
+STRONG_CONVEXITY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -80,15 +81,20 @@ def _family_evaluator(s: float):
     return ev
 
 
-def family_immersion(s: float) -> Immersion:
-    """Umbilic equidistant family member at parameter s, |s| < pi/2.
+def family_immersion(s: float = -0.7) -> Immersion:
+    """Umbilic equidistant family member at parameter s in (-pi/2, 0].
 
     F_s(y) = (cos(s) y, sin(s)) over the hyperboloid chart.  Induced metric
     cos(s)^2 g_hyp, shape operator tan(s) E, curvature -1/cos(s)^2.
     """
-    if not abs(s) < np.pi / 2:
-        raise DomainError(f"family parameter out of range: s = {s}")
+    if not -np.pi / 2 < s <= 0.0:
+        raise DomainError(f"family parameter must lie in (-pi/2, 0], got {s}")
     return Immersion("fuchsian_family", _family_evaluator(s), params={"s": s})
+
+
+def _totally_geodesic() -> Immersion:
+    """The plane {x4 = 0}: the family member at s = 0, B = 0."""
+    return Immersion("totally_geodesic", _family_evaluator(0.0))
 
 
 def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
@@ -99,9 +105,10 @@ def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
     exp(-|u|^2 / (2 width^2)).  Small amplitudes keep the surface spacelike
     and strongly convex with nonconstant curvature.
     """
-    if width < 0.2:
+    # comparisons are written so that NaN parameters fail them
+    if not width >= 0.2:
         raise DomainError("bump width below 0.2 gives a nearly lightlike graph")
-    if abs(amplitude) > 0.3:
+    if not abs(amplitude) <= 0.3:
         raise DomainError("bump amplitude above 0.3 leaves the convex regime")
     if not -np.pi / 2 < base + abs(amplitude) <= 0.0 or not base > -np.pi / 2:
         raise DomainError(f"bump base parameter out of range: {base}")
@@ -116,34 +123,28 @@ def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
                      params={"amplitude": amplitude, "width": width, "base": base})
 
 
-CATALOG = ("totally_geodesic", "fuchsian_family", "graph_bump")
+# fixture name -> (constructor, parameter names); parameters left out take
+# the constructor's defaults
+FIXTURES = {
+    "totally_geodesic": (_totally_geodesic, ()),
+    "fuchsian_family": (family_immersion, ("s",)),
+    "graph_bump": (bump_immersion, ("amplitude", "width", "base")),
+}
+CATALOG = tuple(FIXTURES)
 
 
 def make_immersion(name: str, **params) -> Immersion:
     """Built-in fixture catalog, selected by name + parameters."""
-    if name == "totally_geodesic":
-        if params:
-            raise ConfigError("totally_geodesic takes no parameters")
-        im = family_immersion(0.0)
-        return Immersion("totally_geodesic", im.evaluator, params={})
-    if name == "fuchsian_family":
-        s = float(params.pop("s", -0.7))
-        if params:
-            raise ConfigError(f"unknown fuchsian_family parameters: {sorted(params)}")
-        if not -np.pi / 2 < s <= 0.0:
-            raise ConfigError(f"fuchsian_family requires s in (-pi/2, 0], got {s}")
-        return family_immersion(s)
-    if name == "graph_bump":
-        amplitude = float(params.pop("amplitude", 0.05))
-        width = float(params.pop("width", 1.0))
-        base = float(params.pop("base", -0.7))
-        if params:
-            raise ConfigError(f"unknown graph_bump parameters: {sorted(params)}")
-        try:
-            return bump_immersion(amplitude, width, base)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown fixture: {name!r} (catalog: {', '.join(CATALOG)})")
+    if name not in FIXTURES:
+        raise ConfigError(f"unknown fixture: {name!r} (catalog: {', '.join(CATALOG)})")
+    build, names = FIXTURES[name]
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown {name} parameters: {unknown}")
+    try:
+        return build(**{key: float(value) for key, value in params.items()})
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +307,41 @@ def gaussian_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF) 
     return brioschi_curvature(metric_field(immersion, cfg), u, cfg.field)
 
 
+def christoffel_symbols(g_inv, dg):
+    """Gamma[k, i, j] = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij) in any
+    dimension, from the inverse metric and the stack dg[i] = d_i g."""
+    n = len(g_inv)
+    gamma = np.empty((n, n, n))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                s = 0.0
+                for l in range(n):
+                    s += g_inv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
+                gamma[k, i, j] = 0.5 * s
+    return gamma
+
+
 def christoffels(g_field, u, scheme):
     """Christoffel symbols Gamma[k, i, j] of a chart metric field."""
     u = np.asarray(u, dtype=float)
     g = np.asarray(g_field(u), dtype=float)
-    ginv = np.linalg.inv(g)
     dg = np.stack([d1(g_field, u, 0, scheme), d1(g_field, u, 1, scheme)])
-    gamma = np.empty((2, 2, 2))
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                s = 0.0
-                for l in range(2):
-                    s += ginv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
-                gamma[k, i, j] = 0.5 * s
-    return gamma
+    return christoffel_symbols(np.linalg.inv(g), dg)
+
+
+def exterior_covariant_derivative(gamma, x, dx1, dx2):
+    """d^D X (d1, d2) = D_1(X d2) - D_2(X d1) of an operator field X.
+
+    ``gamma`` are the Christoffel symbols of D, ``x`` is X at the point and
+    ``dx1``, ``dx2`` its chart partials.
+    """
+    vec = np.empty(2)
+    for m in range(2):
+        vec[m] = dx1[m, 1] - dx2[m, 0]
+        for k in range(2):
+            vec[m] += gamma[m, 0, k] * x[k, 1] - gamma[m, 1, k] * x[k, 0]
+    return vec
 
 
 def codazzi_residual_fields(g_field, b_field, u, scheme) -> float:
@@ -328,13 +349,8 @@ def codazzi_residual_fields(g_field, b_field, u, scheme) -> float:
     u = np.asarray(u, dtype=float)
     gamma = christoffels(g_field, u, scheme)
     b = np.asarray(b_field(u), dtype=float)
-    db1 = d1(b_field, u, 0, scheme)
-    db2 = d1(b_field, u, 1, scheme)
-    vec = np.empty(2)
-    for m in range(2):
-        vec[m] = db1[m, 1] - db2[m, 0]
-        for k in range(2):
-            vec[m] += gamma[m, 0, k] * b[k, 1] - gamma[m, 1, k] * b[k, 0]
+    vec = exterior_covariant_derivative(gamma, b, d1(b_field, u, 0, scheme),
+                                        d1(b_field, u, 1, scheme))
     I = np.asarray(g_field(u), dtype=float)
     return float(np.sqrt(max(vec @ I @ vec, 0.0)))
 
@@ -358,6 +374,14 @@ def principal_curvatures(data: EmbeddingData):
     """Eigenvalues of B, ascending (real since B is I-self-adjoint)."""
     vals = scipy.linalg.eigh(data.second_form, data.I, eigvals_only=True)
     return np.sort(vals)
+
+
+def require_strong_convexity(B, tol: float = STRONG_CONVEXITY_TOL) -> float:
+    """det B, raising ConvexityError unless det B > tol (strong convexity)."""
+    det_b = float(np.linalg.det(B))
+    if det_b <= tol:
+        raise ConvexityError(f"strong convexity required: det B = {det_b:.3e}")
+    return det_b
 
 
 def convexity_class(data: EmbeddingData, tol: float = 1e-10) -> ConvexityClass:

@@ -13,7 +13,7 @@ default step sizes are distinguished:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +24,6 @@ class FDScheme:
 
     step: float = 1e-4
     richardson: bool = True
-
-    def halved(self) -> "FDScheme":
-        return replace(self, step=self.step / 2.0)
 
 
 @dataclass(frozen=True)
@@ -55,12 +52,6 @@ class DiffConfig:
     @property
     def field(self) -> FDScheme:
         return FDScheme(self.field_step, self.richardson)
-
-    def scaled(self, factor: float) -> "DiffConfig":
-        return DiffConfig(self.immersion_step * factor,
-                          self.immersion_step2 * factor,
-                          self.field_step * factor,
-                          self.richardson)
 
 
 DEFAULT_DIFF = DiffConfig()

@@ -24,6 +24,7 @@ complex carrying first-order finite-element Laplace operators.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,12 +154,14 @@ def octagon_generators() -> HolonomySet:
 # ---------------------------------------------------------------------------
 # hyperboloid helpers (R^{2,1}, signature (+, +, -))
 
-def mdot(p, q) -> float:
-    return float(p[0] * q[0] + p[1] * q[1] - p[2] * q[2])
+def mdot(p, q):
+    """Minkowski product of points, or of (3, n) coordinate stacks."""
+    return p[0] * q[0] + p[1] * q[1] - p[2] * q[2]
 
 
-def hyp_dist(p, q) -> float:
-    return float(np.arccosh(max(-mdot(p, q), 1.0)))
+def hyp_dist(p, q):
+    """Hyperbolic distance of points, or of (3, n) coordinate stacks."""
+    return np.arccosh(np.maximum(-mdot(p, q), 1.0))
 
 
 def hyp_dist_small(p, q) -> float:
@@ -255,17 +258,24 @@ class Genus2Mesh:
         return float(sum(triangle_area_defect(v[a], v[b], v[c])
                          for a, b, c in self.triangles))
 
+    @functools.cached_property
+    def element_geometry(self):
+        """(lengths, areas) of the Euclidean-layout elements: the hyperbolic
+        length of the edge opposite each triangle corner, shape (M, 3), and
+        the Heron area of each triangle, shape (M,)."""
+        corners = self.vertices[self.triangles].T      # (coordinate, corner, M)
+        lengths = np.stack([hyp_dist(corners[:, 1], corners[:, 2]),
+                            hyp_dist(corners[:, 0], corners[:, 2]),
+                            hyp_dist(corners[:, 0], corners[:, 1])], axis=1)
+        la, lb, lc = lengths.T
+        s = 0.5 * (la + lb + lc)
+        areas = np.sqrt(np.maximum(s * (s - la) * (s - lb) * (s - lc), 0.0))
+        return lengths, areas
+
     def area_elementwise(self) -> float:
         """Total area of the Euclidean-layout elements (what the mass
         matrix integrates)."""
-        total = 0.0
-        for a, b, c in self.triangles:
-            la = hyp_dist(self.vertices[b], self.vertices[c])
-            lb = hyp_dist(self.vertices[a], self.vertices[c])
-            lc = hyp_dist(self.vertices[a], self.vertices[b])
-            s = 0.5 * (la + lb + lc)
-            total += np.sqrt(max(s * (s - la) * (s - lb) * (s - lc), 0.0))
-        return float(total)
+        return float(self.element_geometry[1].sum())
 
 
 def _octagon_corners():
@@ -385,35 +395,23 @@ def discrete_operators(mesh: Genus2Mesh, scale: float = 1.0) -> DiscreteOperator
     metric multiplied by the conformal constant ``scale``."""
     if scale <= 0.0:
         raise DomainError("conformal scale must be positive")
-    rows, cols, s_vals, m_vals = [], [], [], []
-    for a, b, c in mesh.triangles:
-        ids = [mesh.vertex_class[a], mesh.vertex_class[b], mesh.vertex_class[c]]
-        la = hyp_dist(mesh.vertices[b], mesh.vertices[c])
-        lb = hyp_dist(mesh.vertices[a], mesh.vertices[c])
-        lc = hyp_dist(mesh.vertices[a], mesh.vertices[b])
-        lensq = np.array([la, lb, lc]) ** 2
-        s = 0.5 * (la + lb + lc)
-        area = np.sqrt(max(s * (s - la) * (s - lb) * (s - lc), 1e-300))
-        if area < 1e-14:
-            raise DomainError("degenerate triangle in mesh")
-        cot = np.array([
-            (lensq[1] + lensq[2] - lensq[0]) / (4.0 * area),
-            (lensq[0] + lensq[2] - lensq[1]) / (4.0 * area),
-            (lensq[0] + lensq[1] - lensq[2]) / (4.0 * area),
-        ])
-        k_local = np.zeros((3, 3))
-        for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            k_local[j, k] = k_local[k, j] = -0.5 * cot[i]
-        for i in range(3):
-            k_local[i, i] = -k_local[i, (i + 1) % 3] - k_local[i, (i + 2) % 3]
-        m_local = scale * area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-        for i in range(3):
-            for j in range(3):
-                rows.append(ids[i])
-                cols.append(ids[j])
-                s_vals.append(k_local[i, j])
-                m_vals.append(m_local[i, j])
+    lengths, area = mesh.element_geometry
+    if area.min() < 1e-14:
+        raise DomainError("degenerate triangle in mesh")
+    lensq = lengths ** 2
+    # cot[:, i]: cotangent of the angle at corner i, opposite edge i
+    cot = (lensq[:, [1, 0, 0]] + lensq[:, [2, 2, 1]] - lensq) / (4.0 * area)[:, None]
+    k_local = np.empty((len(area), 3, 3))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        k_local[:, j, k] = k_local[:, k, j] = -0.5 * cot[:, i]
+    for i in range(3):
+        k_local[:, i, i] = -k_local[:, i, (i + 1) % 3] - k_local[:, i, (i + 2) % 3]
+    m_local = (scale * area / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
+    # entries ordered by triangle, row, column: tocsr sums duplicates in this order
+    ids = mesh.vertex_class[mesh.triangles]
+    rows, cols = np.repeat(ids, 3, axis=1).ravel(), np.tile(ids, 3).ravel()
+    s_vals, m_vals = k_local.ravel(), m_local.ravel()
     n = mesh.n_classes
     stiffness = scipy.sparse.coo_matrix((s_vals, (rows, cols)), shape=(n, n)).tocsr()
     mass = scipy.sparse.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr()

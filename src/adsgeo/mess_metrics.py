@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import (EmbeddingData, Immersion, brioschi_curvature,
-                        christoffels, codazzi_residual_fields, embedding_data_at,
-                        gaussian_curvature, metric_field, shape_field)
+from .embedding import (EmbeddingData, Immersion, christoffels,
+                        codazzi_residual_fields, embedding_data_at,
+                        gaussian_curvature, metric_field)
 from .errors import DegenerateDataError, TransferPreconditionError
 from .fd import DEFAULT_DIFF, DiffConfig, d1
 

@@ -28,25 +28,17 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .embedding import EmbeddingData, Immersion, embedding_data_at
-from .errors import ConvexityError, DomainError
+from .embedding import (STRONG_CONVEXITY_TOL, EmbeddingData, Immersion,
+                        complex_structure, exterior_covariant_derivative,
+                        require_strong_convexity)
+from .errors import DomainError
 from .fd import DEFAULT_DIFF, DiffConfig, FDScheme, d1, gradient, hessian
-from .fuchsian import DiscreteOperators, Genus2Mesh, discrete_operators, generalized_eigs
+from .fuchsian import Genus2Mesh, discrete_operators, generalized_eigs
 from .mess_metrics import SharpData, mess_metric, sharp_frame
-
-STRONG_CONVEXITY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# pointwise 2x2 algebra
-
-@dataclass(frozen=True)
-class VariationField:
-    """I-self-adjoint first-order variation of the shape operator."""
-
-    Bdot: np.ndarray
-    provenance: str = "analytic"
-
+# pointwise 2x2 algebra; the private helpers also take (N, 2, 2) stacks
 
 @dataclass(frozen=True)
 class BMorphism:
@@ -57,18 +49,34 @@ class BMorphism:
     v: np.ndarray | None = None
 
 
-def _check_strongly_convex(data: EmbeddingData, tol: float = STRONG_CONVEXITY_TOL):
-    det_b = float(np.linalg.det(data.B))
-    if det_b <= tol:
-        raise ConvexityError(f"strong convexity required: det B = {det_b:.3e}")
+def _b_of_bdot(J, B, bdot):
+    """b = (E + JB)^{-1} J Bdot."""
+    return np.linalg.solve(np.eye(2) + J @ B, J @ bdot)
+
+
+def _traces(J, B, b, bdot):
+    """tr b, tr(JB b), tr((E + JB) b), tr((E + (JB)^{-1}) b), tr(B^{-1} Bdot)."""
+    def tr(m):
+        return np.trace(m, axis1=-2, axis2=-1)
+
+    eye = np.eye(2)
+    jb = J @ B
+    return {"tr_b": tr(b), "tr_jbb": tr(jb @ b), "tr_first": tr((eye + jb) @ b),
+            "tr_second": tr((eye + np.linalg.inv(jb)) @ b),
+            "tr_binv_bdot": tr(np.linalg.solve(B, bdot))}
+
+
+def _cayley_hamilton(J, B):
+    """Componentwise residual of J B = (1 + K) (J B)^{-1}, K = -1 - det B."""
+    jb = J @ B
+    K = -1.0 - np.linalg.det(B)
+    return np.abs(jb - (1.0 + K)[..., None, None] * np.linalg.inv(jb)).max(axis=(-2, -1))
 
 
 def b_from_bdot(data: EmbeddingData, bdot) -> BMorphism:
     """b = (E + JB)^{-1} J Bdot, with the induced first variation of the
     plus metric I#(b . , . ) + I#( . , b . ) attached."""
-    bdot = np.asarray(bdot, dtype=float)
-    a = np.eye(2) + data.J @ data.B
-    b = np.linalg.solve(a, data.J @ bdot)
+    b = _b_of_bdot(data.J, data.B, np.asarray(bdot, dtype=float))
     i_sharp = mess_metric(data, +1)
     idot = b.T @ i_sharp + i_sharp @ b
     return BMorphism(b=b, provenance="from_bdot", idot_sharp=idot)
@@ -96,37 +104,27 @@ def trace_conditions(data: EmbeddingData, bdot=None, b=None) -> TraceConditions:
     images of each other through JB = (1+K)(JB)^{-1}, so the residual pairs
     are compared directly.
     """
-    _check_strongly_convex(data)
+    det_b = require_strong_convexity(data.B)
     if (bdot is None) == (b is None):
         raise DomainError("provide exactly one of bdot, b")
-    jb = data.J @ data.B
     if b is None:
         bdot = np.asarray(bdot, dtype=float)
-        b = np.linalg.solve(np.eye(2) + jb, data.J @ bdot)
+        b = _b_of_bdot(data.J, data.B, bdot)
     else:
         b = np.asarray(b, dtype=float)
-        bdot = -data.J @ (np.eye(2) + jb) @ b
-    jb_inv = np.linalg.inv(jb)
-    tr_b = float(np.trace(b))
-    tr_jbb = float(np.trace(jb @ b))
-    tr_first = float(np.trace((np.eye(2) + jb) @ b))
-    tr_second = float(np.trace((np.eye(2) + jb_inv) @ b))
-    tr_binv = float(np.trace(np.linalg.solve(data.B, bdot)))
+        bdot = -data.J @ (np.eye(2) + data.J @ data.B) @ b
+    t = {k: float(v) for k, v in _traces(data.J, data.B, b, bdot).items()}
     # (b1, b2) = L (b4, b5) with L = [[1, 1], [1, 1/(1+K)]], K < -1
-    K = -1.0 - float(np.linalg.det(data.B))
-    mixed = np.array([tr_b + tr_jbb, tr_b + tr_jbb / (1.0 + K)])
-    gap = float(np.abs(mixed - np.array([tr_first, tr_second])).max())
-    return TraceConditions(tr_b=tr_b, tr_jbb=tr_jbb, tr_binv_bdot=tr_binv,
-                           tr_first=tr_first, tr_second=tr_second,
-                           equivalence_gap=gap)
+    K = -1.0 - det_b
+    mixed = np.array([t["tr_b"] + t["tr_jbb"], t["tr_b"] + t["tr_jbb"] / (1.0 + K)])
+    gap = float(np.abs(mixed - np.array([t["tr_first"], t["tr_second"]])).max())
+    return TraceConditions(equivalence_gap=gap, **t)
 
 
 def cayley_hamilton_residual(data: EmbeddingData) -> float:
     """Componentwise residual of J B = (1 + K) (J B)^{-1}, K = -1 - det B."""
-    _check_strongly_convex(data)
-    jb = data.J @ data.B
-    K = -1.0 - float(np.linalg.det(data.B))
-    return float(np.abs(jb - (1.0 + K) * np.linalg.inv(jb)).max())
+    require_strong_convexity(data.B)
+    return float(_cayley_hamilton(data.J[None], data.B[None])[0])
 
 
 def variation_formula_residual(data: EmbeddingData, bdot, dt: float = 1e-6) -> float:
@@ -161,28 +159,13 @@ def random_convex_pair(rng, eig_low: float = 0.3, eig_high: float = 2.5):
 def linearized_chain_batch(n: int, seed: int = 0):
     """Max residuals of the trace identities over n random convex pairs."""
     rng = np.random.default_rng(seed)
-    worst = {"tr_b": 0.0, "tr_jbb": 0.0, "tr_first": 0.0, "tr_second": 0.0,
-             "cayley_hamilton": 0.0, "tr_binv_bdot": 0.0}
-    eye = np.eye(2)
-    for _ in range(n):
-        I, B, bdot = random_convex_pair(rng)
-        from .embedding import complex_structure
-
-        J = complex_structure(I)
-        jb = J @ B
-        b = np.linalg.solve(eye + jb, J @ bdot)
-        worst["tr_b"] = max(worst["tr_b"], abs(np.trace(b)))
-        worst["tr_jbb"] = max(worst["tr_jbb"], abs(np.trace(jb @ b)))
-        worst["tr_first"] = max(worst["tr_first"], abs(np.trace((eye + jb) @ b)))
-        worst["tr_second"] = max(worst["tr_second"],
-                                 abs(np.trace((eye + np.linalg.inv(jb)) @ b)))
-        worst["tr_binv_bdot"] = max(worst["tr_binv_bdot"],
-                                    abs(np.trace(np.linalg.solve(B, bdot))))
-        K = -1.0 - np.linalg.det(B)
-        worst["cayley_hamilton"] = max(
-            worst["cayley_hamilton"],
-            np.abs(jb - (1.0 + K) * np.linalg.inv(jb)).max())
-    return worst
+    J, B, bdot = (np.empty((n, 2, 2)) for _ in range(3))
+    for i in range(n):
+        I, B[i], bdot[i] = random_convex_pair(rng)
+        J[i] = complex_structure(I)
+    residuals = _traces(J, B, _b_of_bdot(J, B, bdot), bdot)
+    residuals["cayley_hamilton"] = _cayley_hamilton(J, B)
+    return {k: float(np.abs(v).max(initial=0.0)) for k, v in residuals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +213,9 @@ def sharp_codazzi_residual(immersion: Immersion, b_field, u,
     u = np.asarray(u, dtype=float)
     frame = sharp_frame(immersion, u, cfg=cfg, check=False)
     b = np.asarray(b_field(u), dtype=float)
-    db1 = d1(b_field, u, 0, cfg.field)
-    db2 = d1(b_field, u, 1, cfg.field)
-    gamma = frame.christoffels
-    vec = np.empty(2)
-    for m in range(2):
-        vec[m] = db1[m, 1] - db2[m, 0]
-        for k in range(2):
-            vec[m] += gamma[m, 0, k] * b[k, 1] - gamma[m, 1, k] * b[k, 0]
+    vec = exterior_covariant_derivative(frame.christoffels, b,
+                                        d1(b_field, u, 0, cfg.field),
+                                        d1(b_field, u, 1, cfg.field))
     return float(np.sqrt(max(vec @ frame.I_sharp @ vec, 0.0)))
 
 
@@ -271,24 +249,16 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
         fr = sharp_frame(immersion, w, cfg=cfg, check=False)
         return float(mu(w)) * fr.J_sharp
 
-    def d_sharp_of(field):
-        m = np.asarray(field(u), dtype=float)
-        d1f = d1(field, u, 0, cfg.field)
-        d2f = d1(field, u, 1, cfg.field)
-        vec = np.empty(2)
-        for mm in range(2):
-            vec[mm] = d1f[mm, 1] - d2f[mm, 0]
-            for k in range(2):
-                vec[mm] += frame.christoffels[mm, 0, k] * m[k, 1]
-                vec[mm] -= frame.christoffels[mm, 1, k] * m[k, 0]
-        return vec
-
     v0 = v_field(u)
-    lhs_a = d_sharp_of(dv_operator)
+    lhs_a = exterior_covariant_derivative(
+        frame.christoffels, dv_operator(u),
+        d1(dv_operator, u, 0, cfg.field), d1(dv_operator, u, 1, cfg.field))
     rhs_a = -frame.K_sharp * (frame.J_sharp @ v0) * frame.da_sharp
     resid_a = float(np.abs(lhs_a - rhs_a).max())
 
-    lhs_b = d_sharp_of(mu_jsharp)
+    lhs_b = exterior_covariant_derivative(
+        frame.christoffels, mu_jsharp(u),
+        d1(mu_jsharp, u, 0, cfg.field), d1(mu_jsharp, u, 1, cfg.field))
     grad_sharp = np.linalg.solve(frame.I_sharp, gradient(mu, u, mu_scheme))
     rhs_b = -grad_sharp * frame.da_sharp
     resid_b = float(np.abs(lhs_b - rhs_b).max())
@@ -304,7 +274,7 @@ def jbj_sharp(data: EmbeddingData, tol: float = STRONG_CONVEXITY_TOL):
     Eigenvalues are the negated principal curvatures; negative definiteness
     holds exactly on the strongly past-convex side of the paper's lemma.
     """
-    _check_strongly_convex(data, tol=tol)
+    require_strong_convexity(data.B, tol)
     a = np.eye(2) + data.J @ data.B
     j_sharp = np.linalg.solve(a, data.J @ a)
     op = data.J @ data.B @ j_sharp
@@ -337,9 +307,15 @@ class RigidityOperator:
     tan_abs_s: float
 
 
-def rigidity_operator(mesh: Genus2Mesh, s: float) -> RigidityOperator:
+def check_rigidity_parameter(s: float):
+    """The rigidity operator needs a strictly convex family member,
+    s in (-pi/2, 0)."""
     if not -np.pi / 2 < s < 0.0:
         raise DomainError(f"umbilic fixture needs s in (-pi/2, 0), got {s}")
+
+
+def rigidity_operator(mesh: Genus2Mesh, s: float) -> RigidityOperator:
+    check_rigidity_parameter(s)
     ops = discrete_operators(mesh, scale=1.0)
     t = float(np.tan(abs(s)))
     matrix = (t * (-ops.stiffness - 2.0 * ops.mass)).tocsr()
@@ -352,15 +328,17 @@ def rigidity_spectrum(op: RigidityOperator, k: int = 6, seed: int = 0):
     return generalized_eigs(op.matrix, op.mass, k=k, seed=seed)
 
 
-def kernel_dimension(eigs, ratio_threshold: float = 10.0) -> int:
+def kernel_dimension(eigs, ratio_threshold: float = 10.0) -> float:
     """Count of eigenvalues below the dominant magnitude gap.
 
     The split point with the largest magnitude ratio defines the candidate
-    kernel; it only counts when that ratio exceeds the threshold.
+    kernel; it only counts when that ratio exceeds the threshold.  Fewer
+    than two eigenvalues have no gap to measure: the count is NaN
+    (inconclusive), so that no bound on it is met.
     """
     mags = np.sort(np.abs(np.asarray(eigs, dtype=float)))
     if len(mags) < 2:
-        return 0
+        return float("nan")
     floor = 1e-300
     ratios = mags[1:] / np.maximum(mags[:-1], floor)
     best = int(np.argmax(ratios))

@@ -43,11 +43,12 @@ def test_missing_config_file_exits_2(capsys):
 def test_config_file_roundtrip(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("fixture = fuchsian_family\ns = -0.3\nsamples = 3\n"
-                       "# comment line\nseed = 7\n")
+                       "# comment line\nseed = 7\ntolerance = 0.5\n")
     code, out, _ = run_cli(capsys, "--config", str(cfgfile), "check")
     assert code == 0
     assert "s = -0.3" in out
     assert "seed = 7" in out
+    assert "tolerance = 0.5" in out
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -77,6 +78,21 @@ def test_out_of_range_values_exit_2():
     assert cli.main(["rigidity", "--mesh-level", "99"]) == 2
     assert cli.main(["check", "--tolerance", "-1.0"]) == 2
     assert cli.main(["phik", "--k", "-0.5"]) == 2
+    assert cli.main(["check", "--seed", "-1"]) == 2
+    assert cli.main(["check", "--fixture", "graph_bump", "--width", "nan"]) == 2
+    assert cli.main(["check", "--tolerance", "inf"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["dual", "--fixture", "totally_geodesic"],
+    ["dual", "--fixture", "fuchsian_family", "--s", "0"],
+    ["mess", "--fixture", "graph_bump", "--s2", "-1.0"],
+], ids=["dual_plane", "dual_family_s0", "mess_bump_s2"])
+def test_precondition_is_a_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("adsgeo: config error:")
 
 
 def test_rigidity_command(capsys):
@@ -85,6 +101,14 @@ def test_rigidity_command(capsys):
     assert code == 0
     assert "kernel_dimension" in out
     assert "min_abs_eigenvalue" in out
+
+
+def test_rigidity_single_eigenvalue_is_inconclusive(capsys):
+    # level 0 glues to two vertices, leaving one eigenvalue and no gap
+    code, out, _ = run_cli(capsys, "rigidity", "--mesh-level", "0")
+    assert code == 1
+    row = next(ln for ln in out.splitlines() if ln.startswith("kernel_dimension"))
+    assert row.split()[2:] == ["nan", "0.0", "FAIL"]
 
 
 def test_fuchsian_command_with_export(tmp_path, capsys):

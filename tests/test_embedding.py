@@ -32,6 +32,8 @@ def test_catalog_selection_and_rejection():
         emb.make_immersion("fuchsian_family", s=0.2)
     with pytest.raises(ConfigError):
         emb.make_immersion("fuchsian_family", wrong=1.0)
+    with pytest.raises(ConfigError):
+        emb.make_immersion("graph_bump", width=float("nan"))
 
 
 def test_totally_geodesic_plane():

@@ -279,6 +279,7 @@ def test_kernel_dimension_rule():
     assert rig.kernel_dimension([1e-13, 2.0, 5.0]) == 1
     assert rig.kernel_dimension([1e-13, 5e-13, 2.0]) == 2
     assert rig.kernel_dimension([0.5, 1.0, 2.0]) == 0
+    assert np.isnan(rig.kernel_dimension([2.0]))
 
 
 def test_laplace_positivity_by_parts(rng):
