@@ -13,6 +13,9 @@ fixed by
 with isometries acting as (A, B) . M = A M B^{-1} for unimodular A, B.
 Time orientation: the curve s -> (0, 0, cos s, sin s) is future-directed,
 i.e. e4 is the future direction at the base point (0, 0, 1, 0).
+
+``bilinear22``, ``future_timelike`` and ``is_future`` act on the last axis
+and map over any leading ones.
 """
 from __future__ import annotations
 
@@ -21,21 +24,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .batch import components, vector
 from .errors import DomainError
 
 # default tolerances; every CLI check echoes the tolerance it used
 ON_QUADRIC_TOL = 1e-10
-FORM_PRESERVATION_TOL = 1e-12
 UNIMODULAR_TOL = 1e-10
 
 _Q_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-def bilinear22(x, y) -> float:
-    """Signature-(2,2) bilinear form on R^4."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(np.dot(_Q_SIGNS * x, y))
+def bilinear22(x, y):
+    """Signature-(2,2) bilinear form on R^4, over the last axis.
+
+    Summed term by term in a fixed order, so each point of a batch gets the
+    bits of the same call on that point alone.
+    """
+    x1, x2, x3, x4 = components(x)
+    y1, y2, y3, y4 = components(y)
+    return x1 * y1 + x2 * y2 - x3 * y3 - x4 * y4
 
 
 def on_quadric(x, tol: float = ON_QUADRIC_TOL) -> bool:
@@ -48,11 +55,12 @@ def future_timelike(p):
     Velocity field of the declared future curve; timelike everywhere on the
     quadric since p3^2 + p4^2 >= 1 there.
     """
-    p = np.asarray(p, dtype=float)
-    return np.array([0.0, 0.0, -p[3], p[2]])
+    _, _, p3, p4 = components(p)
+    zero = 0.0 * p3
+    return vector(zero, zero, -p4, p3)
 
 
-def is_future(p, v) -> bool:
+def is_future(p, v):
     """True if the timelike tangent v at p points to the future."""
     return bilinear22(v, future_timelike(p)) < 0.0
 

@@ -1,0 +1,84 @@
+"""Leading batch axes: component access and closed-form 2x2 algebra.
+
+Points and vectors have shape (..., k) and 2x2 matrices (..., 2, 2), with
+any leading batch shape, including none.  Every formula here is a fixed
+sequence of elementwise operations, so each member of a batch gets the bits
+of the same call on that member alone.  Without batch axes the components
+are scalars, which keeps a single point at a handful of scalar operations
+instead of small-array or LAPACK calls.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+
+def components(v):
+    """The entries of v along its last axis, each of the batch shape.
+
+    A single vector gives Python floats: the same IEEE operations as numpy
+    arrays, at a fraction of the cost of numpy scalars.  Callers divide
+    only by quantities that cannot vanish.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 1:
+        return v.tolist()
+    return tuple(v.transpose((v.ndim - 1,) + tuple(range(v.ndim - 1))))
+
+
+def vector(*values):
+    """Inverse of ``components``: stack values of one batch shape."""
+    v = np.array(values)
+    return v if v.ndim == 1 else v.transpose(tuple(range(1, v.ndim)) + (0,))
+
+
+def entries(m):
+    """(m11, m12, m21, m22), each of the batch shape.
+
+    A single matrix gives numpy scalars, so that dividing by a vanishing
+    determinant gives inf or nan, as it does for arrays.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim == 2:
+        return tuple(m.flat)
+    (a, b), (c, d) = m.transpose((m.ndim - 2, m.ndim - 1) + tuple(range(m.ndim - 2)))
+    return a, b, c, d
+
+
+def matrix(a, b, c, d):
+    """[[a, b], [c, d]] from entries of one batch shape."""
+    m = np.array([[a, b], [c, d]])
+    return m if m.ndim == 2 else m.transpose(tuple(range(2, m.ndim)) + (0, 1))
+
+
+def any_of(mask) -> bool:
+    """Whether any member of a boolean batch is set (np.any costs
+    microseconds on a numpy bool)."""
+    return bool(mask.any() if isinstance(mask, np.ndarray) else mask)
+
+
+def det(m):
+    a, b, c, d = entries(m)
+    return a * d - b * c
+
+
+def inv(m):
+    """Adjugate over determinant (no pivoting; callers check conditioning)."""
+    a, b, c, d = entries(m)
+    q = a * d - b * c
+    return matrix(d / q, -b / q, -c / q, a / q)
+
+
+def singular_values(m):
+    """(largest, smallest) singular value, from |m|_F^2 and |det m|."""
+    a, b, c, d = entries(m)
+    f = a * a + b * b + c * c + d * d
+    q = np.abs(a * d - b * c)
+    big = np.sqrt(0.5 * (f + np.sqrt(np.maximum(f * f - 4.0 * q * q, 0.0))))
+    return big, q / big
+
+
+def quadratic_form(v, m):
+    """v^T m v for vectors (..., 2)."""
+    v1, v2 = components(v)
+    a, b, c, d = entries(m)
+    return v1 * (a * v1 + b * v2) + v2 * (c * v1 + d * v2)

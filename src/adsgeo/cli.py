@@ -86,6 +86,7 @@ class RunConfig:
                 # the umbilic fixtures have B = tan(s) E, with s = 0 on the plane
                 s = self.s if self.fixture == "fuchsian_family" else 0.0
                 emb.require_strong_convexity(np.tan(s) * np.eye(2))
+                con.require_family_dual(s)
         except AdsGeoError as exc:
             raise ConfigError(f"{self.command}: {exc}") from exc
         if self.s2 is not None and self.fixture != "fuchsian_family":
@@ -166,22 +167,26 @@ def _coerce(key: str, raw: str):
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations; each surface command makes one batched call per
+# layer over its whole sample set
 
 def _sample_points(rng, n, box=0.8):
     return rng.uniform(-box, box, size=(n, 2))
 
 
+def _chart_location(u) -> str:
+    return f"u=({u[0]:+.4f},{u[1]:+.4f})"
+
+
 def run_check(cfg: RunConfig) -> CheckReport:
     report = CheckReport(provenance=cfg.provenance())
     rng = np.random.default_rng(cfg.seed)
-    immersion = cfg.immersion()
-    diff = cfg.diff()
-    for u in _sample_points(rng, cfg.samples):
-        gauss, codazzi = emb.structure_residuals(immersion, u, cfg=diff)
-        loc = f"u=({u[0]:+.4f},{u[1]:+.4f})"
-        report.add("gauss_residual", loc, gauss, cfg.tol("gauss_residual"))
-        report.add("codazzi_residual", loc, codazzi, cfg.tol("codazzi_residual"))
+    pts = _sample_points(rng, cfg.samples)
+    gauss, codazzi = emb.structure_residuals(cfg.immersion(), pts, cfg=cfg.diff())
+    for u, g, c in zip(pts, gauss, codazzi):
+        loc = _chart_location(u)
+        report.add("gauss_residual", loc, g, cfg.tol("gauss_residual"))
+        report.add("codazzi_residual", loc, c, cfg.tol("codazzi_residual"))
     return report
 
 
@@ -195,15 +200,13 @@ def run_mess(cfg: RunConfig) -> CheckReport:
     pts = _sample_points(rng, cfg.samples)
     rows, _ = mes.verify_left_metric_hyperbolic(immersion, pts, cfg=diff)
     for u, _ks, resid in rows:
-        loc = f"u=({u[0]:+.4f},{u[1]:+.4f})"
-        report.add("left_curvature", loc, resid, cfg.tol(tol_name))
+        report.add("left_curvature", _chart_location(u), resid, cfg.tol(tol_name))
     if cfg.s2 is not None and cfg.fixture == "fuchsian_family":
         other = emb.make_immersion("fuchsian_family", s=cfg.s2)
-        for u in pts:
-            a = mes.mess_metric(emb.embedding_data_at(immersion, u, cfg=diff), +1)
-            b = mes.mess_metric(emb.embedding_data_at(other, u, cfg=diff), +1)
-            loc = f"u=({u[0]:+.4f},{u[1]:+.4f})"
-            report.add("metric_match", loc, float(np.abs(a - b).max()),
+        a = mes.mess_metric(emb.embedding_data_at(immersion, pts, cfg=diff), +1)
+        b = mes.mess_metric(emb.embedding_data_at(other, pts, cfg=diff), +1)
+        for u, gap in zip(pts, np.abs(a - b).max(axis=(-2, -1))):
+            report.add("metric_match", _chart_location(u), gap,
                        cfg.tol("metric_match"))
     return report
 
@@ -211,16 +214,15 @@ def run_mess(cfg: RunConfig) -> CheckReport:
 def run_dual(cfg: RunConfig) -> CheckReport:
     report = CheckReport(provenance=cfg.provenance())
     rng = np.random.default_rng(cfg.seed)
-    immersion = cfg.immersion()
-    diff = cfg.diff()
-    for u in _sample_points(rng, cfg.samples):
-        _, diag = con.dual_surface(immersion, u, cfg=diff)
-        loc = f"u=({u[0]:+.4f},{u[1]:+.4f})"
-        report.add("dual_curvature", loc, diag["curvature_consistency"],
+    pts = _sample_points(rng, cfg.samples)
+    _, diag = con.dual_surface(cfg.immersion(), pts, cfg=cfg.diff())
+    for k, u in enumerate(pts):
+        loc = _chart_location(u)
+        report.add("dual_curvature", loc, diag["curvature_consistency"][k],
                    cfg.tol("dual_curvature"))
-        report.add("dual_metric_third_form", loc, diag["metric_vs_third_form"],
+        report.add("dual_metric_third_form", loc, diag["metric_vs_third_form"][k],
                    cfg.tol("dual_metric_third_form"))
-        report.add("dual_involution", loc, diag["involution"],
+        report.add("dual_involution", loc, diag["involution"][k],
                    cfg.tol("dual_involution"))
     return report
 
@@ -240,12 +242,12 @@ def run_extend(cfg: RunConfig) -> CheckReport:
     ext = con.extension_metric(immersion, cfg=diff, slack=0.1)
     tol_name = ("extension_riemann_bump" if cfg.fixture == "graph_bump"
                 else "extension_riemann")
-    for sv in s_values:
-        for u in _sample_points(rng, cfg.points, box=0.7):
-            p = np.array([u[0], u[1], sv])
-            resid = con.extension_curvature(ext, p)
-            loc = f"(u1,u2,s)=({u[0]:+.3f},{u[1]:+.3f},{sv:+.3f})"
-            report.add("extension_riemann", loc, resid, cfg.tol(tol_name))
+    # rows ordered by s, then by point; the points are drawn per s value
+    pts = np.array([[u[0], u[1], sv] for sv in s_values
+                    for u in _sample_points(rng, cfg.points, box=0.7)]).reshape(-1, 3)
+    for p, r in zip(pts, con.extension_curvature(ext, pts)):
+        loc = f"(u1,u2,s)=({p[0]:+.3f},{p[1]:+.3f},{p[2]:+.3f})"
+        report.add("extension_riemann", loc, r, cfg.tol(tol_name))
     return report
 
 
@@ -305,7 +307,7 @@ def run_phi_k(cfg: RunConfig) -> CheckReport:
                cfg.tol("phi_k_parameter"))
     for u in _sample_points(rng, max(cfg.samples // 10, 3)):
         g = emb.hyperbolic_metric(u)
-        loc = f"u=({u[0]:+.4f},{u[1]:+.4f})"
+        loc = _chart_location(u)
         report.add("phi_k_metric", loc,
                    float(np.abs(result.left_metric(u) - g).max()),
                    cfg.tol("phi_k_metric"))

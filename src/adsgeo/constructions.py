@@ -12,6 +12,10 @@ Sign conventions follow embedding.py (future normal, B = tan(s) E on the
 family); the dual shape operator -B^{-1} is the one fixed by the numerical
 involution check, antipodal points being identified in the projective
 model.
+
+Duality, equidistant data and the extension metric take data and points
+with leading batch axes (see embedding.py); a check that fails at any point
+of a batch raises.
 """
 from __future__ import annotations
 
@@ -20,13 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from .embedding import (STRONG_CONVEXITY_TOL, EmbeddingData, Immersion,
-                        brioschi_curvature, christoffel_symbols,
+from .batch import any_of, det, inv, singular_values
+from .embedding import (NORMAL_FLOOR, STRONG_CONVEXITY_TOL, EmbeddingData,
+                        Immersion, brioschi_curvature, christoffel_symbols,
                         embedding_data_at, family_immersion, gaussian_curvature,
                         metric_field, normal_field, require_strong_convexity,
                         third_fundamental_form)
-from .errors import DomainError, FocalPointError
-from .fd import DEFAULT_DIFF, DiffConfig, FDScheme, d1, d2
+from .errors import DegenerateDataError, DomainError, FocalPointError
+from .fd import DEFAULT_DIFF, DiffConfig, FDScheme, d2, gradient
 
 # the umbilic family fixture (constant-curvature equidistants)
 fuchsian_family = family_immersion
@@ -45,7 +50,7 @@ class DualData:
 
 def dual_data_pointwise(data: EmbeddingData, K: float | None = None,
                         tol: float = STRONG_CONVEXITY_TOL) -> DualData:
-    """Algebraic duality of one set of embedding data.
+    """Algebraic duality of embedding data, point by point.
 
     Requires strong convexity: det B > tol with principal curvatures of one
     sign.  I* = III, B* = -B^{-1}; K* = -K/(1+K) from the supplied base
@@ -57,7 +62,7 @@ def dual_data_pointwise(data: EmbeddingData, K: float | None = None,
         K = -1.0 - det_b
     return DualData(point=data.n.copy(),
                     I_star=third_fundamental_form(data),
-                    B_star=-np.linalg.inv(data.B),
+                    B_star=-inv(data.B),
                     K_star=-K / (1.0 + K))
 
 
@@ -66,6 +71,24 @@ def dual_immersion(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF) -> Imme
     nf = normal_field(immersion, cfg)
     return Immersion(f"dual({immersion.name})", nf, domain=immersion.domain,
                      params=dict(immersion.params))
+
+
+def require_family_dual(s: float):
+    """Reject a family parameter whose dual immersion has a normal that
+    ``embedding._unit_future_normal`` cannot resolve on the chart box.
+
+    On the family B = tan(s) E and I = cos(s)^2 g_hyp, so the unnormalized
+    normal of the dual immersion has <n, n> = -det III = -det(B)^2 det(I)
+    = -sin(s)^4 / (1 + |u|^2); it must stay below -NORMAL_FLOOR at the
+    corners of the box, where |u|^2 is largest.
+    """
+    surface = family_immersion(s)
+    r2 = sum(max(lo * lo, hi * hi) for lo, hi in surface.domain)
+    sn2 = np.sin(s) * np.sin(s)
+    if not sn2 * sn2 / (1.0 + r2) > NORMAL_FLOOR:
+        raise DegenerateDataError(
+            f"dual normal unresolvable at s = {s}: sin(s)^4 / (1 + |u|^2) "
+            f"= {sn2 * sn2 / (1.0 + r2):.3e} <= {NORMAL_FLOOR:g} at the box corners")
 
 
 def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
@@ -86,21 +109,22 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
       twice-differenced dual metric field against the formula.  Three nested
       difference layers cap its accuracy near 1e-3.
     """
+    u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, u, cfg=cfg)
     k_measured = gaussian_curvature(immersion, u, cfg=cfg)
     dual = dual_data_pointwise(data, K=k_measured, tol=tol)
 
     fstar = dual_immersion(immersion, cfg)
     gstar = metric_field(fstar, cfg)
-    metric_resid = float(np.abs(np.asarray(gstar(u)) - dual.I_star).max())
+    metric_resid = np.abs(gstar(u) - dual.I_star).max(axis=(-2, -1))
 
-    k_star_gauss = -1.0 - float(np.linalg.det(dual.B_star))
-    consistency_resid = abs(k_star_gauss - dual.K_star)
+    k_star_gauss = -1.0 - det(dual.B_star)
+    consistency_resid = np.abs(k_star_gauss - dual.K_star)
 
     ddual_point = normal_field(fstar, cfg)(u)
     antipode = -np.asarray(immersion(u), dtype=float)
-    involution_resid = float(min(np.abs(ddual_point - antipode).max(),
-                                 np.abs(ddual_point + antipode).max()))
+    involution_resid = np.minimum(np.abs(ddual_point - antipode).max(axis=-1),
+                                  np.abs(ddual_point + antipode).max(axis=-1))
     diagnostics = {
         "metric_vs_third_form": metric_resid,
         "curvature_consistency": consistency_resid,
@@ -108,7 +132,7 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
     }
     if independent_curvature:
         k_dual_measured = brioschi_curvature(gstar, u, cfg.field)
-        diagnostics["curvature_independent"] = abs(k_dual_measured - dual.K_star)
+        diagnostics["curvature_independent"] = np.abs(k_dual_measured - dual.K_star)
     return dual, diagnostics
 
 
@@ -120,21 +144,25 @@ def equidistant_data(I, B, s: float, singular_tol: float = 1e-8):
 
     I_s = I(A_s . , A_s . ) and B_s = A_s^{-1} (cos(s) B - sin(s) E) with
     A_s = cos(s) E + sin(s) B; the sign of B_s is the one that keeps the
-    Gauss equation satisfied along the umbilic family.
+    Gauss equation satisfied along the umbilic family.  ``s`` is a number
+    or an array of the batch shape of I and B.
     """
     I = np.asarray(I, dtype=float)
     B = np.asarray(B, dtype=float)
-    a = np.cos(s) * np.eye(2) + np.sin(s) * B
-    scale = 1.0 + float(np.abs(B).max())
-    if np.linalg.svd(a, compute_uv=False)[-1] <= singular_tol * scale:
+    cs = np.cos(s)[..., None, None]
+    sn = np.sin(s)[..., None, None]
+    a = cs * np.eye(2) + sn * B
+    scale = 1.0 + np.abs(B).max(axis=(-2, -1))
+    if any_of(singular_values(a)[1] <= singular_tol * scale):
         raise FocalPointError(f"focal point at s = {s}: cos(s) E + sin(s) B singular")
-    c = np.cos(s) * B - np.sin(s) * np.eye(2)
-    return a.T @ I @ a, np.linalg.solve(a, c)
+    c = cs * B - sn * np.eye(2)
+    return np.swapaxes(a, -1, -2) @ I @ a, inv(a) @ c
 
 
 @dataclass(frozen=True)
 class ExtensionMetric:
-    """Evaluator (u1, u2, s) -> 3x3 Lorentzian matrix, s in (-pi/2, 0].
+    """Evaluator (u1, u2, s) -> 3x3 Lorentzian matrix, s in (-pi/2, 0],
+    over leading batch axes of the points.
 
     Block form diag(I((cos s E + sin s B) . , same), -1) in coordinates
     (u1, u2, s); restricts to I at s = 0.
@@ -146,14 +174,16 @@ class ExtensionMetric:
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
-        u, s = p[:2], p[2]
-        if not self.s_range[0] < s <= self.s_range[1] + 1e-12:
-            raise DomainError(f"extension parameter s = {s} outside {self.s_range}")
+        u, s = p[..., :2], p[..., 2]
+        inside = (self.s_range[0] < s) & (s <= self.s_range[1] + 1e-12)
+        if any_of(~inside):
+            raise DomainError(f"extension parameter s = {np.ravel(s)[np.argmin(inside)]} "
+                              f"outside {self.s_range}")
         data = embedding_data_at(self.immersion, u, cfg=self.cfg)
         g_s, _ = equidistant_data(data.I, data.B, s)
-        h = np.zeros((3, 3))
-        h[:2, :2] = g_s
-        h[2, 2] = -1.0
+        h = np.zeros(p.shape[:-1] + (3, 3))
+        h[..., :2, :2] = g_s
+        h[..., 2, 2] = -1.0
         return h
 
 
@@ -165,67 +195,70 @@ def extension_metric(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF,
                            s_range=(-np.pi / 2, slack))
 
 
-def riemann_constant_curvature_residual(metric, p, scheme: FDScheme) -> float:
-    """Relative residual of R_abcd + (h_ac h_bd - h_ad h_bc) at p.
+# the six independent components R_abcd, (a, b) <= (c, d) among the pairs
+# (0, 1), (0, 2), (1, 2)
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+_COMPONENTS = tuple(np.array(ix) for ix in zip(*[
+    (a, b, c, d) for k, (a, b) in enumerate(_PAIRS) for (c, d) in _PAIRS[k:]]))
 
-    ``metric`` is any callable p -> 3x3 symmetric matrix; derivatives are
-    taken componentwise by central differences.  The maximum over the six
-    independent components is normalized by the squared Frobenius norm of h.
+
+def riemann_constant_curvature_residual(metric, p, scheme: FDScheme):
+    """Relative residual of R_abcd + (h_ac h_bd - h_ad h_bc) at points p.
+
+    ``metric`` is any callable p -> 3x3 symmetric matrix, called with points
+    of the shape p has; derivatives are taken componentwise by central
+    differences.  The maximum over the six independent components is
+    normalized by the squared Frobenius norm of h.  Every sum over an index
+    runs in index order.
     """
     p = np.asarray(p, dtype=float)
     h = np.asarray(metric(p), dtype=float)
     h_inv = np.linalg.inv(h)
-    dh = np.stack([d1(metric, p, a, scheme) for a in range(3)])
-    ddh = np.empty((3, 3, 3, 3))
+    dh = gradient(metric, p, scheme)               # dh[..., a, :, :] = d_a h
+    ddh = np.empty(h.shape[:-2] + (3, 3, 3, 3))    # ddh[..., a, b, :, :]
     for a in range(3):
         for b in range(a, 3):
             v = d2(metric, p, a, b, scheme, f0=h)
-            ddh[a, b] = v
-            ddh[b, a] = v
+            ddh[..., a, b, :, :] = v
+            ddh[..., b, a, :, :] = v
 
-    gamma = christoffel_symbols(h_inv, dh)
-    dh_inv = np.stack([-h_inv @ dh[a] @ h_inv for a in range(3)])
-    dgamma = np.empty((3, 3, 3, 3))        # dgamma[e, c, a, b] = d_e Gamma^c_ab
-    for e in range(3):
-        for c in range(3):
-            for a in range(3):
-                for b in range(3):
-                    s = 0.0
-                    for dd in range(3):
-                        s += dh_inv[e][c, dd] * (dh[a][b, dd] + dh[b][a, dd] - dh[dd][a, b])
-                        s += h_inv[c, dd] * (ddh[e, a][b, dd] + ddh[e, b][a, dd]
-                                             - ddh[e, dd][a, b])
-                    dgamma[e, c, a, b] = 0.5 * s
+    gamma = christoffel_symbols(h_inv, dh)         # gamma[..., c, a, b]
+    # dgamma[..., e, c, a, b] = d_e Gamma^c_ab, the product rule applied to
+    # Gamma = 1/2 h^-1 (dh + dh - dh): d_e h^-1 = -h^-1 (d_e h) h^-1
+    dh_inv = -h_inv[..., None, :, :] @ dh @ h_inv[..., None, :, :]
+    dgamma = (christoffel_symbols(dh_inv, dh[..., None, :, :, :])
+              + christoffel_symbols(h_inv[..., None, :, :], ddh))
 
-    def riemann_up(rho, sig, mu, nu):
-        s = dgamma[mu, rho, nu, sig] - dgamma[nu, rho, mu, sig]
-        for lam in range(3):
-            s += gamma[rho, mu, lam] * gamma[lam, nu, sig]
-            s -= gamma[rho, nu, lam] * gamma[lam, mu, sig]
-        return s
-
-    pairs = [(0, 1), (0, 2), (1, 2)]
-    worst = 0.0
-    for ia, (a, b) in enumerate(pairs):
-        for (c, dd) in pairs[ia:]:
-            r = 0.0
-            for lam in range(3):
-                r += h[a, lam] * riemann_up(lam, b, c, dd)
-            resid = r + h[a, c] * h[b, dd] - h[a, dd] * h[b, c]
-            worst = max(worst, abs(resid))
-    return worst / float(np.sum(h * h))
+    # R^rho_{sig mu nu} = d_mu G^rho_{nu sig} - d_nu G^rho_{mu sig}
+    #                     + G^rho_{mu lam} G^lam_{nu sig} - G^rho_{nu lam} G^lam_{mu sig}
+    r_up = (np.einsum("...ecab->...cbea", dgamma)
+            - np.einsum("...ecab->...cbae", dgamma))
+    for lam in range(3):
+        g_lam = np.swapaxes(gamma[..., lam, :, :], -1, -2)   # [..., sig, nu]
+        r_up = (r_up + gamma[..., :, None, :, None, lam] * g_lam[..., None, :, None, :]
+                - gamma[..., :, None, None, :, lam] * g_lam[..., None, :, :, None])
+    r_low = 0.0
+    for lam in range(3):
+        r_low = r_low + h[..., :, lam, None, None, None] * r_up[..., lam, None, :, :, :]
+    resid = (r_low + h[..., :, None, :, None] * h[..., None, :, None, :]
+             - h[..., :, None, None, :] * h[..., None, :, :, None])
+    worst = np.abs(resid[(Ellipsis,) + _COMPONENTS]).max(axis=-1)
+    return worst / np.sum((h * h).reshape(h.shape[:-2] + (9,)), axis=-1)
 
 
 def extension_curvature(ext: ExtensionMetric, p,
-                        scheme: FDScheme | None = None) -> float:
-    """Constant-curvature residual of the extension metric at an interior
-    point; errors out when the stencil would leave the s-range."""
+                        scheme: FDScheme | None = None):
+    """Constant-curvature residual of the extension metric at interior
+    points; errors out when the stencil of any point would leave the
+    s-range."""
     scheme = scheme or FDScheme(step=1e-2, richardson=True)
     p = np.asarray(p, dtype=float)
     lo, hi = ext.s_range
-    if not lo + scheme.step < p[2] < hi - scheme.step + 1e-15:
-        raise DomainError(
-            f"stencil of half-width {scheme.step} leaves s-range at s = {p[2]}")
+    s = p[..., 2]
+    inside = (lo + scheme.step < s) & (s < hi - scheme.step + 1e-15)
+    if any_of(~inside):
+        raise DomainError(f"stencil of half-width {scheme.step} leaves s-range "
+                          f"at s = {np.ravel(s)[np.argmin(inside)]}")
     return riemann_constant_curvature_residual(ext, p, scheme)
 
 

@@ -15,6 +15,14 @@ Conventions fixed here and relied on everywhere else:
 
 With these choices the umbilic family F_s(y) = (cos(s) y, sin(s)) has
 B = tan(s) E; the sign of B on fixtures is recorded, not assumed.
+
+Chart points may carry leading batch axes, u of shape (..., 2): the
+built-in evaluators and fields, ``embedding_data_at`` and the curvature,
+Christoffel and Codazzi layers map over them and return results with the
+same leading axes, each point bit for bit equal to the call on that point
+alone.  A user-supplied evaluator or field is only ever called with points
+of the shape its caller passed in.  ``principal_curvatures`` and
+``convexity_class`` take the data of one point.
 """
 from __future__ import annotations
 
@@ -26,12 +34,15 @@ import numpy as np
 import scipy.linalg
 
 from . import ads_core
+from .batch import (any_of, components, det, entries, inv, matrix,
+                    quadratic_form, vector)
 from .errors import ConfigError, ConvexityError, DegenerateDataError, DomainError
-from .fd import DEFAULT_DIFF, DiffConfig, d1, d2
+from .fd import DEFAULT_DIFF, DiffConfig, d1, d2, gradient
 
 MAX_METRIC_CONDITION = 1e6
-SELF_ADJOINT_TOL = 1e-7
 STRONG_CONVEXITY_TOL = 1e-8
+# <n, n> of the unnormalized normal must lie below -NORMAL_FLOOR
+NORMAL_FLOOR = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -39,15 +50,16 @@ STRONG_CONVEXITY_TOL = 1e-8
 
 def hyperboloid_point(u):
     """Graph chart of H^2 in R^{2,1}: (u1, u2) -> (u1, u2, sqrt(1+|u|^2))."""
-    u = np.asarray(u, dtype=float)
-    return np.array([u[0], u[1], np.sqrt(1.0 + u[0] ** 2 + u[1] ** 2)])
+    x, y = components(u)
+    return vector(x, y, np.sqrt(1.0 + x * x + y * y))
 
 
 def hyperbolic_metric(u):
     """Closed-form induced metric of the graph chart (curvature -1)."""
-    u = np.asarray(u, dtype=float)
-    w2 = 1.0 + u[0] ** 2 + u[1] ** 2
-    return np.eye(2) - np.outer(u, u) / w2
+    x, y = components(u)
+    w2 = 1.0 + x * x + y * y
+    off = -(x * y) / w2
+    return matrix(1.0 - x * x / w2, off, off, 1.0 - y * y / w2)
 
 
 # ---------------------------------------------------------------------------
@@ -65,18 +77,13 @@ class Immersion:
     def __call__(self, u):
         return self.evaluator(np.asarray(u, dtype=float))
 
-    def contains(self, u, margin: float = 0.0) -> bool:
-        u = np.asarray(u, dtype=float)
-        return all(lo + margin <= x <= hi - margin
-                   for x, (lo, hi) in zip(u, self.domain))
-
 
 def _family_evaluator(s: float):
     cs, sn = np.cos(s), np.sin(s)
 
     def ev(u):
-        y = hyperboloid_point(u)
-        return np.array([cs * y[0], cs * y[1], cs * y[2], sn])
+        y1, y2, y3 = components(hyperboloid_point(u))
+        return vector(cs * y1, cs * y2, cs * y3, sn + 0.0 * y3)   # sin s per point
 
     return ev
 
@@ -104,6 +111,11 @@ def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
     F(u) = (cos(t) y(u), sin(t)) with t(u) = base + amplitude
     exp(-|u|^2 / (2 width^2)).  Small amplitudes keep the surface spacelike
     and strongly convex with nonconstant curvature.
+
+    The induced metric is cos(t)^2 g_hyp - dt (x) dt.  It is radially
+    symmetric, with eigenvalue cos(t)^2 along circles and cos(t)^2 / (1 + r^2)
+    - t'(r)^2 along rays; both must be positive, with condition at most
+    MAX_METRIC_CONDITION, for r in [0, sqrt 2], which covers the chart box.
     """
     # comparisons are written so that NaN parameters fail them
     if not width >= 0.2:
@@ -112,12 +124,25 @@ def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
         raise DomainError("bump amplitude above 0.3 leaves the convex regime")
     if not -np.pi / 2 < base + abs(amplitude) <= 0.0 or not base > -np.pi / 2:
         raise DomainError(f"bump base parameter out of range: {base}")
+    # radii spaced 7e-4 apart, far finer than the bump's scale width >= 0.2
+    r = np.linspace(0.0, np.sqrt(2.0), 2001)
+    gauss = amplitude * np.exp(-r * r / (2.0 * width * width))
+    slope = -r / (width * width) * gauss
+    circle = np.cos(base + gauss) ** 2
+    ray = circle / (1.0 + r * r) - slope * slope
+    small, big = np.minimum(circle, ray), np.maximum(circle, ray)
+    if not ((small > 0.0) & (small * MAX_METRIC_CONDITION >= big)).all():
+        worst = int(np.argmin(small / big))
+        raise DomainError(
+            f"bump parameters give a non-spacelike or ill-conditioned metric: "
+            f"eigenvalues {small[worst]:.3e}, {big[worst]:.3e} at r = {r[worst]:.3f}")
 
     def ev(u):
-        y = hyperboloid_point(u)
-        t = base + amplitude * np.exp(-(u[0] ** 2 + u[1] ** 2) / (2.0 * width ** 2))
-        return np.array([np.cos(t) * y[0], np.cos(t) * y[1], np.cos(t) * y[2],
-                         np.sin(t)])
+        x, y = components(u)
+        y1, y2, y3 = components(hyperboloid_point(u))
+        t = base + amplitude * np.exp(-(x * x + y * y) / (2.0 * width * width))
+        c = np.cos(t)
+        return vector(c * y1, c * y2, c * y3, np.sin(t))
 
     return Immersion("graph_bump", ev,
                      params={"amplitude": amplitude, "width": width, "base": base})
@@ -158,7 +183,8 @@ class ConvexityClass(enum.Enum):
 
 @dataclass(frozen=True)
 class EmbeddingData:
-    """Per-point bundle (I, B, J, n) plus chart point and ambient position."""
+    """Bundle (I, B, J, n) plus chart point and ambient position, with the
+    leading batch axes of the chart points."""
 
     u: np.ndarray
     point: np.ndarray
@@ -173,74 +199,93 @@ class EmbeddingData:
 
     def self_adjointness_residual(self) -> float:
         ib = self.I @ self.B
-        return float(np.abs(ib - ib.T).max())
+        return float(np.abs(ib - np.swapaxes(ib, -1, -2)).max())
 
 
 def complex_structure(I):
     """Rotation by +pi/2 for the metric I in the chart orientation."""
-    I = np.asarray(I, dtype=float)
-    det = I[0, 0] * I[1, 1] - I[0, 1] ** 2
-    if det <= 0.0:
+    a, b, _, d = entries(I)
+    q = a * d - b * b
+    if any_of(q <= 0.0):
         raise DegenerateDataError("metric not positive definite")
-    r = np.sqrt(det)
-    return np.array([[-I[0, 1], -I[1, 1]], [I[0, 0], I[0, 1]]]) / r
+    r = np.sqrt(q)
+    return matrix(-b / r, -d / r, a / r, b / r)
 
 
 def _unit_future_normal(point, f1, f2):
-    """Future unit normal from Levi-Civita cofactors of (point, dF)."""
-    rows = np.stack([point, f1, f2])
-    m = np.empty(4)
-    for b in range(4):
-        minor = np.delete(rows, b, axis=1)
-        m[b] = ((-1.0) ** b) * np.linalg.det(minor)
-    n = np.array([1.0, 1.0, -1.0, -1.0]) * m
+    """Future unit normal from Levi-Civita cofactors of (point, dF).
+
+    The cofactors are those of the 3x4 matrix with rows point, f1, f2,
+    written out through the 2x2 minors w_ij of (f1, f2).
+    """
+    p0, p1, p2, p3 = components(point)
+    a0, a1, a2, a3 = components(f1)
+    c0, c1, c2, c3 = components(f2)
+    w01, w02, w03 = a0 * c1 - a1 * c0, a0 * c2 - a2 * c0, a0 * c3 - a3 * c0
+    w12, w13, w23 = a1 * c2 - a2 * c1, a1 * c3 - a3 * c1, a2 * c3 - a3 * c2
+    # signature signs (+, +, -, -) applied to the cofactor vector
+    n = vector(p1 * w23 - p2 * w13 + p3 * w12,
+               -(p0 * w23 - p2 * w03 + p3 * w02),
+               -(p0 * w13 - p1 * w03 + p3 * w01),
+               p0 * w12 - p1 * w02 + p2 * w01)
     nn = ads_core.bilinear22(n, n)
-    if nn >= -1e-14:
+    if any_of(nn >= -NORMAL_FLOOR):
         raise DegenerateDataError("normal direction degenerate or not timelike")
-    n = n / np.sqrt(-nn)
-    if not ads_core.is_future(point, n):
-        n = -n
-    return n
+    # unit length, and the sign that makes n future-directed
+    scale = np.sqrt(-nn) * (2.0 * ads_core.is_future(point, n) - 1.0)
+    return n / np.asarray(scale)[..., None]
+
+
+def _induced_metric(f, u, scheme):
+    """I = <dF, dF> of the evaluator f at u, with the tangents dF/du1, dF/du2."""
+    f1 = d1(f, u, 0, scheme)
+    f2 = d1(f, u, 1, scheme)
+    g12 = ads_core.bilinear22(f1, f2)
+    return (matrix(ads_core.bilinear22(f1, f1), g12, g12, ads_core.bilinear22(f2, f2)),
+            f1, f2)
+
+
+def _require_spacelike(I):
+    """Raise unless the symmetric metric I is positive definite with condition
+    at most MAX_METRIC_CONDITION (eigenvalues in closed form)."""
+    a, b, _, d = entries(I)
+    mid = 0.5 * (a + d)
+    rad = np.sqrt(0.25 * (a - d) * (a - d) + b * b)
+    lo, hi = mid - rad, mid + rad
+    if any_of(lo <= 0.0):
+        raise DegenerateDataError(
+            f"induced metric not spacelike: smallest eigenvalue {np.min(lo):.3e}")
+    if any_of(hi > MAX_METRIC_CONDITION * lo):
+        raise DegenerateDataError(
+            f"induced metric too ill-conditioned: cond = {np.max(hi / lo):.3e}")
 
 
 def embedding_data_at(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
                       quadric_tol: float = 1e-8) -> EmbeddingData:
-    """First/second fundamental data at one chart point.
+    """First/second fundamental data at chart points u, shape (..., 2).
 
     II is assembled from symmetric stencils, so B = I^{-1} II is
-    I-self-adjoint to rounding; raises on non-spacelike or ill-conditioned
-    induced metrics.
+    I-self-adjoint to rounding; raises when any point leaves the quadric or
+    has a non-spacelike or ill-conditioned induced metric.
     """
     u = np.asarray(u, dtype=float)
     f = immersion.evaluator
     point = np.asarray(f(u), dtype=float)
-    if abs(ads_core.bilinear22(point, point) + 1.0) > quadric_tol:
+    if any_of(np.abs(ads_core.bilinear22(point, point) + 1.0) > quadric_tol):
         raise DomainError("immersion leaves the quadric at this chart point")
 
-    sch = cfg.inner
-    f1 = d1(f, u, 0, sch)
-    f2 = d1(f, u, 1, sch)
-    I = np.array([[ads_core.bilinear22(f1, f1), ads_core.bilinear22(f1, f2)],
-                  [ads_core.bilinear22(f2, f1), ads_core.bilinear22(f2, f2)]])
-    eigs = np.linalg.eigvalsh(I)
-    if eigs[0] <= 0.0:
-        raise DegenerateDataError(f"induced metric not spacelike: eigs = {eigs}")
-    if eigs[1] / eigs[0] > MAX_METRIC_CONDITION:
-        raise DegenerateDataError(
-            f"induced metric too ill-conditioned: cond = {eigs[1] / eigs[0]:.3e}")
-
+    I, f1, f2 = _induced_metric(f, u, cfg.inner)
+    _require_spacelike(I)
     n = _unit_future_normal(point, f1, f2)
 
-    f0 = point
     sch2 = cfg.inner2
-    f11 = d2(f, u, 0, 0, sch2, f0=f0)
-    f22 = d2(f, u, 1, 1, sch2, f0=f0)
-    f12 = d2(f, u, 0, 1, sch2, f0=f0)
-    II = np.array([[ads_core.bilinear22(n, f11), ads_core.bilinear22(n, f12)],
-                   [ads_core.bilinear22(n, f12), ads_core.bilinear22(n, f22)]])
-    B = np.linalg.solve(I, II)
-    J = complex_structure(I)
-    return EmbeddingData(u=u, point=point, I=I, B=B, J=J, n=n)
+    f11 = d2(f, u, 0, 0, sch2, f0=point)
+    f22 = d2(f, u, 1, 1, sch2, f0=point)
+    f12 = d2(f, u, 0, 1, sch2, f0=point)
+    h12 = ads_core.bilinear22(n, f12)
+    II = matrix(ads_core.bilinear22(n, f11), h12, h12, ads_core.bilinear22(n, f22))
+    return EmbeddingData(u=u, point=point, I=I, B=inv(I) @ II,
+                         J=complex_structure(I), n=n)
 
 
 def metric_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
@@ -249,10 +294,7 @@ def metric_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
     sch = cfg.inner
 
     def g(u):
-        f1 = d1(f, u, 0, sch)
-        f2 = d1(f, u, 1, sch)
-        return np.array([[ads_core.bilinear22(f1, f1), ads_core.bilinear22(f1, f2)],
-                         [ads_core.bilinear22(f2, f1), ads_core.bilinear22(f2, f2)]])
+        return _induced_metric(f, u, sch)[0]
 
     return g
 
@@ -275,59 +317,55 @@ def normal_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
     return nf
 
 
-def brioschi_curvature(g_field, u, scheme) -> float:
-    """Gaussian curvature of a chart metric field by the Brioschi formula."""
+def brioschi_curvature(g_field, u, scheme):
+    """Gaussian curvature of a chart metric field by the Brioschi formula.
+
+    The two 3x3 determinants are expanded along their first rows.
+    """
     u = np.asarray(u, dtype=float)
     g0 = np.asarray(g_field(u), dtype=float)
-    E, F, G = g0[0, 0], g0[0, 1], g0[1, 1]
-    dg = np.stack([d1(g_field, u, 0, scheme), d1(g_field, u, 1, scheme)])
-    E_u, E_v = dg[0][0, 0], dg[1][0, 0]
-    F_u, F_v = dg[0][0, 1], dg[1][0, 1]
-    G_u, G_v = dg[0][1, 1], dg[1][1, 1]
-    E_vv = d2(g_field, u, 1, 1, scheme, f0=g0)[0, 0]
-    G_uu = d2(g_field, u, 0, 0, scheme, f0=g0)[1, 1]
-    F_uv = d2(g_field, u, 0, 1, scheme, f0=g0)[0, 1]
+    E, F, _, G = entries(g0)
+    E_u, F_u, _, G_u = entries(d1(g_field, u, 0, scheme))
+    E_v, F_v, _, G_v = entries(d1(g_field, u, 1, scheme))
+    E_vv = entries(d2(g_field, u, 1, 1, scheme, f0=g0))[0]
+    G_uu = entries(d2(g_field, u, 0, 0, scheme, f0=g0))[3]
+    F_uv = entries(d2(g_field, u, 0, 1, scheme, f0=g0))[1]
 
-    m1 = np.array([
-        [-0.5 * E_vv + F_uv - 0.5 * G_uu, 0.5 * E_u, F_u - 0.5 * E_v],
-        [F_v - 0.5 * G_u, E, F],
-        [0.5 * G_v, F, G],
-    ])
-    m2 = np.array([
-        [0.0, 0.5 * E_v, 0.5 * G_u],
-        [0.5 * E_v, E, F],
-        [0.5 * G_u, F, G],
-    ])
+    # m1 = [[a, b, c], [d, E, F], [e, F, G]], m2 = [[0, p, q], [p, E, F], [q, F, G]]
+    a = -0.5 * E_vv + F_uv - 0.5 * G_uu
+    b, c = 0.5 * E_u, F_u - 0.5 * E_v
+    d, e = F_v - 0.5 * G_u, 0.5 * G_v
+    p, q = 0.5 * E_v, 0.5 * G_u
     det_g = E * G - F * F
-    return float((np.linalg.det(m1) - np.linalg.det(m2)) / (det_g * det_g))
+    det_m1 = a * det_g - b * (d * G - F * e) + c * (d * F - E * e)
+    det_m2 = -p * (p * G - F * q) + q * (p * F - E * q)
+    return (det_m1 - det_m2) / (det_g * det_g)
 
 
-def gaussian_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF) -> float:
+def gaussian_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
     """Curvature of the induced metric (Brioschi on the metric field)."""
     return brioschi_curvature(metric_field(immersion, cfg), u, cfg.field)
 
 
 def christoffel_symbols(g_inv, dg):
-    """Gamma[k, i, j] = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij) in any
-    dimension, from the inverse metric and the stack dg[i] = d_i g."""
-    n = len(g_inv)
-    gamma = np.empty((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                s = 0.0
-                for l in range(n):
-                    s += g_inv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
-                gamma[k, i, j] = 0.5 * s
-    return gamma
+    """Gamma[..., k, i, j] = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij) in any
+    dimension, from the inverse metric and the stack dg[..., i, :, :] = d_i g
+    (the layout of ``fd.gradient``).  The sum over l runs in index order."""
+    dg = np.asarray(dg, dtype=float)
+    # t[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    t = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    g_inv = np.asarray(g_inv, dtype=float)
+    s = g_inv[..., :, 0, None, None] * t[..., None, :, :, 0]
+    for l in range(1, g_inv.shape[-1]):
+        s = s + g_inv[..., :, l, None, None] * t[..., None, :, :, l]
+    return 0.5 * s
 
 
 def christoffels(g_field, u, scheme):
-    """Christoffel symbols Gamma[k, i, j] of a chart metric field."""
+    """Christoffel symbols Gamma[..., k, i, j] of a chart metric field."""
     u = np.asarray(u, dtype=float)
     g = np.asarray(g_field(u), dtype=float)
-    dg = np.stack([d1(g_field, u, 0, scheme), d1(g_field, u, 1, scheme)])
-    return christoffel_symbols(np.linalg.inv(g), dg)
+    return christoffel_symbols(inv(g), gradient(g_field, u, scheme))
 
 
 def exterior_covariant_derivative(gamma, x, dx1, dx2):
@@ -336,15 +374,14 @@ def exterior_covariant_derivative(gamma, x, dx1, dx2):
     ``gamma`` are the Christoffel symbols of D, ``x`` is X at the point and
     ``dx1``, ``dx2`` its chart partials.
     """
-    vec = np.empty(2)
-    for m in range(2):
-        vec[m] = dx1[m, 1] - dx2[m, 0]
-        for k in range(2):
-            vec[m] += gamma[m, 0, k] * x[k, 1] - gamma[m, 1, k] * x[k, 0]
+    vec = dx1[..., :, 1] - dx2[..., :, 0]
+    for k in range(2):
+        vec = vec + (gamma[..., :, 0, k] * x[..., k, 1, None]
+                     - gamma[..., :, 1, k] * x[..., k, 0, None])
     return vec
 
 
-def codazzi_residual_fields(g_field, b_field, u, scheme) -> float:
+def codazzi_residual_fields(g_field, b_field, u, scheme):
     """|d^D B (d1, d2)|_I for arbitrary metric / shape-operator fields."""
     u = np.asarray(u, dtype=float)
     gamma = christoffels(g_field, u, scheme)
@@ -352,14 +389,14 @@ def codazzi_residual_fields(g_field, b_field, u, scheme) -> float:
     vec = exterior_covariant_derivative(gamma, b, d1(b_field, u, 0, scheme),
                                         d1(b_field, u, 1, scheme))
     I = np.asarray(g_field(u), dtype=float)
-    return float(np.sqrt(max(vec @ I @ vec, 0.0)))
+    return np.sqrt(np.maximum(quadratic_form(vec, I), 0.0))
 
 
 def structure_residuals(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
     """(gauss, codazzi) residuals: K + 1 + det B and |d^D B|_I."""
     data = embedding_data_at(immersion, u, cfg=cfg)
     K = gaussian_curvature(immersion, u, cfg=cfg)
-    gauss = K + 1.0 + float(np.linalg.det(data.B))
+    gauss = K + 1.0 + det(data.B)
     codazzi = codazzi_residual_fields(metric_field(immersion, cfg),
                                       shape_field(immersion, cfg), u, cfg.field)
     return gauss, codazzi
@@ -367,7 +404,7 @@ def structure_residuals(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF)
 
 def third_fundamental_form(data: EmbeddingData):
     """III(u, v) = I(B u, B v), as a chart matrix B^T I B."""
-    return data.B.T @ data.I @ data.B
+    return np.swapaxes(data.B, -1, -2) @ data.I @ data.B
 
 
 def principal_curvatures(data: EmbeddingData):
@@ -377,10 +414,11 @@ def principal_curvatures(data: EmbeddingData):
 
 
 def require_strong_convexity(B, tol: float = STRONG_CONVEXITY_TOL) -> float:
-    """det B, raising ConvexityError unless det B > tol (strong convexity)."""
-    det_b = float(np.linalg.det(B))
-    if det_b <= tol:
-        raise ConvexityError(f"strong convexity required: det B = {det_b:.3e}")
+    """det B, raising ConvexityError unless det B > tol (strong convexity)
+    at every point of the batch."""
+    det_b = det(B)
+    if any_of(det_b <= tol):
+        raise ConvexityError(f"strong convexity required: det B = {np.min(det_b):.3e}")
     return det_b
 
 

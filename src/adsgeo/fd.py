@@ -1,8 +1,11 @@
 """Central finite differences with optional Richardson extrapolation.
 
 All derivative-taking in the package funnels through these helpers so that
-step sizes and extrapolation order are controlled in one place.  Two
-default step sizes are distinguished:
+step sizes and extrapolation order are controlled in one place.  Chart
+points may carry leading batch axes, ``u`` of shape ``(..., dim)``: the
+stencils shift the last axis of the whole array and ``f`` is called once
+per stencil point with an array of the shape it was given.  Two default
+step sizes are distinguished:
 
 * ``immersion_step`` differentiates closed-form evaluators (immersions,
   scalar fields given analytically),
@@ -59,7 +62,7 @@ DEFAULT_DIFF = DiffConfig()
 
 def _shift(u, i, h):
     v = np.array(u, dtype=float)
-    v[i] += h
+    v.T[i] += h        # coordinate i of every point (v[..., i] is slower)
     return v
 
 
@@ -102,20 +105,22 @@ def d2(f, u, i, j, scheme: FDScheme, f0=None):
 
 
 def gradient(f, u, scheme: FDScheme):
-    """Stack of first partials, shape (dim,) + value-shape."""
+    """Stack of first partials, shape batch + (dim,) + value-shape."""
     u = np.asarray(u, dtype=float)
-    return np.stack([d1(f, u, i, scheme) for i in range(u.size)])
+    return np.stack([d1(f, u, i, scheme) for i in range(u.shape[-1])],
+                    axis=u.ndim - 1)
 
 
 def hessian(f, u, scheme: FDScheme):
-    """All second partials, shape (dim, dim) + value-shape."""
+    """All second partials, shape batch + (dim, dim) + value-shape."""
     u = np.asarray(u, dtype=float)
-    n = u.size
+    n = u.shape[-1]
+    batch = (slice(None),) * (u.ndim - 1)
     f0 = np.asarray(f(u))
-    out = np.empty((n, n) + f0.shape, dtype=float)
+    out = np.empty(u.shape[:-1] + (n, n) + f0.shape[u.ndim - 1:], dtype=float)
     for i in range(n):
         for j in range(i, n):
             v = d2(f, u, i, j, scheme, f0=f0)
-            out[i, j] = v
-            out[j, i] = v
+            out[batch + (i, j)] = v
+            out[batch + (j, i)] = v
     return out

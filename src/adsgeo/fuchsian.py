@@ -36,7 +36,6 @@ from .errors import DomainError, MeshResourceError
 
 SQRT2 = np.sqrt(2.0)
 COSH_HALF_LENGTH = 1.0 + SQRT2                      # cosh(L/2), L = translation length
-SINH_HALF_LENGTH = np.sqrt(COSH_HALF_LENGTH ** 2 - 1.0)
 COSH_CIRCUMRADIUS = 3.0 + 2.0 * SQRT2               # cosh r of the octagon vertices
 GENERATOR_TRACE = 2.0 * COSH_HALF_LENGTH
 PAIRING_AXIS_ANGLES = tuple((2 * k + 1) * np.pi / 8.0 for k in range(4))
@@ -232,11 +231,6 @@ class Genus2Mesh:
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
-
-    def halfedge_vertices(self, halfedge: int):
-        tri, e = divmod(halfedge, 3)
-        t = self.triangles[tri]
-        return int(t[e]), int(t[(e + 1) % 3])
 
     def glued_edge_count(self) -> int:
         # boundary_pairs lists both directions; each unordered pair is one edge

@@ -1,0 +1,85 @@
+"""The batch axis: a layer called once on an (N, 2) stack of chart points
+returns, for each point, the bits of the same call on that point alone."""
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adsgeo import constructions as con
+from adsgeo import embedding as emb
+from adsgeo import mess_metrics as mes
+
+CHECKS = settings(max_examples=6, deadline=None, database=None)
+
+# parameters well inside the strongly convex, spacelike regime, so that
+# every layer below succeeds at every point of the chart box
+surfaces = st.one_of(
+    st.builds(emb.family_immersion, st.floats(-1.3, -0.1)),
+    st.builds(emb.bump_immersion, amplitude=st.floats(-0.1, 0.1),
+              width=st.floats(0.7, 2.0), base=st.floats(-1.2, -0.6)),
+)
+coordinate = st.floats(-0.8, 0.8)
+chart_points = st.lists(st.tuples(coordinate, coordinate),
+                        min_size=1, max_size=4).map(np.array)
+extension_points = st.lists(st.tuples(coordinate, coordinate, st.floats(-1.4, 0.0)),
+                            min_size=1, max_size=3).map(np.array)
+
+
+def assert_rows_equal(batched, pointwise):
+    """Row k of ``batched`` has the bits of ``pointwise[k]``."""
+    batched = np.asarray(batched, dtype=float)
+    rows = np.array([np.asarray(r, dtype=float) for r in pointwise])
+    assert batched.shape == rows.shape
+    assert batched.tobytes() == rows.tobytes()
+
+
+@CHECKS
+@given(surfaces, chart_points)
+def test_embedding_data_rows(surface, pts):
+    batch = emb.embedding_data_at(surface, pts)
+    rows = [emb.embedding_data_at(surface, u) for u in pts]
+    for name in ("point", "I", "B", "J", "n"):
+        assert_rows_equal(getattr(batch, name), [getattr(r, name) for r in rows])
+
+
+@CHECKS
+@given(surfaces, chart_points)
+def test_structure_residual_rows(surface, pts):
+    gauss, codazzi = emb.structure_residuals(surface, pts)
+    rows = [emb.structure_residuals(surface, u) for u in pts]
+    assert_rows_equal(gauss, [r[0] for r in rows])
+    assert_rows_equal(codazzi, [r[1] for r in rows])
+
+
+@CHECKS
+@given(surfaces, chart_points)
+def test_sharp_curvature_rows(surface, pts):
+    assert_rows_equal(mes.sharp_curvature(surface, pts),
+                      [mes.sharp_curvature(surface, u) for u in pts])
+
+
+@CHECKS
+@given(surfaces, chart_points)
+def test_dual_diagnostic_rows(surface, pts):
+    _, batch = con.dual_surface(surface, pts, independent_curvature=True)
+    rows = [con.dual_surface(surface, u, independent_curvature=True)[1] for u in pts]
+    for name in batch:
+        assert_rows_equal(batch[name], [r[name] for r in rows])
+
+
+def test_leading_axes_nest():
+    # a (2, 3) grid of points gives the rows of the flat (6,) batch
+    grid = np.stack(np.meshgrid(np.linspace(-0.7, 0.7, 3), [-0.4, 0.5]), axis=-1)
+    bump = emb.bump_immersion()
+    nested = emb.structure_residuals(bump, grid)
+    flat = emb.structure_residuals(bump, grid.reshape(-1, 2))
+    for a, b in zip(nested, flat):
+        assert a.shape == (2, 3)
+        assert_rows_equal(a.reshape(-1), b)
+
+
+@CHECKS
+@given(surfaces, extension_points)
+def test_extension_curvature_rows(surface, pts):
+    ext = con.extension_metric(surface, slack=0.1)
+    assert_rows_equal(con.extension_curvature(ext, pts),
+                      [con.extension_curvature(ext, p) for p in pts])

@@ -87,12 +87,25 @@ def test_out_of_range_values_exit_2():
     ["dual", "--fixture", "totally_geodesic"],
     ["dual", "--fixture", "fuchsian_family", "--s", "0"],
     ["mess", "--fixture", "graph_bump", "--s2", "-1.0"],
-], ids=["dual_plane", "dual_family_s0", "mess_bump_s2"])
+    ["check", "--fixture", "graph_bump", "--width", "0.2", "--amplitude", "-0.3",
+     "--base", "-1.2", "--samples", "5"],
+    ["dual", "--fixture", "fuchsian_family", "--s=-0.0001"],
+    ["dual", "--fixture", "fuchsian_family", "--s=-0.0002"],
+], ids=["dual_plane", "dual_family_s0", "mess_bump_s2", "check_bump_lightlike",
+        "dual_family_s1e-4", "dual_family_s2e-4"])
 def test_precondition_is_a_config_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("adsgeo: config error:")
+
+
+def test_dual_family_small_s_still_reports(capsys):
+    # just above the dual-normal bound the run completes with a report
+    code, out, _ = run_cli(capsys, "dual", "--fixture", "fuchsian_family",
+                           "--s=-0.0005", "--samples", "3")
+    assert code in (0, 1)
+    assert "summary:" in out
 
 
 def test_rigidity_command(capsys):

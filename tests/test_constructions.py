@@ -4,7 +4,8 @@ import pytest
 from adsgeo import ads_core as core
 from adsgeo import constructions as con
 from adsgeo import embedding as emb
-from adsgeo.errors import ConvexityError, DomainError, FocalPointError
+from adsgeo.errors import (ConvexityError, DegenerateDataError, DomainError,
+                           FocalPointError)
 from adsgeo.fd import FDScheme
 
 
@@ -67,6 +68,17 @@ def test_dual_independent_curvature_route(bump):
     # the dual immersion agrees at its noise-limited tolerance
     _, diag = con.dual_surface(bump, [0.25, -0.3], independent_curvature=True)
     assert diag["curvature_independent"] < 5e-3
+
+
+def test_family_dual_normal_bound():
+    # <n, n> = -sin(s)^4 / (1 + |u|^2) for the dual's unnormalized normal
+    for s in (-0.7, -0.0005):
+        con.require_family_dual(s)
+    for s in (0.0, -0.0001, -0.0002):
+        with pytest.raises(DegenerateDataError):
+            con.require_family_dual(s)
+    with pytest.raises(DegenerateDataError):
+        con.dual_surface(emb.family_immersion(-0.0001), [0.8, 0.8])
 
 
 def test_duality_rejects_non_convex():

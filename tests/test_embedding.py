@@ -36,6 +36,17 @@ def test_catalog_selection_and_rejection():
         emb.make_immersion("graph_bump", width=float("nan"))
 
 
+def test_bump_rejects_non_spacelike_parameters():
+    # cos(t)^2 / (1 + r^2) - t'(r)^2 < 0 near r = width: the radial direction
+    # of the induced metric is timelike there
+    with pytest.raises(DomainError):
+        emb.bump_immersion(amplitude=-0.3, width=0.2, base=-1.2)
+    with pytest.raises(ConfigError):
+        emb.make_immersion("graph_bump", amplitude=-0.3, width=0.2, base=-1.2)
+    bump = emb.bump_immersion()
+    emb.structure_residuals(bump, [[0.7, 0.7], [-0.1, 0.2]])
+
+
 def test_totally_geodesic_plane():
     F = emb.make_immersion("totally_geodesic")
     d = emb.embedding_data_at(F, [0.2, 0.5])
