@@ -4,8 +4,16 @@ All derivative-taking in the package funnels through these helpers so that
 step sizes and extrapolation order are controlled in one place.  Chart
 points may carry leading batch axes, ``u`` of shape ``(..., dim)``: the
 stencils shift the last axis of the whole array and ``f`` is called once
-per stencil point with an array of the shape it was given.  Two default
-step sizes are distinguished:
+per stencil point with an array of the shape it was given.
+
+A field that accepts extra leading point axes can instead be called once on
+the whole first-difference stencil: ``stencil(u, scheme)`` stacks every
+point of it on a new leading axis, and ``stencil_partials`` turns the values
+there into ``f(u)`` and the first partials, through the same arithmetic as
+``d1`` and so with the same bits.  Stencils nest: ``stencil(stencil(u, s), s)``
+holds every point of a difference of a difference, for one call of a field.
+
+Two default step sizes are distinguished:
 
 * ``immersion_step`` differentiates closed-form evaluators (immersions,
   scalar fields given analytically),
@@ -66,18 +74,49 @@ def _shift(u, i, h):
     return v
 
 
-def _d1_plain(f, u, i, h):
-    return (np.asarray(f(_shift(u, i, h))) - np.asarray(f(_shift(u, i, -h)))) / (2.0 * h)
+def _offsets(scheme: FDScheme):
+    """Shifts of one coordinate in a first difference: +h, -h, and with
+    Richardson also +h/2, -h/2."""
+    h = scheme.step
+    if not scheme.richardson:
+        return (h, -h)
+    return (h, -h, h / 2.0, -h / 2.0)
+
+
+def _d1_combine(values, scheme: FDScheme):
+    """First partial from the values of f at the shifts of ``_offsets``."""
+    h = scheme.step
+    a = (values[0] - values[1]) / (2.0 * h)
+    if not scheme.richardson:
+        return a
+    b = (values[2] - values[3]) / (2.0 * (h / 2.0))
+    return (4.0 * b - a) / 3.0
 
 
 def d1(f, u, i, scheme: FDScheme):
     """First partial of ``f`` (any array-valued callable) at ``u``."""
-    h = scheme.step
-    a = _d1_plain(f, u, i, h)
-    if not scheme.richardson:
-        return a
-    b = _d1_plain(f, u, i, h / 2.0)
-    return (4.0 * b - a) / 3.0
+    return _d1_combine([np.asarray(f(_shift(u, i, s))) for s in _offsets(scheme)],
+                       scheme)
+
+
+def stencil(u, scheme: FDScheme):
+    """Every chart point of the first differences at ``u``, in one array.
+
+    The stencil is a new leading axis: the centre ``u``, then for each
+    coordinate the shifts of ``_offsets`` (9 points in 2-D with Richardson).
+    """
+    u = np.asarray(u, dtype=float)
+    return np.stack([u] + [_shift(u, i, s) for i in range(u.shape[-1])
+                           for s in _offsets(scheme)])
+
+
+def stencil_partials(values, scheme: FDScheme):
+    """``(f(u), d)`` from ``values = f(stencil(u, scheme))``: ``d[i]`` has the
+    bits of ``d1(f, u, i, scheme)``."""
+    values = np.asarray(values)
+    k = len(_offsets(scheme))
+    return values[0], np.stack([_d1_combine(values[1 + i * k:1 + (i + 1) * k], scheme)
+                                for i in range((len(values) - 1) // k)])
 
 
 def _d2_plain(f, u, i, j, h, f0=None):

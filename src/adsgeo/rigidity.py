@@ -22,6 +22,7 @@ generalized eigenvalues.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ from .embedding import (STRONG_CONVEXITY_TOL, EmbeddingData, Immersion,
                         complex_structure, exterior_covariant_derivative,
                         require_strong_convexity)
 from .errors import DomainError
-from .fd import DEFAULT_DIFF, DiffConfig, FDScheme, d1, gradient, hessian
+from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, d1, gradient, hessian,
+                 stencil, stencil_partials)
 from .fuchsian import Genus2Mesh, discrete_operators, generalized_eigs
 from .mess_metrics import SharpData, mess_metric, sharp_frame
 
@@ -140,32 +142,47 @@ def variation_formula_residual(data: EmbeddingData, bdot, dt: float = 1e-6) -> f
     return float(np.abs(numeric - algebraic).max())
 
 
-def random_convex_pair(rng, eig_low: float = 0.3, eig_high: float = 2.5):
-    """Random (I, B, Bdot): I SPD, B strongly convex and I-self-adjoint,
-    Bdot I-self-adjoint with tr(B^{-1} Bdot) projected to zero."""
-    a = rng.standard_normal((2, 2))
-    I = a.T @ a + 0.5 * np.eye(2)
-    L = np.linalg.cholesky(I)
-    k = rng.uniform(eig_low, eig_high, size=2)
-    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-    d = q @ np.diag(k) @ q.T
-    B = np.linalg.solve(L.T, d @ L.T)
-    s = rng.standard_normal((2, 2))
-    bdot0 = np.linalg.solve(I, s + s.T)
-    bdot = bdot0 - 0.5 * float(np.trace(np.linalg.solve(B, bdot0))) * B
+def random_convex_pairs(rng, n: int, eig_low: float = 0.3, eig_high: float = 2.5):
+    """n random (I, B, Bdot) as (n, 2, 2) stacks: I SPD, B strongly convex
+    and I-self-adjoint, Bdot I-self-adjoint with tr(B^{-1} Bdot) projected
+    to zero.
+
+    The draws are taken pair by pair, so the first m pairs do not depend
+    on n; the algebra is one pass over the stacks.
+    """
+    a, g, s = (np.empty((n, 2, 2)) for _ in range(3))
+    k = np.empty((n, 2))
+    for i in range(n):
+        a[i] = rng.standard_normal((2, 2))
+        k[i] = rng.uniform(eig_low, eig_high, size=2)
+        g[i] = rng.standard_normal((2, 2))
+        s[i] = rng.standard_normal((2, 2))
+    I = np.swapaxes(a, -1, -2) @ a + 0.5 * np.eye(2)
+    Lt = np.swapaxes(np.linalg.cholesky(I), -1, -2)
+    q, _ = np.linalg.qr(g)
+    d = (q @ (k[:, None, :] * np.eye(2))) @ np.swapaxes(q, -1, -2)
+    B = np.linalg.solve(Lt, d @ Lt)
+    bdot0 = np.linalg.solve(I, s + np.swapaxes(s, -1, -2))
+    tr = np.trace(np.linalg.solve(B, bdot0), axis1=-2, axis2=-1)
+    bdot = bdot0 - (0.5 * tr)[:, None, None] * B
     return I, B, bdot
 
 
+def random_convex_pair(rng, eig_low: float = 0.3, eig_high: float = 2.5):
+    """One random (I, B, Bdot); see ``random_convex_pairs``."""
+    I, B, bdot = random_convex_pairs(rng, 1, eig_low, eig_high)
+    return I[0], B[0], bdot[0]
+
+
 def linearized_chain_batch(n: int, seed: int = 0):
-    """Max residuals of the trace identities over n random convex pairs."""
-    rng = np.random.default_rng(seed)
-    J, B, bdot = (np.empty((n, 2, 2)) for _ in range(3))
-    for i in range(n):
-        I, B[i], bdot[i] = random_convex_pair(rng)
-        J[i] = complex_structure(I)
+    """Max residuals of the trace identities over n >= 1 random convex pairs."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise DomainError(f"linearized chain needs an integer n >= 1, got {n!r}")
+    I, B, bdot = random_convex_pairs(np.random.default_rng(seed), n)
+    J = complex_structure(I)
     residuals = _traces(J, B, _b_of_bdot(J, B, bdot), bdot)
     residuals["cayley_hamilton"] = _cayley_hamilton(J, B)
-    return {k: float(np.abs(v).max(initial=0.0)) for k, v in residuals.items()}
+    return {k: float(np.abs(v).max()) for k, v in residuals.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -227,40 +244,37 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
         d^{D#}(D# v)(d1, d2) = -K# (J# v) da#,
         d^{D#}(mu J#)(d1, d2) = -(D# mu) da#,
 
-    evaluated for the vector field v = -J# D# mu of the potential."""
+    evaluated for the vector field v = -J# D# mu of the potential.
+
+    Both field-step differences come from one sharp frame on the nested
+    stencil: ``points[j, i]`` is stencil point j around outer stencil point
+    i, so ``points[0]`` is the outer stencil and ``points[0, 0]`` is u.  The
+    potential is evaluated one point at a time."""
     u = np.asarray(u, dtype=float)
     mu_scheme = mu_scheme or cfg.inner2
-    frame = sharp_frame(immersion, u, cfg=cfg, check=False)
+    points = stencil(stencil(u, cfg.field), cfg.field)
+    fr = sharp_frame(immersion, points, cfg=cfg, check=False)
+    dmu = np.array([gradient(mu, w, mu_scheme)
+                    for w in points.reshape(-1, 2)]).reshape(points.shape)
 
-    def v_field(w):
-        fr = sharp_frame(immersion, w, cfg=cfg, check=False)
-        return -fr.J_sharp @ np.linalg.solve(fr.I_sharp, gradient(mu, w, mu_scheme))
+    v = (-fr.J_sharp @ np.linalg.solve(fr.I_sharp, dmu[..., None]))[..., 0]
+    v_out, dv = stencil_partials(v, cfg.field)
+    gamma = fr.christoffels[0]
+    # D# v: column j is d_j v + Gamma#[:, j, :] v, at each outer point
+    dv_op = np.stack([dv[j] + (gamma[:, :, j, :] @ v_out[..., None])[..., 0]
+                      for j in range(2)], axis=-1)
+    dv_op0, d_dv_op = stencil_partials(dv_op, cfg.field)
+    mu_jsharp = np.array([float(mu(w)) for w in points[0]])[:, None, None] * fr.J_sharp[0]
+    mu_jsharp0, d_mu_jsharp = stencil_partials(mu_jsharp, cfg.field)
 
-    def dv_operator(w):
-        fr = sharp_frame(immersion, w, cfg=cfg, check=False)
-        v0 = v_field(w)
-        dv = np.stack([d1(v_field, w, 0, cfg.field), d1(v_field, w, 1, cfg.field)])
-        out = np.empty((2, 2))
-        for j in range(2):
-            out[:, j] = dv[j] + fr.christoffels[:, j, :] @ v0
-        return out
-
-    def mu_jsharp(w):
-        fr = sharp_frame(immersion, w, cfg=cfg, check=False)
-        return float(mu(w)) * fr.J_sharp
-
-    v0 = v_field(u)
-    lhs_a = exterior_covariant_derivative(
-        frame.christoffels, dv_operator(u),
-        d1(dv_operator, u, 0, cfg.field), d1(dv_operator, u, 1, cfg.field))
-    rhs_a = -frame.K_sharp * (frame.J_sharp @ v0) * frame.da_sharp
+    v0, j_sharp, da_sharp = v_out[0], fr.J_sharp[0, 0], fr.da_sharp[0, 0]
+    lhs_a = exterior_covariant_derivative(gamma[0], dv_op0, d_dv_op[0], d_dv_op[1])
+    rhs_a = -fr.K_sharp[0, 0] * (j_sharp @ v0) * da_sharp
     resid_a = float(np.abs(lhs_a - rhs_a).max())
 
-    lhs_b = exterior_covariant_derivative(
-        frame.christoffels, mu_jsharp(u),
-        d1(mu_jsharp, u, 0, cfg.field), d1(mu_jsharp, u, 1, cfg.field))
-    grad_sharp = np.linalg.solve(frame.I_sharp, gradient(mu, u, mu_scheme))
-    rhs_b = -grad_sharp * frame.da_sharp
+    lhs_b = exterior_covariant_derivative(gamma[0], mu_jsharp0,
+                                          d_mu_jsharp[0], d_mu_jsharp[1])
+    rhs_b = -np.linalg.solve(fr.I_sharp[0, 0], dmu[0, 0]) * da_sharp
     resid_b = float(np.abs(lhs_b - rhs_b).max())
     return resid_a, resid_b
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from adsgeo import constructions as con
 from adsgeo import embedding as emb
 from adsgeo import mess_metrics as mes
+from adsgeo import rigidity as rig
+from adsgeo.fd import FDScheme, gradient, stencil, stencil_partials
 
 CHECKS = settings(max_examples=6, deadline=None, database=None)
 
@@ -20,6 +22,7 @@ surfaces = st.one_of(
 coordinate = st.floats(-0.8, 0.8)
 chart_points = st.lists(st.tuples(coordinate, coordinate),
                         min_size=1, max_size=4).map(np.array)
+schemes = st.builds(FDScheme, st.floats(1e-3, 5e-2), st.booleans())
 extension_points = st.lists(st.tuples(coordinate, coordinate, st.floats(-1.4, 0.0)),
                             min_size=1, max_size=3).map(np.array)
 
@@ -83,3 +86,26 @@ def test_extension_curvature_rows(surface, pts):
     ext = con.extension_metric(surface, slack=0.1)
     assert_rows_equal(con.extension_curvature(ext, pts),
                       [con.extension_curvature(ext, p) for p in pts])
+
+
+@CHECKS
+@given(surfaces, chart_points, schemes)
+def test_stencil_partials_match_gradient(surface, pts, scheme):
+    # one call of a batch-capable field on the whole stencil gives the bits
+    # of the field and of its gradient at the centre
+    g = emb.metric_field(surface)
+    for u in (pts, pts[0]):
+        value, partials = stencil_partials(g(stencil(u, scheme)), scheme)
+        assert value.tobytes() == g(u).tobytes()
+        assert_rows_equal(np.moveaxis(partials, 0, u.ndim - 1),
+                          gradient(g, u, scheme))
+
+
+@CHECKS
+@given(st.integers(0, 2 ** 31), st.integers(1, 20))
+def test_convex_pairs_match_successive_draws(seed, n):
+    batch = rig.random_convex_pairs(np.random.default_rng(seed), n)
+    rng = np.random.default_rng(seed)
+    rows = [rig.random_convex_pair(rng) for _ in range(n)]
+    for k in range(3):
+        assert_rows_equal(batch[k], [r[k] for r in rows])

@@ -78,6 +78,23 @@ def test_linearized_chain_batch_small():
     assert worst["tr_binv_bdot"] < 1e-12
 
 
+def test_linearized_chain_batch_pinned():
+    # values of the per-pair loop that built one pair at a time; the batched
+    # builder draws in the same order and must reproduce every bit
+    assert rig.linearized_chain_batch(10000, seed=7) == {
+        'tr_b': 1.9539925233402755e-14, 'tr_jbb': 2.1316282072803006e-14,
+        'tr_first': 2.1316282072803006e-14, 'tr_second': 2.842170943040401e-14,
+        'tr_binv_bdot': 8.881784197001252e-15,
+        'cayley_hamilton': 2.930988785010413e-14}
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_linearized_chain_batch_needs_a_pair(n):
+    # n = 0 used to pass every bound with no pair checked
+    with pytest.raises(DomainError):
+        rig.linearized_chain_batch(n)
+
+
 def test_first_trace_vanishes_for_any_self_adjoint_variation(rng):
     # tr((E + JB) b) = tr(J Bdot) needs only self-adjointness of Bdot, not
     # the linearized Gauss equation; the second trace then tracks it
@@ -190,6 +207,19 @@ def test_exterior_derivative_identities_convergence(bump):
         errs_b.append(rb)
     assert np.log2(errs_a[0] / errs_a[1]) >= 1.7
     assert np.log2(errs_b[0] / errs_b[1]) >= 1.7
+
+
+def test_exterior_derivative_identities_pinned(bump):
+    # values of the single-point evaluation (one sharp frame per stencil
+    # point); one frame over the nested stencil must reproduce every bit
+    assert rig.exterior_derivative_identities(bump, smooth_mu(11), [0.2, 0.15]) \
+        == (7.618537696540972e-09, 1.010196114259454e-08)
+    pinned = {0.08: (0.001507056130315071, 0.00043253684696009653),
+              0.04: (0.00037786634200223657, 0.00010815127523206014)}
+    for fs, values in pinned.items():
+        cfg = DiffConfig(field_step=fs, richardson=False)
+        assert rig.exterior_derivative_identities(bump, smooth_mu(13), [0.2, 0.15],
+                                                  cfg=cfg) == values
 
 
 # ---------------------------------------------------------------------------
