@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .errors import DomainError, MeshResourceError
@@ -163,61 +164,56 @@ def hyp_dist(p, q):
     return np.arccosh(np.maximum(-mdot(p, q), 1.0))
 
 
-def hyp_dist_small(p, q) -> float:
-    """Chord version, accurate for tiny separations where arccosh is not."""
+def hyp_dist_small(p, q):
+    """Chord version of ``hyp_dist``, accurate for tiny separations where
+    arccosh is not: a float for points, an array for (3, n) stacks."""
     d = p - q
-    return float(np.sqrt(max(mdot(d, d), 0.0)))
+    return _float_if_point(np.sqrt(np.maximum(mdot(d, d), 0.0)))
 
 
 def hyp_midpoint(p, q):
+    """Geodesic midpoint of points, or of (3, n) coordinate stacks."""
     s = p + q
     return s / np.sqrt(-mdot(s, s))
 
 
 def triangle_angles(p, q, r):
-    """Interior angles of the geodesic triangle (p, q, r)."""
+    """Interior angles at p, q and r of the geodesic triangle (p, q, r):
+    floats for points, arrays for (3, n) corner stacks."""
     def angle_at(a, b, c):
         u = b + mdot(b, a) * a
         v = c + mdot(c, a) * a
         cosang = mdot(u, v) / np.sqrt(mdot(u, u) * mdot(v, v))
-        return float(np.arccos(np.clip(cosang, -1.0, 1.0)))
+        return _float_if_point(np.arccos(np.clip(cosang, -1.0, 1.0)))
 
     return angle_at(p, q, r), angle_at(q, r, p), angle_at(r, p, q)
 
 
-def triangle_area_defect(p, q, r) -> float:
-    """Hyperbolic area by angle defect."""
-    return float(np.pi - sum(triangle_angles(p, q, r)))
+def triangle_area_defect(p, q, r):
+    """Hyperbolic area by angle defect: a float for points, an array for
+    (3, n) corner stacks."""
+    a, b, c = triangle_angles(p, q, r)
+    return _float_if_point(np.pi - (a + b + c))
+
+
+def _float_if_point(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
 # ---------------------------------------------------------------------------
 # the glued octagon mesh
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 @dataclass(frozen=True)
 class Genus2Mesh:
     """Triangulated octagon fundamental domain with side-pairing gluing.
 
-    ``vertices`` are chart-local hyperboloid positions (seam vertices are
-    duplicated); ``vertex_class`` maps them onto the glued complex whose
-    vertex count is ``n_classes``.  ``boundary_pairs`` identifies boundary
-    half-edges 3*tri + e, where edge e of triangle (v0, v1, v2) joins
-    vertices (ve, v(e+1 mod 3)).
+    ``vertices`` are chart-local hyperboloid positions, shape (n, 3) (seam
+    vertices are duplicated); ``vertex_class`` (int64) maps them onto the
+    glued complex whose vertex count is ``n_classes``.  ``boundary_pairs``
+    identifies boundary half-edges 3*tri + e, where edge e of triangle
+    (v0, v1, v2) joins vertices (ve, v(e+1 mod 3)).  The methods hand the
+    point helpers above (3, M) stacks, one column per triangle, so each
+    triangle gets the bits of a call on its own corners.
     """
 
     level: int
@@ -234,23 +230,21 @@ class Genus2Mesh:
 
     def glued_edge_count(self) -> int:
         # boundary_pairs lists both directions; each unordered pair is one edge
-        interior = set()
-        boundary_set = {h for pair in self.boundary_pairs for h in pair}
-        for t, tri in enumerate(self.triangles):
-            for e in range(3):
-                if 3 * t + e in boundary_set:
-                    continue
-                a, b = int(tri[e]), int(tri[(e + 1) % 3])
-                interior.add((min(a, b), max(a, b)))
-        return len(interior) + len(self.boundary_pairs) // 2
+        interior = np.ones(3 * self.n_triangles, dtype=bool)
+        interior[np.array(self.boundary_pairs).ravel()] = False
+        keys = _halfedge_keys(self.triangles, len(self.vertices))
+        return len(np.unique(keys[interior])) + len(self.boundary_pairs) // 2
 
     def euler_characteristic(self) -> int:
         return self.n_classes - self.glued_edge_count() + self.n_triangles
 
     def area_angle_defect(self) -> float:
-        v = self.vertices
-        return float(sum(triangle_area_defect(v[a], v[b], v[c])
-                         for a, b, c in self.triangles))
+        corners = self.vertices[self.triangles].T      # (coordinate, corner, M)
+        defects = triangle_area_defect(corners[:, 0], corners[:, 1], corners[:, 2])
+        # summed in triangle order: the total is 4 pi up to roundoff, which
+        # the octagon_area row prints, so np.sum's pairwise order would
+        # change report digits
+        return float(sum(defects.tolist()))
 
     @functools.cached_property
     def element_geometry(self):
@@ -279,92 +273,95 @@ def _octagon_corners():
                       COSH_CIRCUMRADIUS]) for k in range(8)]
 
 
+def _edge_keys(a, b, n):
+    """Key min * n + max of the undirected edges (a, b), vertex ids below n."""
+    return np.minimum(a, b) * n + np.maximum(a, b)
+
+
+def _halfedge_keys(triangles, n):
+    """Edge key of each half-edge 3 * tri + e, shape (3 M,)."""
+    return _edge_keys(triangles, np.roll(triangles, -1, axis=1), n).ravel()
+
+
+def _subdivide(vertices, triangles, side_paths):
+    """Split every triangle at its edge midpoints.
+
+    New vertices are numbered in the order in which a scan over the
+    triangles, edges (v0, v1), (v1, v2), (v0, v2) in turn, first meets
+    their edge; each side path gains the midpoints of its edges.
+    """
+    n = len(vertices)
+    v0, v1, v2 = triangles.T
+    keys = np.stack([_edge_keys(v0, v1, n), _edge_keys(v1, v2, n),
+                     _edge_keys(v0, v2, n)], axis=1).ravel()
+    edges, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    midpoint_id = np.empty(len(edges), dtype=np.int64)
+    midpoint_id[order] = n + np.arange(len(edges))
+    ends = edges[order]
+    midpoints = hyp_midpoint(vertices[ends // n].T, vertices[ends % n].T).T
+    m01, m12, m02 = midpoint_id[inverse].reshape(-1, 3).T
+    children = np.stack([v0, m01, m02, v1, m12, m01, v2, m02, m12, m01, m12, m02],
+                        axis=1).reshape(-1, 3)
+    paths = np.empty((len(side_paths), 2 * side_paths.shape[1] - 1), dtype=np.int64)
+    paths[:, ::2] = side_paths
+    paths[:, 1::2] = midpoint_id[np.searchsorted(
+        edges, _edge_keys(side_paths[:, :-1], side_paths[:, 1:], n))]
+    return np.concatenate([vertices, midpoints]), children, paths
+
+
 def genus2_mesh(level: int, max_level: int = MAX_MESH_LEVEL) -> Genus2Mesh:
     """Fan triangulation of the octagon, subdivided ``level`` times and
-    glued along opposite sides (8 * 4^level triangles)."""
+    glued along opposite sides (8 * 4^level triangles).
+
+    Each step works on whole arrays: the midpoints of all new edges are one
+    ``hyp_midpoint`` call on (3, n) stacks, and the side pairings map each
+    far side as one (3, n) stack.
+    """
     if level < 0:
         raise DomainError("mesh level must be >= 0")
     if level > max_level:
         raise MeshResourceError(f"mesh level {level} exceeds maximum {max_level}")
 
-    corners = _octagon_corners()
-    vertices = [np.array([0.0, 0.0, 1.0])] + corners
-    triangles = [(0, 1 + k, 1 + (k + 1) % 8) for k in range(8)]
-    side_paths = [[1 + k, 1 + (k + 1) % 8] for k in range(8)]
-
+    vertices = np.array([[0.0, 0.0, 1.0]] + _octagon_corners())
+    triangles = np.array([(0, 1 + k, 1 + (k + 1) % 8) for k in range(8)], dtype=np.int64)
+    side_paths = np.array([[1 + k, 1 + (k + 1) % 8] for k in range(8)], dtype=np.int64)
     for _ in range(level):
-        midpoint_of = {}
+        vertices, triangles, side_paths = _subdivide(vertices, triangles, side_paths)
+    n = len(vertices)
 
-        def midpoint_id(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in midpoint_of:
-                vertices.append(hyp_midpoint(vertices[i], vertices[j]))
-                midpoint_of[key] = len(vertices) - 1
-            return midpoint_of[key]
-
-        new_triangles = []
-        for v0, v1, v2 in triangles:
-            m01 = midpoint_id(v0, v1)
-            m12 = midpoint_id(v1, v2)
-            m02 = midpoint_id(v0, v2)
-            new_triangles += [(v0, m01, m02), (v1, m12, m01),
-                              (v2, m02, m12), (m01, m12, m02)]
-        triangles = new_triangles
-        side_paths = [
-            [x for a, b in zip(path, path[1:]) for x in (a, midpoint_id(a, b))] + [path[-1]]
-            for path in side_paths
-        ]
-
-    vertices = np.array(vertices)
-    triangles = np.array(triangles, dtype=int)
-
-    # vertex gluing: side k matches side k+4 reversed, checked against the
+    # vertex gluing: side k matches side k+4 reversed (vertex j of the far
+    # side onto vertex n_sub - j of the near side), checked against the
     # explicit pairing isometries within the documented tolerance
-    pairing_so21 = [so21_of_sl2(g) for g in octagon_generators().side_pairings]
-    uf = _UnionFind(len(vertices))
-    n_sub = len(side_paths[0]) - 1
-    for k in range(4):
-        gk = pairing_so21[k]
-        near, far = side_paths[k], side_paths[k + 4]
-        for j, far_id in enumerate(far):
-            near_id = near[n_sub - j]
-            mapped = gk @ vertices[far_id]
-            dist = hyp_dist_small(mapped, vertices[near_id])
-            if dist > GLUING_DISTANCE_TOL:
-                raise DomainError(
-                    f"side pairing mismatch on side {k}: distance {dist:.3e}")
-            uf.union(near_id, far_id)
+    near, far = side_paths[:4, ::-1], side_paths[4:]
+    for k, g in enumerate(octagon_generators().side_pairings):
+        dist = hyp_dist_small(so21_of_sl2(g) @ vertices[far[k]].T, vertices[near[k]].T)
+        bad = np.flatnonzero(dist > GLUING_DISTANCE_TOL)
+        if bad.size:
+            raise DomainError(
+                f"side pairing mismatch on side {k}: distance {dist[bad[0]]:.3e}")
+    # components are labelled in the order of their smallest vertex id
+    glue = scipy.sparse.coo_matrix((np.ones(near.size), (near.ravel(), far.ravel())),
+                                   shape=(n, n))
+    n_classes, labels = scipy.sparse.csgraph.connected_components(glue, directed=False)
 
-    roots = sorted({uf.find(i) for i in range(len(vertices))})
-    root_index = {r: i for i, r in enumerate(roots)}
-    vertex_class = np.array([root_index[uf.find(i)] for i in range(len(vertices))])
+    # boundary half-edge pairing: each side edge has exactly one owner
+    edges, owner, owners = np.unique(_halfedge_keys(triangles, n),
+                                     return_index=True, return_counts=True)
 
-    # boundary half-edge pairing
-    edge_owner = {}
-    for t, tri in enumerate(triangles):
-        for e in range(3):
-            a, b = int(tri[e]), int(tri[(e + 1) % 3])
-            edge_owner.setdefault((min(a, b), max(a, b)), []).append(3 * t + e)
-
-    def halfedge_of(i, j):
-        owners = edge_owner[(min(i, j), max(i, j))]
-        if len(owners) != 1:
+    def halfedges(path):
+        at = np.searchsorted(edges, _edge_keys(path[:, :-1], path[:, 1:], n))
+        if (owners[at] != 1).any():
             raise DomainError("boundary edge is not simple")
-        return owners[0]
+        return owner[at]
 
-    boundary_pairs = []
-    for k in range(4):
-        near, far = side_paths[k], side_paths[k + 4]
-        for j in range(n_sub):
-            h_far = halfedge_of(far[j], far[j + 1])
-            h_near = halfedge_of(near[n_sub - 1 - j], near[n_sub - j])
-            boundary_pairs.append((h_near, h_far))
-            boundary_pairs.append((h_far, h_near))
+    h_near, h_far = halfedges(near), halfedges(far)
+    pairs = np.stack([h_near, h_far, h_far, h_near], axis=-1).reshape(-1, 2)
 
     return Genus2Mesh(level=level, vertices=vertices, triangles=triangles,
-                      vertex_class=vertex_class, n_classes=len(roots),
-                      boundary_pairs=tuple(boundary_pairs),
-                      side_paths=tuple(tuple(p) for p in side_paths))
+                      vertex_class=labels.astype(np.int64), n_classes=int(n_classes),
+                      boundary_pairs=tuple(map(tuple, pairs.tolist())),
+                      side_paths=tuple(map(tuple, side_paths.tolist())))
 
 
 # ---------------------------------------------------------------------------

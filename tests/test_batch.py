@@ -1,11 +1,13 @@
-"""The batch axis: a layer called once on an (N, 2) stack of chart points
-returns, for each point, the bits of the same call on that point alone."""
+"""The batch axis: a layer called once on an (N, 2) stack of chart points,
+or a hyperboloid helper on a (3, N) stack of points, returns for each point
+the bits of the same call on that point alone."""
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adsgeo import constructions as con
 from adsgeo import embedding as emb
+from adsgeo import fuchsian as fu
 from adsgeo import mess_metrics as mes
 from adsgeo import rigidity as rig
 from adsgeo.fd import FDScheme, gradient, stencil, stencil_partials
@@ -23,6 +25,10 @@ coordinate = st.floats(-0.8, 0.8)
 chart_points = st.lists(st.tuples(coordinate, coordinate),
                         min_size=1, max_size=4).map(np.array)
 schemes = st.builds(FDScheme, st.floats(1e-3, 5e-2), st.booleans())
+# corners of geodesic triangles on the hyperboloid, one column per triangle
+triangle_corners = st.lists(
+    st.tuples(*[st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))] * 3),
+    min_size=1, max_size=6)
 extension_points = st.lists(st.tuples(coordinate, coordinate, st.floats(-1.4, 0.0)),
                             min_size=1, max_size=3).map(np.array)
 
@@ -109,3 +115,23 @@ def test_convex_pairs_match_successive_draws(seed, n):
     rows = [rig.random_convex_pair(rng) for _ in range(n)]
     for k in range(3):
         assert_rows_equal(batch[k], [r[k] for r in rows])
+
+
+@CHECKS
+@given(triangle_corners)
+def test_hyperboloid_helpers_columns(triangles):
+    # (corner, coordinate, triangle): lift chart points onto the hyperboloid
+    xy = np.array(triangles, dtype=float).transpose(1, 2, 0)
+    corners = np.concatenate([xy, np.sqrt(1.0 + (xy * xy).sum(axis=1))[:, None]], axis=1)
+    for t in range(corners.shape[2]):
+        assume(len({tuple(c) for c in corners[:, :, t]}) == 3)
+    p, q, r = corners
+    columns = [corners[:, :, t] for t in range(corners.shape[2])]
+    defects = [fu.triangle_area_defect(*c) for c in columns]
+    dists = [fu.hyp_dist_small(a, b) for a, b, _ in columns]
+    assert all(isinstance(x, float) for x in defects + dists)
+    assert_rows_equal(np.transpose(fu.triangle_angles(p, q, r)),
+                      [fu.triangle_angles(*c) for c in columns])
+    assert_rows_equal(fu.triangle_area_defect(p, q, r), defects)
+    assert_rows_equal(fu.hyp_dist_small(p, q), dists)
+    assert_rows_equal(fu.hyp_midpoint(p, q).T, [fu.hyp_midpoint(a, b) for a, b, _ in columns])

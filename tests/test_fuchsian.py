@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,12 +94,52 @@ def test_octagon_vertex_angles():
 # ---------------------------------------------------------------------------
 # the glued mesh
 
-@pytest.mark.parametrize("level", [0, 1, 2, 3])
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
 def test_mesh_combinatorics(level):
     mesh = fu.genus2_mesh(level)
     assert mesh.n_triangles == 8 * 4 ** level
     assert mesh.euler_characteristic() == -2
     assert mesh.area_angle_defect() == pytest.approx(4.0 * np.pi, rel=1e-12)
+
+
+# sha256 of export_mesh and of vertex_class.tobytes() as the per-vertex
+# dict/union-find construction produced them
+PINNED_MESHES = {
+    0: ("5e7d42fc1afe4a7a328c551f5d1516923e43d8c7028ab7d479feee8ac6e57181",
+        "092243bbdcd482637af3607ebfdde0b85754b401109cf29eb3b89eef520a7b03"),
+    1: ("9ef116bea37d898f1d0d98b05acd6e7eb079acf1b49c401aa020ce6effe96557",
+        "2f1dd026a5aa59a37229f5cfc45bdb2170ccd06390471bf418f6824c9ce71391"),
+    2: ("589d8f6bec0f768bca7bc479f99781ba869aa2a5a20d6ecb5bc6c03e5adfce88",
+        "c34f16b94770790820a65f882d7253d82bf74ea44d8f2cde9053a8f9b5ed900c"),
+    3: ("cf256cbefd824f8329db302cbe58b3ce1a852bd1b943e44390d5269d2143a0c2",
+        "91c736c4a8302b3193687534927b7b5d7b5c1e92f5cdf249d05cc492eef6bca2"),
+    4: ("b4462a490f9f7bba3f95c578582f2e58bdbda65a19d073d447e297c6f7368daa",
+        "b3c9c163a5a33197669ea7dd7c00b0c2b4feeb9afd402c02fe9acbab39fd9037"),
+    5: ("1e2bdc829096c452bf3affbc879fd7bf5e8c50a629437dfead83a8e5954ef4ab",
+        "f9f7ec916b8f99ac39abba1ed1eec750942d02404a2b0b0e0fccc4b637b697f9"),
+}
+
+
+@pytest.mark.parametrize("level", sorted(PINNED_MESHES))
+def test_mesh_pinned(level):
+    mesh = fu.genus2_mesh(level)
+    assert mesh.vertex_class.dtype == np.int64
+    digests = (hashlib.sha256(fu.export_mesh(mesh).encode()).hexdigest(),
+               hashlib.sha256(mesh.vertex_class.tobytes()).hexdigest())
+    assert digests == PINNED_MESHES[level]
+
+
+# repr of area_angle_defect() (summed in triangle order) and glued_edge_count()
+@pytest.mark.parametrize("level, area, edges", [
+    (3, "12.566370614359062", 768),
+    (4, "12.566370614359066", 3072),
+    (5, "12.566370614358089", 12288),
+    (6, "12.566370614355021", 49152),
+])
+def test_mesh_area_and_edges_pinned(level, area, edges):
+    mesh = fu.genus2_mesh(level)
+    assert repr(mesh.area_angle_defect()) == area
+    assert mesh.glued_edge_count() == edges
 
 
 def test_mesh_level_cap():
