@@ -16,7 +16,7 @@ from .constructions import (DualData, dual_surface, equidistant_data,
                             fuchsian_family, phi_k_fuchsian)
 from .fuchsian import (DiscreteOperators, Genus2Mesh, HolonomySet,
                        discrete_operators, genus2_mesh, octagon_generators)
-from .rigidity import (BMorphism, RigidityOperator, b_from_bdot, b_from_mu,
-                       jbj_sharp, kernel_dimension, rigidity_operator,
+from .rigidity import (RigidityOperator, b_from_bdot, b_from_mu, jbj_sharp,
+                       kernel_dimension, rigidity_operator,
                        sharp_codazzi_residual, trace_conditions)
 from .report import CheckReport, CheckRow, emit_report

@@ -236,6 +236,8 @@ def run_extend(cfg: RunConfig) -> CheckReport:
         s_values = [float(x) for x in cfg.s_list.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad s-list: {cfg.s_list!r}") from exc
+    if not s_values:
+        raise ConfigError(f"s-list names no extension parameter: {cfg.s_list!r}")
     for sv in s_values:
         if not -np.pi / 2 + 0.05 < sv <= 0.0:
             raise ConfigError(f"extension sample s={sv} outside (-pi/2+0.05, 0]")

@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .batch import any_of, det, inv, singular_values
-from .embedding import (NORMAL_FLOOR, STRONG_CONVEXITY_TOL, EmbeddingData,
-                        Immersion, brioschi_curvature, christoffel_symbols,
+from .embedding import (NORMAL_FLOOR, EmbeddingData, Immersion,
+                        brioschi_curvature, christoffel_symbols,
                         embedding_data_at, family_immersion, gaussian_curvature,
                         metric_field, normal_field, require_strong_convexity,
                         third_fundamental_form)
@@ -48,16 +48,15 @@ class DualData:
     K_star: float
 
 
-def dual_data_pointwise(data: EmbeddingData, K: float | None = None,
-                        tol: float = STRONG_CONVEXITY_TOL) -> DualData:
+def dual_data_pointwise(data: EmbeddingData, K: float | None = None) -> DualData:
     """Algebraic duality of embedding data, point by point.
 
-    Requires strong convexity: det B > tol with principal curvatures of one
-    sign.  I* = III, B* = -B^{-1}; K* = -K/(1+K) from the supplied base
-    curvature (measured independently when available; the Gauss value
-    -1 - det B is the fallback).
+    Requires strong convexity (``require_strong_convexity``) with principal
+    curvatures of one sign.  I* = III, B* = -B^{-1}; K* = -K/(1+K) from the
+    supplied base curvature (measured independently when available; the
+    Gauss value -1 - det B is the fallback).
     """
-    det_b = require_strong_convexity(data.B, tol)
+    det_b = require_strong_convexity(data.B)
     if K is None:
         K = -1.0 - det_b
     return DualData(point=data.n.copy(),
@@ -92,7 +91,6 @@ def require_family_dual(s: float):
 
 
 def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
-                 tol: float = STRONG_CONVEXITY_TOL,
                  independent_curvature: bool = False):
     """Duality with its verification residuals at one chart point.
 
@@ -112,7 +110,7 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
     u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, u, cfg=cfg)
     k_measured = gaussian_curvature(immersion, u, cfg=cfg)
-    dual = dual_data_pointwise(data, K=k_measured, tol=tol)
+    dual = dual_data_pointwise(data, K=k_measured)
 
     fstar = dual_immersion(immersion, cfg)
     gstar = metric_field(fstar, cfg)
@@ -139,13 +137,14 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
 # ---------------------------------------------------------------------------
 # equidistant data and the extension metric
 
-def equidistant_data(I, B, s: float, singular_tol: float = 1e-8):
+def equidistant_data(I, B, s: float):
     """(I_s, B_s) of the equidistant surface generated by (I, B).
 
     I_s = I(A_s . , A_s . ) and B_s = A_s^{-1} (cos(s) B - sin(s) E) with
     A_s = cos(s) E + sin(s) B; the sign of B_s is the one that keeps the
     Gauss equation satisfied along the umbilic family.  ``s`` is a number
-    or an array of the batch shape of I and B.
+    or an array of the batch shape of I and B.  Raises FocalPointError where
+    the smallest singular value of A_s is at most 1e-8 (1 + max |B_ij|).
     """
     I = np.asarray(I, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -153,7 +152,7 @@ def equidistant_data(I, B, s: float, singular_tol: float = 1e-8):
     sn = np.sin(s)[..., None, None]
     a = cs * np.eye(2) + sn * B
     scale = 1.0 + np.abs(B).max(axis=(-2, -1))
-    if any_of(singular_values(a)[1] <= singular_tol * scale):
+    if any_of(singular_values(a)[1] <= 1e-8 * scale):
         raise FocalPointError(f"focal point at s = {s}: cos(s) E + sin(s) B singular")
     c = cs * B - sn * np.eye(2)
     return np.swapaxes(a, -1, -2) @ I @ a, inv(a) @ c
@@ -246,12 +245,11 @@ def riemann_constant_curvature_residual(metric, p, scheme: FDScheme):
     return worst / np.sum((h * h).reshape(h.shape[:-2] + (9,)), axis=-1)
 
 
-def extension_curvature(ext: ExtensionMetric, p,
-                        scheme: FDScheme | None = None):
+def extension_curvature(ext: ExtensionMetric, p):
     """Constant-curvature residual of the extension metric at interior
-    points; errors out when the stencil of any point would leave the
-    s-range."""
-    scheme = scheme or FDScheme(step=1e-2, richardson=True)
+    points, differenced with step 1e-2 and Richardson; errors out when the
+    stencil of any point would leave the s-range."""
+    scheme = FDScheme(step=1e-2, richardson=True)
     p = np.asarray(p, dtype=float)
     lo, hi = ext.s_range
     s = p[..., 2]

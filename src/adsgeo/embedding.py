@@ -260,18 +260,19 @@ def _require_spacelike(I):
             f"induced metric too ill-conditioned: cond = {np.max(hi / lo):.3e}")
 
 
-def embedding_data_at(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
-                      quadric_tol: float = 1e-8) -> EmbeddingData:
+def embedding_data_at(immersion: Immersion, u,
+                      cfg: DiffConfig = DEFAULT_DIFF) -> EmbeddingData:
     """First/second fundamental data at chart points u, shape (..., 2).
 
     II is assembled from symmetric stencils, so B = I^{-1} II is
-    I-self-adjoint to rounding; raises when any point leaves the quadric or
-    has a non-spacelike or ill-conditioned induced metric.
+    I-self-adjoint to rounding; raises when any point leaves the quadric
+    (|<F, F> + 1| > 1e-8) or has a non-spacelike or ill-conditioned induced
+    metric.
     """
     u = np.asarray(u, dtype=float)
     f = immersion.evaluator
     point = np.asarray(f(u), dtype=float)
-    if any_of(np.abs(ads_core.bilinear22(point, point) + 1.0) > quadric_tol):
+    if any_of(np.abs(ads_core.bilinear22(point, point) + 1.0) > 1e-8):
         raise DomainError("immersion leaves the quadric at this chart point")
 
     I, f1, f2 = _induced_metric(f, u, cfg.inner)
@@ -422,7 +423,9 @@ def require_strong_convexity(B, tol: float = STRONG_CONVEXITY_TOL) -> float:
     return det_b
 
 
-def convexity_class(data: EmbeddingData, tol: float = 1e-10) -> ConvexityClass:
+def convexity_class(data: EmbeddingData) -> ConvexityClass:
+    """Sign class of the principal curvatures, with margin 1e-10."""
+    tol = 1e-10
     k1, k2 = principal_curvatures(data)
     if k1 > tol and k2 > tol:
         return ConvexityClass.STRONGLY_PAST_CONVEX

@@ -129,9 +129,10 @@ class HolonomySet:
     def traces(self):
         return tuple(float(np.trace(m)) for m in self.quadruple)
 
-    def all_hyperbolic(self, tol: float = 1e-9) -> bool:
+    def all_hyperbolic(self) -> bool:
+        """Every generator and side pairing has |trace| > 2 + 1e-9."""
         mats = list(self.quadruple) + list(self.side_pairings)
-        return all(abs(np.trace(m)) > 2.0 + tol for m in mats)
+        return all(abs(np.trace(m)) > 2.0 + 1e-9 for m in mats)
 
 
 def octagon_generators() -> HolonomySet:
@@ -310,9 +311,10 @@ def _subdivide(vertices, triangles, side_paths):
     return np.concatenate([vertices, midpoints]), children, paths
 
 
-def genus2_mesh(level: int, max_level: int = MAX_MESH_LEVEL) -> Genus2Mesh:
+def genus2_mesh(level: int) -> Genus2Mesh:
     """Fan triangulation of the octagon, subdivided ``level`` times and
-    glued along opposite sides (8 * 4^level triangles).
+    glued along opposite sides (8 * 4^level triangles), for level up to
+    MAX_MESH_LEVEL.
 
     Each step works on whole arrays: the midpoints of all new edges are one
     ``hyp_midpoint`` call on (3, n) stacks, and the side pairings map each
@@ -320,8 +322,8 @@ def genus2_mesh(level: int, max_level: int = MAX_MESH_LEVEL) -> Genus2Mesh:
     """
     if level < 0:
         raise DomainError("mesh level must be >= 0")
-    if level > max_level:
-        raise MeshResourceError(f"mesh level {level} exceeds maximum {max_level}")
+    if level > MAX_MESH_LEVEL:
+        raise MeshResourceError(f"mesh level {level} exceeds maximum {MAX_MESH_LEVEL}")
 
     vertices = np.array([[0.0, 0.0, 1.0]] + _octagon_corners())
     triangles = np.array([(0, 1 + k, 1 + (k + 1) % 8) for k in range(8)], dtype=np.int64)
@@ -378,7 +380,6 @@ class DiscreteOperators:
     stiffness: scipy.sparse.csr_matrix
     mass: scipy.sparse.csr_matrix
     n: int
-    scale: float
 
 
 def discrete_operators(mesh: Genus2Mesh, scale: float = 1.0) -> DiscreteOperators:
@@ -406,7 +407,7 @@ def discrete_operators(mesh: Genus2Mesh, scale: float = 1.0) -> DiscreteOperator
     n = mesh.n_classes
     stiffness = scipy.sparse.coo_matrix((s_vals, (rows, cols)), shape=(n, n)).tocsr()
     mass = scipy.sparse.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr()
-    return DiscreteOperators(stiffness=stiffness, mass=mass, n=n, scale=scale)
+    return DiscreteOperators(stiffness=stiffness, mass=mass, n=n)
 
 
 DENSE_EIG_LIMIT = 2000

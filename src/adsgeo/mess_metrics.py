@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import any_of, det, entries, inv, singular_values
-from .embedding import (EmbeddingData, Immersion, christoffels,
-                        codazzi_residual_fields, embedding_data_at,
-                        gaussian_curvature, metric_field)
+from .batch import any_of, det, entries, inv, quadratic_form, singular_values
+from .embedding import (EmbeddingData, Immersion, christoffel_symbols,
+                        embedding_data_at, exterior_covariant_derivative,
+                        gaussian_curvature)
 from .errors import DegenerateDataError, TransferPreconditionError
 from .fd import DEFAULT_DIFF, DiffConfig, gradient
 
@@ -46,88 +46,78 @@ def mess_metric(data: EmbeddingData, sign: int = +1):
     return m
 
 
-def sharp_factor_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF,
-                       sign: int = +1):
-    def af(u):
-        d = embedding_data_at(immersion, u, cfg=cfg)
-        return np.eye(2) + float(sign) * (d.J @ d.B)
-
-    return af
-
-
 @dataclass(frozen=True)
 class SharpData:
-    """Sharp structure of the plus metric at chart points u; every field
-    carries the leading batch axes of u."""
+    """Connection and complex structure of the plus metric at chart points
+    u; every field carries the leading batch axes of u.  The curvature K#
+    is not part of the frame: ``sharp_curvature`` computes it."""
 
     u: np.ndarray
     I_sharp: np.ndarray
     J_sharp: np.ndarray
-    K_sharp: float
-    da_sharp: float
+    da_sharp: np.ndarray
     christoffels: np.ndarray        # Gamma#[..., k, i, j]
-    codazzi_residual: float | None  # of E + JB; None when the check is skipped
+    codazzi_residual: np.ndarray | None  # |d^D A|_I; None when unchecked
 
 
 def sharp_frame(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
-                sign: int = +1, check: bool = True) -> SharpData:
-    """Connection, complex structure and curvature of the sharp metric.
+                check: bool = True) -> SharpData:
+    """Connection, complex structure and area form of the plus metric.
 
-    Raises TransferPreconditionError when the Codazzi residual of E + JB
-    exceeds tolerance (the conjugation formula is then meaningless).
+    The partials of I and of A = E + JB share one embedding-data call per
+    field-step stencil point.  With ``check`` on, TransferPreconditionError
+    is raised where the Codazzi residual |d^D A|_I, formed from the same
+    partials, exceeds TRANSFER_CODAZZI_TOL (the conjugation formula is then
+    meaningless).
     """
     u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, u, cfg=cfg)
-    a = _sharp_factor(data, sign)
-    a_inv = inv(a)
+    a = _sharp_factor(data, +1)
 
-    g_field = metric_field(immersion, cfg)
-    a_field = sharp_factor_field(immersion, cfg, sign)
+    def metric_and_factor(w):
+        d = embedding_data_at(immersion, w, cfg=cfg)
+        return np.stack([d.I, np.eye(2) + d.J @ d.B], axis=-3)
 
+    partials = gradient(metric_and_factor, u, cfg.field)
+    da = partials[..., 1, :, :]
+    gamma = christoffel_symbols(inv(data.I), partials[..., 0, :, :])
     codazzi = None
     if check:
-        codazzi = codazzi_residual_fields(g_field, a_field, u, cfg.field)
+        vec = exterior_covariant_derivative(gamma, a, *np.moveaxis(da, -3, 0))
+        codazzi = np.sqrt(np.maximum(quadratic_form(vec, data.I), 0.0))
         if any_of(codazzi > TRANSFER_CODAZZI_TOL):
             worst = int(np.argmax(codazzi))
             raise TransferPreconditionError(
                 f"Codazzi residual of E + JB is {np.ravel(codazzi)[worst]:.3e} "
                 f"at u = {u.reshape(-1, 2)[worst]}")
 
-    gamma = christoffels(g_field, u, cfg.field)
-    da = gradient(a_field, u, cfg.field)
+    a_inv = inv(a)
     # D#_i (d_j) = A^{-1} [ dA_i . e_j + Gamma_i^k(e_j) A e_k ], as vec[k, i, j]
     vec = np.swapaxes(da, -3, -2) + gamma @ a[..., None, :, :]
     gamma_sharp = (a_inv @ vec.reshape(vec.shape[:-2] + (4,))).reshape(vec.shape)
 
-    i_sharp = np.swapaxes(a, -1, -2) @ data.I @ a
-    j_sharp = a_inv @ data.J @ a
-    k_base = gaussian_curvature(immersion, u, cfg=cfg)
-    k_sharp = k_base / det(a)
-    da_sharp = np.sqrt(det(i_sharp))
-    return SharpData(u=u, I_sharp=i_sharp, J_sharp=j_sharp, K_sharp=k_sharp,
-                     da_sharp=da_sharp, christoffels=gamma_sharp,
+    i_sharp = mess_metric(data, +1)
+    return SharpData(u=u, I_sharp=i_sharp, J_sharp=a_inv @ data.J @ a,
+                     da_sharp=np.sqrt(det(i_sharp)), christoffels=gamma_sharp,
                      codazzi_residual=codazzi)
 
 
-def sharp_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
-                    sign: int = +1) -> float:
-    """K# = K / det(E + JB) without assembling the full frame."""
+def sharp_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
+    """K# = K / det(E + JB) at chart points u: the one implementation of K#."""
     data = embedding_data_at(immersion, u, cfg=cfg)
-    a = _sharp_factor(data, sign)
-    return gaussian_curvature(immersion, u, cfg=cfg) / det(a)
+    return gaussian_curvature(immersion, u, cfg=cfg) / det(_sharp_factor(data, +1))
 
 
 def sharp_metric_derivative_residual(immersion: Immersion, u,
-                                     cfg: DiffConfig = DEFAULT_DIFF,
-                                     sign: int = +1):
+                                     cfg: DiffConfig = DEFAULT_DIFF):
     """Metric-compatibility residual of D# against the I# field.
 
     max_k | d_k I#_ij - I#(D#_k d_i, d_j) - I#(d_i, D#_k d_j) |.
     """
-    frame = sharp_frame(immersion, u, cfg=cfg, sign=sign, check=False)
+    frame = sharp_frame(immersion, u, cfg=cfg, check=False)
 
     def isf(v):
-        return mess_metric(embedding_data_at(immersion, v, cfg=cfg), sign)
+        return mess_metric(embedding_data_at(immersion, v, cfg=cfg), +1)
 
     gamma, i_sharp = frame.christoffels, frame.I_sharp
     resid = gradient(isf, u, cfg.field)      # [..., k, i, j] = d_k I#_ij
@@ -137,19 +127,18 @@ def sharp_metric_derivative_residual(immersion: Immersion, u,
     return np.abs(resid).max(axis=(-3, -2, -1))
 
 
-def sharp_torsion_residual(immersion: Immersion, u,
-                           cfg: DiffConfig = DEFAULT_DIFF, sign: int = +1):
-    frame = sharp_frame(immersion, u, cfg=cfg, sign=sign, check=False)
+def sharp_torsion_residual(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
+    frame = sharp_frame(immersion, u, cfg=cfg, check=False)
     t = frame.christoffels[..., :, 0, 1] - frame.christoffels[..., :, 1, 0]
     return np.abs(t).max(axis=-1)
 
 
 def verify_left_metric_hyperbolic(immersion: Immersion, samples,
-                                  cfg: DiffConfig = DEFAULT_DIFF, sign: int = +1):
+                                  cfg: DiffConfig = DEFAULT_DIFF):
     """Rows (u, K#, |K# + 1|) over the sample set, plus the max residual.
 
     One batched call over the whole sample set, shape (N, 2)."""
     samples = np.asarray(samples, dtype=float).reshape(-1, 2)
-    ks = sharp_curvature(immersion, samples, cfg=cfg, sign=sign)
+    ks = sharp_curvature(immersion, samples, cfg=cfg)
     resid = np.abs(ks + 1.0)
     return list(zip(samples, ks, resid)), float(np.max(resid, initial=0.0))

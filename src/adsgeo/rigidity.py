@@ -29,27 +29,17 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .embedding import (STRONG_CONVEXITY_TOL, EmbeddingData, Immersion,
-                        complex_structure, exterior_covariant_derivative,
-                        require_strong_convexity)
+from .embedding import (EmbeddingData, Immersion, complex_structure,
+                        exterior_covariant_derivative, require_strong_convexity)
 from .errors import DomainError
 from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, d1, gradient, hessian,
                  stencil, stencil_partials)
 from .fuchsian import Genus2Mesh, discrete_operators, generalized_eigs
-from .mess_metrics import SharpData, mess_metric, sharp_frame
+from .mess_metrics import SharpData, mess_metric, sharp_curvature, sharp_frame
 
 
 # ---------------------------------------------------------------------------
 # pointwise 2x2 algebra; the private helpers also take (N, 2, 2) stacks
-
-@dataclass(frozen=True)
-class BMorphism:
-    b: np.ndarray
-    provenance: str
-    idot_sharp: np.ndarray | None = None
-    mu: float | None = None
-    v: np.ndarray | None = None
-
 
 def _b_of_bdot(J, B, bdot):
     """b = (E + JB)^{-1} J Bdot."""
@@ -75,36 +65,24 @@ def _cayley_hamilton(J, B):
     return np.abs(jb - (1.0 + K)[..., None, None] * np.linalg.inv(jb)).max(axis=(-2, -1))
 
 
-def b_from_bdot(data: EmbeddingData, bdot) -> BMorphism:
-    """b = (E + JB)^{-1} J Bdot, with the induced first variation of the
-    plus metric I#(b . , . ) + I#( . , b . ) attached."""
+def b_from_bdot(data: EmbeddingData, bdot):
+    """(b, Idot#): b = (E + JB)^{-1} J Bdot and the first variation
+    I#(b . , . ) + I#( . , b . ) it induces on the plus metric."""
     b = _b_of_bdot(data.J, data.B, np.asarray(bdot, dtype=float))
     i_sharp = mess_metric(data, +1)
-    idot = b.T @ i_sharp + i_sharp @ b
-    return BMorphism(b=b, provenance="from_bdot", idot_sharp=idot)
+    return b, b.T @ i_sharp + i_sharp @ b
 
 
-@dataclass(frozen=True)
-class TraceConditions:
-    tr_b: float
-    tr_jbb: float
-    tr_binv_bdot: float
-    tr_first: float      # tr((E + JB) b)
-    tr_second: float     # tr((E + (JB)^{-1}) b)
-    equivalence_gap: float
+def trace_conditions(data: EmbeddingData, bdot=None, b=None) -> dict:
+    """The residuals of ``linearized_chain_batch`` at one pair, signed, plus
+    the equivalence gap, as a dict of floats.
 
-    def all_small(self, tol: float = 1e-9) -> bool:
-        return max(abs(self.tr_b), abs(self.tr_jbb),
-                   abs(self.tr_first), abs(self.tr_second)) < tol
-
-
-def trace_conditions(data: EmbeddingData, bdot=None, b=None) -> TraceConditions:
-    """The five traces of the linearized chain plus the equivalence gap.
-
-    The gap measures how far the vanishing of the first pair is from being
-    equivalent to the vanishing of (tr b, tr JBb): both pairs are linear
-    images of each other through JB = (1+K)(JB)^{-1}, so the residual pairs
-    are compared directly.
+    Keys: tr_b, tr_jbb, tr_first = tr((E + JB) b), tr_second =
+    tr((E + (JB)^{-1}) b), tr_binv_bdot, cayley_hamilton and
+    equivalence_gap.  The gap measures how far the vanishing of the first
+    pair is from being equivalent to the vanishing of (tr b, tr JBb): both
+    pairs are linear images of each other through JB = (1+K)(JB)^{-1}, so
+    the residual pairs are compared directly.
     """
     det_b = require_strong_convexity(data.B)
     if (bdot is None) == (b is None):
@@ -116,11 +94,13 @@ def trace_conditions(data: EmbeddingData, bdot=None, b=None) -> TraceConditions:
         b = np.asarray(b, dtype=float)
         bdot = -data.J @ (np.eye(2) + data.J @ data.B) @ b
     t = {k: float(v) for k, v in _traces(data.J, data.B, b, bdot).items()}
+    t["cayley_hamilton"] = float(_cayley_hamilton(data.J[None], data.B[None])[0])
     # (b1, b2) = L (b4, b5) with L = [[1, 1], [1, 1/(1+K)]], K < -1
     K = -1.0 - det_b
     mixed = np.array([t["tr_b"] + t["tr_jbb"], t["tr_b"] + t["tr_jbb"] / (1.0 + K)])
-    gap = float(np.abs(mixed - np.array([t["tr_first"], t["tr_second"]])).max())
-    return TraceConditions(equivalence_gap=gap, **t)
+    t["equivalence_gap"] = float(np.abs(mixed - np.array([t["tr_first"],
+                                                           t["tr_second"]])).max())
+    return t
 
 
 def cayley_hamilton_residual(data: EmbeddingData) -> float:
@@ -129,23 +109,25 @@ def cayley_hamilton_residual(data: EmbeddingData) -> float:
     return float(_cayley_hamilton(data.J[None], data.B[None])[0])
 
 
-def variation_formula_residual(data: EmbeddingData, bdot, dt: float = 1e-6) -> float:
-    """Central t-difference of I#_+(B + t Bdot) against I#(b.,.) + I#(.,b.)."""
+def variation_formula_residual(data: EmbeddingData, bdot) -> float:
+    """Central t-difference, step 1e-6, of I#_+(B + t Bdot) against
+    I#(b.,.) + I#(.,b.)."""
     bdot = np.asarray(bdot, dtype=float)
+    dt = 1e-6
 
     def i_sharp_at(t):
         a = np.eye(2) + data.J @ (data.B + t * bdot)
         return a.T @ data.I @ a
 
     numeric = (i_sharp_at(dt) - i_sharp_at(-dt)) / (2.0 * dt)
-    algebraic = b_from_bdot(data, bdot).idot_sharp
+    algebraic = b_from_bdot(data, bdot)[1]
     return float(np.abs(numeric - algebraic).max())
 
 
-def random_convex_pairs(rng, n: int, eig_low: float = 0.3, eig_high: float = 2.5):
-    """n random (I, B, Bdot) as (n, 2, 2) stacks: I SPD, B strongly convex
-    and I-self-adjoint, Bdot I-self-adjoint with tr(B^{-1} Bdot) projected
-    to zero.
+def random_convex_pairs(rng, n: int):
+    """n random (I, B, Bdot) as (n, 2, 2) stacks: I SPD, B I-self-adjoint
+    with principal curvatures drawn from [0.3, 2.5), Bdot I-self-adjoint
+    with tr(B^{-1} Bdot) projected to zero.
 
     The draws are taken pair by pair, so the first m pairs do not depend
     on n; the algebra is one pass over the stacks.
@@ -154,7 +136,7 @@ def random_convex_pairs(rng, n: int, eig_low: float = 0.3, eig_high: float = 2.5
     k = np.empty((n, 2))
     for i in range(n):
         a[i] = rng.standard_normal((2, 2))
-        k[i] = rng.uniform(eig_low, eig_high, size=2)
+        k[i] = rng.uniform(0.3, 2.5, size=2)
         g[i] = rng.standard_normal((2, 2))
         s[i] = rng.standard_normal((2, 2))
     I = np.swapaxes(a, -1, -2) @ a + 0.5 * np.eye(2)
@@ -166,12 +148,6 @@ def random_convex_pairs(rng, n: int, eig_low: float = 0.3, eig_high: float = 2.5
     tr = np.trace(np.linalg.solve(B, bdot0), axis1=-2, axis2=-1)
     bdot = bdot0 - (0.5 * tr)[:, None, None] * B
     return I, B, bdot
-
-
-def random_convex_pair(rng, eig_low: float = 0.3, eig_high: float = 2.5):
-    """One random (I, B, Bdot); see ``random_convex_pairs``."""
-    I, B, bdot = random_convex_pairs(rng, 1, eig_low, eig_high)
-    return I[0], B[0], bdot[0]
 
 
 def linearized_chain_batch(n: int, seed: int = 0):
@@ -188,8 +164,9 @@ def linearized_chain_batch(n: int, seed: int = 0):
 # ---------------------------------------------------------------------------
 # potentials: b = J# (-D# D# mu + mu E)
 
-def b_from_mu(mu, sharp: SharpData, scheme: FDScheme) -> BMorphism:
-    """Synthesize b from a scalar potential at the sharp frame's point.
+def b_from_mu(mu, sharp: SharpData, scheme: FDScheme):
+    """(b, v) of a scalar potential at the sharp frame's point:
+    b = J# (-D# D# mu + mu E) and the vector field v = -J# D# mu.
 
     The covariant Hessian uses the sharp Christoffel symbols; tr(b) = 0
     holds by algebra (J# composed with an I#-self-adjoint operator).
@@ -205,21 +182,16 @@ def b_from_mu(mu, sharp: SharpData, scheme: FDScheme) -> BMorphism:
     # finite-difference torsion noise keeps tr(b) = 0 at rounding level
     hess = 0.5 * (hess + hess.T)
     hess_op = np.linalg.solve(sharp.I_sharp, hess)
-    mu0 = float(mu(u))
-    b = sharp.J_sharp @ (-hess_op + mu0 * np.eye(2))
-    grad_sharp = np.linalg.solve(sharp.I_sharp, dmu)
-    v = -sharp.J_sharp @ grad_sharp
-    return BMorphism(b=b, provenance="from_mu", mu=mu0, v=v)
+    b = sharp.J_sharp @ (-hess_op + float(mu(u)) * np.eye(2))
+    return b, -sharp.J_sharp @ np.linalg.solve(sharp.I_sharp, dmu)
 
 
-def b_field_from_mu(immersion: Immersion, mu, cfg: DiffConfig = DEFAULT_DIFF,
-                    mu_scheme: FDScheme | None = None):
-    """The b field of a potential as a plain callable on the chart."""
-    mu_scheme = mu_scheme or cfg.inner2
-
+def b_field_from_mu(immersion: Immersion, mu, cfg: DiffConfig = DEFAULT_DIFF):
+    """The b field of a potential as a plain callable on the chart; mu is
+    differentiated with ``cfg.inner2``."""
     def bf(u):
         frame = sharp_frame(immersion, u, cfg=cfg, check=False)
-        return b_from_mu(mu, frame, mu_scheme).b
+        return b_from_mu(mu, frame, cfg.inner2)[0]
 
     return bf
 
@@ -237,8 +209,7 @@ def sharp_codazzi_residual(immersion: Immersion, b_field, u,
 
 
 def exterior_derivative_identities(immersion: Immersion, mu, u,
-                                   cfg: DiffConfig = DEFAULT_DIFF,
-                                   mu_scheme: FDScheme | None = None):
+                                   cfg: DiffConfig = DEFAULT_DIFF):
     """Residuals of the two sharp exterior-derivative identities
 
         d^{D#}(D# v)(d1, d2) = -K# (J# v) da#,
@@ -248,13 +219,13 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
 
     Both field-step differences come from one sharp frame on the nested
     stencil: ``points[j, i]`` is stencil point j around outer stencil point
-    i, so ``points[0]`` is the outer stencil and ``points[0, 0]`` is u.  The
-    potential is evaluated one point at a time."""
+    i, so ``points[0]`` is the outer stencil and ``points[0, 0]`` is u.  K# is
+    needed at u only and comes from ``sharp_curvature``.  The potential is
+    evaluated one point at a time and differentiated with ``cfg.inner2``."""
     u = np.asarray(u, dtype=float)
-    mu_scheme = mu_scheme or cfg.inner2
     points = stencil(stencil(u, cfg.field), cfg.field)
     fr = sharp_frame(immersion, points, cfg=cfg, check=False)
-    dmu = np.array([gradient(mu, w, mu_scheme)
+    dmu = np.array([gradient(mu, w, cfg.inner2)
                     for w in points.reshape(-1, 2)]).reshape(points.shape)
 
     v = (-fr.J_sharp @ np.linalg.solve(fr.I_sharp, dmu[..., None]))[..., 0]
@@ -269,7 +240,7 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
 
     v0, j_sharp, da_sharp = v_out[0], fr.J_sharp[0, 0], fr.da_sharp[0, 0]
     lhs_a = exterior_covariant_derivative(gamma[0], dv_op0, d_dv_op[0], d_dv_op[1])
-    rhs_a = -fr.K_sharp[0, 0] * (j_sharp @ v0) * da_sharp
+    rhs_a = -sharp_curvature(immersion, u, cfg=cfg) * (j_sharp @ v0) * da_sharp
     resid_a = float(np.abs(lhs_a - rhs_a).max())
 
     lhs_b = exterior_covariant_derivative(gamma[0], mu_jsharp0,
@@ -282,13 +253,13 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
 # ---------------------------------------------------------------------------
 # the operator J B J#
 
-def jbj_sharp(data: EmbeddingData, tol: float = STRONG_CONVEXITY_TOL):
+def jbj_sharp(data: EmbeddingData):
     """(J B J#, eigenvalues ascending, I#-self-adjointness residual).
 
     Eigenvalues are the negated principal curvatures; negative definiteness
     holds exactly on the strongly past-convex side of the paper's lemma.
     """
-    require_strong_convexity(data.B, tol)
+    require_strong_convexity(data.B)
     a = np.eye(2) + data.J @ data.B
     j_sharp = np.linalg.solve(a, data.J @ a)
     op = data.J @ data.B @ j_sharp
@@ -315,9 +286,6 @@ class RigidityOperator:
 
     matrix: scipy.sparse.csr_matrix
     mass: scipy.sparse.csr_matrix
-    mesh_level: int
-    s: float
-    k_value: float          # umbilic principal curvature tan(s)
     tan_abs_s: float
 
 
@@ -333,8 +301,7 @@ def rigidity_operator(mesh: Genus2Mesh, s: float) -> RigidityOperator:
     ops = discrete_operators(mesh, scale=1.0)
     t = float(np.tan(abs(s)))
     matrix = (t * (-ops.stiffness - 2.0 * ops.mass)).tocsr()
-    return RigidityOperator(matrix=matrix, mass=ops.mass, mesh_level=mesh.level,
-                            s=s, k_value=float(np.tan(s)), tan_abs_s=t)
+    return RigidityOperator(matrix=matrix, mass=ops.mass, tan_abs_s=t)
 
 
 def rigidity_spectrum(op: RigidityOperator, k: int = 6, seed: int = 0):
@@ -342,13 +309,13 @@ def rigidity_spectrum(op: RigidityOperator, k: int = 6, seed: int = 0):
     return generalized_eigs(op.matrix, op.mass, k=k, seed=seed)
 
 
-def kernel_dimension(eigs, ratio_threshold: float = 10.0) -> float:
+def kernel_dimension(eigs) -> float:
     """Count of eigenvalues below the dominant magnitude gap.
 
     The split point with the largest magnitude ratio defines the candidate
-    kernel; it only counts when that ratio exceeds the threshold.  Fewer
-    than two eigenvalues have no gap to measure: the count is NaN
-    (inconclusive), so that no bound on it is met.
+    kernel; it only counts when that ratio exceeds 10.  Fewer than two
+    eigenvalues have no gap to measure: the count is NaN (inconclusive), so
+    that no bound on it is met.
     """
     mags = np.sort(np.abs(np.asarray(eigs, dtype=float)))
     if len(mags) < 2:
@@ -356,7 +323,7 @@ def kernel_dimension(eigs, ratio_threshold: float = 10.0) -> float:
     floor = 1e-300
     ratios = mags[1:] / np.maximum(mags[:-1], floor)
     best = int(np.argmax(ratios))
-    if ratios[best] > ratio_threshold:
+    if ratios[best] > 10.0:
         return best + 1
     return 0
 

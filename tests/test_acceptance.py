@@ -33,10 +33,9 @@ def test_criterion_01_gauss_codazzi_residuals():
     worst_g = worst_c = 0.0
     for s in (-0.2, -0.7, -1.2):
         surface = emb.family_immersion(s)
-        for u in _samples(1, 100):
-            gauss, codazzi = emb.structure_residuals(surface, u)
-            worst_g = max(worst_g, abs(gauss))
-            worst_c = max(worst_c, codazzi)
+        gauss, codazzi = emb.structure_residuals(surface, _samples(1, 100))
+        worst_g = max(worst_g, float(np.abs(gauss).max()))
+        worst_c = max(worst_c, float(codazzi.max()))
     ok = worst_g < 1e-6 and worst_c < 1e-6
     _verdict(1, ok, f"gauss {worst_g:.2e} < 1e-6, codazzi {worst_c:.2e} < 1e-6",
              t0, 10.0)
@@ -57,11 +56,10 @@ def test_criterion_03_left_metric_surface_independence():
     t0 = time.time()
     fa = emb.family_immersion(-0.2)
     fb = emb.family_immersion(-1.2)
-    worst = 0.0
-    for u in _samples(4, 50):
-        a = mes.mess_metric(emb.embedding_data_at(fa, u), +1)
-        b = mes.mess_metric(emb.embedding_data_at(fb, u), +1)
-        worst = max(worst, float(np.abs(a - b).max()))
+    pts = _samples(4, 50)
+    a = mes.mess_metric(emb.embedding_data_at(fa, pts), +1)
+    b = mes.mess_metric(emb.embedding_data_at(fb, pts), +1)
+    worst = float(np.abs(a - b).max())
     _verdict(3, worst < 1e-6,
              f"I#+ at s=-0.2 vs s=-1.2 componentwise {worst:.2e} < 1e-6", t0, 5.0)
 
@@ -70,11 +68,10 @@ def test_criterion_04_duality():
     t0 = time.time()
     worst_k = worst_m = worst_inv = 0.0
     for surface in (emb.family_immersion(-0.7), emb.bump_immersion()):
-        for u in _samples(5, 25, box=0.7):
-            _, diag = con.dual_surface(surface, u)
-            worst_k = max(worst_k, diag["curvature_consistency"])
-            worst_m = max(worst_m, diag["metric_vs_third_form"])
-            worst_inv = max(worst_inv, diag["involution"])
+        _, diag = con.dual_surface(surface, _samples(5, 25, box=0.7))
+        worst_k = max(worst_k, float(diag["curvature_consistency"].max()))
+        worst_m = max(worst_m, float(diag["metric_vs_third_form"].max()))
+        worst_inv = max(worst_inv, float(diag["involution"].max()))
     ok = worst_k < 1e-6 and worst_m < 1e-8 and worst_inv < 1e-8
     _verdict(4, ok, f"K* {worst_k:.2e} < 1e-6, I*=III {worst_m:.2e} < 1e-8, "
                     f"involution {worst_inv:.2e} < 1e-8", t0, 10.0)
@@ -87,12 +84,10 @@ def test_criterion_05_equidistant_extension_is_ads():
     for name, surface, tol in (("fuchsian", emb.family_immersion(-0.7), 1e-4),
                                ("bump", emb.bump_immersion(), 1e-3)):
         ext = con.extension_metric(surface, slack=0.1)
-        w = 0.0
-        for _ in range(50):
-            p = np.array([rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7),
-                          rng.uniform(-1.1, -0.15)])
-            w = max(w, con.extension_curvature(ext, p))
-        worst[name] = (w, tol)
+        # the draws of one point follow each other, as in a per-point loop
+        p = np.array([[rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7),
+                       rng.uniform(-1.1, -0.15)] for _ in range(50)])
+        worst[name] = (float(con.extension_curvature(ext, p).max()), tol)
     ok = all(w < tol for w, tol in worst.values())
     detail = ", ".join(f"{k} {w:.2e} < {tol:g}" for k, (w, tol) in worst.items())
     _verdict(5, ok, "Riemann residual " + detail, t0, 60.0)
@@ -178,11 +173,11 @@ def test_criterion_10_phi_k_on_family():
     for K in (-2.0, -4.0):
         res = con.phi_k_fuchsian(K)
         worst_param = max(worst_param, abs(-1.0 / np.cos(res.s) ** 2 - K))
-        for u in _samples(10, 10):
-            g = emb.hyperbolic_metric(u)
-            worst_metric = max(worst_metric,
-                               float(np.abs(res.left_metric(u) - g).max()),
-                               float(np.abs(res.surface_metric(u) - g).max()))
+        pts = _samples(10, 10)
+        g = emb.hyperbolic_metric(pts)
+        worst_metric = max(worst_metric,
+                           float(np.abs(res.left_metric(pts) - g).max()),
+                           float(np.abs(res.surface_metric(pts) - g).max()))
     ok = worst_metric < 1e-6 and worst_param < 1e-12
     _verdict(10, ok, f"metrics {worst_metric:.2e} < 1e-6, "
                      f"parameter {worst_param:.2e} < 1e-12", t0, 5.0)

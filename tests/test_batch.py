@@ -112,7 +112,7 @@ def test_stencil_partials_match_gradient(surface, pts, scheme):
 def test_convex_pairs_match_successive_draws(seed, n):
     batch = rig.random_convex_pairs(np.random.default_rng(seed), n)
     rng = np.random.default_rng(seed)
-    rows = [rig.random_convex_pair(rng) for _ in range(n)]
+    rows = [[m[0] for m in rig.random_convex_pairs(rng, 1)] for _ in range(n)]
     for k in range(3):
         assert_rows_equal(batch[k], [r[k] for r in rows])
 

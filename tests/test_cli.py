@@ -172,6 +172,9 @@ def test_extend_command(capsys):
 def test_extend_rejects_bad_slist():
     assert cli.main(["extend", "--s-list", "spam"]) == 2
     assert cli.main(["extend", "--s-list", "-1.6"]) == 2
+    # an empty list used to pass with no row checked
+    for empty in ("", ",", " "):
+        assert cli.main(["extend", f"--s-list={empty}"]) == 2
 
 
 def test_mess_surface_independence_rows(capsys):

@@ -1,10 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from adsgeo import embedding as emb
 from adsgeo import mess_metrics as mm
 from adsgeo.errors import TransferPreconditionError
-from adsgeo.fd import DiffConfig
+from adsgeo.fd import DEFAULT_DIFF, DiffConfig, stencil
 
 
 def test_zero_shape_operator_gives_base_metric():
@@ -58,9 +60,52 @@ def test_sharp_frame_trivial_when_b_zero():
     d = emb.embedding_data_at(F, u)
     assert np.allclose(frame.I_sharp, d.I, atol=1e-10)
     assert np.allclose(frame.J_sharp, d.J, atol=1e-10)
-    assert frame.K_sharp == pytest.approx(-1.0, abs=1e-6)
+    assert mm.sharp_curvature(F, u) == pytest.approx(-1.0, abs=1e-6)
     gamma_base = emb.christoffels(emb.metric_field(F), u, DiffConfig().field)
     assert np.abs(frame.christoffels - gamma_base).max() < 1e-8
+
+
+# sha256 of the float64 bytes of each sharp-frame field as the frame that
+# carried K# and ran its own Codazzi guard produced them: at one point with
+# the guard on, and on the nested field-step stencil around (0.2, 0.15) with
+# it off; "K_sharp" is now read from sharp_curvature at the same points
+PINNED_FRAMES = {
+    "point": {
+        "I_sharp": "2120a27df02cc2f3b5dc3b2cb97eaaeb0f1743f49d926ed96bb2537a65cad004",
+        "J_sharp": "2c32ce3ed5a331f022fe9b16b65df6f6e98e14bce720586b7fb49e99b2d23cb2",
+        "christoffels": "cb1d114f62e9cdccd951aa1b941d3bd09609ab5ffe039f943dd3e2b0045d8f4b",
+        "da_sharp": "7a120d680db9514d7d56728aa93b8e855a0a372801947413a5ff43bbbaf07de4",
+        "codazzi_residual":
+            "b14dd9a63527f26b289029f0c17599b0219674403e98c0907a1d25538c9168d8",
+        "K_sharp": "bb78a0dad1309a9829ab59c2425f0b34c2db71d678a735a87bcad0224673793b",
+    },
+    "nested": {
+        "I_sharp": "6c6890f3c0336122c093aa2d893c1d0653a29340f9eca51cda3af44140103612",
+        "J_sharp": "4ed700ad9d4a40b2b0be8f30c3be28c9dcc28e663f7b054de8aa7f5eed71a82e",
+        "christoffels": "fa8a1a6a3a2f09f51549bf307e6df2d16b006396eabcb878301140a482a4dc64",
+        "da_sharp": "69958e266206cc93f9d098b00c80cd8c96f8bbd32b0427c74a2168147da3e4fb",
+        "codazzi_residual": None,
+        "K_sharp": "8e4d8dccc44119fd0ac40c9192f9d3578f5ac62b1fdd10bfdeddb954d5295cb7",
+    },
+}
+
+
+def _digest(x):
+    if x is None:
+        return None
+    return hashlib.sha256(np.ascontiguousarray(x, dtype=float).tobytes()).hexdigest()
+
+
+def test_sharp_frame_pinned(bump):
+    nested = stencil(stencil(np.array([0.2, 0.15]), DEFAULT_DIFF.field), DEFAULT_DIFF.field)
+    frames = {"point": mm.sharp_frame(bump, [0.2, -0.3]),
+              "nested": mm.sharp_frame(bump, nested, check=False)}
+    for name, frame in frames.items():
+        digests = {key: _digest(getattr(frame, key))
+                   for key in ("I_sharp", "J_sharp", "christoffels", "da_sharp",
+                               "codazzi_residual")}
+        digests["K_sharp"] = _digest(mm.sharp_curvature(bump, frame.u))
+        assert digests == PINNED_FRAMES[name], name
 
 
 def test_sharp_curvature_minus_one(bump, rng):
