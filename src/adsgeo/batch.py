@@ -68,6 +68,36 @@ def inv(m):
     return matrix(d / q, -b / q, -c / q, a / q)
 
 
+def cholesky(m):
+    """Lower triangular L with L L^T = m, for a symmetric positive definite
+    m; reads the lower triangle of m, as LAPACK does."""
+    a, _, c, d = entries(m)
+    l11 = np.sqrt(a)
+    l21 = c / l11
+    return matrix(l11, np.zeros_like(l11), l21, np.sqrt(d - l21 * l21))
+
+
+def eigvalsh(a, m):
+    """Eigenvalues (low, high) of the symmetric-definite pencil a x = lam m x.
+
+    The pencil is reduced to the symmetric C = L^{-1} a L^{-T} by the
+    Cholesky factor L of m, whose eigenvalues are mid -+ rad.  Only the
+    lower triangles of a and m are read.
+    """
+    a11, _, a21, a22 = entries(a)
+    l11, _, l21, l22 = entries(cholesky(m))
+    # y = L^{-1} a, then C = y L^{-T}, row by row
+    y11, y12 = a11 / l11, a21 / l11
+    y22 = (a22 - l21 * y12) / l22
+    c11 = y11 / l11
+    c21 = (a21 - l21 * y11) / (l11 * l22)
+    c22 = (y22 - l21 * c21) / l22
+    mid = 0.5 * (c11 + c22)
+    half = 0.5 * (c11 - c22)
+    rad = np.sqrt(half * half + c21 * c21)
+    return mid - rad, mid + rad
+
+
 def singular_values(m):
     """(largest, smallest) singular value, from |m|_F^2 and |det m|."""
     a, b, c, d = entries(m)

@@ -20,9 +20,9 @@ Chart points may carry leading batch axes, u of shape (..., 2): the
 built-in evaluators and fields, ``embedding_data_at`` and the curvature,
 Christoffel and Codazzi layers map over them and return results with the
 same leading axes, each point bit for bit equal to the call on that point
-alone.  A user-supplied evaluator or field is only ever called with points
-of the shape its caller passed in.  ``principal_curvatures`` and
-``convexity_class`` take the data of one point.
+alone.  ``principal_curvatures`` and ``convexity_class`` take the data of
+one point or of a batch.  A user-supplied evaluator or field is only ever
+called with points of the shape its caller passed in.
 """
 from __future__ import annotations
 
@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import ads_core
-from .batch import (any_of, components, det, entries, inv, matrix,
+from .batch import (any_of, components, det, eigvalsh, entries, inv, matrix,
                     quadratic_form, vector)
 from .errors import ConfigError, ConvexityError, DegenerateDataError, DomainError
 from .fd import DEFAULT_DIFF, DiffConfig, d1, d2, gradient
@@ -409,9 +408,9 @@ def third_fundamental_form(data: EmbeddingData):
 
 
 def principal_curvatures(data: EmbeddingData):
-    """Eigenvalues of B, ascending (real since B is I-self-adjoint)."""
-    vals = scipy.linalg.eigh(data.second_form, data.I, eigvals_only=True)
-    return np.sort(vals)
+    """Eigenvalues of B, ascending along the last axis (real since B is
+    I-self-adjoint): those of the pencil (II, I), in closed form."""
+    return vector(*eigvalsh(data.second_form, data.I))
 
 
 def require_strong_convexity(B, tol: float = STRONG_CONVEXITY_TOL) -> float:
@@ -423,12 +422,17 @@ def require_strong_convexity(B, tol: float = STRONG_CONVEXITY_TOL) -> float:
     return det_b
 
 
-def convexity_class(data: EmbeddingData) -> ConvexityClass:
-    """Sign class of the principal curvatures, with margin 1e-10."""
+# convexity_class indexes this by 1 * past + 2 * future
+_CONVEXITY_CLASSES = np.array([ConvexityClass.NOT_STRONGLY_CONVEX,
+                               ConvexityClass.STRONGLY_PAST_CONVEX,
+                               ConvexityClass.STRONGLY_FUTURE_CONVEX], dtype=object)
+
+
+def convexity_class(data: EmbeddingData):
+    """Sign class of the principal curvatures, with margin 1e-10: a
+    ConvexityClass for one point, an object array of them for a batch."""
     tol = 1e-10
-    k1, k2 = principal_curvatures(data)
-    if k1 > tol and k2 > tol:
-        return ConvexityClass.STRONGLY_PAST_CONVEX
-    if k1 < -tol and k2 < -tol:
-        return ConvexityClass.STRONGLY_FUTURE_CONVEX
-    return ConvexityClass.NOT_STRONGLY_CONVEX
+    k1, k2 = components(principal_curvatures(data))
+    past = (k1 > tol) & (k2 > tol)
+    future = (k1 < -tol) & (k2 < -tol)
+    return _CONVEXITY_CLASSES[1 * past + 2 * future]

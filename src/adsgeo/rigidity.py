@@ -26,9 +26,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
+from .batch import cholesky, det, eigvalsh, inv, matrix, vector
 from .embedding import (EmbeddingData, Immersion, complex_structure,
                         exterior_covariant_derivative, require_strong_convexity)
 from .errors import DomainError
@@ -39,30 +39,32 @@ from .mess_metrics import SharpData, mess_metric, sharp_curvature, sharp_frame
 
 
 # ---------------------------------------------------------------------------
-# pointwise 2x2 algebra; the private helpers also take (N, 2, 2) stacks
+# 2x2 algebra in closed form (``batch``): one matrix or (N, 2, 2) stacks
+
+def _trace(m):
+    return np.trace(m, axis1=-2, axis2=-1)
+
 
 def _b_of_bdot(J, B, bdot):
     """b = (E + JB)^{-1} J Bdot."""
-    return np.linalg.solve(np.eye(2) + J @ B, J @ bdot)
+    return inv(np.eye(2) + J @ B) @ (J @ bdot)
 
 
 def _traces(J, B, b, bdot):
     """tr b, tr(JB b), tr((E + JB) b), tr((E + (JB)^{-1}) b), tr(B^{-1} Bdot)."""
-    def tr(m):
-        return np.trace(m, axis1=-2, axis2=-1)
-
     eye = np.eye(2)
     jb = J @ B
-    return {"tr_b": tr(b), "tr_jbb": tr(jb @ b), "tr_first": tr((eye + jb) @ b),
-            "tr_second": tr((eye + np.linalg.inv(jb)) @ b),
-            "tr_binv_bdot": tr(np.linalg.solve(B, bdot))}
+    return {"tr_b": _trace(b), "tr_jbb": _trace(jb @ b),
+            "tr_first": _trace((eye + jb) @ b),
+            "tr_second": _trace((eye + inv(jb)) @ b),
+            "tr_binv_bdot": _trace(inv(B) @ bdot)}
 
 
 def _cayley_hamilton(J, B):
     """Componentwise residual of J B = (1 + K) (J B)^{-1}, K = -1 - det B."""
     jb = J @ B
-    K = -1.0 - np.linalg.det(B)
-    return np.abs(jb - (1.0 + K)[..., None, None] * np.linalg.inv(jb)).max(axis=(-2, -1))
+    K = -1.0 - det(B)
+    return np.abs(jb - (1.0 + K)[..., None, None] * inv(jb)).max(axis=(-2, -1))
 
 
 def b_from_bdot(data: EmbeddingData, bdot):
@@ -94,7 +96,7 @@ def trace_conditions(data: EmbeddingData, bdot=None, b=None) -> dict:
         b = np.asarray(b, dtype=float)
         bdot = -data.J @ (np.eye(2) + data.J @ data.B) @ b
     t = {k: float(v) for k, v in _traces(data.J, data.B, b, bdot).items()}
-    t["cayley_hamilton"] = float(_cayley_hamilton(data.J[None], data.B[None])[0])
+    t["cayley_hamilton"] = float(_cayley_hamilton(data.J, data.B))
     # (b1, b2) = L (b4, b5) with L = [[1, 1], [1, 1/(1+K)]], K < -1
     K = -1.0 - det_b
     mixed = np.array([t["tr_b"] + t["tr_jbb"], t["tr_b"] + t["tr_jbb"] / (1.0 + K)])
@@ -106,7 +108,7 @@ def trace_conditions(data: EmbeddingData, bdot=None, b=None) -> dict:
 def cayley_hamilton_residual(data: EmbeddingData) -> float:
     """Componentwise residual of J B = (1 + K) (J B)^{-1}, K = -1 - det B."""
     require_strong_convexity(data.B)
-    return float(_cayley_hamilton(data.J[None], data.B[None])[0])
+    return float(_cayley_hamilton(data.J, data.B))
 
 
 def variation_formula_residual(data: EmbeddingData, bdot) -> float:
@@ -126,27 +128,34 @@ def variation_formula_residual(data: EmbeddingData, bdot) -> float:
 
 def random_convex_pairs(rng, n: int):
     """n random (I, B, Bdot) as (n, 2, 2) stacks: I SPD, B I-self-adjoint
-    with principal curvatures drawn from [0.3, 2.5), Bdot I-self-adjoint
+    with principal curvatures uniform on [0.3, 2.5], Bdot I-self-adjoint
     with tr(B^{-1} Bdot) projected to zero.
 
-    The draws are taken pair by pair, so the first m pairs do not depend
-    on n; the algebra is one pass over the stacks.
+    One rng call draws an (n, 14) array of standard normals, filled row by
+    row; pair i reads row i only, so the first m pairs do not depend on n.
+    A row holds a Gaussian 2x2 a, with I = a^T a + E/2; a Gaussian 2-vector
+    g, the direction of the first eigenvector of L^T B L^{-T} (L the
+    Cholesky factor of I); a Gaussian 2x2 s, with Bdot built from
+    I^{-1} (s + s^T); and two pairs of normals z, each giving a curvature
+    0.3 + 2.2 exp(-|z|^2 / 2), as exp(-|z|^2 / 2) is uniform on (0, 1].
     """
-    a, g, s = (np.empty((n, 2, 2)) for _ in range(3))
-    k = np.empty((n, 2))
-    for i in range(n):
-        a[i] = rng.standard_normal((2, 2))
-        k[i] = rng.uniform(0.3, 2.5, size=2)
-        g[i] = rng.standard_normal((2, 2))
-        s[i] = rng.standard_normal((2, 2))
+    z = rng.standard_normal((n, 14))
+    a = z[:, 0:4].reshape(n, 2, 2)
+    g = z[:, 4:6]
+    s = z[:, 6:10].reshape(n, 2, 2)
+    z1, z2 = z[:, 10:12], z[:, 12:14]
+    k1, k2 = (0.3 + 2.2 * np.exp(-0.5 * (z1 * z1 + z2 * z2))).T
+    # d = Q diag(k1, k2) Q^T for the rotation Q = [[c, -sn], [sn, c]] whose
+    # first column is g / |g| (Gram-Schmidt on g and its quarter turn)
+    r = np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1])
+    c, sn = g[:, 0] / r, g[:, 1] / r
+    off = (k1 - k2) * c * sn
+    d = matrix(k1 * c * c + k2 * sn * sn, off, off, k1 * sn * sn + k2 * c * c)
     I = np.swapaxes(a, -1, -2) @ a + 0.5 * np.eye(2)
-    Lt = np.swapaxes(np.linalg.cholesky(I), -1, -2)
-    q, _ = np.linalg.qr(g)
-    d = (q @ (k[:, None, :] * np.eye(2))) @ np.swapaxes(q, -1, -2)
-    B = np.linalg.solve(Lt, d @ Lt)
-    bdot0 = np.linalg.solve(I, s + np.swapaxes(s, -1, -2))
-    tr = np.trace(np.linalg.solve(B, bdot0), axis1=-2, axis2=-1)
-    bdot = bdot0 - (0.5 * tr)[:, None, None] * B
+    lt = np.swapaxes(cholesky(I), -1, -2)
+    B = inv(lt) @ d @ lt
+    bdot0 = inv(I) @ (s + np.swapaxes(s, -1, -2))
+    bdot = bdot0 - (0.5 * _trace(inv(B) @ bdot0))[:, None, None] * B
     return I, B, bdot
 
 
@@ -254,20 +263,23 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
 # the operator J B J#
 
 def jbj_sharp(data: EmbeddingData):
-    """(J B J#, eigenvalues ascending, I#-self-adjointness residual).
+    """(J B J#, eigenvalues ascending, I#-self-adjointness residual), with
+    the leading batch axes of the data.
 
     Eigenvalues are the negated principal curvatures; negative definiteness
     holds exactly on the strongly past-convex side of the paper's lemma.
+    They are those of the pencil (I# J B J#, I#), in closed form
+    (``batch.eigvalsh``).
     """
     require_strong_convexity(data.B)
     a = np.eye(2) + data.J @ data.B
-    j_sharp = np.linalg.solve(a, data.J @ a)
+    j_sharp = inv(a) @ (data.J @ a)
     op = data.J @ data.B @ j_sharp
     i_sharp = mess_metric(data, +1)
     sym = i_sharp @ op
-    selfadj = float(np.abs(sym - sym.T).max())
-    eigs = np.sort(scipy.linalg.eigh(0.5 * (sym + sym.T), i_sharp,
-                                     eigvals_only=True))
+    sym_t = np.swapaxes(sym, -1, -2)
+    selfadj = np.abs(sym - sym_t).max(axis=(-2, -1))
+    eigs = vector(*eigvalsh(0.5 * (sym + sym_t), i_sharp))
     return op, eigs, selfadj
 
 
@@ -298,7 +310,7 @@ def check_rigidity_parameter(s: float):
 
 def rigidity_operator(mesh: Genus2Mesh, s: float) -> RigidityOperator:
     check_rigidity_parameter(s)
-    ops = discrete_operators(mesh, scale=1.0)
+    ops = discrete_operators(mesh)
     t = float(np.tan(abs(s)))
     matrix = (t * (-ops.stiffness - 2.0 * ops.mass)).tocsr()
     return RigidityOperator(matrix=matrix, mass=ops.mass, tan_abs_s=t)

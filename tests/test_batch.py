@@ -1,10 +1,13 @@
 """The batch axis: a layer called once on an (N, 2) stack of chart points,
 or a hyperboloid helper on a (3, N) stack of points, returns for each point
-the bits of the same call on that point alone."""
+the bits of the same call on that point alone.  The closed-form 2x2 algebra
+behind the batches is checked against LAPACK."""
 import numpy as np
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from adsgeo import batch as bat
 from adsgeo import constructions as con
 from adsgeo import embedding as emb
 from adsgeo import fuchsian as fu
@@ -29,6 +32,10 @@ schemes = st.builds(FDScheme, st.floats(1e-3, 5e-2), st.booleans())
 triangle_corners = st.lists(
     st.tuples(*[st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))] * 3),
     min_size=1, max_size=6)
+# entries on a 0.01 grid: no underflow, so relative errors stay meaningful
+square = st.lists(st.integers(-300, 300).map(lambda i: i / 100.0),
+                  min_size=4, max_size=4).map(lambda x: np.reshape(x, (2, 2)))
+pencils = st.lists(st.tuples(square, square), min_size=1, max_size=8)
 extension_points = st.lists(st.tuples(coordinate, coordinate, st.floats(-1.4, 0.0)),
                             min_size=1, max_size=3).map(np.array)
 
@@ -115,6 +122,60 @@ def test_convex_pairs_match_successive_draws(seed, n):
     rows = [[m[0] for m in rig.random_convex_pairs(rng, 1)] for _ in range(n)]
     for k in range(3):
         assert_rows_equal(batch[k], [r[k] for r in rows])
+
+
+@CHECKS
+@given(st.integers(0, 2 ** 31), st.integers(1, 50))
+def test_convex_pairs_properties(seed, n):
+    # LAPACK as the independent reference for the closed-form sampler
+    I, B, bdot = rig.random_convex_pairs(np.random.default_rng(seed), n)
+    assert np.array_equal(I, np.swapaxes(I, -1, -2))
+    assert (np.linalg.eigvalsh(I) > 0.0).all()
+    for m in (B, bdot):
+        im = I @ m
+        assert np.abs(im - np.swapaxes(im, -1, -2)).max() <= 1e-12
+    k = np.linalg.eigvals(B)
+    assert np.abs(np.imag(k)).max() == 0.0
+    assert ((0.3 <= np.real(k)) & (np.real(k) <= 2.5)).all()
+    assert np.abs(np.trace(np.linalg.solve(B, bdot), axis1=-2, axis2=-1)).max() <= 1e-13
+
+
+@CHECKS
+@given(pencils)
+def test_eigvalsh_rows_match_lapack(pairs):
+    # symmetric a against SPD m; errors relative to the largest eigenvalue
+    a = np.array([g + g.T for g, _ in pairs])
+    m = np.array([h @ h.T + np.eye(2) for _, h in pairs])
+    lo, hi = bat.eigvalsh(a, m)
+    for k in range(len(pairs)):
+        ref = scipy.linalg.eigh(a[k], m[k], eigvals_only=True)
+        assert np.abs([lo[k] - ref[0], hi[k] - ref[1]]).max() <= 1e-12 * np.abs(ref).max()
+    rows = [bat.eigvalsh(x, y) for x, y in zip(a, m)]
+    assert_rows_equal(lo, [r[0] for r in rows])
+    assert_rows_equal(hi, [r[1] for r in rows])
+
+
+def test_eigvalsh_umbilic():
+    # a = lam m: one double eigenvalue, no NaN from the vanishing radius
+    assert bat.eigvalsh(np.eye(2), np.eye(2)) == (1.0, 1.0)
+    m = np.array([[2.0, 0.3], [0.3, 0.5]])
+    lo, hi = bat.eigvalsh(-0.7 * m, m)
+    assert lo <= hi
+    assert abs(lo + 0.7) <= 1e-15 and abs(hi + 0.7) <= 1e-15
+
+
+@CHECKS
+@given(surfaces, chart_points)
+def test_curvature_spectrum_rows(surface, pts):
+    batch = emb.embedding_data_at(surface, pts)
+    rows = [emb.embedding_data_at(surface, u) for u in pts]
+    assert_rows_equal(emb.principal_curvatures(batch),
+                      [emb.principal_curvatures(r) for r in rows])
+    assert list(emb.convexity_class(batch)) == [emb.convexity_class(r) for r in rows]
+    jbj = rig.jbj_sharp(batch)
+    singles = [rig.jbj_sharp(r) for r in rows]
+    for k in range(3):
+        assert_rows_equal(jbj[k], [s[k] for s in singles])
 
 
 @CHECKS
