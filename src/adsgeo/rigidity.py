@@ -23,7 +23,7 @@ generalized eigenvalues.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -299,6 +299,7 @@ class RigidityOperator:
     matrix: scipy.sparse.csr_matrix
     mass: scipy.sparse.csr_matrix
     tan_abs_s: float
+    elimination_order: np.ndarray = field(repr=False)
 
 
 def check_rigidity_parameter(s: float):
@@ -313,12 +314,13 @@ def rigidity_operator(mesh: Genus2Mesh, s: float) -> RigidityOperator:
     ops = discrete_operators(mesh)
     t = float(np.tan(abs(s)))
     matrix = (t * (-ops.stiffness - 2.0 * ops.mass)).tocsr()
-    return RigidityOperator(matrix=matrix, mass=ops.mass, tan_abs_s=t)
+    return RigidityOperator(matrix=matrix, mass=ops.mass, tan_abs_s=t,
+                            elimination_order=ops.elimination_order)
 
 
 def rigidity_spectrum(op: RigidityOperator, k: int = 6, seed: int = 0):
     """Smallest-magnitude generalized eigenvalues of (matrix, mass)."""
-    return generalized_eigs(op.matrix, op.mass, k=k, seed=seed)
+    return generalized_eigs(op.matrix, op.mass, op.elimination_order, k=k, seed=seed)
 
 
 def kernel_dimension(eigs) -> float:

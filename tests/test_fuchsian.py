@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from adsgeo import fuchsian as fu
 from adsgeo.errors import DomainError, MeshResourceError
@@ -186,6 +187,50 @@ def test_mesh_export_roundtrip(tmp_path):
         assert (h1, h2) in mesh.boundary_pairs or (h2, h1) in mesh.boundary_pairs
 
 
+def _vertex_tiers(mesh):
+    """Dissection tier of each vertex, from the geometry of the coarser
+    meshes alone: 0 on the octagon sides and even spokes, 1 on the odd
+    spokes, j + 1 on the edges of the level-j mesh for j >= 1.  Every
+    vertex is a corner or an edge midpoint of the mesh one level down, so
+    none has a tier above the mesh level."""
+    tiers = np.full(len(mesh.vertices), mesh.level)
+    for j in range(max(mesh.level - 2, 0), -1, -1):
+        coarse = fu.genus2_mesh(j)
+        tri = coarse.triangles
+        edges = np.unique(np.sort(np.concatenate(
+            [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1), axis=0)
+        for a, b in edges:
+            pa, pb = coarse.vertices[a], coarse.vertices[b]
+            # on the geodesic segment [pa, pb]: the triangle inequality is tight
+            gap = (fu.hyp_dist(pa[:, None], mesh.vertices.T)
+                   + fu.hyp_dist(mesh.vertices.T, pb[:, None]) - fu.hyp_dist(pa, pb))
+            odd_spoke = j == 0 and a == 0 and b % 2 == 0
+            on = gap < 1e-9
+            tiers[on] = np.minimum(tiers[on], j + 1 if j or odd_spoke else 0)
+    return tiers
+
+
+@pytest.mark.parametrize("level", [1, 3, 5])
+def test_elimination_order_is_nested_dissection(level):
+    mesh = fu.genus2_mesh(level)
+    tiers = np.full(mesh.n_classes, level + 1)
+    np.minimum.at(tiers, mesh.vertex_class, _vertex_tiers(mesh))
+    order = mesh.elimination_order
+    assert np.array_equal(np.sort(order), np.arange(mesh.n_classes))
+    assert (np.diff(tiers[order]) <= 0).all()
+
+
+def test_elimination_order_fills_less_than_colamd():
+    ops = fu.discrete_operators(fu.genus2_mesh(5))
+    a = (ops.stiffness + ops.mass).tocsc()
+    order = ops.elimination_order
+    nested = scipy.sparse.linalg.splu(a[order][:, order], permc_spec="NATURAL",
+                                      diag_pivot_thresh=0.0,
+                                      options=dict(SymmetricMode=True))
+    colamd = scipy.sparse.linalg.splu(a)
+    assert nested.L.nnz + nested.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
 # ---------------------------------------------------------------------------
 # discrete operators
 
@@ -245,3 +290,14 @@ def test_dirichlet_energy_nonnegative(rng):
     for _ in range(10):
         x = rng.standard_normal(ops.n)
         assert x @ (ops.stiffness @ x) >= -1e-10
+
+
+def test_laplace_eigenvalues_sparse_path():
+    ops = fu.discrete_operators(fu.genus2_mesh(5))
+    assert ops.n >= fu.DENSE_EIG_LIMIT
+    vals = fu.laplace_eigenvalues(ops, k=6, seed=3)
+    # reference: scipy's own shift-invert of (S, M) about -1, COLAMD order
+    v0 = np.random.default_rng(3).standard_normal(ops.n)
+    ref = np.sort(scipy.sparse.linalg.eigsh(ops.stiffness, k=6, M=ops.mass, sigma=-1.0,
+                                            v0=v0, return_eigenvectors=False))
+    assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()

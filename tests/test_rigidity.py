@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from adsgeo import embedding as emb
 from adsgeo import fuchsian as fu
@@ -308,6 +309,19 @@ def test_rigidity_spectrum_matches_laplace_transform():
     lam = fu.laplace_eigenvalues(fu.discrete_operators(mesh), k=4)
     expected = np.sort(op.tan_abs_s * (lam + 2.0))
     assert np.allclose(spec, expected, rtol=1e-8)
+
+
+def test_rigidity_spectrum_sparse_path():
+    op = rig.rigidity_operator(fu.genus2_mesh(5), -0.7)
+    n = op.matrix.shape[0]
+    assert n >= fu.DENSE_EIG_LIMIT
+    spectrum = rig.rigidity_spectrum(op, k=6, seed=2)
+    # reference: scipy's own shift-invert about 0, COLAMD order
+    v0 = np.random.default_rng(2).standard_normal(n)
+    ref = scipy.sparse.linalg.eigsh(op.matrix, k=6, M=op.mass, sigma=0.0, v0=v0,
+                                    return_eigenvectors=False)
+    ref = ref[np.argsort(np.abs(ref), kind="stable")]
+    assert np.abs(spectrum - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_kernel_dimension_rule():
