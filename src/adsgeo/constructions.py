@@ -28,10 +28,11 @@ from .batch import any_of, det, inv, singular_values
 from .embedding import (NORMAL_FLOOR, EmbeddingData, Immersion,
                         brioschi_curvature, christoffel_symbols,
                         embedding_data_at, family_immersion, gaussian_curvature,
-                        metric_field, normal_field, require_strong_convexity,
-                        third_fundamental_form)
+                        metric_and_normal, metric_field, normal_field,
+                        require_strong_convexity, third_fundamental_form)
 from .errors import DegenerateDataError, DomainError, FocalPointError
-from .fd import DEFAULT_DIFF, DiffConfig, FDScheme, d2, gradient
+from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, jet, jet_partials, jet_shifts,
+                 jet_stencil)
 
 # the umbilic family fixture (constant-curvature equidistants)
 fuchsian_family = family_immersion
@@ -106,6 +107,9 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
     * ``curvature_independent`` (optional): Brioschi curvature of the
       twice-differenced dual metric field against the formula.  Three nested
       difference layers cap its accuracy near 1e-3.
+
+    The dual immersion F* is differenced once, for both its induced metric
+    and its normal (the dual of the dual); F*(u) is the base normal data.n.
     """
     u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, u, cfg=cfg)
@@ -113,14 +117,13 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
     dual = dual_data_pointwise(data, K=k_measured)
 
     fstar = dual_immersion(immersion, cfg)
-    gstar = metric_field(fstar, cfg)
-    metric_resid = np.abs(gstar(u) - dual.I_star).max(axis=(-2, -1))
+    i_star, ddual_point = metric_and_normal(fstar.evaluator, u, data.n, cfg.inner)
+    metric_resid = np.abs(i_star - dual.I_star).max(axis=(-2, -1))
 
     k_star_gauss = -1.0 - det(dual.B_star)
     consistency_resid = np.abs(k_star_gauss - dual.K_star)
 
-    ddual_point = normal_field(fstar, cfg)(u)
-    antipode = -np.asarray(immersion(u), dtype=float)
+    antipode = -data.point
     involution_resid = np.minimum(np.abs(ddual_point - antipode).max(axis=-1),
                                   np.abs(ddual_point + antipode).max(axis=-1))
     diagnostics = {
@@ -129,7 +132,7 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
         "involution": involution_resid,
     }
     if independent_curvature:
-        k_dual_measured = brioschi_curvature(gstar, u, cfg.field)
+        k_dual_measured = brioschi_curvature(metric_field(fstar, cfg), u, cfg.field)
         diagnostics["curvature_independent"] = np.abs(k_dual_measured - dual.K_star)
     return dual, diagnostics
 
@@ -152,8 +155,10 @@ def equidistant_data(I, B, s: float):
     sn = np.sin(s)[..., None, None]
     a = cs * np.eye(2) + sn * B
     scale = 1.0 + np.abs(B).max(axis=(-2, -1))
-    if any_of(singular_values(a)[1] <= 1e-8 * scale):
-        raise FocalPointError(f"focal point at s = {s}: cos(s) E + sin(s) B singular")
+    focal = singular_values(a)[1] <= 1e-8 * scale
+    if any_of(focal):
+        first = np.ravel(np.broadcast_to(s, np.shape(focal)))[np.argmax(focal)]
+        raise FocalPointError(f"focal point at s = {first}: cos(s) E + sin(s) B singular")
     c = cs * B - sn * np.eye(2)
     return np.swapaxes(a, -1, -2) @ I @ a, inv(a) @ c
 
@@ -173,17 +178,26 @@ class ExtensionMetric:
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
-        u, s = p[..., :2], p[..., 2]
+        self._require_inside(p[..., 2])
+        data = embedding_data_at(self.immersion, p[..., :2], cfg=self.cfg)
+        return _extension_block(data.I, data.B, p[..., 2])
+
+    def _require_inside(self, s):
         inside = (self.s_range[0] < s) & (s <= self.s_range[1] + 1e-12)
         if any_of(~inside):
             raise DomainError(f"extension parameter s = {np.ravel(s)[np.argmin(inside)]} "
                               f"outside {self.s_range}")
-        data = embedding_data_at(self.immersion, u, cfg=self.cfg)
-        g_s, _ = equidistant_data(data.I, data.B, s)
-        h = np.zeros(p.shape[:-1] + (3, 3))
-        h[..., :2, :2] = g_s
-        h[..., 2, 2] = -1.0
-        return h
+
+
+def _extension_block(I, B, s):
+    """diag(I_s, -1) from the embedding data (I, B) of the chart points and
+    the parameters s, of one batch shape: the one assembly of the
+    extension metric."""
+    g_s, _ = equidistant_data(I, B, s)
+    h = np.zeros(np.shape(s) + (3, 3))
+    h[..., :2, :2] = g_s
+    h[..., 2, 2] = -1.0
+    return h
 
 
 def extension_metric(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF,
@@ -204,22 +218,23 @@ _COMPONENTS = tuple(np.array(ix) for ix in zip(*[
 def riemann_constant_curvature_residual(metric, p, scheme: FDScheme):
     """Relative residual of R_abcd + (h_ac h_bd - h_ad h_bc) at points p.
 
-    ``metric`` is any callable p -> 3x3 symmetric matrix, called with points
-    of the shape p has; derivatives are taken componentwise by central
-    differences.  The maximum over the six independent components is
-    normalized by the squared Frobenius norm of h.  Every sum over an index
-    runs in index order.
+    ``metric`` is any callable p -> 3x3 symmetric matrix, called once per
+    point of ``fd.jet``'s stencil with points of the shape p has;
+    derivatives are taken componentwise by central differences.  The maximum
+    over the six independent components is normalized by the squared
+    Frobenius norm of h.  Every sum over an index runs in index order.
     """
-    p = np.asarray(p, dtype=float)
-    h = np.asarray(metric(p), dtype=float)
+    return _curvature_residual(*jet(metric, p, scheme))
+
+
+def _curvature_residual(h, d, dd):
+    """The residual of ``riemann_constant_curvature_residual`` from the
+    ``fd.jet`` of the metric: h, d[a] = d_a h and dd[a, b] = d_a d_b h."""
+    h = np.asarray(h, dtype=float)
     h_inv = np.linalg.inv(h)
-    dh = gradient(metric, p, scheme)               # dh[..., a, :, :] = d_a h
-    ddh = np.empty(h.shape[:-2] + (3, 3, 3, 3))    # ddh[..., a, b, :, :]
-    for a in range(3):
-        for b in range(a, 3):
-            v = d2(metric, p, a, b, scheme, f0=h)
-            ddh[..., a, b, :, :] = v
-            ddh[..., b, a, :, :] = v
+    batch = h.ndim - 2
+    dh = np.stack(list(d), axis=batch)             # dh[..., a, :, :] = d_a h
+    ddh = np.ascontiguousarray(np.moveaxis(dd, (0, 1), (batch, batch + 1)))
 
     gamma = christoffel_symbols(h_inv, dh)         # gamma[..., c, a, b]
     # dgamma[..., e, c, a, b] = d_e Gamma^c_ab, the product rule applied to
@@ -248,7 +263,12 @@ def riemann_constant_curvature_residual(metric, p, scheme: FDScheme):
 def extension_curvature(ext: ExtensionMetric, p):
     """Constant-curvature residual of the extension metric at interior
     points, differenced with step 1e-2 and Richardson; errors out when the
-    stencil of any point would leave the s-range."""
+    stencil of any point would leave the s-range.
+
+    The metric at each of the 37 points of the 3-D stencil is assembled
+    from the embedding data at its chart point (u1, u2).  Those are the 17
+    points of the 2-D stencil at u, one embedding-data call each.
+    """
     scheme = FDScheme(step=1e-2, richardson=True)
     p = np.asarray(p, dtype=float)
     lo, hi = ext.s_range
@@ -257,7 +277,16 @@ def extension_curvature(ext: ExtensionMetric, p):
     if any_of(~inside):
         raise DomainError(f"stencil of half-width {scheme.step} leaves s-range "
                           f"at s = {np.ravel(s)[np.argmin(inside)]}")
-    return riemann_constant_curvature_residual(ext, p, scheme)
+    s_points = jet_stencil(p, scheme)[..., 2]
+    ext._require_inside(s_points)
+    data = [embedding_data_at(ext.immersion, w, cfg=ext.cfg)
+            for w in jet_stencil(p[..., :2], scheme)]
+    # each 3-D stencil point sits over the 2-D one with its shifts of u1, u2
+    chart = {shift: k for k, shift in enumerate(jet_shifts(2, scheme))}
+    over = [chart[tuple(c for c in shift if c[0] < 2)] for shift in jet_shifts(3, scheme)]
+    h = _extension_block(np.stack([data[k].I for k in over]),
+                         np.stack([data[k].B for k in over]), s_points)
+    return _curvature_residual(*jet_partials(h, scheme))
 
 
 # ---------------------------------------------------------------------------

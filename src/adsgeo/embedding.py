@@ -22,7 +22,9 @@ Christoffel and Codazzi layers map over them and return results with the
 same leading axes, each point bit for bit equal to the call on that point
 alone.  ``principal_curvatures`` and ``convexity_class`` take the data of
 one point or of a batch.  A user-supplied evaluator or field is only ever
-called with points of the shape its caller passed in.
+called with points of the shape its caller passed in, with one exception:
+``rigidity.exterior_derivative_identities`` hands the immersion's evaluator
+its whole nested stencil, shape (9, 9, 2), through ``sharp_frame``.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from . import ads_core
 from .batch import (any_of, components, det, eigvalsh, entries, inv, matrix,
                     quadratic_form, vector)
 from .errors import ConfigError, ConvexityError, DegenerateDataError, DomainError
-from .fd import DEFAULT_DIFF, DiffConfig, d1, d2, gradient
+from .fd import DEFAULT_DIFF, DiffConfig, gradient, jet, partials
 
 MAX_METRIC_CONDITION = 1e6
 STRONG_CONVEXITY_TOL = 1e-8
@@ -137,9 +139,9 @@ def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
             f"eigenvalues {small[worst]:.3e}, {big[worst]:.3e} at r = {r[worst]:.3f}")
 
     def ev(u):
-        x, y = components(u)
+        # y1, y2 are the chart coordinates, split from u once
         y1, y2, y3 = components(hyperboloid_point(u))
-        t = base + amplitude * np.exp(-(x * x + y * y) / (2.0 * width * width))
+        t = base + amplitude * np.exp(-(y1 * y1 + y2 * y2) / (2.0 * width * width))
         c = np.cos(t)
         return vector(c * y1, c * y2, c * y3, np.sin(t))
 
@@ -237,8 +239,7 @@ def _unit_future_normal(point, f1, f2):
 
 def _induced_metric(f, u, scheme):
     """I = <dF, dF> of the evaluator f at u, with the tangents dF/du1, dF/du2."""
-    f1 = d1(f, u, 0, scheme)
-    f2 = d1(f, u, 1, scheme)
+    f1, f2 = partials(f, u, scheme)
     g12 = ads_core.bilinear22(f1, f2)
     return (matrix(ads_core.bilinear22(f1, f1), g12, g12, ads_core.bilinear22(f2, f2)),
             f1, f2)
@@ -266,11 +267,14 @@ def embedding_data_at(immersion: Immersion, u,
     II is assembled from symmetric stencils, so B = I^{-1} II is
     I-self-adjoint to rounding; raises when any point leaves the quadric
     (|<F, F> + 1| > 1e-8) or has a non-spacelike or ill-conditioned induced
-    metric.
+    metric.  The evaluator is called at the 17 points of the second-order
+    stencil (``fd.jet``, step ``cfg.inner2``), whose centre gives the
+    point, and at the 8 of the first-order one (step ``cfg.inner``).
     """
     u = np.asarray(u, dtype=float)
     f = immersion.evaluator
-    point = np.asarray(f(u), dtype=float)
+    point, _, dd = jet(f, u, cfg.inner2)
+    point = np.asarray(point, dtype=float)
     if any_of(np.abs(ads_core.bilinear22(point, point) + 1.0) > 1e-8):
         raise DomainError("immersion leaves the quadric at this chart point")
 
@@ -278,14 +282,18 @@ def embedding_data_at(immersion: Immersion, u,
     _require_spacelike(I)
     n = _unit_future_normal(point, f1, f2)
 
-    sch2 = cfg.inner2
-    f11 = d2(f, u, 0, 0, sch2, f0=point)
-    f22 = d2(f, u, 1, 1, sch2, f0=point)
-    f12 = d2(f, u, 0, 1, sch2, f0=point)
-    h12 = ads_core.bilinear22(n, f12)
-    II = matrix(ads_core.bilinear22(n, f11), h12, h12, ads_core.bilinear22(n, f22))
+    h12 = ads_core.bilinear22(n, dd[0, 1])
+    II = matrix(ads_core.bilinear22(n, dd[0, 0]), h12, h12, ads_core.bilinear22(n, dd[1, 1]))
     return EmbeddingData(u=u, point=point, I=I, B=inv(I) @ II,
                          J=complex_structure(I), n=n)
+
+
+def metric_and_normal(f, u, point, scheme):
+    """(I, n) of the evaluator f at chart points u, from one first-difference
+    stencil: the induced metric and the future unit normal at ``point``,
+    which is f(u)."""
+    I, f1, f2 = _induced_metric(f, u, scheme)
+    return I, _unit_future_normal(point, f1, f2)
 
 
 def metric_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
@@ -312,7 +320,7 @@ def normal_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
 
     def nf(u):
         point = np.asarray(f(u), dtype=float)
-        return _unit_future_normal(point, d1(f, u, 0, sch), d1(f, u, 1, sch))
+        return _unit_future_normal(point, *partials(f, u, sch))
 
     return nf
 
@@ -320,16 +328,16 @@ def normal_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
 def brioschi_curvature(g_field, u, scheme):
     """Gaussian curvature of a chart metric field by the Brioschi formula.
 
-    The two 3x3 determinants are expanded along their first rows.
+    The field is called once per point of ``fd.jet``'s stencil.  The two 3x3
+    determinants are expanded along their first rows.
     """
-    u = np.asarray(u, dtype=float)
-    g0 = np.asarray(g_field(u), dtype=float)
+    g0, dg, ddg = jet(g_field, u, scheme)
     E, F, _, G = entries(g0)
-    E_u, F_u, _, G_u = entries(d1(g_field, u, 0, scheme))
-    E_v, F_v, _, G_v = entries(d1(g_field, u, 1, scheme))
-    E_vv = entries(d2(g_field, u, 1, 1, scheme, f0=g0))[0]
-    G_uu = entries(d2(g_field, u, 0, 0, scheme, f0=g0))[3]
-    F_uv = entries(d2(g_field, u, 0, 1, scheme, f0=g0))[1]
+    E_u, F_u, _, G_u = entries(dg[0])
+    E_v, F_v, _, G_v = entries(dg[1])
+    E_vv = entries(ddg[1, 1])[0]
+    G_uu = entries(ddg[0, 0])[3]
+    F_uv = entries(ddg[0, 1])[1]
 
     # m1 = [[a, b, c], [d, E, F], [e, F, G]], m2 = [[0, p, q], [p, E, F], [q, F, G]]
     a = -0.5 * E_vv + F_uv - 0.5 * G_uu
@@ -381,25 +389,41 @@ def exterior_covariant_derivative(gamma, x, dx1, dx2):
     return vec
 
 
-def codazzi_residual_fields(g_field, b_field, u, scheme):
-    """|d^D B (d1, d2)|_I for arbitrary metric / shape-operator fields."""
-    u = np.asarray(u, dtype=float)
-    gamma = christoffels(g_field, u, scheme)
-    b = np.asarray(b_field(u), dtype=float)
-    vec = exterior_covariant_derivative(gamma, b, d1(b_field, u, 0, scheme),
-                                        d1(b_field, u, 1, scheme))
-    I = np.asarray(g_field(u), dtype=float)
+def codazzi_norm(gamma, x, dx, I):
+    """|d^D X (d1, d2)|_I of an operator field X, from the Christoffel symbols
+    of D, X at the point, its partials dx[..., i, :, :] = d_i X (the layout
+    of ``fd.gradient``) and the metric I at the point."""
+    vec = exterior_covariant_derivative(gamma, x, dx[..., 0, :, :], dx[..., 1, :, :])
     return np.sqrt(np.maximum(quadratic_form(vec, I), 0.0))
 
 
+def codazzi_residual_fields(g_field, b_field, u, scheme):
+    """|d^D B (d1, d2)|_I for arbitrary metric / shape-operator fields."""
+    u = np.asarray(u, dtype=float)
+    I = np.asarray(g_field(u), dtype=float)
+    gamma = christoffel_symbols(inv(I), gradient(g_field, u, scheme))
+    b = np.asarray(b_field(u), dtype=float)
+    return codazzi_norm(gamma, b, gradient(b_field, u, scheme), I)
+
+
 def structure_residuals(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
-    """(gauss, codazzi) residuals: K + 1 + det B and |d^D B|_I."""
+    """(gauss, codazzi) residuals: K + 1 + det B and |d^D B|_I.
+
+    The partials of I and of B share one embedding-data call per field-step
+    stencil point, as in ``mess_metrics.sharp_frame``.
+    """
+    u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, u, cfg=cfg)
     K = gaussian_curvature(immersion, u, cfg=cfg)
     gauss = K + 1.0 + det(data.B)
-    codazzi = codazzi_residual_fields(metric_field(immersion, cfg),
-                                      shape_field(immersion, cfg), u, cfg.field)
-    return gauss, codazzi
+
+    def metric_and_shape(w):
+        d = embedding_data_at(immersion, w, cfg=cfg)
+        return np.stack([d.I, d.B], axis=-3)
+
+    dfields = gradient(metric_and_shape, u, cfg.field)
+    gamma = christoffel_symbols(inv(data.I), dfields[..., 0, :, :])
+    return gauss, codazzi_norm(gamma, data.B, dfields[..., 1, :, :], data.I)
 
 
 def third_fundamental_form(data: EmbeddingData):

@@ -6,12 +6,24 @@ points may carry leading batch axes, ``u`` of shape ``(..., dim)``: the
 stencils shift the last axis of the whole array and ``f`` is called once
 per stencil point with an array of the shape it was given.
 
-A field that accepts extra leading point axes can instead be called once on
-the whole first-difference stencil: ``stencil(u, scheme)`` stacks every
-point of it on a new leading axis, and ``stencil_partials`` turns the values
-there into ``f(u)`` and the first partials, through the same arithmetic as
-``d1`` and so with the same bits.  Stencils nest: ``stencil(stencil(u, s), s)``
-holds every point of a difference of a difference, for one call of a field.
+First partials come from ``partials(f, u, scheme)``, one call of ``f`` per
+shifted point of ``stencil(u, scheme)``, which stacks every point of the
+first differences on a new leading axis.  A field that accepts extra leading
+point axes can instead be called once on the whole stencil, and
+``stencil_partials`` turns the values there into ``f(u)`` and the first
+partials, through the same arithmetic and so with the same bits.  Stencils
+nest: ``stencil(stencil(u, s), s)`` holds every point of a difference of a
+difference, for one call of a field.
+
+Second partials come from one fused stencil: ``jet(f, u, scheme)`` returns
+``f(u)`` with all first and second partials and evaluates ``f`` once at each
+distinct point (17 in 2-D, 37 in 3-D with Richardson), where the second
+differences share the centre and the axis points of the first, and its
+first partials are those of ``partials``.  ``jet_stencil`` and
+``jet_partials`` split it for a caller that assembles the values at those
+points itself.  Each difference formula runs once, elementwise over all
+coordinates (or pairs of coordinates), so every point of a batch gets the
+bits of the same call on that point alone.
 
 Two default step sizes are distinguished:
 
@@ -24,6 +36,8 @@ Two default step sizes are distinguished:
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,12 +82,6 @@ class DiffConfig:
 DEFAULT_DIFF = DiffConfig()
 
 
-def _shift(u, i, h):
-    v = np.array(u, dtype=float)
-    v.T[i] += h        # coordinate i of every point (v[..., i] is slower)
-    return v
-
-
 def _offsets(scheme: FDScheme):
     """Shifts of one coordinate in a first difference: +h, -h, and with
     Richardson also +h/2, -h/2."""
@@ -93,10 +101,35 @@ def _d1_combine(values, scheme: FDScheme):
     return (4.0 * b - a) / 3.0
 
 
-def d1(f, u, i, scheme: FDScheme):
-    """First partial of ``f`` (any array-valued callable) at ``u``."""
-    return _d1_combine([np.asarray(f(_shift(u, i, s))) for s in _offsets(scheme)],
-                       scheme)
+def _d2_combine(values, f0, scheme: FDScheme):
+    """Second partial along one coordinate from f(u) and the values of
+    ``_d1_combine``: (f(+t) - 2 f(u) + f(-t)) / t^2 for each step t."""
+    h = scheme.step
+    twice = 2.0 * f0
+    a = (values[0] - twice + values[1]) / (h * h)
+    if not scheme.richardson:
+        return a
+    t = h / 2.0
+    b = (values[2] - twice + values[3]) / (t * t)
+    return (4.0 * b - a) / 3.0
+
+
+def _mixed_combine(values, scheme: FDScheme):
+    """Mixed second partial from the corners (+t, +t), (+t, -t), (-t, +t),
+    (-t, -t) of each step t: (f++ - f+- - f-+ + f--) / (4 t^2)."""
+    h = scheme.step
+    a = (values[0] - values[1] - values[2] + values[3]) / (4.0 * h * h)
+    if not scheme.richardson:
+        return a
+    t = h / 2.0
+    b = (values[4] - values[5] - values[6] + values[7]) / (4.0 * t * t)
+    return (4.0 * b - a) / 3.0
+
+
+def _shift(u, i, h):
+    v = np.array(u, dtype=float)
+    v.T[i] += h        # coordinate i of every point (v[..., i] is slower)
+    return v
 
 
 def stencil(u, scheme: FDScheme):
@@ -112,54 +145,105 @@ def stencil(u, scheme: FDScheme):
 
 def stencil_partials(values, scheme: FDScheme):
     """``(f(u), d)`` from ``values = f(stencil(u, scheme))``: ``d[i]`` has the
-    bits of ``d1(f, u, i, scheme)``."""
+    bits of ``partials(f, u, scheme)[i]``."""
     values = np.asarray(values)
     k = len(_offsets(scheme))
-    return values[0], np.stack([_d1_combine(values[1 + i * k:1 + (i + 1) * k], scheme)
-                                for i in range((len(values) - 1) // k)])
+    # values[1 + n::k] is shift n of every coordinate: one combine for all
+    return values[0], _d1_combine([values[1 + n::k] for n in range(k)], scheme)
 
 
-def _d2_plain(f, u, i, j, h, f0=None):
-    if i == j:
-        if f0 is None:
-            f0 = np.asarray(f(np.asarray(u, dtype=float)))
-        return (np.asarray(f(_shift(u, i, h))) - 2.0 * f0
-                + np.asarray(f(_shift(u, i, -h)))) / (h * h)
-    upp = _shift(_shift(u, i, h), j, h)
-    upm = _shift(_shift(u, i, h), j, -h)
-    ump = _shift(_shift(u, i, -h), j, h)
-    umm = _shift(_shift(u, i, -h), j, -h)
-    return (np.asarray(f(upp)) - np.asarray(f(upm))
-            - np.asarray(f(ump)) + np.asarray(f(umm))) / (4.0 * h * h)
-
-
-def d2(f, u, i, j, scheme: FDScheme, f0=None):
-    """Second partial (i, j) of ``f`` at ``u``; symmetric stencils."""
-    h = scheme.step
-    a = _d2_plain(f, u, i, j, h, f0=f0)
-    if not scheme.richardson:
-        return a
-    b = _d2_plain(f, u, i, j, h / 2.0, f0=f0)
-    return (4.0 * b - a) / 3.0
+def partials(f, u, scheme: FDScheme):
+    """First partials ``d[i]`` of ``f`` (any array-valued callable) at ``u``,
+    from one call of ``f`` per shifted point of ``stencil``, each with a
+    point of the shape of ``u``."""
+    u = np.asarray(u, dtype=float)
+    offsets = _offsets(scheme)
+    # shift-major, so that values[n] holds shift n of every coordinate
+    values = np.asarray([f(_shift(u, i, s)) for s in offsets for i in range(u.shape[-1])])
+    return _d1_combine(values.reshape((len(offsets), -1) + values.shape[1:]), scheme)
 
 
 def gradient(f, u, scheme: FDScheme):
     """Stack of first partials, shape batch + (dim,) + value-shape."""
-    u = np.asarray(u, dtype=float)
-    return np.stack([d1(f, u, i, scheme) for i in range(u.shape[-1])],
-                    axis=u.ndim - 1)
+    return np.stack(list(partials(f, u, scheme)), axis=np.ndim(u) - 1)
 
 
-def hessian(f, u, scheme: FDScheme):
-    """All second partials, shape batch + (dim, dim) + value-shape."""
+@functools.lru_cache(maxsize=16)
+def _jet_plan(dim: int, scheme: FDScheme):
+    """How to make each point of the second-order stencil but the centre:
+    ``(parent, i, s)``, the point ``parent`` (an index into the points so
+    far) shifted by s in coordinate i.  Built once for each (dim, scheme).
+
+    First, for each shift s of ``_offsets``, the centre shifted by s in each
+    coordinate.  Then, for each corner (+t, +t), (+t, -t), (-t, +t), (-t, -t)
+    of the step t = h, and with Richardson of t = h/2, that corner in each
+    pair of coordinates i < j, in row-major order: the point shifted in i,
+    then shifted in j.
+    """
+    offsets = _offsets(scheme)
+    axis = {(i, s): 1 + n * dim + i for n, s in enumerate(offsets) for i in range(dim)}
+    corners = [(offsets[n], offsets[m]) for t in range(0, len(offsets), 2)
+               for n, m in ((t, t), (t, t + 1), (t + 1, t), (t + 1, t + 1))]
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    return (tuple((0, i, s) for s in offsets for i in range(dim))
+            + tuple((axis[i, a], j, b) for a, b in corners for i, j in pairs))
+
+
+def jet_shifts(dim: int, scheme: FDScheme):
+    """The points of the second-order stencil in ``dim`` coordinates, each as
+    a tuple of (coordinate, shift) pairs, in the order of ``_jet_plan``,
+    after the centre ``()``.  That is 1 + k dim^2 points for k shifts per
+    coordinate: 17 in 2-D and 37 in 3-D with Richardson, each distinct."""
+    shifts = [()]
+    for parent, i, s in _jet_plan(dim, scheme):
+        shifts.append(shifts[parent] + ((i, s),))
+    return shifts
+
+
+def _jet_points(u, scheme: FDScheme):
+    """The points of ``jet_shifts`` at ``u``: ``u`` itself, then a new array
+    of its shape for each shifted point."""
+    points = [u]
+    for parent, i, s in _jet_plan(u.shape[-1], scheme):
+        v = points[parent].copy()
+        v.T[i] += s
+        points.append(v)
+    return points
+
+
+def jet_stencil(u, scheme: FDScheme):
+    """Every point of ``jet_shifts`` at ``u``, on a new leading axis."""
+    return np.stack(_jet_points(np.asarray(u, dtype=float), scheme))
+
+
+def jet_partials(values, scheme: FDScheme):
+    """``(f(u), d, dd)`` from the values of f at ``jet_stencil(u, scheme)``.
+
+    ``d[i]`` has the bits of ``partials(f, u, scheme)[i]`` and
+    ``dd[i, j] = dd[j, i]`` is the second partial (``_d2_combine`` on the
+    diagonal, ``_mixed_combine`` off it).  Each formula runs once,
+    elementwise over all coordinates or all pairs.
+    """
+    values = np.asarray(values)
+    k = len(_offsets(scheme))
+    dim = math.isqrt((len(values) - 1) // k)
+    f0 = values[0]
+    # shifted[n]: shift n of every coordinate; corners[m]: corner m of every pair
+    shifted = values[1:1 + k * dim].reshape((k, dim) + f0.shape)
+    corners = values[1 + k * dim:].reshape((2 * k, dim * (dim - 1) // 2) + f0.shape)
+    diag = _d2_combine(shifted, f0, scheme)
+    mixed = iter(_mixed_combine(corners, scheme))
+    dd = np.empty((dim, dim) + f0.shape)
+    for i in range(dim):
+        dd[i, i] = diag[i]
+        for j in range(i + 1, dim):
+            dd[i, j] = dd[j, i] = next(mixed)
+    return f0, _d1_combine(shifted, scheme), dd
+
+
+def jet(f, u, scheme: FDScheme):
+    """``(f(u), d, dd)``: the value, first partials ``d[i]`` and second
+    partials ``dd[i, j]`` of ``f`` at ``u``, from one call of ``f`` per point
+    of ``jet_shifts``, each with a point of the shape of ``u``."""
     u = np.asarray(u, dtype=float)
-    n = u.shape[-1]
-    batch = (slice(None),) * (u.ndim - 1)
-    f0 = np.asarray(f(u))
-    out = np.empty(u.shape[:-1] + (n, n) + f0.shape[u.ndim - 1:], dtype=float)
-    for i in range(n):
-        for j in range(i, n):
-            v = d2(f, u, i, j, scheme, f0=f0)
-            out[batch + (i, j)] = v
-            out[batch + (j, i)] = v
-    return out
+    return jet_partials([f(w) for w in _jet_points(u, scheme)], scheme)

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batch import any_of, det, entries, inv, quadratic_form, singular_values
-from .embedding import (EmbeddingData, Immersion, christoffel_symbols,
-                        embedding_data_at, exterior_covariant_derivative,
-                        gaussian_curvature)
+from .batch import any_of, det, entries, inv, singular_values
+from .embedding import (EmbeddingData, Immersion, christoffel_symbols, codazzi_norm,
+                        embedding_data_at, gaussian_curvature)
 from .errors import DegenerateDataError, TransferPreconditionError
 from .fd import DEFAULT_DIFF, DiffConfig, gradient
 
@@ -83,8 +82,7 @@ def sharp_frame(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
     gamma = christoffel_symbols(inv(data.I), partials[..., 0, :, :])
     codazzi = None
     if check:
-        vec = exterior_covariant_derivative(gamma, a, *np.moveaxis(da, -3, 0))
-        codazzi = np.sqrt(np.maximum(quadratic_form(vec, data.I), 0.0))
+        codazzi = codazzi_norm(gamma, a, da, data.I)
         if any_of(codazzi > TRANSFER_CODAZZI_TOL):
             worst = int(np.argmax(codazzi))
             raise TransferPreconditionError(

@@ -32,8 +32,8 @@ from .batch import cholesky, det, eigvalsh, inv, matrix, vector
 from .embedding import (EmbeddingData, Immersion, complex_structure,
                         exterior_covariant_derivative, require_strong_convexity)
 from .errors import DomainError
-from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, d1, gradient, hessian,
-                 stencil, stencil_partials)
+from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, gradient, jet, partials, stencil,
+                 stencil_partials)
 from .fuchsian import Genus2Mesh, discrete_operators, generalized_eigs
 from .mess_metrics import SharpData, mess_metric, sharp_curvature, sharp_frame
 
@@ -178,11 +178,10 @@ def b_from_mu(mu, sharp: SharpData, scheme: FDScheme):
     b = J# (-D# D# mu + mu E) and the vector field v = -J# D# mu.
 
     The covariant Hessian uses the sharp Christoffel symbols; tr(b) = 0
-    holds by algebra (J# composed with an I#-self-adjoint operator).
+    holds by algebra (J# composed with an I#-self-adjoint operator).  mu is
+    called once per point of ``fd.jet``'s stencil.
     """
-    u = sharp.u
-    dmu = gradient(mu, u, scheme)
-    ddmu = hessian(mu, u, scheme)
+    mu0, dmu, ddmu = jet(mu, sharp.u, scheme)
     hess = np.empty((2, 2))
     for i in range(2):
         for j in range(2):
@@ -191,7 +190,7 @@ def b_from_mu(mu, sharp: SharpData, scheme: FDScheme):
     # finite-difference torsion noise keeps tr(b) = 0 at rounding level
     hess = 0.5 * (hess + hess.T)
     hess_op = np.linalg.solve(sharp.I_sharp, hess)
-    b = sharp.J_sharp @ (-hess_op + float(mu(u)) * np.eye(2))
+    b = sharp.J_sharp @ (-hess_op + float(mu0) * np.eye(2))
     return b, -sharp.J_sharp @ np.linalg.solve(sharp.I_sharp, dmu)
 
 
@@ -212,8 +211,7 @@ def sharp_codazzi_residual(immersion: Immersion, b_field, u,
     frame = sharp_frame(immersion, u, cfg=cfg, check=False)
     b = np.asarray(b_field(u), dtype=float)
     vec = exterior_covariant_derivative(frame.christoffels, b,
-                                        d1(b_field, u, 0, cfg.field),
-                                        d1(b_field, u, 1, cfg.field))
+                                        *partials(b_field, u, cfg.field))
     return float(np.sqrt(max(vec @ frame.I_sharp @ vec, 0.0)))
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adsgeo import cli
+from adsgeo import embedding as emb
 from adsgeo.errors import ConfigError
 from adsgeo.report import CheckReport, emit_report
 
@@ -207,3 +208,30 @@ def test_tolerances_echoed_in_all_formats():
     report.add("a", "x", 1e-9, 1e-6)
     for fmt in ("table", "records", "csv"):
         assert b"1e-06" in emit_report(report, fmt)
+
+
+# evaluator calls (embedding.hyperboloid_point, which every built-in fixture
+# calls once per evaluation) per command at the benchmark's sizes
+EVALUATOR_CALLS = [
+    (["check", "--fixture", "graph_bump", "--samples", "100"], 361),
+    (["check", "--fixture", "fuchsian_family", "--s", "-1.2", "--samples", "100"], 361),
+    (["mess", "--fixture", "graph_bump", "--samples", "100"], 161),
+    (["mess", "--fixture", "fuchsian_family", "--s", "-0.2", "--s2", "-1.2",
+      "--samples", "100"], 211),
+    (["dual", "--fixture", "graph_bump", "--samples", "50"], 233),
+    (["extend", "--fixture", "graph_bump", "--points", "20"], 425),
+]
+
+
+@pytest.mark.parametrize("argv,calls", EVALUATOR_CALLS, ids=lambda x: str(x))
+def test_evaluator_calls_per_command(monkeypatch, capsys, argv, calls):
+    count = [0]
+    point = emb.hyperboloid_point
+
+    def counted(u):
+        count[0] += 1
+        return point(u)
+
+    monkeypatch.setattr(emb, "hyperboloid_point", counted)
+    assert cli.main(argv + ["--seed", "1"]) == 0
+    assert count[0] == calls

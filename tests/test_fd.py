@@ -1,0 +1,158 @@
+"""The fused second-order stencil ``fd.jet`` and the first partials
+``fd.partials`` against the separate one-coordinate difference formulas
+they replaced, kept here as the reference, and the caller-shape contract of
+every layer that differentiates a user callable through ``jet``."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adsgeo import constructions as con
+from adsgeo import embedding as emb
+from adsgeo import mess_metrics as mes
+from adsgeo import rigidity as rig
+from adsgeo.fd import DEFAULT_DIFF, FDScheme, jet, jet_shifts, jet_stencil, partials
+
+
+# ---------------------------------------------------------------------------
+# reference formulas: one call of f per shifted point
+
+def _shift(u, i, h):
+    v = np.array(u, dtype=float)
+    v.T[i] += h
+    return v
+
+
+def _offsets(scheme):
+    h = scheme.step
+    if not scheme.richardson:
+        return (h, -h)
+    return (h, -h, h / 2.0, -h / 2.0)
+
+
+def ref_d1(f, u, i, scheme):
+    values = [np.asarray(f(_shift(u, i, s))) for s in _offsets(scheme)]
+    h = scheme.step
+    a = (values[0] - values[1]) / (2.0 * h)
+    if not scheme.richardson:
+        return a
+    b = (values[2] - values[3]) / (2.0 * (h / 2.0))
+    return (4.0 * b - a) / 3.0
+
+
+def _ref_d2_plain(f, u, i, j, h, f0):
+    if i == j:
+        return (np.asarray(f(_shift(u, i, h))) - 2.0 * f0
+                + np.asarray(f(_shift(u, i, -h)))) / (h * h)
+    upp = _shift(_shift(u, i, h), j, h)
+    upm = _shift(_shift(u, i, h), j, -h)
+    ump = _shift(_shift(u, i, -h), j, h)
+    umm = _shift(_shift(u, i, -h), j, -h)
+    return (np.asarray(f(upp)) - np.asarray(f(upm))
+            - np.asarray(f(ump)) + np.asarray(f(umm))) / (4.0 * h * h)
+
+
+def ref_d2(f, u, i, j, scheme):
+    f0 = np.asarray(f(np.asarray(u, dtype=float)))
+    h = scheme.step
+    a = _ref_d2_plain(f, u, i, j, h, f0)
+    if not scheme.richardson:
+        return a
+    b = _ref_d2_plain(f, u, i, j, h / 2.0, f0)
+    return (4.0 * b - a) / 3.0
+
+
+# ---------------------------------------------------------------------------
+# smooth test functions of points (..., dim), any dim >= 2
+
+def scalar_field(u):
+    x, y = u[..., 0], u[..., -1]
+    return np.sin(1.3 * x + 0.2) * np.cos(y) + np.exp(0.3 * u.sum(axis=-1)) + x * y * y
+
+
+def vector_field(u):
+    return np.stack([scalar_field(u), np.cos(u[..., 1] - u[..., 0]),
+                     u[..., 0] * u[..., 1] / (2.0 + u[..., -1])], axis=-1)
+
+
+def matrix_field(u):
+    x, y = u[..., 0], u[..., 1]
+    return np.stack([1.0 + x * x, np.sin(x * y), np.cos(y) * x, np.exp(-y * y)],
+                    axis=-1).reshape(u.shape[:-1] + (2, 2))
+
+
+FIELDS = {"scalar": scalar_field, "vector": vector_field, "matrix": matrix_field}
+CHECKS = settings(max_examples=40, deadline=None, database=None)
+
+
+@CHECKS
+@given(batch=st.sampled_from([(), (3,), (2, 4)]), dim=st.sampled_from([2, 3]),
+       kind=st.sampled_from(sorted(FIELDS)), richardson=st.booleans(),
+       step=st.floats(1e-4, 1e-1), seed=st.integers(0, 2 ** 32 - 1))
+def test_jet_matches_reference_formulas(batch, dim, kind, richardson, step, seed):
+    field = FIELDS[kind]
+    scheme = FDScheme(step, richardson)
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=batch + (dim,))
+    shapes = []
+
+    def f(w):
+        shapes.append(w.shape)
+        return field(w)
+
+    f0, d, dd = jet(f, u, scheme)
+    # one call per distinct point, each with the caller's shape
+    assert shapes == [u.shape] * (1 + len(_offsets(scheme)) * dim * dim)
+    assert len({p.tobytes() for p in jet_stencil(u, scheme)}) == len(shapes)
+    assert np.asarray(f0).tobytes() == np.asarray(field(u)).tobytes()
+    first = partials(field, u, scheme)
+    for i in range(dim):
+        assert d[i].tobytes() == first[i].tobytes() == ref_d1(field, u, i, scheme).tobytes()
+        for j in range(i, dim):
+            # the callers of the separate formulas took i <= j and mirrored
+            ref = ref_d2(field, u, i, j, scheme).tobytes()
+            assert dd[i, j].tobytes() == dd[j, i].tobytes() == ref
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_jet_stencil_follows_jet_shifts(dim, richardson):
+    # the layout extension_curvature reads its chart points from
+    scheme = FDScheme(1e-2, richardson)
+    u = np.linspace(-0.4, 0.5, 2 * dim).reshape(2, dim)
+    shifts = jet_shifts(dim, scheme)
+    assert shifts[0] == () and len(shifts) == 1 + len(_offsets(scheme)) * dim * dim
+    for point, shift in zip(jet_stencil(u, scheme), shifts, strict=True):
+        expected = u.copy()
+        for i, s in shift:
+            expected[..., i] += s
+        assert point.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# pointwise user callables: every call gets the caller's shape
+
+def pointwise(fn, ndim):
+    def wrapped(w):
+        assert w.shape == (ndim,)
+        return fn(w)
+
+    return wrapped
+
+
+def test_pointwise_callables_through_jet(bump):
+    u = np.array([0.3, -0.2])
+    frame = mes.sharp_frame(bump, u)
+
+    def mu(w):
+        return np.sin(w[0]) * np.cos(0.5 * w[1])
+
+    b, v = rig.b_from_mu(pointwise(mu, 2), frame, DEFAULT_DIFF.inner2)
+    assert abs(np.trace(b)) < 1e-9 and v.shape == (2,)
+    k = emb.brioschi_curvature(pointwise(emb.hyperbolic_metric, 2), u, DEFAULT_DIFF.field)
+    assert abs(k + 1.0) < 1e-6
+
+    single = emb.Immersion("pointwise", pointwise(bump.evaluator, 2))
+    ext = con.extension_metric(single, slack=0.1)
+    p = np.array([0.2, -0.1, -0.5])
+    r = con.riemann_constant_curvature_residual(pointwise(ext, 3), p, FDScheme(1e-2, True))
+    assert r == con.extension_curvature(ext, p) < 1e-3
