@@ -8,6 +8,7 @@ come from an optional flat key=value config file plus command-line flags
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -405,8 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use: parsing leaves the parser as it
+    was, so every call of ``main`` shares it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

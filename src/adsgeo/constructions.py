@@ -25,8 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .batch import any_of, det, inv, singular_values
-from .embedding import (NORMAL_FLOOR, EmbeddingData, Immersion,
-                        brioschi_curvature, christoffel_symbols,
+from .embedding import (NORMAL_FLOOR, EmbeddingData, Immersion, christoffel_symbols,
                         embedding_data_at, family_immersion, gaussian_curvature,
                         metric_and_normal, metric_field, normal_field,
                         require_strong_convexity, third_fundamental_form)
@@ -70,7 +69,7 @@ def dual_immersion(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF) -> Imme
     """The dual surface as an immersion: u -> future unit normal of F at u."""
     nf = normal_field(immersion, cfg)
     return Immersion(f"dual({immersion.name})", nf, domain=immersion.domain,
-                     params=dict(immersion.params))
+                     params=dict(immersion.params), batched=True)
 
 
 def require_family_dual(s: float):
@@ -117,7 +116,7 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
     dual = dual_data_pointwise(data, K=k_measured)
 
     fstar = dual_immersion(immersion, cfg)
-    i_star, ddual_point = metric_and_normal(fstar.evaluator, u, data.n, cfg.inner)
+    i_star, ddual_point = metric_and_normal(fstar, u, data.n, cfg.inner)
     metric_resid = np.abs(i_star - dual.I_star).max(axis=(-2, -1))
 
     k_star_gauss = -1.0 - det(dual.B_star)
@@ -132,7 +131,7 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
         "involution": involution_resid,
     }
     if independent_curvature:
-        k_dual_measured = brioschi_curvature(metric_field(fstar, cfg), u, cfg.field)
+        k_dual_measured = gaussian_curvature(fstar, u, cfg=cfg)
         diagnostics["curvature_independent"] = np.abs(k_dual_measured - dual.K_star)
     return dual, diagnostics
 
@@ -267,7 +266,7 @@ def extension_curvature(ext: ExtensionMetric, p):
 
     The metric at each of the 37 points of the 3-D stencil is assembled
     from the embedding data at its chart point (u1, u2).  Those are the 17
-    points of the 2-D stencil at u, one embedding-data call each.
+    points of the 2-D stencil at u, in one embedding-data call.
     """
     scheme = FDScheme(step=1e-2, richardson=True)
     p = np.asarray(p, dtype=float)
@@ -279,13 +278,11 @@ def extension_curvature(ext: ExtensionMetric, p):
                           f"at s = {np.ravel(s)[np.argmin(inside)]}")
     s_points = jet_stencil(p, scheme)[..., 2]
     ext._require_inside(s_points)
-    data = [embedding_data_at(ext.immersion, w, cfg=ext.cfg)
-            for w in jet_stencil(p[..., :2], scheme)]
+    data = embedding_data_at(ext.immersion, jet_stencil(p[..., :2], scheme), cfg=ext.cfg)
     # each 3-D stencil point sits over the 2-D one with its shifts of u1, u2
     chart = {shift: k for k, shift in enumerate(jet_shifts(2, scheme))}
     over = [chart[tuple(c for c in shift if c[0] < 2)] for shift in jet_shifts(3, scheme)]
-    h = _extension_block(np.stack([data[k].I for k in over]),
-                         np.stack([data[k].B for k in over]), s_points)
+    h = _extension_block(data.I[over], data.B[over], s_points)
     return _curvature_residual(*jet_partials(h, scheme))
 
 

@@ -21,10 +21,15 @@ built-in evaluators and fields, ``embedding_data_at`` and the curvature,
 Christoffel and Codazzi layers map over them and return results with the
 same leading axes, each point bit for bit equal to the call on that point
 alone.  ``principal_curvatures`` and ``convexity_class`` take the data of
-one point or of a batch.  A user-supplied evaluator or field is only ever
-called with points of the shape its caller passed in, with one exception:
-``rigidity.exterior_derivative_identities`` hands the immersion's evaluator
-its whole nested stencil, shape (9, 9, 2), through ``sharp_frame``.
+one point or of a batch.
+
+The layers evaluate an immersion once per finite-difference stencil: the
+stencil points are stacked on a new leading axis and handed to
+``Immersion.__call__`` in one call.  An evaluator that maps over leading
+axes says so with ``batched=True`` (the built-in fixtures and the dual
+immersion do); any other evaluator is called one point of shape (2,) at a
+time.  A user-supplied field is only ever called with points of the shape
+its caller passed in.
 """
 from __future__ import annotations
 
@@ -38,7 +43,8 @@ from . import ads_core
 from .batch import (any_of, components, det, eigvalsh, entries, inv, matrix,
                     quadratic_form, vector)
 from .errors import ConfigError, ConvexityError, DegenerateDataError, DomainError
-from .fd import DEFAULT_DIFF, DiffConfig, gradient, jet, partials
+from .fd import (DEFAULT_DIFF, DiffConfig, gradient, jet, jet_partials, jet_stencil,
+                 shift_partials, stencil, stencil_gradient)
 
 MAX_METRIC_CONDITION = 1e6
 STRONG_CONVEXITY_TOL = 1e-8
@@ -68,15 +74,26 @@ def hyperbolic_metric(u):
 
 @dataclass(frozen=True)
 class Immersion:
-    """Chart evaluator of a spacelike surface plus its domain box."""
+    """Chart evaluator of a spacelike surface plus its domain box.
+
+    ``batched`` says that the evaluator maps over leading axes of its chart
+    points, (..., 2) -> (..., 4).  Otherwise calling the immersion maps the
+    evaluator over them, so that it only ever sees single points (2,).
+    """
 
     name: str
     evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     domain: tuple = ((-1.0, 1.0), (-1.0, 1.0))
     params: dict = field(default_factory=dict)
+    batched: bool = False
 
     def __call__(self, u):
-        return self.evaluator(np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
+        if self.batched or u.ndim == 1:
+            return np.asarray(self.evaluator(u), dtype=float)
+        values = np.array([self.evaluator(w) for w in u.reshape(-1, u.shape[-1])],
+                          dtype=float)
+        return values.reshape(u.shape[:-1] + values.shape[1:])
 
 
 def _family_evaluator(s: float):
@@ -97,12 +114,13 @@ def family_immersion(s: float = -0.7) -> Immersion:
     """
     if not -np.pi / 2 < s <= 0.0:
         raise DomainError(f"family parameter must lie in (-pi/2, 0], got {s}")
-    return Immersion("fuchsian_family", _family_evaluator(s), params={"s": s})
+    return Immersion("fuchsian_family", _family_evaluator(s), params={"s": s},
+                     batched=True)
 
 
 def _totally_geodesic() -> Immersion:
     """The plane {x4 = 0}: the family member at s = 0, B = 0."""
-    return Immersion("totally_geodesic", _family_evaluator(0.0))
+    return Immersion("totally_geodesic", _family_evaluator(0.0), batched=True)
 
 
 def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
@@ -146,7 +164,8 @@ def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
         return vector(c * y1, c * y2, c * y3, np.sin(t))
 
     return Immersion("graph_bump", ev,
-                     params={"amplitude": amplitude, "width": width, "base": base})
+                     params={"amplitude": amplitude, "width": width, "base": base},
+                     batched=True)
 
 
 # fixture name -> (constructor, parameter names); parameters left out take
@@ -194,6 +213,12 @@ class EmbeddingData:
     J: np.ndarray
     n: np.ndarray
 
+    def __getitem__(self, index):
+        """The data at the chart points ``u[index]`` (an index into the
+        leading batch axes)."""
+        return EmbeddingData(u=self.u[index], point=self.point[index], I=self.I[index],
+                             B=self.B[index], J=self.J[index], n=self.n[index])
+
     @property
     def second_form(self):
         return self.I @ self.B
@@ -237,9 +262,10 @@ def _unit_future_normal(point, f1, f2):
     return n / np.asarray(scale)[..., None]
 
 
-def _induced_metric(f, u, scheme):
-    """I = <dF, dF> of the evaluator f at u, with the tangents dF/du1, dF/du2."""
-    f1, f2 = partials(f, u, scheme)
+def _induced_metric(values, scheme):
+    """I = <dF, dF> with the tangents dF/du1, dF/du2, from the values of the
+    evaluator at the shifted points ``stencil(u, scheme)[1:]``."""
+    f1, f2 = shift_partials(values, scheme)
     g12 = ads_core.bilinear22(f1, f2)
     return (matrix(ads_core.bilinear22(f1, f1), g12, g12, ads_core.bilinear22(f2, f2)),
             f1, f2)
@@ -267,18 +293,19 @@ def embedding_data_at(immersion: Immersion, u,
     II is assembled from symmetric stencils, so B = I^{-1} II is
     I-self-adjoint to rounding; raises when any point leaves the quadric
     (|<F, F> + 1| > 1e-8) or has a non-spacelike or ill-conditioned induced
-    metric.  The evaluator is called at the 17 points of the second-order
-    stencil (``fd.jet``, step ``cfg.inner2``), whose centre gives the
-    point, and at the 8 of the first-order one (step ``cfg.inner``).
+    metric.  One immersion call evaluates the 17 points of the second-order
+    stencil (``fd.jet_stencil``, step ``cfg.inner2``), whose centre gives the
+    point, together with the 8 shifted points of the first-order one
+    (``fd.stencil``, step ``cfg.inner``).
     """
     u = np.asarray(u, dtype=float)
-    f = immersion.evaluator
-    point, _, dd = jet(f, u, cfg.inner2)
-    point = np.asarray(point, dtype=float)
+    second = jet_stencil(u, cfg.inner2)
+    values = immersion(np.concatenate([second, stencil(u, cfg.inner)[1:]]))
+    point, _, dd = jet_partials(values[:len(second)], cfg.inner2)
     if any_of(np.abs(ads_core.bilinear22(point, point) + 1.0) > 1e-8):
         raise DomainError("immersion leaves the quadric at this chart point")
 
-    I, f1, f2 = _induced_metric(f, u, cfg.inner)
+    I, f1, f2 = _induced_metric(values[len(second):], cfg.inner)
     _require_spacelike(I)
     n = _unit_future_normal(point, f1, f2)
 
@@ -288,21 +315,21 @@ def embedding_data_at(immersion: Immersion, u,
                          J=complex_structure(I), n=n)
 
 
-def metric_and_normal(f, u, point, scheme):
-    """(I, n) of the evaluator f at chart points u, from one first-difference
-    stencil: the induced metric and the future unit normal at ``point``,
-    which is f(u)."""
-    I, f1, f2 = _induced_metric(f, u, scheme)
+def metric_and_normal(immersion: Immersion, u, point, scheme):
+    """(I, n) of the immersion at chart points u, from one call on the shifted
+    points of a first-difference stencil: the induced metric and the future
+    unit normal at ``point``, which is the immersion at u."""
+    I, f1, f2 = _induced_metric(immersion(stencil(u, scheme)[1:]), scheme)
     return I, _unit_future_normal(point, f1, f2)
 
 
 def metric_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
-    """Chart metric as a plain callable u -> 2x2 (first derivatives only)."""
-    f = immersion.evaluator
+    """Chart metric as a plain callable u -> 2x2 (first derivatives only),
+    with one immersion call on the shifted points of the stencil."""
     sch = cfg.inner
 
     def g(u):
-        return _induced_metric(f, u, sch)[0]
+        return _induced_metric(immersion(stencil(u, sch)[1:]), sch)[0]
 
     return g
 
@@ -315,24 +342,22 @@ def shape_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
 
 
 def normal_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
-    f = immersion.evaluator
+    """Future unit normal as a plain callable, with one immersion call on the
+    first-order stencil (its centre is the point)."""
     sch = cfg.inner
 
     def nf(u):
-        point = np.asarray(f(u), dtype=float)
-        return _unit_future_normal(point, *partials(f, u, sch))
+        values = immersion(stencil(u, sch))
+        return _unit_future_normal(values[0], *shift_partials(values[1:], sch))
 
     return nf
 
 
-def brioschi_curvature(g_field, u, scheme):
-    """Gaussian curvature of a chart metric field by the Brioschi formula.
-
-    The field is called once per point of ``fd.jet``'s stencil.  The two 3x3
-    determinants are expanded along their first rows.
-    """
-    g0, dg, ddg = jet(g_field, u, scheme)
-    E, F, _, G = entries(g0)
+def _brioschi(g, dg, ddg):
+    """Gaussian curvature by the Brioschi formula from a chart metric g, its
+    first partials dg[i] and second partials ddg[i, j] at the same points.
+    The two 3x3 determinants are expanded along their first rows."""
+    E, F, _, G = entries(g)
     E_u, F_u, _, G_u = entries(dg[0])
     E_v, F_v, _, G_v = entries(dg[1])
     E_vv = entries(ddg[1, 1])[0]
@@ -350,9 +375,20 @@ def brioschi_curvature(g_field, u, scheme):
     return (det_m1 - det_m2) / (det_g * det_g)
 
 
+def brioschi_curvature(g_field, u, scheme):
+    """Gaussian curvature of a chart metric field by the Brioschi formula.
+
+    The field is called once per point of ``fd.jet``'s stencil, with points
+    of the shape of u.
+    """
+    return _brioschi(*jet(g_field, u, scheme))
+
+
 def gaussian_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
-    """Curvature of the induced metric (Brioschi on the metric field)."""
-    return brioschi_curvature(metric_field(immersion, cfg), u, cfg.field)
+    """Curvature of the induced metric (Brioschi on the metric field), with
+    the metric field called once on the whole ``fd.jet_stencil``."""
+    g = metric_field(immersion, cfg)(jet_stencil(u, cfg.field))
+    return _brioschi(*jet_partials(g, cfg.field))
 
 
 def christoffel_symbols(g_inv, dg):
@@ -409,21 +445,23 @@ def codazzi_residual_fields(g_field, b_field, u, scheme):
 def structure_residuals(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
     """(gauss, codazzi) residuals: K + 1 + det B and |d^D B|_I.
 
-    The partials of I and of B share one embedding-data call per field-step
-    stencil point, as in ``mess_metrics.sharp_frame``.
+    One embedding-data call on the field-step stencil gives the data at u
+    (its centre) and the partials of I and of B, as in
+    ``mess_metrics.sharp_frame``.  Its metric values are also the first
+    points of the Brioschi jet at the same step, so the metric field is
+    called at the corners of the jet only.
     """
     u = np.asarray(u, dtype=float)
-    data = embedding_data_at(immersion, u, cfg=cfg)
-    K = gaussian_curvature(immersion, u, cfg=cfg)
-    gauss = K + 1.0 + det(data.B)
+    points = stencil(u, cfg.field)
+    data = embedding_data_at(immersion, points, cfg=cfg)
+    corners = metric_field(immersion, cfg)(jet_stencil(u, cfg.field)[len(points):])
+    K = _brioschi(*jet_partials(np.concatenate([data.I, corners]), cfg.field))
 
-    def metric_and_shape(w):
-        d = embedding_data_at(immersion, w, cfg=cfg)
-        return np.stack([d.I, d.B], axis=-3)
-
-    dfields = gradient(metric_and_shape, u, cfg.field)
-    gamma = christoffel_symbols(inv(data.I), dfields[..., 0, :, :])
-    return gauss, codazzi_norm(gamma, data.B, dfields[..., 1, :, :], data.I)
+    centre = data[0]
+    _, dfields = stencil_gradient(np.stack([data.I, data.B], axis=-3), u, cfg.field)
+    gamma = christoffel_symbols(inv(centre.I), dfields[..., 0, :, :])
+    return (K + 1.0 + det(centre.B),
+            codazzi_norm(gamma, centre.B, dfields[..., 1, :, :], centre.I))
 
 
 def third_fundamental_form(data: EmbeddingData):

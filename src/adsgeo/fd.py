@@ -11,8 +11,10 @@ shifted point of ``stencil(u, scheme)``, which stacks every point of the
 first differences on a new leading axis.  A field that accepts extra leading
 point axes can instead be called once on the whole stencil, and
 ``stencil_partials`` turns the values there into ``f(u)`` and the first
-partials, through the same arithmetic and so with the same bits.  Stencils
-nest: ``stencil(stencil(u, s), s)`` holds every point of a difference of a
+partials, through the same arithmetic and so with the same bits;
+``shift_partials`` does the same from the shifted points alone, for a
+caller that has no use for ``f(u)``.  Stencils nest:
+``stencil(stencil(u, s), s)`` holds every point of a difference of a
 difference, for one call of a field.
 
 Second partials come from one fused stencil: ``jet(f, u, scheme)`` returns
@@ -21,9 +23,11 @@ distinct point (17 in 2-D, 37 in 3-D with Richardson), where the second
 differences share the centre and the axis points of the first, and its
 first partials are those of ``partials``.  ``jet_stencil`` and
 ``jet_partials`` split it for a caller that assembles the values at those
-points itself.  Each difference formula runs once, elementwise over all
-coordinates (or pairs of coordinates), so every point of a batch gets the
-bits of the same call on that point alone.
+points itself; ``jet_stencil`` starts with the points of ``stencil``, so
+values on a stencil need only the corners to make a jet.  Each difference
+formula runs once, elementwise over all coordinates (or pairs of
+coordinates), so every point of a batch gets the bits of the same call on
+that point alone.
 
 Two default step sizes are distinguished:
 
@@ -126,10 +130,23 @@ def _mixed_combine(values, scheme: FDScheme):
     return (4.0 * b - a) / 3.0
 
 
-def _shift(u, i, h):
-    v = np.array(u, dtype=float)
-    v.T[i] += h        # coordinate i of every point (v[..., i] is slower)
-    return v
+def _points(u, plan):
+    """``u``, then for each ``(parent, i, s)`` of ``plan`` a new array of its
+    shape: the point ``parent`` (an index into the points so far) shifted
+    by s in coordinate i."""
+    points = [u]
+    for parent, i, s in plan:
+        v = points[parent].copy()
+        v.T[i] += s        # coordinate i of every point (v[..., i] is slower)
+        points.append(v)
+    return points
+
+
+def _stencil_points(u, scheme: FDScheme):
+    """The points of ``stencil``: ``u`` and the first k dim points of
+    ``_jet_plan``, those on the coordinate axes through ``u``."""
+    dim = u.shape[-1]
+    return _points(u, _jet_plan(dim, scheme)[:len(_offsets(scheme)) * dim])
 
 
 def stencil(u, scheme: FDScheme):
@@ -137,35 +154,45 @@ def stencil(u, scheme: FDScheme):
 
     The stencil is a new leading axis: the centre ``u``, then for each
     coordinate the shifts of ``_offsets`` (9 points in 2-D with Richardson).
+    These are the first points of ``jet_stencil``.
     """
-    u = np.asarray(u, dtype=float)
-    return np.stack([u] + [_shift(u, i, s) for i in range(u.shape[-1])
-                           for s in _offsets(scheme)])
+    return np.stack(_stencil_points(np.asarray(u, dtype=float), scheme))
+
+
+def shift_partials(values, scheme: FDScheme):
+    """First partials ``d[i]`` from the values of f at the shifted points
+    ``stencil(u, scheme)[1:]``."""
+    values = np.asarray(values)
+    k = len(_offsets(scheme))
+    # values[n::k] is shift n of every coordinate: one combine for all
+    return _d1_combine([values[n::k] for n in range(k)], scheme)
 
 
 def stencil_partials(values, scheme: FDScheme):
     """``(f(u), d)`` from ``values = f(stencil(u, scheme))``: ``d[i]`` has the
     bits of ``partials(f, u, scheme)[i]``."""
     values = np.asarray(values)
-    k = len(_offsets(scheme))
-    # values[1 + n::k] is shift n of every coordinate: one combine for all
-    return values[0], _d1_combine([values[1 + n::k] for n in range(k)], scheme)
+    return values[0], shift_partials(values[1:], scheme)
 
 
 def partials(f, u, scheme: FDScheme):
     """First partials ``d[i]`` of ``f`` (any array-valued callable) at ``u``,
     from one call of ``f`` per shifted point of ``stencil``, each with a
     point of the shape of ``u``."""
-    u = np.asarray(u, dtype=float)
-    offsets = _offsets(scheme)
-    # shift-major, so that values[n] holds shift n of every coordinate
-    values = np.asarray([f(_shift(u, i, s)) for s in offsets for i in range(u.shape[-1])])
-    return _d1_combine(values.reshape((len(offsets), -1) + values.shape[1:]), scheme)
+    points = _stencil_points(np.asarray(u, dtype=float), scheme)[1:]
+    return shift_partials([f(w) for w in points], scheme)
 
 
 def gradient(f, u, scheme: FDScheme):
     """Stack of first partials, shape batch + (dim,) + value-shape."""
     return np.stack(list(partials(f, u, scheme)), axis=np.ndim(u) - 1)
+
+
+def stencil_gradient(values, u, scheme: FDScheme):
+    """``(f(u), df)`` from ``values = f(stencil(u, scheme))``, with the
+    partials stacked in the layout of ``gradient``."""
+    f0, d = stencil_partials(values, scheme)
+    return f0, np.stack(list(d), axis=np.ndim(u) - 1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -174,18 +201,19 @@ def _jet_plan(dim: int, scheme: FDScheme):
     ``(parent, i, s)``, the point ``parent`` (an index into the points so
     far) shifted by s in coordinate i.  Built once for each (dim, scheme).
 
-    First, for each shift s of ``_offsets``, the centre shifted by s in each
-    coordinate.  Then, for each corner (+t, +t), (+t, -t), (-t, +t), (-t, -t)
-    of the step t = h, and with Richardson of t = h/2, that corner in each
-    pair of coordinates i < j, in row-major order: the point shifted in i,
-    then shifted in j.
+    First, for each coordinate, the centre shifted in it by each shift s of
+    ``_offsets``: these are the points of ``stencil``.  Then, for each corner
+    (+t, +t), (+t, -t), (-t, +t), (-t, -t) of the step t = h, and with
+    Richardson of t = h/2, that corner in each pair of coordinates i < j, in
+    row-major order: the point shifted in i, then shifted in j.
     """
     offsets = _offsets(scheme)
-    axis = {(i, s): 1 + n * dim + i for n, s in enumerate(offsets) for i in range(dim)}
-    corners = [(offsets[n], offsets[m]) for t in range(0, len(offsets), 2)
+    k = len(offsets)
+    axis = {(i, s): 1 + i * k + n for i in range(dim) for n, s in enumerate(offsets)}
+    corners = [(offsets[n], offsets[m]) for t in range(0, k, 2)
                for n, m in ((t, t), (t, t + 1), (t + 1, t), (t + 1, t + 1))]
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    return (tuple((0, i, s) for s in offsets for i in range(dim))
+    return (tuple((0, i, s) for i in range(dim) for s in offsets)
             + tuple((axis[i, a], j, b) for a, b in corners for i, j in pairs))
 
 
@@ -200,20 +228,10 @@ def jet_shifts(dim: int, scheme: FDScheme):
     return shifts
 
 
-def _jet_points(u, scheme: FDScheme):
-    """The points of ``jet_shifts`` at ``u``: ``u`` itself, then a new array
-    of its shape for each shifted point."""
-    points = [u]
-    for parent, i, s in _jet_plan(u.shape[-1], scheme):
-        v = points[parent].copy()
-        v.T[i] += s
-        points.append(v)
-    return points
-
-
 def jet_stencil(u, scheme: FDScheme):
     """Every point of ``jet_shifts`` at ``u``, on a new leading axis."""
-    return np.stack(_jet_points(np.asarray(u, dtype=float), scheme))
+    u = np.asarray(u, dtype=float)
+    return np.stack(_points(u, _jet_plan(u.shape[-1], scheme)))
 
 
 def jet_partials(values, scheme: FDScheme):
@@ -229,7 +247,7 @@ def jet_partials(values, scheme: FDScheme):
     dim = math.isqrt((len(values) - 1) // k)
     f0 = values[0]
     # shifted[n]: shift n of every coordinate; corners[m]: corner m of every pair
-    shifted = values[1:1 + k * dim].reshape((k, dim) + f0.shape)
+    shifted = np.swapaxes(values[1:1 + k * dim].reshape((dim, k) + f0.shape), 0, 1)
     corners = values[1 + k * dim:].reshape((2 * k, dim * (dim - 1) // 2) + f0.shape)
     diag = _d2_combine(shifted, f0, scheme)
     mixed = iter(_mixed_combine(corners, scheme))
@@ -246,4 +264,4 @@ def jet(f, u, scheme: FDScheme):
     partials ``dd[i, j]`` of ``f`` at ``u``, from one call of ``f`` per point
     of ``jet_shifts``, each with a point of the shape of ``u``."""
     u = np.asarray(u, dtype=float)
-    return jet_partials([f(w) for w in _jet_points(u, scheme)], scheme)
+    return jet_partials([f(w) for w in _points(u, _jet_plan(u.shape[-1], scheme))], scheme)

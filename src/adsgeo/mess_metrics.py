@@ -22,7 +22,7 @@ from .batch import any_of, det, entries, inv, singular_values
 from .embedding import (EmbeddingData, Immersion, christoffel_symbols, codazzi_norm,
                         embedding_data_at, gaussian_curvature)
 from .errors import DegenerateDataError, TransferPreconditionError
-from .fd import DEFAULT_DIFF, DiffConfig, gradient
+from .fd import DEFAULT_DIFF, DiffConfig, stencil, stencil_gradient
 
 MAX_SHARP_CONDITION = 1e8
 TRANSFER_CODAZZI_TOL = 1e-4
@@ -63,26 +63,28 @@ def sharp_frame(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
                 check: bool = True) -> SharpData:
     """Connection, complex structure and area form of the plus metric.
 
-    The partials of I and of A = E + JB share one embedding-data call per
-    field-step stencil point.  With ``check`` on, TransferPreconditionError
-    is raised where the Codazzi residual |d^D A|_I, formed from the same
-    partials, exceeds TRANSFER_CODAZZI_TOL (the conjugation formula is then
-    meaningless).
+    One embedding-data call on the field-step stencil gives the data at u
+    (its centre) and the partials of I and of A = E + JB.  With ``check``
+    on, TransferPreconditionError is raised where the Codazzi residual
+    |d^D A|_I, formed from the same partials, exceeds TRANSFER_CODAZZI_TOL
+    (the conjugation formula is then meaningless).
     """
     u = np.asarray(u, dtype=float)
-    data = embedding_data_at(immersion, u, cfg=cfg)
-    a = _sharp_factor(data, +1)
+    data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
+    return _sharp_frame(data, u, cfg.field, check)
 
-    def metric_and_factor(w):
-        d = embedding_data_at(immersion, w, cfg=cfg)
-        return np.stack([d.I, np.eye(2) + d.J @ d.B], axis=-3)
 
-    partials = gradient(metric_and_factor, u, cfg.field)
+def _sharp_frame(data: EmbeddingData, u, scheme, check: bool) -> SharpData:
+    """``sharp_frame`` at u from the embedding data on ``stencil(u, scheme)``."""
+    centre = data[0]
+    a = _sharp_factor(centre, +1)
+    _, partials = stencil_gradient(np.stack([data.I, np.eye(2) + data.J @ data.B],
+                                            axis=-3), u, scheme)
     da = partials[..., 1, :, :]
-    gamma = christoffel_symbols(inv(data.I), partials[..., 0, :, :])
+    gamma = christoffel_symbols(inv(centre.I), partials[..., 0, :, :])
     codazzi = None
     if check:
-        codazzi = codazzi_norm(gamma, a, da, data.I)
+        codazzi = codazzi_norm(gamma, a, da, centre.I)
         if any_of(codazzi > TRANSFER_CODAZZI_TOL):
             worst = int(np.argmax(codazzi))
             raise TransferPreconditionError(
@@ -94,8 +96,8 @@ def sharp_frame(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
     vec = np.swapaxes(da, -3, -2) + gamma @ a[..., None, :, :]
     gamma_sharp = (a_inv @ vec.reshape(vec.shape[:-2] + (4,))).reshape(vec.shape)
 
-    i_sharp = mess_metric(data, +1)
-    return SharpData(u=u, I_sharp=i_sharp, J_sharp=a_inv @ data.J @ a,
+    i_sharp = mess_metric(centre, +1)
+    return SharpData(u=u, I_sharp=i_sharp, J_sharp=a_inv @ centre.J @ a,
                      da_sharp=np.sqrt(det(i_sharp)), christoffels=gamma_sharp,
                      codazzi_residual=codazzi)
 
@@ -110,15 +112,16 @@ def sharp_metric_derivative_residual(immersion: Immersion, u,
                                      cfg: DiffConfig = DEFAULT_DIFF):
     """Metric-compatibility residual of D# against the I# field.
 
-    max_k | d_k I#_ij - I#(D#_k d_i, d_j) - I#(d_i, D#_k d_j) |.
+    max_k | d_k I#_ij - I#(D#_k d_i, d_j) - I#(d_i, D#_k d_j) |, with the
+    frame and the partials of I# from one embedding-data call on the
+    field-step stencil.
     """
-    frame = sharp_frame(immersion, u, cfg=cfg, check=False)
-
-    def isf(v):
-        return mess_metric(embedding_data_at(immersion, v, cfg=cfg), +1)
-
+    u = np.asarray(u, dtype=float)
+    data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
+    frame = _sharp_frame(data, u, cfg.field, check=False)
     gamma, i_sharp = frame.christoffels, frame.I_sharp
-    resid = gradient(isf, u, cfg.field)      # [..., k, i, j] = d_k I#_ij
+    # resid[..., k, i, j] = d_k I#_ij
+    _, resid = stencil_gradient(mess_metric(data, +1), u, cfg.field)
     for m in range(2):
         resid = resid - gamma[..., m, :, :, None] * i_sharp[..., None, None, m, :]
         resid = resid - gamma[..., m, :, None, :] * i_sharp[..., None, :, m, None]

@@ -211,27 +211,57 @@ def test_tolerances_echoed_in_all_formats():
 
 
 # evaluator calls (embedding.hyperboloid_point, which every built-in fixture
-# calls once per evaluation) per command at the benchmark's sizes
+# calls once per evaluation) and points evaluated (the leading batch sizes
+# passed to it) per command at the benchmark's sizes: one call per stacked
+# stencil
 EVALUATOR_CALLS = [
-    (["check", "--fixture", "graph_bump", "--samples", "100"], 361),
-    (["check", "--fixture", "fuchsian_family", "--s", "-1.2", "--samples", "100"], 361),
-    (["mess", "--fixture", "graph_bump", "--samples", "100"], 161),
+    (["check", "--fixture", "graph_bump", "--samples", "100"], 2, 28900),
+    (["check", "--fixture", "fuchsian_family", "--s", "-1.2", "--samples", "100"], 2, 28900),
+    (["mess", "--fixture", "graph_bump", "--samples", "100"], 2, 16100),
     (["mess", "--fixture", "fuchsian_family", "--s", "-0.2", "--s2", "-1.2",
-      "--samples", "100"], 211),
-    (["dual", "--fixture", "graph_bump", "--samples", "50"], 233),
-    (["extend", "--fixture", "graph_bump", "--points", "20"], 425),
+      "--samples", "100"], 4, 21100),
+    (["dual", "--fixture", "graph_bump", "--samples", "50"], 3, 11650),
+    (["extend", "--fixture", "graph_bump", "--points", "20"], 1, 25500),
 ]
 
 
-@pytest.mark.parametrize("argv,calls", EVALUATOR_CALLS, ids=lambda x: str(x))
-def test_evaluator_calls_per_command(monkeypatch, capsys, argv, calls):
-    count = [0]
+@pytest.mark.parametrize("argv,calls,points", EVALUATOR_CALLS, ids=lambda x: str(x))
+def test_evaluator_calls_per_command(monkeypatch, capsys, argv, calls, points):
+    count = [0, 0]
     point = emb.hyperboloid_point
 
     def counted(u):
         count[0] += 1
+        count[1] += int(np.prod(np.shape(u)[:-1]))
         return point(u)
 
     monkeypatch.setattr(emb, "hyperboloid_point", counted)
     assert cli.main(argv + ["--seed", "1"]) == 0
-    assert count[0] == calls
+    assert count == [calls, points]
+
+
+def test_parser_built_once_and_reused(monkeypatch, capsys):
+    # check, mess, check with different options: the reports of a shared
+    # parser are those of a parser built for each call
+    runs = [["check", "--fixture", "graph_bump", "--samples", "2", "--output", "csv"],
+            ["mess", "--s", "-0.3", "--samples", "3", "--seed", "4"],
+            ["check", "--samples", "2", "--tolerance", "1e-300", "--output", "records"]]
+    fresh = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    builds = [0]
+    build = cli.build_parser
+
+    def counted():
+        builds[0] += 1
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert [run_cli(capsys, *argv) for argv in runs] == fresh
+    finally:
+        cli._parser.cache_clear()
+    assert builds[0] == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 1]

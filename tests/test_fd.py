@@ -2,6 +2,8 @@
 ``fd.partials`` against the separate one-coordinate difference formulas
 they replaced, kept here as the reference, and the caller-shape contract of
 every layer that differentiates a user callable through ``jet``."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,3 +158,25 @@ def test_pointwise_callables_through_jet(bump):
     p = np.array([0.2, -0.1, -0.5])
     r = con.riemann_constant_curvature_residual(pointwise(ext, 3), p, FDScheme(1e-2, True))
     assert r == con.extension_curvature(ext, p) < 1e-3
+
+
+def test_pointwise_evaluator_gets_the_builtin_bits(bump):
+    # a non-batched evaluator is called one (2,) point at a time on every
+    # stacked stencil, and the layers return the bits of the built-in one
+    single = emb.Immersion("pointwise", pointwise(bump.evaluator, 2))
+    pts = np.random.default_rng(7).uniform(-0.8, 0.8, (5, 2))
+
+    def mu(w):
+        return np.sin(w[0]) * np.cos(0.5 * w[1])
+
+    assert rig.exterior_derivative_identities(single, pointwise(mu, 2), pts[0]) \
+        == rig.exterior_derivative_identities(bump, mu, pts[0])
+    for layer in (emb.embedding_data_at, mes.sharp_frame):
+        got, want = layer(single, pts), layer(bump, pts)
+        for f in fields(want):
+            value = getattr(want, f.name)
+            assert np.asarray(getattr(got, f.name)).tobytes() == np.asarray(value).tobytes()
+            assert np.shape(value)[:1] == (5,)
+    for got, want in zip(emb.structure_residuals(single, pts),
+                         emb.structure_residuals(bump, pts), strict=True):
+        assert got.tobytes() == want.tobytes() and got.shape == (5,)

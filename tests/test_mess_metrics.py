@@ -7,6 +7,7 @@ from adsgeo import embedding as emb
 from adsgeo import mess_metrics as mm
 from adsgeo.errors import TransferPreconditionError
 from adsgeo.fd import DEFAULT_DIFF, DiffConfig, stencil
+from adsgeo.rigidity import exterior_derivative_identities
 
 
 def test_zero_shape_operator_gives_base_metric():
@@ -155,16 +156,18 @@ def test_sharp_connection_residual_convergence(bump):
     assert np.log2(errs[0] / errs[1]) > 1.7
 
 
+def crooked(u):
+    """A pointwise evaluator (one chart point (2,) per call): the fixture
+    evaluator perturbed off the quadric-compatible family."""
+    y = emb.hyperboloid_point(u)
+    t = -0.5 + 0.2 * np.sin(2.0 * u[0]) * np.sin(2.0 * u[1])
+    return np.array([np.cos(t) * y[0], np.cos(t) * y[1], np.cos(t) * y[2],
+                     np.sin(t)])
+
+
 def test_transfer_precondition_detector():
     # an immersion-free frame cannot be built from non-Codazzi data; fake it
     # by perturbing the fixture evaluator off the quadric-compatible family
-
-    def crooked(u):
-        y = emb.hyperboloid_point(u)
-        t = -0.5 + 0.2 * np.sin(2.0 * u[0]) * np.sin(2.0 * u[1])
-        return np.array([np.cos(t) * y[0], np.cos(t) * y[1], np.cos(t) * y[2],
-                         np.sin(t)])
-
     F = emb.Immersion("crooked", crooked)
     # the surface is fine (it satisfies Codazzi), so the frame must build
     frame = mm.sharp_frame(F, [0.1, 0.2])
@@ -180,3 +183,14 @@ def test_transfer_precondition_detector():
     resid = emb.codazzi_residual_fields(g_field, broken_a, [0.1, 0.2],
                                         DiffConfig().field)
     assert resid > mm.TRANSFER_CODAZZI_TOL
+
+
+def test_pointwise_evaluator_through_exterior_identities():
+    # the nested stencil reaches a pointwise evaluator one point at a time
+    # (it used to get the whole (9, 9, 2) stack and fail to broadcast)
+    def mu(w):
+        return 0.3 * np.sin(1.3 * w[0]) * np.cos(0.9 * w[1]) + 0.1 * w[0] * w[1]
+
+    ra, rb = exterior_derivative_identities(emb.Immersion("crooked", crooked), mu,
+                                            [0.2, 0.15])
+    assert ra < 1e-5 and rb < 1e-5
