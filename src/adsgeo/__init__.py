@@ -12,11 +12,9 @@ from .embedding import (ConvexityClass, EmbeddingData, Immersion,
                         third_fundamental_form)
 from .mess_metrics import SharpData, mess_metric, sharp_frame, verify_left_metric_hyperbolic
 from .constructions import (DualData, dual_surface, equidistant_data,
-                            extension_curvature, extension_metric,
-                            fuchsian_family, phi_k_fuchsian)
+                            extension_curvature, extension_metric, phi_k_fuchsian)
 from .fuchsian import (DiscreteOperators, Genus2Mesh, HolonomySet,
                        discrete_operators, genus2_mesh, octagon_generators)
-from .rigidity import (RigidityOperator, b_from_bdot, b_from_mu, jbj_sharp,
-                       kernel_dimension, rigidity_operator,
+from .rigidity import (b_from_bdot, b_from_mu, jbj_sharp, kernel_dimension,
                        sharp_codazzi_residual, trace_conditions)
 from .report import CheckReport, CheckRow, emit_report

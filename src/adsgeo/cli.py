@@ -71,12 +71,16 @@ class RunConfig:
     out_file: str | None = None
     export_mesh: str | None = None
 
-    def validate(self):
+    def validate(self) -> emb.Immersion:
+        """Check every option; return the fixture's immersion, built once."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        self.immersion()     # fixture name and its parameters
+        # an unknown fixture name is reported by make_immersion
+        _, names = emb.FIXTURES.get(self.fixture, (None, ()))
+        immersion = emb.make_immersion(self.fixture,
+                                       **{name: getattr(self, name) for name in names})
         try:
             emb.family_immersion(self.s)
             if self.s2 is not None:
@@ -108,6 +112,7 @@ class RunConfig:
             raise ConfigError("fd-step must lie in [1e-6, 0.1]")
         if self.output not in FORMATS:
             raise ConfigError(f"output must be one of {FORMATS}")
+        return immersion
 
     def tol(self, name: str) -> float:
         if self.tolerance is not None:
@@ -119,12 +124,6 @@ class RunConfig:
             return DiffConfig()
         return DiffConfig(immersion_step=self.fd_step,
                           immersion_step2=4.0 * self.fd_step)
-
-    def immersion(self) -> emb.Immersion:
-        # an unknown fixture name is reported by make_immersion
-        _, names = emb.FIXTURES.get(self.fixture, (None, ()))
-        return emb.make_immersion(self.fixture,
-                                  **{name: getattr(self, name) for name in names})
 
     def provenance(self) -> dict:
         out = {"version": __version__, "command": self.command}
@@ -145,7 +144,7 @@ def parse_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -179,11 +178,19 @@ def _chart_location(u) -> str:
     return f"u=({u[0]:+.4f},{u[1]:+.4f})"
 
 
-def run_check(cfg: RunConfig) -> CheckReport:
+def _write_file(path: str, what: str, payload: bytes):
+    try:
+        with open(path, "wb") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise AdsGeoError(f"cannot write {what} file {path}: {exc}") from exc
+
+
+def run_check(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
     report = CheckReport(provenance=cfg.provenance())
     rng = np.random.default_rng(cfg.seed)
     pts = _sample_points(rng, cfg.samples)
-    gauss, codazzi = emb.structure_residuals(cfg.immersion(), pts, cfg=cfg.diff())
+    gauss, codazzi = emb.structure_residuals(immersion, pts, cfg=cfg.diff())
     for u, g, c in zip(pts, gauss, codazzi):
         loc = _chart_location(u)
         report.add("gauss_residual", loc, g, cfg.tol("gauss_residual"))
@@ -191,10 +198,9 @@ def run_check(cfg: RunConfig) -> CheckReport:
     return report
 
 
-def run_mess(cfg: RunConfig) -> CheckReport:
+def run_mess(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
     report = CheckReport(provenance=cfg.provenance())
     rng = np.random.default_rng(cfg.seed)
-    immersion = cfg.immersion()
     diff = cfg.diff()
     tol_name = ("left_curvature_bump" if cfg.fixture == "graph_bump"
                 else "left_curvature")
@@ -212,11 +218,11 @@ def run_mess(cfg: RunConfig) -> CheckReport:
     return report
 
 
-def run_dual(cfg: RunConfig) -> CheckReport:
+def run_dual(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
     report = CheckReport(provenance=cfg.provenance())
     rng = np.random.default_rng(cfg.seed)
     pts = _sample_points(rng, cfg.samples)
-    _, diag = con.dual_surface(cfg.immersion(), pts, cfg=cfg.diff())
+    _, diag = con.dual_surface(immersion, pts, cfg=cfg.diff())
     for k, u in enumerate(pts):
         loc = _chart_location(u)
         report.add("dual_curvature", loc, diag["curvature_consistency"][k],
@@ -228,10 +234,9 @@ def run_dual(cfg: RunConfig) -> CheckReport:
     return report
 
 
-def run_extend(cfg: RunConfig) -> CheckReport:
+def run_extend(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
     report = CheckReport(provenance=cfg.provenance())
     rng = np.random.default_rng(cfg.seed)
-    immersion = cfg.immersion()
     diff = cfg.diff()
     try:
         s_values = [float(x) for x in cfg.s_list.split(",") if x.strip()]
@@ -256,19 +261,18 @@ def run_extend(cfg: RunConfig) -> CheckReport:
 
 def run_rigidity(cfg: RunConfig) -> CheckReport:
     report = CheckReport(provenance=cfg.provenance())
-    mesh = fuc.genus2_mesh(cfg.mesh_level)
-    op = rig.rigidity_operator(mesh, cfg.s)
+    ops = fuc.discrete_operators(fuc.genus2_mesh(cfg.mesh_level))
     loc = f"level={cfg.mesh_level},s={cfg.s:+.4f}"
-    spectrum = rig.rigidity_spectrum(op, k=6, seed=cfg.seed)
+    spectrum = rig.rigidity_spectrum(ops, cfg.s, k=6, seed=cfg.seed)
     for i, lam in enumerate(spectrum):
         report.add(f"eigenvalue_{i}", loc, float(lam), float("inf"), passed=True)
     dim = rig.kernel_dimension(spectrum)
     report.add("kernel_dimension", loc, float(dim), cfg.tol("kernel_dimension"),
                passed=dim <= cfg.tol("kernel_dimension"))
-    min_abs = float(np.min(np.abs(spectrum))) / op.tan_abs_s
+    min_abs = float(np.min(np.abs(spectrum))) / np.tan(abs(cfg.s))
     report.add("min_abs_eigenvalue", loc, min_abs, cfg.tol("min_abs_eigenvalue"),
                passed=min_abs >= cfg.tol("min_abs_eigenvalue"))
-    report.add("constant_image", loc, rig.constant_function_check(op),
+    report.add("constant_image", loc, rig.constant_function_check(ops, cfg.s),
                cfg.tol("constant_image"))
     return report
 
@@ -294,8 +298,7 @@ def run_fuchsian(cfg: RunConfig) -> CheckReport:
     report.add("element_area", loc, mesh.area_elementwise() / (4.0 * np.pi) - 1.0,
                cfg.tol("element_area"))
     if cfg.export_mesh:
-        with open(cfg.export_mesh, "w", encoding="utf-8") as fh:
-            fh.write(fuc.export_mesh(mesh))
+        _write_file(cfg.export_mesh, "mesh", fuc.export_mesh(mesh).encode("utf-8"))
     return report
 
 
@@ -329,11 +332,15 @@ COMMANDS = {
     "fuchsian": run_fuchsian,
     "phik": run_phi_k,
 }
+# the commands that take the fixture's immersion
+SURFACE_COMMANDS = ("check", "mess", "dual", "extend")
 
 
 def run(cfg: RunConfig) -> CheckReport:
     """Dispatch a validated configuration to its command."""
-    cfg.validate()
+    immersion = cfg.validate()
+    if cfg.command in SURFACE_COMMANDS:
+        return COMMANDS[cfg.command](cfg, immersion)
     return COMMANDS[cfg.command](cfg)
 
 
@@ -436,6 +443,9 @@ def main(argv=None) -> int:
                 continue
             setattr(cfg, key, value)
         report = run(cfg)
+        payload = emit_report(report, cfg.output)
+        if cfg.out_file:
+            _write_file(cfg.out_file, "report", payload)
     except ConfigError as exc:
         sys.stderr.write(f"adsgeo: config error: {exc}\n")
         return 2
@@ -443,10 +453,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"adsgeo: error: {exc}\n")
         return 2
 
-    payload = emit_report(report, cfg.output)
     if cfg.out_file:
-        with open(cfg.out_file, "wb") as fh:
-            fh.write(payload)
         sys.stdout.write(f"report written to {cfg.out_file}: {report.summary}\n")
     else:
         sys.stdout.buffer.write(payload)

@@ -33,10 +33,6 @@ from .errors import DegenerateDataError, DomainError, FocalPointError
 from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, jet, jet_partials, jet_shifts,
                  jet_stencil)
 
-# the umbilic family fixture (constant-curvature equidistants)
-fuchsian_family = family_immersion
-
-
 # ---------------------------------------------------------------------------
 # duality
 

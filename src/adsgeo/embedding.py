@@ -43,7 +43,7 @@ from . import ads_core
 from .batch import (any_of, components, det, eigvalsh, entries, inv, matrix,
                     quadratic_form, vector)
 from .errors import ConfigError, ConvexityError, DegenerateDataError, DomainError
-from .fd import (DEFAULT_DIFF, DiffConfig, gradient, jet, jet_partials, jet_stencil,
+from .fd import (DEFAULT_DIFF, DiffConfig, gradient, jet_partials, jet_stencil,
                  shift_partials, stencil, stencil_gradient)
 
 MAX_METRIC_CONDITION = 1e6
@@ -334,13 +334,6 @@ def metric_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
     return g
 
 
-def shape_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
-    def bop(u):
-        return embedding_data_at(immersion, u, cfg=cfg).B
-
-    return bop
-
-
 def normal_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
     """Future unit normal as a plain callable, with one immersion call on the
     first-order stencil (its centre is the point)."""
@@ -373,15 +366,6 @@ def _brioschi(g, dg, ddg):
     det_m1 = a * det_g - b * (d * G - F * e) + c * (d * F - E * e)
     det_m2 = -p * (p * G - F * q) + q * (p * F - E * q)
     return (det_m1 - det_m2) / (det_g * det_g)
-
-
-def brioschi_curvature(g_field, u, scheme):
-    """Gaussian curvature of a chart metric field by the Brioschi formula.
-
-    The field is called once per point of ``fd.jet``'s stencil, with points
-    of the shape of u.
-    """
-    return _brioschi(*jet(g_field, u, scheme))
 
 
 def gaussian_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
@@ -431,15 +415,6 @@ def codazzi_norm(gamma, x, dx, I):
     of ``fd.gradient``) and the metric I at the point."""
     vec = exterior_covariant_derivative(gamma, x, dx[..., 0, :, :], dx[..., 1, :, :])
     return np.sqrt(np.maximum(quadratic_form(vec, I), 0.0))
-
-
-def codazzi_residual_fields(g_field, b_field, u, scheme):
-    """|d^D B (d1, d2)|_I for arbitrary metric / shape-operator fields."""
-    u = np.asarray(u, dtype=float)
-    I = np.asarray(g_field(u), dtype=float)
-    gamma = christoffel_symbols(inv(I), gradient(g_field, u, scheme))
-    b = np.asarray(b_field(u), dtype=float)
-    return codazzi_norm(gamma, b, gradient(b_field, u, scheme), I)
 
 
 def structure_residuals(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):

@@ -406,8 +406,8 @@ def genus2_mesh(level: int) -> Genus2Mesh:
 class DiscreteOperators:
     """P1 stiffness/mass pair on glued mesh functions.
 
-    x^T stiffness x integrates |grad u|^2 (conformally invariant in 2d);
-    mass integrates products, scaled by the conformal area factor.
+    x^T stiffness x integrates |grad u|^2; mass integrates products over
+    the element areas.
     ``elimination_order`` is the mesh's nested-dissection order of the
     unknowns.
     """
@@ -418,11 +418,9 @@ class DiscreteOperators:
     elimination_order: np.ndarray = field(repr=False)
 
 
-def discrete_operators(mesh: Genus2Mesh, scale: float = 1.0) -> DiscreteOperators:
+def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
     """Assemble cotangent stiffness and consistent mass for the hyperbolic
-    metric multiplied by the conformal constant ``scale``."""
-    if scale <= 0.0:
-        raise DomainError("conformal scale must be positive")
+    metric on the Euclidean-layout elements (``Genus2Mesh.element_geometry``)."""
     lengths, area = mesh.element_geometry
     if area.min() < 1e-14:
         raise DomainError("degenerate triangle in mesh")
@@ -435,7 +433,7 @@ def discrete_operators(mesh: Genus2Mesh, scale: float = 1.0) -> DiscreteOperator
         k_local[:, j, k] = k_local[:, k, j] = -0.5 * cot[:, i]
     for i in range(3):
         k_local[:, i, i] = -k_local[:, i, (i + 1) % 3] - k_local[:, i, (i + 2) % 3]
-    m_local = (scale * area / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
+    m_local = (area / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
     # entries ordered by triangle, row, column: tocsr sums duplicates in this order
     ids = mesh.vertex_class[mesh.triangles]
     rows, cols = np.repeat(ids, 3, axis=1).ravel(), np.tile(ids, 3).ravel()

@@ -16,17 +16,15 @@ discretization.  The operator J B J# is I#-self-adjoint with eigenvalues
 (-k2, -k1).
 
 Discrete layer: on the umbilic family fixture at parameter s the trace
-equation reduces to tan|s| (Laplace - 2) on the genus-2 surface, assembled
-here in weak form with a trivial-kernel verdict from the smallest
-generalized eigenvalues.
+equation reduces to tan|s| (Laplace - 2) on the genus-2 surface, whose
+spectrum is the image -tan|s| (lambda + 2) of the one Laplace solve, with
+a trivial-kernel verdict from the smallest magnitudes.
 """
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .batch import cholesky, det, eigvalsh, inv, matrix, vector
 from .embedding import (EmbeddingData, Immersion, complex_structure,
@@ -34,7 +32,7 @@ from .embedding import (EmbeddingData, Immersion, complex_structure,
 from .errors import DomainError
 from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, gradient, jet, partials, stencil,
                  stencil_partials)
-from .fuchsian import Genus2Mesh, discrete_operators, generalized_eigs
+from .fuchsian import DiscreteOperators, laplace_eigenvalues
 from .mess_metrics import SharpData, mess_metric, sharp_curvature, sharp_frame
 
 
@@ -282,23 +280,7 @@ def jbj_sharp(data: EmbeddingData):
 
 
 # ---------------------------------------------------------------------------
-# discrete rigidity operator on the umbilic fixture
-
-@dataclass(frozen=True)
-class RigidityOperator:
-    """Weak form of mu -> tan|s| (Laplace - 2) mu on the glued genus-2 mesh.
-
-    ``matrix`` is tan|s| (-S - 2 M) against the mass inner product M; for
-    the umbilic fixture at parameter s this is the trace equation
-    tr(J B J# (-D# D# mu + mu E)) = 0 up to the (positive) factor and
-    discretization.
-    """
-
-    matrix: scipy.sparse.csr_matrix
-    mass: scipy.sparse.csr_matrix
-    tan_abs_s: float
-    elimination_order: np.ndarray = field(repr=False)
-
+# discrete rigidity spectrum on the umbilic fixture
 
 def check_rigidity_parameter(s: float):
     """The rigidity operator needs a strictly convex family member,
@@ -307,18 +289,14 @@ def check_rigidity_parameter(s: float):
         raise DomainError(f"umbilic fixture needs s in (-pi/2, 0), got {s}")
 
 
-def rigidity_operator(mesh: Genus2Mesh, s: float) -> RigidityOperator:
+def rigidity_spectrum(ops: DiscreteOperators, s: float, k: int = 6, seed: int = 0):
+    """Smallest-magnitude eigenvalues of tan|s| (-S - 2 M) against the mass
+    M, the weak form of the umbilic fixture's trace equation
+    tr(J B J# (-D# D# mu + mu E)) = 0 up to a positive factor.  They are
+    -tan|s| (lambda + 2) over the Laplace eigenvalues lambda of (S, M), in
+    the order of lambda, which is that of their magnitudes."""
     check_rigidity_parameter(s)
-    ops = discrete_operators(mesh)
-    t = float(np.tan(abs(s)))
-    matrix = (t * (-ops.stiffness - 2.0 * ops.mass)).tocsr()
-    return RigidityOperator(matrix=matrix, mass=ops.mass, tan_abs_s=t,
-                            elimination_order=ops.elimination_order)
-
-
-def rigidity_spectrum(op: RigidityOperator, k: int = 6, seed: int = 0):
-    """Smallest-magnitude generalized eigenvalues of (matrix, mass)."""
-    return generalized_eigs(op.matrix, op.mass, op.elimination_order, k=k, seed=seed)
+    return -np.tan(abs(s)) * (laplace_eigenvalues(ops, k=k, seed=seed) + 2.0)
 
 
 def kernel_dimension(eigs) -> float:
@@ -340,9 +318,11 @@ def kernel_dimension(eigs) -> float:
     return 0
 
 
-def constant_function_check(op: RigidityOperator) -> float:
-    """Pointwise weak-form check L(1) = -2 tan|s| against the mass of 1."""
-    ones = np.ones(op.matrix.shape[0])
-    lhs = op.matrix @ ones
-    rhs = -2.0 * op.tan_abs_s * (op.mass @ ones)
+def constant_function_check(ops: DiscreteOperators, s: float) -> float:
+    """Pointwise weak-form check L(1) = -2 tan|s| against the mass of 1, with
+    L = tan|s| (-S - 2 M) assembled for the check."""
+    t = float(np.tan(abs(s)))
+    ones = np.ones(ops.n)
+    lhs = (t * (-ops.stiffness - 2.0 * ops.mass)).tocsr() @ ones
+    rhs = -2.0 * t * (ops.mass @ ones)
     return float(np.abs(lhs - rhs).max() / np.abs(rhs).max())

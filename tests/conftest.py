@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from adsgeo import embedding
+from adsgeo.batch import inv
+from adsgeo.fd import stencil_gradient
 
 
 @pytest.fixture
@@ -17,6 +19,16 @@ def bump():
 @pytest.fixture(scope="session")
 def family_07():
     return embedding.family_immersion(-0.7)
+
+
+def codazzi_on_stencil(I_values, x_values, u, scheme):
+    """|d^D X (d1, d2)|_I at u from the values of a metric field I and an
+    operator field X on ``fd.stencil(u, scheme)``: the arithmetic of the
+    Codazzi guard in ``mess_metrics.sharp_frame``."""
+    I, dI = stencil_gradient(I_values, u, scheme)
+    x, dx = stencil_gradient(x_values, u, scheme)
+    gamma = embedding.christoffel_symbols(inv(I), dI)
+    return embedding.codazzi_norm(gamma, x, dx, I)
 
 
 def random_unimodular(rng, scale=0.8):

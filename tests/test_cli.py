@@ -135,6 +135,54 @@ def test_fuchsian_command_with_export(tmp_path, capsys):
     assert "gluings" in text
 
 
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b"samples = 3\n\xff\xfe\n")
+    code, out, err = run_cli(capsys, "--config", str(cfgfile), "check")
+    assert code == 2 and out == ""
+    assert err.startswith("adsgeo: config error: cannot read config file")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_out_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(capsys, "check", "--samples", "2", "--out-file", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"adsgeo: error: cannot write report file {target}:")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_export_mesh_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "mesh.txt"
+    code, out, err = run_cli(capsys, "fuchsian", "--mesh-level", "1",
+                             "--export-mesh", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"adsgeo: error: cannot write mesh file {target}:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (["check", "--fixture", "graph_bump", "--samples", "2"], 1),
+    (["mess", "--fixture", "graph_bump", "--samples", "2"], 1),
+    (["mess", "--s", "-0.2", "--s2", "-1.2", "--samples", "2"], 2),
+    (["dual", "--fixture", "graph_bump", "--samples", "2"], 1),
+    (["extend", "--fixture", "graph_bump", "--points", "2"], 1),
+], ids=lambda x: str(x))
+def test_immersion_built_once_per_command(monkeypatch, capsys, argv, builds):
+    # validate builds the fixture's immersion and run hands it on; only the
+    # second surface of mess --s2 is another build
+    calls = []
+    make = emb.make_immersion
+
+    def counted(name, **params):
+        calls.append(name)
+        return make(name, **params)
+
+    monkeypatch.setattr(emb, "make_immersion", counted)
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(calls) == builds
+
+
 def test_report_determinism(capsys):
     args = ["mess", "--fixture", "fuchsian_family", "--s", "-0.7",
             "--samples", "3", "--seed", "11", "--output", "records"]

@@ -196,8 +196,8 @@ def test_extension_stencil_range_guard(family_07):
 
 def test_family_fixture_validation():
     with pytest.raises(DomainError):
-        con.fuchsian_family(0.3)
-    surface = con.fuchsian_family(0.0)
+        emb.family_immersion(0.3)
+    surface = emb.family_immersion(0.0)
     x = surface([0.5, -0.5])
     assert x[3] == 0.0
 
@@ -206,7 +206,7 @@ def test_family_equivariance_under_holonomy():
     from adsgeo.fuchsian import octagon_generators, so21_of_sl2
 
     s = -0.6
-    F = con.fuchsian_family(s)
+    F = emb.family_immersion(s)
     m = octagon_generators().side_pairings[1]
     g3 = so21_of_sl2(m)
     pair = core.fuchsian_isometry_pair(m)

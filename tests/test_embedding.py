@@ -4,7 +4,8 @@ import pytest
 from adsgeo import ads_core as core
 from adsgeo import embedding as emb
 from adsgeo.errors import ConfigError, DegenerateDataError, DomainError
-from adsgeo.fd import DiffConfig
+from adsgeo.fd import DiffConfig, stencil
+from conftest import codazzi_on_stencil
 
 
 def test_hyperboloid_chart_metric_closed_form():
@@ -109,16 +110,15 @@ def test_structure_residuals_family_batch(rng):
 
 def test_codazzi_detector_fires_on_perturbed_field(bump):
     u = np.array([0.3, -0.1])
-    g_field = emb.metric_field(bump)
-    b_field = emb.shape_field(bump)
+    scheme = DiffConfig().field
+    w = stencil(u, scheme)
+    data = emb.embedding_data_at(bump, w)
+    noise = 0.05 * np.stack([np.sin(3.0 * w[:, 0]), 0.4 * w[:, 1],
+                             0.1 * w[:, 0] * w[:, 1], np.cos(2.0 * w[:, 1])],
+                            axis=-1).reshape(-1, 2, 2)
 
-    def perturbed(w):
-        noise = 0.05 * np.array([[np.sin(3.0 * w[0]), 0.4 * w[1]],
-                                 [0.1 * w[0] * w[1], np.cos(2.0 * w[1])]])
-        return b_field(w) + noise
-
-    clean = emb.codazzi_residual_fields(g_field, b_field, u, DiffConfig().field)
-    broken = emb.codazzi_residual_fields(g_field, perturbed, u, DiffConfig().field)
+    clean = codazzi_on_stencil(data.I, data.B, u, scheme)
+    broken = codazzi_on_stencil(data.I, data.B + noise, u, scheme)
     assert clean < 1e-6
     assert broken > 1e-4    # orders above tolerance: the detector fires
 

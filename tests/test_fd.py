@@ -150,7 +150,8 @@ def test_pointwise_callables_through_jet(bump):
 
     b, v = rig.b_from_mu(pointwise(mu, 2), frame, DEFAULT_DIFF.inner2)
     assert abs(np.trace(b)) < 1e-9 and v.shape == (2,)
-    k = emb.brioschi_curvature(pointwise(emb.hyperbolic_metric, 2), u, DEFAULT_DIFF.field)
+    plane = emb.make_immersion("totally_geodesic")
+    k = emb.gaussian_curvature(emb.Immersion("pointwise", pointwise(plane.evaluator, 2)), u)
     assert abs(k + 1.0) < 1e-6
 
     single = emb.Immersion("pointwise", pointwise(bump.evaluator, 2))

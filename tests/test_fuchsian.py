@@ -249,18 +249,9 @@ def test_operators_structure():
 
 def test_mass_total_is_conformal_area():
     mesh = fu.genus2_mesh(3)
-    for scale in (1.0, 2.5):
-        ops = fu.discrete_operators(mesh, scale=scale)
-        assert ops.mass.sum() == pytest.approx(scale * mesh.area_elementwise(),
-                                               rel=1e-12)
-        assert abs(ops.mass.sum() / (scale * 4.0 * np.pi) - 1.0) < 1e-2
-
-
-def test_stiffness_conformally_invariant():
-    mesh = fu.genus2_mesh(2)
-    a = fu.discrete_operators(mesh, scale=1.0).stiffness
-    b = fu.discrete_operators(mesh, scale=3.7).stiffness
-    assert np.abs((a - b).toarray()).max() < 1e-12
+    ops = fu.discrete_operators(mesh)
+    assert ops.mass.sum() == pytest.approx(mesh.area_elementwise(), rel=1e-12)
+    assert abs(ops.mass.sum() / (4.0 * np.pi) - 1.0) < 1e-2
 
 
 def test_laplace_zero_eigenvalue_simple():
@@ -269,13 +260,6 @@ def test_laplace_zero_eigenvalue_simple():
     vals = fu.laplace_eigenvalues(ops, k=4)
     assert abs(vals[0]) < 1e-10
     assert vals[1] > 0.5
-
-
-def test_laplace_eigenvalue_scaling_with_conformal_factor():
-    mesh = fu.genus2_mesh(2)
-    v1 = fu.laplace_eigenvalues(fu.discrete_operators(mesh, 1.0), k=3)
-    v2 = fu.laplace_eigenvalues(fu.discrete_operators(mesh, 2.0), k=3)
-    assert np.allclose(v1[1:], 2.0 * v2[1:], rtol=1e-9)
 
 
 def test_spectral_gap_stable_under_refinement():

@@ -8,6 +8,7 @@ from adsgeo import mess_metrics as mm
 from adsgeo.errors import TransferPreconditionError
 from adsgeo.fd import DEFAULT_DIFF, DiffConfig, stencil
 from adsgeo.rigidity import exterior_derivative_identities
+from conftest import codazzi_on_stencil
 
 
 def test_zero_shape_operator_gives_base_metric():
@@ -174,14 +175,13 @@ def test_transfer_precondition_detector():
     assert frame.codazzi_residual < 1e-4
 
     # a genuinely broken operator field trips the guard inside the residual
-    g_field = emb.metric_field(F)
-
-    def broken_a(w):
-        return np.eye(2) + 0.3 * np.array([[np.sin(4 * w[0]), 0.0],
-                                           [w[1], np.cos(3 * w[1])]])
-
-    resid = emb.codazzi_residual_fields(g_field, broken_a, [0.1, 0.2],
-                                        DiffConfig().field)
+    u = np.array([0.1, 0.2])
+    scheme = DiffConfig().field
+    w = stencil(u, scheme)
+    broken_a = np.eye(2) + 0.3 * np.stack([np.sin(4 * w[:, 0]), np.zeros(len(w)),
+                                           w[:, 1], np.cos(3 * w[:, 1])],
+                                          axis=-1).reshape(-1, 2, 2)
+    resid = codazzi_on_stencil(emb.embedding_data_at(F, w).I, broken_a, u, scheme)
     assert resid > mm.TRANSFER_CODAZZI_TOL
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from adsgeo import embedding as emb
@@ -275,51 +276,54 @@ def test_jbj_negative_definite_on_past_convex():
 # ---------------------------------------------------------------------------
 # the discrete operator
 
+def pencil(ops, s):
+    """The weak form tan|s| (-S - 2 M) of tan|s| (Laplace - 2), assembled
+    directly as a reference for ``rigidity_spectrum``."""
+    return (np.tan(abs(s)) * (-ops.stiffness - 2.0 * ops.mass)).tocsr()
+
+
 def test_rigidity_operator_constant_function():
-    mesh = fu.genus2_mesh(2)
-    op = rig.rigidity_operator(mesh, -0.7)
-    assert rig.constant_function_check(op) < 1e-12
+    ops = fu.discrete_operators(fu.genus2_mesh(2))
+    assert rig.constant_function_check(ops, -0.7) < 1e-12
 
 
 def test_rigidity_operator_rejects_bad_parameter():
-    mesh = fu.genus2_mesh(1)
+    ops = fu.discrete_operators(fu.genus2_mesh(1))
     with pytest.raises(DomainError):
-        rig.rigidity_operator(mesh, 0.0)
+        rig.rigidity_spectrum(ops, 0.0)
     with pytest.raises(DomainError):
-        rig.rigidity_operator(mesh, -2.0)
+        rig.rigidity_spectrum(ops, -2.0)
 
 
 def test_rigidity_spectrum_and_kernel():
+    t = np.tan(0.7)
     for level in (2, 3):
-        mesh = fu.genus2_mesh(level)
-        op = rig.rigidity_operator(mesh, -0.7)
-        spectrum = rig.rigidity_spectrum(op, k=6)
+        spectrum = rig.rigidity_spectrum(fu.discrete_operators(fu.genus2_mesh(level)),
+                                         -0.7, k=6)
         assert rig.kernel_dimension(spectrum) == 0
-        min_abs = np.min(np.abs(spectrum)) / op.tan_abs_s
-        assert min_abs >= 2.0 * 0.9
+        assert np.min(np.abs(spectrum)) / t >= 2.0 * 0.9
         # the constant eigenfunction sits at exactly -2 tan|s|
-        assert np.min(np.abs(spectrum)) == pytest.approx(2.0 * op.tan_abs_s,
-                                                         rel=1e-10)
+        assert np.min(np.abs(spectrum)) == pytest.approx(2.0 * t, rel=1e-10)
 
 
-def test_rigidity_spectrum_matches_laplace_transform():
-    mesh = fu.genus2_mesh(2)
-    op = rig.rigidity_operator(mesh, -0.7)
-    spec = np.sort(np.abs(rig.rigidity_spectrum(op, k=4)))
-    lam = fu.laplace_eigenvalues(fu.discrete_operators(mesh), k=4)
-    expected = np.sort(op.tan_abs_s * (lam + 2.0))
-    assert np.allclose(spec, expected, rtol=1e-8)
+def test_rigidity_spectrum_matches_dense_pencil():
+    # reference: the dense generalized eigenproblem of the pencil itself
+    ops = fu.discrete_operators(fu.genus2_mesh(2))
+    spectrum = rig.rigidity_spectrum(ops, -0.7, k=6)
+    ref = scipy.linalg.eigh(pencil(ops, -0.7).toarray(), ops.mass.toarray(),
+                            eigvals_only=True)
+    ref = ref[np.argsort(np.abs(ref), kind="stable")][:6]
+    assert np.abs(spectrum - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_rigidity_spectrum_sparse_path():
-    op = rig.rigidity_operator(fu.genus2_mesh(5), -0.7)
-    n = op.matrix.shape[0]
-    assert n >= fu.DENSE_EIG_LIMIT
-    spectrum = rig.rigidity_spectrum(op, k=6, seed=2)
-    # reference: scipy's own shift-invert about 0, COLAMD order
-    v0 = np.random.default_rng(2).standard_normal(n)
-    ref = scipy.sparse.linalg.eigsh(op.matrix, k=6, M=op.mass, sigma=0.0, v0=v0,
-                                    return_eigenvectors=False)
+    ops = fu.discrete_operators(fu.genus2_mesh(5))
+    assert ops.n >= fu.DENSE_EIG_LIMIT
+    spectrum = rig.rigidity_spectrum(ops, -0.7, k=6, seed=2)
+    # reference: scipy's own shift-invert of the pencil about 0, COLAMD order
+    v0 = np.random.default_rng(2).standard_normal(ops.n)
+    ref = scipy.sparse.linalg.eigsh(pencil(ops, -0.7), k=6, M=ops.mass, sigma=0.0,
+                                    v0=v0, return_eigenvectors=False)
     ref = ref[np.argsort(np.abs(ref), kind="stable")]
     assert np.abs(spectrum - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -335,22 +339,20 @@ def test_kernel_dimension_rule():
 def test_laplace_positivity_by_parts(rng):
     # <Laplace u, u> = -energy <= 0 forces the (Laplace - 2) kernel empty:
     # discrete integration by parts against the mass inner product
-    mesh = fu.genus2_mesh(2)
-    ops = fu.discrete_operators(mesh)
-    op = rig.rigidity_operator(mesh, -0.7)
+    ops = fu.discrete_operators(fu.genus2_mesh(2))
+    matrix, t = pencil(ops, -0.7), np.tan(0.7)
     for _ in range(10):
         x = rng.standard_normal(ops.n)
-        quad = x @ (op.matrix @ x)
+        quad = x @ (matrix @ x)
         energy = x @ (ops.stiffness @ x)
         massq = x @ (ops.mass @ x)
-        assert quad == pytest.approx(-op.tan_abs_s * (energy + 2.0 * massq),
-                                     rel=1e-10)
+        assert quad == pytest.approx(-t * (energy + 2.0 * massq), rel=1e-10)
         assert quad < 0.0
 
 
 def test_spectral_gap_drift_under_refinement():
-    spec2 = rig.rigidity_spectrum(rig.rigidity_operator(fu.genus2_mesh(2), -0.7), k=2)
-    spec3 = rig.rigidity_spectrum(rig.rigidity_operator(fu.genus2_mesh(3), -0.7), k=2)
+    spec2 = rig.rigidity_spectrum(fu.discrete_operators(fu.genus2_mesh(2)), -0.7, k=2)
+    spec3 = rig.rigidity_spectrum(fu.discrete_operators(fu.genus2_mesh(3)), -0.7, k=2)
     gap2 = np.sort(np.abs(spec2))[1]
     gap3 = np.sort(np.abs(spec3))[1]
     assert abs(gap2 - gap3) / gap3 < 0.10
