@@ -28,11 +28,9 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
+# scipy is imported inside the functions that use it, so that importing the
+# package (and every surface command) loads none of it
 from .errors import DomainError, MeshResourceError
 
 SQRT2 = np.sqrt(2.0)
@@ -370,6 +368,7 @@ def genus2_mesh(level: int) -> Genus2Mesh:
             raise DomainError(
                 f"side pairing mismatch on side {k}: distance {dist[bad[0]]:.3e}")
     # components are labelled in the order of their smallest vertex id
+    import scipy.sparse.csgraph
     glue = scipy.sparse.coo_matrix((np.ones(near.size), (near.ravel(), far.ravel())),
                                    shape=(n, n))
     n_classes, labels = scipy.sparse.csgraph.connected_components(glue, directed=False)
@@ -439,6 +438,7 @@ def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
     rows, cols = np.repeat(ids, 3, axis=1).ravel(), np.tile(ids, 3).ravel()
     s_vals, m_vals = k_local.ravel(), m_local.ravel()
     n = mesh.n_classes
+    import scipy.sparse
     stiffness = scipy.sparse.coo_matrix((s_vals, (rows, cols)), shape=(n, n)).tocsr()
     mass = scipy.sparse.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr()
     return DiscreteOperators(stiffness=stiffness, mass=mass, n=n,
@@ -463,9 +463,11 @@ def generalized_eigs(a, m, order, k: int = 6, seed: int = 0):
     n = a.shape[0]
     k = min(k, n - 1)
     if n < DENSE_EIG_LIMIT:
+        import scipy.linalg
         vals = scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True)
         idx = np.argsort(np.abs(vals), kind="stable")
         return vals[idx][:k]
+    import scipy.sparse.linalg
     lu = scipy.sparse.linalg.splu(a[order][:, order].tocsc(), permc_spec="NATURAL",
                                   diag_pivot_thresh=0.0,
                                   options=dict(SymmetricMode=True))

@@ -30,8 +30,8 @@ from .batch import cholesky, det, eigvalsh, inv, matrix, vector
 from .embedding import (EmbeddingData, Immersion, complex_structure,
                         exterior_covariant_derivative, require_strong_convexity)
 from .errors import DomainError
-from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, gradient, jet, partials, stencil,
-                 stencil_partials)
+from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, jet_partials, jet_stencil, partials,
+                 shift_partials, stencil, stencil_partials)
 from .fuchsian import DiscreteOperators, laplace_eigenvalues
 from .mess_metrics import SharpData, mess_metric, sharp_curvature, sharp_frame
 
@@ -171,45 +171,76 @@ def linearized_chain_batch(n: int, seed: int = 0):
 # ---------------------------------------------------------------------------
 # potentials: b = J# (-D# D# mu + mu E)
 
+def _potential_at(mu, points):
+    """mu at every point of a (..., 2) stack, called one (2,) point at a time."""
+    points = np.asarray(points, dtype=float)
+    values = np.array([float(mu(w)) for w in points.reshape(-1, 2)])
+    return values.reshape(points.shape[:-1])
+
+
+def _gradient_field(sharp: SharpData, dmu):
+    """The vector field v = -J# D# mu from the chart gradient dmu, (..., 2)."""
+    return (-sharp.J_sharp @ np.linalg.solve(sharp.I_sharp, dmu[..., None]))[..., 0]
+
+
 def b_from_mu(mu, sharp: SharpData, scheme: FDScheme):
-    """(b, v) of a scalar potential at the sharp frame's point:
-    b = J# (-D# D# mu + mu E) and the vector field v = -J# D# mu.
+    """(b, v) of a scalar potential at the sharp frame's points:
+    b = J# (-D# D# mu + mu E) and the vector field v = -J# D# mu, with the
+    leading batch axes of the frame.
 
     The covariant Hessian uses the sharp Christoffel symbols; tr(b) = 0
     holds by algebra (J# composed with an I#-self-adjoint operator).  mu is
-    called once per point of ``fd.jet``'s stencil.
+    called one (2,) point at a time, once per point of ``fd.jet_stencil`` at
+    each frame point; each frame point gets the bits of a frame of its own.
     """
-    mu0, dmu, ddmu = jet(mu, sharp.u, scheme)
-    hess = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            hess[i, j] = ddmu[i, j] - float(sharp.christoffels[:, i, j] @ dmu)
+    mu0, dmu, ddmu = jet_partials(_potential_at(mu, jet_stencil(sharp.u, scheme)),
+                                  scheme)
+    dmu = np.moveaxis(dmu, 0, -1)
+    # Gamma#[..., :, i, j] . dmu for each (i, j), as a stack of (1, 2) @ (2, 1)
+    # products: those keep the bits of a 1-D dot, where an elementwise sum
+    # or einsum would round differently
+    gamma = np.moveaxis(sharp.christoffels, -3, -1)[..., None, :]
+    hess = (np.moveaxis(ddmu, (0, 1), (-2, -1))
+            - (gamma @ dmu[..., None, None, :, None])[..., 0, 0])
     # the covariant Hessian of a function is symmetric; discarding the
     # finite-difference torsion noise keeps tr(b) = 0 at rounding level
-    hess = 0.5 * (hess + hess.T)
+    hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
     hess_op = np.linalg.solve(sharp.I_sharp, hess)
-    b = sharp.J_sharp @ (-hess_op + float(mu0) * np.eye(2))
-    return b, -sharp.J_sharp @ np.linalg.solve(sharp.I_sharp, dmu)
+    b = sharp.J_sharp @ (-hess_op + mu0[..., None, None] * np.eye(2))
+    return b, _gradient_field(sharp, dmu)
 
 
 def b_field_from_mu(immersion: Immersion, mu, cfg: DiffConfig = DEFAULT_DIFF):
-    """The b field of a potential as a plain callable on the chart; mu is
-    differentiated with ``cfg.inner2``."""
+    """The b field of a potential as a callable on chart points (..., 2); mu
+    is differentiated with ``cfg.inner2``.
+
+    The field maps over leading axes with one ``sharp_frame`` call on the
+    whole stack, and says so, like a batched ``Immersion``, with
+    ``batched = True``."""
     def bf(u):
         frame = sharp_frame(immersion, u, cfg=cfg, check=False)
         return b_from_mu(mu, frame, cfg.inner2)[0]
 
+    bf.batched = True
     return bf
 
 
 def sharp_codazzi_residual(immersion: Immersion, b_field, u,
                            cfg: DiffConfig = DEFAULT_DIFF) -> float:
-    """| D#_1 (b d2) - D#_2 (b d1) |_{I#} for an operator field b."""
+    """| D#_1 (b d2) - D#_2 (b d1) |_{I#} for an operator field b at u.
+
+    A field marked ``batched`` (such as ``b_field_from_mu``'s) is called
+    once on the whole field-step stencil; any other field is called one
+    (2,) point at a time.  On the stack, ``b_field_from_mu``'s field returns
+    the bits of one call per point."""
     u = np.asarray(u, dtype=float)
     frame = sharp_frame(immersion, u, cfg=cfg, check=False)
-    b = np.asarray(b_field(u), dtype=float)
-    vec = exterior_covariant_derivative(frame.christoffels, b,
-                                        *partials(b_field, u, cfg.field))
+    if getattr(b_field, "batched", False):
+        b, d = stencil_partials(np.asarray(b_field(stencil(u, cfg.field)), dtype=float),
+                                cfg.field)
+    else:
+        b, d = np.asarray(b_field(u), dtype=float), partials(b_field, u, cfg.field)
+    vec = exterior_covariant_derivative(frame.christoffels, b, *d)
     return float(np.sqrt(max(vec @ frame.I_sharp @ vec, 0.0)))
 
 
@@ -225,22 +256,24 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
     Both field-step differences come from one sharp frame on the nested
     stencil: ``points[j, i]`` is stencil point j around outer stencil point
     i, so ``points[0]`` is the outer stencil and ``points[0, 0]`` is u.  K# is
-    needed at u only and comes from ``sharp_curvature``.  The potential is
-    evaluated one point at a time and differentiated with ``cfg.inner2``."""
+    needed at u only and comes from ``sharp_curvature``.  The gradient of
+    the potential at every nested point comes from one ``cfg.inner2``
+    stencil around them all; mu is called one (2,) point at a time, on the
+    shifted points of that stencil and at the outer points."""
     u = np.asarray(u, dtype=float)
     points = stencil(stencil(u, cfg.field), cfg.field)
     fr = sharp_frame(immersion, points, cfg=cfg, check=False)
-    dmu = np.array([gradient(mu, w, cfg.inner2)
-                    for w in points.reshape(-1, 2)]).reshape(points.shape)
+    shifted = stencil(points, cfg.inner2)[1:]
+    dmu = np.moveaxis(shift_partials(_potential_at(mu, shifted), cfg.inner2), 0, -1)
 
-    v = (-fr.J_sharp @ np.linalg.solve(fr.I_sharp, dmu[..., None]))[..., 0]
+    v = _gradient_field(fr, dmu)
     v_out, dv = stencil_partials(v, cfg.field)
     gamma = fr.christoffels[0]
     # D# v: column j is d_j v + Gamma#[:, j, :] v, at each outer point
     dv_op = np.stack([dv[j] + (gamma[:, :, j, :] @ v_out[..., None])[..., 0]
                       for j in range(2)], axis=-1)
     dv_op0, d_dv_op = stencil_partials(dv_op, cfg.field)
-    mu_jsharp = np.array([float(mu(w)) for w in points[0]])[:, None, None] * fr.J_sharp[0]
+    mu_jsharp = _potential_at(mu, points[0])[:, None, None] * fr.J_sharp[0]
     mu_jsharp0, d_mu_jsharp = stencil_partials(mu_jsharp, cfg.field)
 
     v0, j_sharp, da_sharp = v_out[0], fr.J_sharp[0, 0], fr.da_sharp[0, 0]

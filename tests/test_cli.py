@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import adsgeo
 from adsgeo import cli
 from adsgeo import embedding as emb
 from adsgeo.errors import ConfigError
@@ -313,3 +320,38 @@ def test_parser_built_once_and_reused(monkeypatch, capsys):
         cli._parser.cache_clear()
     assert builds[0] == 1
     assert [code for code, _, _ in fresh] == [0, 0, 1]
+
+
+SURFACE_COMMANDS = [
+    ["check", "--fixture", "graph_bump", "--samples", "2"],
+    ["mess", "--s", "-0.2", "--s2", "-1.2", "--samples", "2"],
+    ["dual", "--fixture", "graph_bump", "--samples", "2"],
+    ["extend", "--fixture", "graph_bump", "--points", "2"],
+]
+
+NO_SCIPY = """
+import contextlib, io, json, sys
+import adsgeo
+from adsgeo import cli
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+sys.modules["scipy"] = None          # any scipy import now fails
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    out.flush()
+    runs.append([code, out.buffer.getvalue().decode()])
+print(json.dumps({"loaded": loaded, "runs": runs}))
+"""
+
+
+def test_surface_commands_load_no_scipy(capsys):
+    # scipy serves the genus-2 mesh and its eigensolve only; blocking it
+    # changes no byte of the surface reports
+    env = dict(os.environ, PYTHONPATH=str(Path(adsgeo.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(SURFACE_COMMANDS)],
+                          capture_output=True, text=True, env=env, check=True)
+    got = json.loads(done.stdout)
+    assert got["loaded"] == []
+    assert got["runs"] == [[0, run_cli(capsys, *argv)[1]] for argv in SURFACE_COMMANDS]

@@ -181,11 +181,17 @@ def test_sharp_codazzi_from_mu_small(bump):
 
 
 def test_sharp_codazzi_detector_unstructured(bump):
+    shapes = []
+
     def junk(w):
+        shapes.append(np.shape(w))
         return np.array([[np.sin(3.0 * w[0]), 0.5 + w[1]],
                          [0.2 * w[0], np.cos(2.0 * w[1])]])
 
     assert rig.sharp_codazzi_residual(bump, junk, [0.3, -0.2]) > 1e-3
+    # a field not marked batched is called one point at a time: u, then the
+    # 8 shifted points of the field stencil
+    assert shapes == [(2,)] * 9
 
 
 def test_sharp_codazzi_convergence_order(bump):
@@ -197,6 +203,54 @@ def test_sharp_codazzi_convergence_order(bump):
         bf = rig.b_field_from_mu(bump, mu, cfg)
         errs.append(rig.sharp_codazzi_residual(bump, bf, u, cfg))
     assert np.log2(errs[0] / errs[1]) >= 1.9
+
+
+def test_sharp_codazzi_residuals_pinned(bump):
+    # float.hex of the single-point evaluation (one sharp frame and one b
+    # call per stencil point); the stacked field must reproduce every bit
+    pinned = {3: ("0x1.816c3a429a94cp-9", "0x1.82d28464b55e0p-11"),
+              4: ("0x1.4c21b04789a81p-9", "0x1.4cad380444368p-11"),
+              5: ("0x1.4f93d653dbb8ap-11", "0x1.52a57d737845fp-13"),
+              6: ("0x1.15eedd09f2fe5p-11", "0x1.176e28d8c3602p-13"),
+              7: ("0x1.066ba3fc99641p-11", "0x1.0757e9ffbcd32p-13")}
+    u = np.array([0.3, -0.2])
+    for seed, values in pinned.items():
+        for fs, value in zip((0.08, 0.04), values):
+            cfg = DiffConfig(field_step=fs, richardson=False)
+            bf = rig.b_field_from_mu(bump, smooth_mu(seed), cfg)
+            assert rig.sharp_codazzi_residual(bump, bf, u, cfg).hex() == value
+
+
+def test_b_from_mu_stacked_frame_bits(bump):
+    pts = np.random.default_rng(4).uniform(-0.7, 0.7, (3, 4, 2))
+    scheme = FDScheme(2e-3, True)
+    mu = smooth_mu(9)
+    b, v = rig.b_from_mu(mu, sharp_frame(bump, pts, check=False), scheme)
+    assert b.shape == (3, 4, 2, 2) and v.shape == (3, 4, 2)
+    for idx in np.ndindex(3, 4):
+        b1, v1 = rig.b_from_mu(mu, sharp_frame(bump, pts[idx], check=False), scheme)
+        assert b[idx].tobytes() == b1.tobytes()
+        assert v[idx].tobytes() == v1.tobytes()
+
+
+def test_potential_called_pointwise_one_frame_per_field(bump, monkeypatch):
+    cfg = DiffConfig(field_step=0.08, richardson=False)
+    shapes, frames = [], []
+
+    def spy(w):
+        shapes.append(np.shape(w))
+        return smooth_mu(7)(w)
+
+    def counted(*args, **kwargs):
+        frames.append(1)
+        return sharp_frame(*args, **kwargs)
+
+    monkeypatch.setattr(rig, "sharp_frame", counted)
+    rig.sharp_codazzi_residual(bump, rig.b_field_from_mu(bump, spy, cfg), [0.3, -0.2], cfg)
+    # 9 jet points around each of the 5 points of the field stencil
+    assert shapes == [(2,)] * 45
+    # the residual's own frame at u and one for the field on its stencil
+    assert len(frames) == 2
 
 
 def test_exterior_derivative_identities(bump):
@@ -228,6 +282,21 @@ def test_exterior_derivative_identities_pinned(bump):
         cfg = DiffConfig(field_step=fs, richardson=False)
         assert rig.exterior_derivative_identities(bump, smooth_mu(13), [0.2, 0.15],
                                                   cfg=cfg) == values
+    # float.hex at the default steps, with the potential's calls counted
+    pinned = {(11, 0.2, 0.15): ("0x1.05c55dc400000p-27", "0x1.5b19ca3800000p-27"),
+              (5, -0.35, 0.3): ("0x1.f32ec58800000p-26", "0x1.4b2b024c00000p-27")}
+    for (seed, *u), values in pinned.items():
+        shapes = []
+
+        def spy(w, mu=smooth_mu(seed)):
+            shapes.append(np.shape(w))
+            return mu(w)
+
+        got = rig.exterior_derivative_identities(bump, spy, u)
+        assert tuple(r.hex() for r in got) == values
+        # 8 gradient points around each of the 81 nested-stencil points,
+        # and mu itself at the 9 outer points
+        assert shapes == [(2,)] * 657
 
 
 # ---------------------------------------------------------------------------
