@@ -25,12 +25,12 @@ from typing import Callable
 import numpy as np
 
 from .batch import any_of, det, inv, singular_values
-from .embedding import (NORMAL_FLOOR, EmbeddingData, Immersion, christoffel_symbols,
-                        embedding_data_at, family_immersion, gaussian_curvature,
-                        metric_and_normal, metric_field, normal_field,
-                        require_strong_convexity, third_fundamental_form)
+from .embedding import (NORMAL_FLOOR, EmbeddingData, Immersion, _curvature_from_known,
+                        christoffel_symbols, embedding_data_at, family_immersion,
+                        gaussian_curvature, metric_and_normal, metric_field,
+                        normal_field, require_strong_convexity, third_fundamental_form)
 from .errors import DegenerateDataError, DomainError, FocalPointError
-from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, jet, jet_partials, jet_shifts,
+from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, jet_partials, jet_shifts,
                  jet_stencil)
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
     """
     u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, u, cfg=cfg)
-    k_measured = gaussian_curvature(immersion, u, cfg=cfg)
+    k_measured = _curvature_from_known(immersion, u, data.I[None], cfg)
     dual = dual_data_pointwise(data, K=k_measured)
 
     fstar = dual_immersion(immersion, cfg)
@@ -213,18 +213,19 @@ _COMPONENTS = tuple(np.array(ix) for ix in zip(*[
 def riemann_constant_curvature_residual(metric, p, scheme: FDScheme):
     """Relative residual of R_abcd + (h_ac h_bd - h_ad h_bc) at points p.
 
-    ``metric`` is any callable p -> 3x3 symmetric matrix, called once per
-    point of ``fd.jet``'s stencil with points of the shape p has;
-    derivatives are taken componentwise by central differences.  The maximum
-    over the six independent components is normalized by the squared
-    Frobenius norm of h.  Every sum over an index runs in index order.
+    ``metric`` is any callable p -> 3x3 symmetric matrix, evaluated on
+    ``fd.jet_stencil(p, scheme)`` by ``fd.evaluate``; derivatives are taken
+    componentwise by central differences.  The maximum over the six
+    independent components is normalized by the squared Frobenius norm of
+    h.  Every sum over an index runs in index order.
     """
-    return _curvature_residual(*jet(metric, p, scheme))
+    h = evaluate(metric, jet_stencil(p, scheme), getattr(metric, "batched", False))
+    return _curvature_residual(*jet_partials(h, scheme))
 
 
 def _curvature_residual(h, d, dd):
     """The residual of ``riemann_constant_curvature_residual`` from the
-    ``fd.jet`` of the metric: h, d[a] = d_a h and dd[a, b] = d_a d_b h."""
+    metric's ``fd.jet_partials``: h, d[a] = d_a h, dd[a, b] = d_a d_b h."""
     h = np.asarray(h, dtype=float)
     h_inv = np.linalg.inv(h)
     batch = h.ndim - 2

@@ -25,11 +25,10 @@ one point or of a batch.
 
 The layers evaluate an immersion once per finite-difference stencil: the
 stencil points are stacked on a new leading axis and handed to
-``Immersion.__call__`` in one call.  An evaluator that maps over leading
-axes says so with ``batched=True`` (the built-in fixtures and the dual
-immersion do); any other evaluator is called one point of shape (2,) at a
-time.  A user-supplied field is only ever called with points of the shape
-its caller passed in.
+``Immersion.__call__`` in one call, by the one calling rule ``fd.evaluate``:
+an evaluator that maps over leading axes says so with ``batched=True`` (the
+built-in fixtures and the dual immersion do); any other evaluator, or metric
+field handed to ``christoffels``, is called one point (2,) at a time.
 """
 from __future__ import annotations
 
@@ -43,7 +42,7 @@ from . import ads_core
 from .batch import (any_of, components, det, eigvalsh, entries, inv, matrix,
                     quadratic_form, vector)
 from .errors import ConfigError, ConvexityError, DegenerateDataError, DomainError
-from .fd import (DEFAULT_DIFF, DiffConfig, gradient, jet_partials, jet_stencil,
+from .fd import (DEFAULT_DIFF, DiffConfig, evaluate, jet_partials, jet_stencil,
                  shift_partials, stencil, stencil_gradient)
 
 MAX_METRIC_CONDITION = 1e6
@@ -78,7 +77,7 @@ class Immersion:
 
     ``batched`` says that the evaluator maps over leading axes of its chart
     points, (..., 2) -> (..., 4).  Otherwise calling the immersion maps the
-    evaluator over them, so that it only ever sees single points (2,).
+    evaluator over them (``fd.evaluate``): it only ever sees points (2,).
     """
 
     name: str
@@ -88,12 +87,7 @@ class Immersion:
     batched: bool = False
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.batched or u.ndim == 1:
-            return np.asarray(self.evaluator(u), dtype=float)
-        values = np.array([self.evaluator(w) for w in u.reshape(-1, u.shape[-1])],
-                          dtype=float)
-        return values.reshape(u.shape[:-1] + values.shape[1:])
+        return evaluate(self.evaluator, u, self.batched)
 
 
 def _family_evaluator(s: float):
@@ -375,10 +369,19 @@ def gaussian_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
     return _brioschi(*jet_partials(g, cfg.field))
 
 
+def _curvature_from_known(immersion: Immersion, u, known, cfg: DiffConfig):
+    """``gaussian_curvature`` at u, bit for bit, given the metric ``known``
+    from ``embedding_data_at`` at the first points of its jet (u alone, or
+    the field-step ``fd.stencil``); the metric field makes the rest."""
+    rest = metric_field(immersion, cfg)(jet_stencil(u, cfg.field)[len(known):])
+    return _brioschi(*jet_partials(np.concatenate([known, rest]), cfg.field))
+
+
 def christoffel_symbols(g_inv, dg):
     """Gamma[..., k, i, j] = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij) in any
     dimension, from the inverse metric and the stack dg[..., i, :, :] = d_i g
-    (the layout of ``fd.gradient``).  The sum over l runs in index order."""
+    (the layout of ``fd.stencil_gradient``).  The sum over l runs in index
+    order."""
     dg = np.asarray(dg, dtype=float)
     # t[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     t = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
@@ -390,10 +393,11 @@ def christoffel_symbols(g_inv, dg):
 
 
 def christoffels(g_field, u, scheme):
-    """Christoffel symbols Gamma[..., k, i, j] of a chart metric field."""
-    u = np.asarray(u, dtype=float)
-    g = np.asarray(g_field(u), dtype=float)
-    return christoffel_symbols(inv(g), gradient(g_field, u, scheme))
+    """Christoffel symbols Gamma[..., k, i, j] of a chart metric field, from
+    its values on ``fd.stencil(u, scheme)`` (``fd.evaluate``)."""
+    values = evaluate(g_field, stencil(u, scheme), getattr(g_field, "batched", False))
+    g, dg = stencil_gradient(values, u, scheme)
+    return christoffel_symbols(inv(g), dg)
 
 
 def exterior_covariant_derivative(gamma, x, dx1, dx2):
@@ -412,7 +416,7 @@ def exterior_covariant_derivative(gamma, x, dx1, dx2):
 def codazzi_norm(gamma, x, dx, I):
     """|d^D X (d1, d2)|_I of an operator field X, from the Christoffel symbols
     of D, X at the point, its partials dx[..., i, :, :] = d_i X (the layout
-    of ``fd.gradient``) and the metric I at the point."""
+    of ``fd.stencil_gradient``) and the metric I at the point."""
     vec = exterior_covariant_derivative(gamma, x, dx[..., 0, :, :], dx[..., 1, :, :])
     return np.sqrt(np.maximum(quadratic_form(vec, I), 0.0))
 
@@ -427,10 +431,8 @@ def structure_residuals(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF)
     called at the corners of the jet only.
     """
     u = np.asarray(u, dtype=float)
-    points = stencil(u, cfg.field)
-    data = embedding_data_at(immersion, points, cfg=cfg)
-    corners = metric_field(immersion, cfg)(jet_stencil(u, cfg.field)[len(points):])
-    K = _brioschi(*jet_partials(np.concatenate([data.I, corners]), cfg.field))
+    data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
+    K = _curvature_from_known(immersion, u, data.I, cfg)
 
     centre = data[0]
     _, dfields = stencil_gradient(np.stack([data.I, data.B], axis=-3), u, cfg.field)

@@ -3,31 +3,32 @@
 All derivative-taking in the package funnels through these helpers so that
 step sizes and extrapolation order are controlled in one place.  Chart
 points may carry leading batch axes, ``u`` of shape ``(..., dim)``: the
-stencils shift the last axis of the whole array and ``f`` is called once
-per stencil point with an array of the shape it was given.
+stencils shift the last axis of the whole array.
 
-First partials come from ``partials(f, u, scheme)``, one call of ``f`` per
-shifted point of ``stencil(u, scheme)``, which stacks every point of the
-first differences on a new leading axis.  A field that accepts extra leading
-point axes can instead be called once on the whole stencil, and
-``stencil_partials`` turns the values there into ``f(u)`` and the first
-partials, through the same arithmetic and so with the same bits;
+A derivative takes three steps: stack the points of a stencil on a new
+leading axis, evaluate the callable there, and difference the values.
+``evaluate(f, points, batched)`` is the one calling rule for every callable
+the package differentiates: one call on the whole stack for a callable
+marked ``batched`` (it maps over leading axes), else one call per ``(dim,)``
+point, in stack order.  The difference formulas are elementwise, so every
+point gets the bits of the same call on that point alone.
+
+First partials: ``stencil(u, scheme)`` holds the centre ``u`` and the
+shifted points of the first differences, and ``stencil_partials`` turns the
+values there into ``f(u)`` and the first partials ``d[i]``;
 ``shift_partials`` does the same from the shifted points alone, for a
-caller that has no use for ``f(u)``.  Stencils nest:
-``stencil(stencil(u, s), s)`` holds every point of a difference of a
-difference, for one call of a field.
+caller that has no use for ``f(u)``, and ``stencil_gradient`` stacks the
+partials batch-first.  Stencils nest: ``stencil(stencil(u, s), s)`` holds
+every point of a difference of a difference.
 
-Second partials come from one fused stencil: ``jet(f, u, scheme)`` returns
-``f(u)`` with all first and second partials and evaluates ``f`` once at each
-distinct point (17 in 2-D, 37 in 3-D with Richardson), where the second
-differences share the centre and the axis points of the first, and its
-first partials are those of ``partials``.  ``jet_stencil`` and
-``jet_partials`` split it for a caller that assembles the values at those
-points itself; ``jet_stencil`` starts with the points of ``stencil``, so
-values on a stencil need only the corners to make a jet.  Each difference
-formula runs once, elementwise over all coordinates (or pairs of
-coordinates), so every point of a batch gets the bits of the same call on
-that point alone.
+Second partials come from one fused stencil: ``jet_stencil(u, scheme)``
+holds every distinct point (17 in 2-D, 37 in 3-D with Richardson), where
+the second differences share the centre and the axis points of the first,
+and ``jet_partials`` turns the values there into ``f(u)`` with all first
+and second partials; its first partials are those of ``stencil_partials``.
+``jet_stencil`` starts with the points of ``stencil``, so values on a
+stencil need only the corners to make a jet.  Each difference formula runs
+once, elementwise over all coordinates (or pairs of coordinates).
 
 Two default step sizes are distinguished:
 
@@ -142,11 +143,16 @@ def _points(u, plan):
     return points
 
 
-def _stencil_points(u, scheme: FDScheme):
-    """The points of ``stencil``: ``u`` and the first k dim points of
-    ``_jet_plan``, those on the coordinate axes through ``u``."""
-    dim = u.shape[-1]
-    return _points(u, _jet_plan(dim, scheme)[:len(_offsets(scheme)) * dim])
+def evaluate(f, points, batched: bool):
+    """``f`` at every point of a ``(..., dim)`` stack, as a float array with
+    the stack's leading axes first: one call on the whole stack when
+    ``batched``, otherwise one call per ``(dim,)`` point, in stack order,
+    with the values stacked in the points' layout."""
+    points = np.asarray(points, dtype=float)
+    if batched or points.ndim == 1:
+        return np.asarray(f(points), dtype=float)
+    values = np.array([f(w) for w in points.reshape(-1, points.shape[-1])], dtype=float)
+    return values.reshape(points.shape[:-1] + values.shape[1:])
 
 
 def stencil(u, scheme: FDScheme):
@@ -156,7 +162,9 @@ def stencil(u, scheme: FDScheme):
     coordinate the shifts of ``_offsets`` (9 points in 2-D with Richardson).
     These are the first points of ``jet_stencil``.
     """
-    return np.stack(_stencil_points(np.asarray(u, dtype=float), scheme))
+    u = np.asarray(u, dtype=float)
+    plan = _jet_plan(u.shape[-1], scheme)[:len(_offsets(scheme)) * u.shape[-1]]
+    return np.stack(_points(u, plan))
 
 
 def shift_partials(values, scheme: FDScheme):
@@ -169,28 +177,16 @@ def shift_partials(values, scheme: FDScheme):
 
 
 def stencil_partials(values, scheme: FDScheme):
-    """``(f(u), d)`` from ``values = f(stencil(u, scheme))``: ``d[i]`` has the
-    bits of ``partials(f, u, scheme)[i]``."""
+    """``(f(u), d)`` from ``values = f(stencil(u, scheme))``, with the first
+    partials ``d[i]`` on a leading axis."""
     values = np.asarray(values)
     return values[0], shift_partials(values[1:], scheme)
 
 
-def partials(f, u, scheme: FDScheme):
-    """First partials ``d[i]`` of ``f`` (any array-valued callable) at ``u``,
-    from one call of ``f`` per shifted point of ``stencil``, each with a
-    point of the shape of ``u``."""
-    points = _stencil_points(np.asarray(u, dtype=float), scheme)[1:]
-    return shift_partials([f(w) for w in points], scheme)
-
-
-def gradient(f, u, scheme: FDScheme):
-    """Stack of first partials, shape batch + (dim,) + value-shape."""
-    return np.stack(list(partials(f, u, scheme)), axis=np.ndim(u) - 1)
-
-
 def stencil_gradient(values, u, scheme: FDScheme):
     """``(f(u), df)`` from ``values = f(stencil(u, scheme))``, with the
-    partials stacked in the layout of ``gradient``."""
+    partials stacked batch-first: ``df[..., i, ...]`` is ``d[i]`` of
+    ``stencil_partials``, shape batch + (dim,) + value-shape."""
     f0, d = stencil_partials(values, scheme)
     return f0, np.stack(list(d), axis=np.ndim(u) - 1)
 
@@ -237,10 +233,10 @@ def jet_stencil(u, scheme: FDScheme):
 def jet_partials(values, scheme: FDScheme):
     """``(f(u), d, dd)`` from the values of f at ``jet_stencil(u, scheme)``.
 
-    ``d[i]`` has the bits of ``partials(f, u, scheme)[i]`` and
-    ``dd[i, j] = dd[j, i]`` is the second partial (``_d2_combine`` on the
-    diagonal, ``_mixed_combine`` off it).  Each formula runs once,
-    elementwise over all coordinates or all pairs.
+    ``d[i]`` has the bits of ``stencil_partials`` on the first values, those
+    at the points of ``stencil``, and ``dd[i, j] = dd[j, i]`` is the second
+    partial (``_d2_combine`` on the diagonal, ``_mixed_combine`` off it).
+    Each formula runs once, elementwise over all coordinates or all pairs.
     """
     values = np.asarray(values)
     k = len(_offsets(scheme))
@@ -257,11 +253,3 @@ def jet_partials(values, scheme: FDScheme):
         for j in range(i + 1, dim):
             dd[i, j] = dd[j, i] = next(mixed)
     return f0, _d1_combine(shifted, scheme), dd
-
-
-def jet(f, u, scheme: FDScheme):
-    """``(f(u), d, dd)``: the value, first partials ``d[i]`` and second
-    partials ``dd[i, j]`` of ``f`` at ``u``, from one call of ``f`` per point
-    of ``jet_shifts``, each with a point of the shape of ``u``."""
-    u = np.asarray(u, dtype=float)
-    return jet_partials([f(w) for w in _points(u, _jet_plan(u.shape[-1], scheme))], scheme)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import any_of, det, entries, inv, singular_values
-from .embedding import (EmbeddingData, Immersion, christoffel_symbols, codazzi_norm,
-                        embedding_data_at, gaussian_curvature)
+from .embedding import (EmbeddingData, Immersion, _curvature_from_known,
+                        christoffel_symbols, codazzi_norm, embedding_data_at)
 from .errors import DegenerateDataError, TransferPreconditionError
 from .fd import DEFAULT_DIFF, DiffConfig, stencil, stencil_gradient
 
@@ -105,7 +105,8 @@ def _sharp_frame(data: EmbeddingData, u, scheme, check: bool) -> SharpData:
 def sharp_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
     """K# = K / det(E + JB) at chart points u: the one implementation of K#."""
     data = embedding_data_at(immersion, u, cfg=cfg)
-    return gaussian_curvature(immersion, u, cfg=cfg) / det(_sharp_factor(data, +1))
+    K = _curvature_from_known(immersion, u, data.I[None], cfg)
+    return K / det(_sharp_factor(data, +1))
 
 
 def sharp_metric_derivative_residual(immersion: Immersion, u,

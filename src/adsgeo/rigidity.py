@@ -30,7 +30,7 @@ from .batch import cholesky, det, eigvalsh, inv, matrix, vector
 from .embedding import (EmbeddingData, Immersion, complex_structure,
                         exterior_covariant_derivative, require_strong_convexity)
 from .errors import DomainError
-from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, jet_partials, jet_stencil, partials,
+from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, jet_partials, jet_stencil,
                  shift_partials, stencil, stencil_partials)
 from .fuchsian import DiscreteOperators, laplace_eigenvalues
 from .mess_metrics import SharpData, mess_metric, sharp_curvature, sharp_frame
@@ -172,10 +172,9 @@ def linearized_chain_batch(n: int, seed: int = 0):
 # potentials: b = J# (-D# D# mu + mu E)
 
 def _potential_at(mu, points):
-    """mu at every point of a (..., 2) stack, called one (2,) point at a time."""
-    points = np.asarray(points, dtype=float)
-    values = np.array([float(mu(w)) for w in points.reshape(-1, 2)])
-    return values.reshape(points.shape[:-1])
+    """mu at every point of a (..., 2) stack (``fd.evaluate``: one call if mu
+    is marked ``batched``, else one (2,) point at a time)."""
+    return evaluate(mu, points, getattr(mu, "batched", False))
 
 
 def _gradient_field(sharp: SharpData, dmu):
@@ -190,8 +189,8 @@ def b_from_mu(mu, sharp: SharpData, scheme: FDScheme):
 
     The covariant Hessian uses the sharp Christoffel symbols; tr(b) = 0
     holds by algebra (J# composed with an I#-self-adjoint operator).  mu is
-    called one (2,) point at a time, once per point of ``fd.jet_stencil`` at
-    each frame point; each frame point gets the bits of a frame of its own.
+    evaluated on ``fd.jet_stencil`` around every frame point (``fd.evaluate``);
+    each frame point gets the bits of a frame of its own.
     """
     mu0, dmu, ddmu = jet_partials(_potential_at(mu, jet_stencil(sharp.u, scheme)),
                                   scheme)
@@ -212,11 +211,11 @@ def b_from_mu(mu, sharp: SharpData, scheme: FDScheme):
 
 def b_field_from_mu(immersion: Immersion, mu, cfg: DiffConfig = DEFAULT_DIFF):
     """The b field of a potential as a callable on chart points (..., 2); mu
-    is differentiated with ``cfg.inner2``.
+    is differentiated with ``cfg.inner2`` (``b_from_mu``).
 
     The field maps over leading axes with one ``sharp_frame`` call on the
     whole stack, and says so, like a batched ``Immersion``, with
-    ``batched = True``."""
+    ``batched = True``, so ``fd.evaluate`` calls it once per stack."""
     def bf(u):
         frame = sharp_frame(immersion, u, cfg=cfg, check=False)
         return b_from_mu(mu, frame, cfg.inner2)[0]
@@ -229,17 +228,13 @@ def sharp_codazzi_residual(immersion: Immersion, b_field, u,
                            cfg: DiffConfig = DEFAULT_DIFF) -> float:
     """| D#_1 (b d2) - D#_2 (b d1) |_{I#} for an operator field b at u.
 
-    A field marked ``batched`` (such as ``b_field_from_mu``'s) is called
-    once on the whole field-step stencil; any other field is called one
-    (2,) point at a time.  On the stack, ``b_field_from_mu``'s field returns
-    the bits of one call per point."""
+    The field is evaluated on the field-step ``fd.stencil`` by
+    ``fd.evaluate``: in one call if it is marked ``batched``, as
+    ``b_field_from_mu``'s is, which returns the bits of one call per point."""
     u = np.asarray(u, dtype=float)
     frame = sharp_frame(immersion, u, cfg=cfg, check=False)
-    if getattr(b_field, "batched", False):
-        b, d = stencil_partials(np.asarray(b_field(stencil(u, cfg.field)), dtype=float),
-                                cfg.field)
-    else:
-        b, d = np.asarray(b_field(u), dtype=float), partials(b_field, u, cfg.field)
+    values = evaluate(b_field, stencil(u, cfg.field), getattr(b_field, "batched", False))
+    b, d = stencil_partials(values, cfg.field)
     vec = exterior_covariant_derivative(frame.christoffels, b, *d)
     return float(np.sqrt(max(vec @ frame.I_sharp @ vec, 0.0)))
 
@@ -258,7 +253,7 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
     i, so ``points[0]`` is the outer stencil and ``points[0, 0]`` is u.  K# is
     needed at u only and comes from ``sharp_curvature``.  The gradient of
     the potential at every nested point comes from one ``cfg.inner2``
-    stencil around them all; mu is called one (2,) point at a time, on the
+    stencil around them all; mu is evaluated (``fd.evaluate``) on the
     shifted points of that stencil and at the outer points."""
     u = np.asarray(u, dtype=float)
     points = stencil(stencil(u, cfg.field), cfg.field)

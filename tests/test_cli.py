@@ -272,10 +272,10 @@ def test_tolerances_echoed_in_all_formats():
 EVALUATOR_CALLS = [
     (["check", "--fixture", "graph_bump", "--samples", "100"], 2, 28900),
     (["check", "--fixture", "fuchsian_family", "--s", "-1.2", "--samples", "100"], 2, 28900),
-    (["mess", "--fixture", "graph_bump", "--samples", "100"], 2, 16100),
+    (["mess", "--fixture", "graph_bump", "--samples", "100"], 2, 15300),
     (["mess", "--fixture", "fuchsian_family", "--s", "-0.2", "--s2", "-1.2",
-      "--samples", "100"], 4, 21100),
-    (["dual", "--fixture", "graph_bump", "--samples", "50"], 3, 11650),
+      "--samples", "100"], 4, 20300),
+    (["dual", "--fixture", "graph_bump", "--samples", "50"], 3, 11250),
     (["extend", "--fixture", "graph_bump", "--points", "20"], 1, 25500),
 ]
 

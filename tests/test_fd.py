@@ -1,7 +1,8 @@
-"""The fused second-order stencil ``fd.jet`` and the first partials
-``fd.partials`` against the separate one-coordinate difference formulas
-they replaced, kept here as the reference, and the caller-shape contract of
-every layer that differentiates a user callable through ``jet``."""
+"""The fused second-order stencil (``fd.jet_stencil``, ``fd.jet_partials``)
+and the first-order one (``fd.stencil``, ``fd.stencil_partials``) against
+the separate one-coordinate difference formulas they replaced, kept here as
+the reference, and the one calling rule ``fd.evaluate`` that every layer
+differentiating a user callable follows."""
 from dataclasses import fields
 
 import numpy as np
@@ -13,7 +14,8 @@ from adsgeo import constructions as con
 from adsgeo import embedding as emb
 from adsgeo import mess_metrics as mes
 from adsgeo import rigidity as rig
-from adsgeo.fd import DEFAULT_DIFF, FDScheme, jet, jet_shifts, jet_stencil, partials
+from adsgeo.fd import (DEFAULT_DIFF, FDScheme, evaluate, jet_partials, jet_shifts,
+                       jet_stencil, stencil, stencil_partials)
 
 
 # ---------------------------------------------------------------------------
@@ -95,18 +97,15 @@ def test_jet_matches_reference_formulas(batch, dim, kind, richardson, step, seed
     field = FIELDS[kind]
     scheme = FDScheme(step, richardson)
     u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=batch + (dim,))
-    shapes = []
-
-    def f(w):
-        shapes.append(w.shape)
-        return field(w)
-
-    f0, d, dd = jet(f, u, scheme)
-    # one call per distinct point, each with the caller's shape
-    assert shapes == [u.shape] * (1 + len(_offsets(scheme)) * dim * dim)
-    assert len({p.tobytes() for p in jet_stencil(u, scheme)}) == len(shapes)
-    assert np.asarray(f0).tobytes() == np.asarray(field(u)).tobytes()
-    first = partials(field, u, scheme)
+    points = jet_stencil(u, scheme)
+    f0, d, dd = jet_partials(field(points), scheme)
+    # every point distinct, the first ones those of the first-order stencil
+    assert len({p.tobytes() for p in points}) == len(points) \
+        == 1 + len(_offsets(scheme)) * dim * dim
+    first_points = stencil(u, scheme)
+    assert points[:len(first_points)].tobytes() == first_points.tobytes()
+    centre, first = stencil_partials(field(first_points), scheme)
+    assert f0.tobytes() == centre.tobytes() == np.asarray(field(u)).tobytes()
     for i in range(dim):
         assert d[i].tobytes() == first[i].tobytes() == ref_d1(field, u, i, scheme).tobytes()
         for j in range(i, dim):
@@ -131,7 +130,30 @@ def test_jet_stencil_follows_jet_shifts(dim, richardson):
 
 
 # ---------------------------------------------------------------------------
-# pointwise user callables: every call gets the caller's shape
+# the calling rule: an unmarked callable gets one point per call
+
+@CHECKS
+@given(batch=st.sampled_from([(), (1,), (3,), (2, 4)]), dim=st.sampled_from([2, 3]),
+       kind=st.sampled_from(sorted(FIELDS)), seed=st.integers(0, 2 ** 32 - 1))
+def test_evaluate_calls_unmarked_one_point_at_a_time(batch, dim, kind, seed):
+    field = FIELDS[kind]
+    points = np.random.default_rng(seed).uniform(-1.0, 1.0, size=batch + (dim,))
+    seen = []
+
+    def f(w):
+        seen.append(np.array(w))
+        return field(w)
+
+    values = evaluate(f, points, False)
+    # single (dim,) points, in stack order, values in the points' layout
+    assert all(w.shape == (dim,) for w in seen)
+    assert np.array(seen).tobytes() == points.reshape(-1, dim).tobytes()
+    want = field(points)
+    assert values.shape == want.shape and values.tobytes() == want.tobytes()
+    seen.clear()
+    assert evaluate(f, points, True).tobytes() == want.tobytes()
+    assert len(seen) == 1 and seen[0].shape == points.shape
+
 
 def pointwise(fn, ndim):
     def wrapped(w):
@@ -159,6 +181,21 @@ def test_pointwise_callables_through_jet(bump):
     p = np.array([0.2, -0.1, -0.5])
     r = con.riemann_constant_curvature_residual(pointwise(ext, 3), p, FDScheme(1e-2, True))
     assert r == con.extension_curvature(ext, p) < 1e-3
+
+
+def test_marked_metric_called_once_on_the_jet(bump):
+    ext = con.extension_metric(bump, slack=0.1)
+    p = np.array([0.2, -0.1, -0.5])
+    shapes = []
+
+    def metric(q):
+        shapes.append(q.shape)
+        return ext(q)
+
+    metric.batched = True
+    r = con.riemann_constant_curvature_residual(metric, p, FDScheme(1e-2, True))
+    assert shapes == [(37, 3)]
+    assert r == con.extension_curvature(ext, p)
 
 
 def test_pointwise_evaluator_gets_the_builtin_bits(bump):

@@ -11,11 +11,29 @@ from adsgeo.fd import DiffConfig, FDScheme
 from adsgeo.mess_metrics import sharp_frame
 
 
-def smooth_mu(seed):
+def smooth_mu(seed, batched=False):
+    """A smooth potential of points (..., 2); with ``batched`` it is marked
+    as mapping over leading axes, so each stack is one call."""
     rng = np.random.default_rng(seed)
     a, b, c, d, e = rng.uniform(-1.0, 1.0, 5)
-    return lambda w: (0.4 * a * np.sin(1.0 + b + 1.3 * w[0])
-                      * np.cos(0.9 * w[1] + c) + 0.2 * d * w[0] * w[1] + 0.1 * e)
+
+    def mu(w):
+        x, y = w[..., 0], w[..., 1]
+        return (0.4 * a * np.sin(1.0 + b + 1.3 * x) * np.cos(0.9 * y + c)
+                + 0.2 * d * x * y + 0.1 * e)
+
+    mu.batched = batched
+    return mu
+
+
+def counted(mu, shapes):
+    """mu, with the shape of every call's points appended to ``shapes``."""
+    def spy(w):
+        shapes.append(np.shape(w))
+        return mu(w)
+
+    spy.batched = mu.batched
+    return spy
 
 
 def convex_pair(rng):
@@ -237,20 +255,25 @@ def test_potential_called_pointwise_one_frame_per_field(bump, monkeypatch):
     cfg = DiffConfig(field_step=0.08, richardson=False)
     shapes, frames = [], []
 
-    def spy(w):
-        shapes.append(np.shape(w))
-        return smooth_mu(7)(w)
-
-    def counted(*args, **kwargs):
+    def counted_frame(*args, **kwargs):
         frames.append(1)
         return sharp_frame(*args, **kwargs)
 
-    monkeypatch.setattr(rig, "sharp_frame", counted)
-    rig.sharp_codazzi_residual(bump, rig.b_field_from_mu(bump, spy, cfg), [0.3, -0.2], cfg)
+    monkeypatch.setattr(rig, "sharp_frame", counted_frame)
+    bf = rig.b_field_from_mu(bump, counted(smooth_mu(7), shapes), cfg)
+    rig.sharp_codazzi_residual(bump, bf, [0.3, -0.2], cfg)
     # 9 jet points around each of the 5 points of the field stencil
     assert shapes == [(2,)] * 45
     # the residual's own frame at u and one for the field on its stencil
     assert len(frames) == 2
+
+    # a potential marked batched gets the whole (9, 5, 2) jet in one call,
+    # with the bits of the pinned single-point evaluation
+    shapes.clear()
+    bf = rig.b_field_from_mu(bump, counted(smooth_mu(7, batched=True), shapes), cfg)
+    assert rig.sharp_codazzi_residual(bump, bf, [0.3, -0.2], cfg).hex() \
+        == "0x1.066ba3fc99641p-11"
+    assert shapes == [(9, 5, 2)]
 
 
 def test_exterior_derivative_identities(bump):
@@ -287,16 +310,17 @@ def test_exterior_derivative_identities_pinned(bump):
               (5, -0.35, 0.3): ("0x1.f32ec58800000p-26", "0x1.4b2b024c00000p-27")}
     for (seed, *u), values in pinned.items():
         shapes = []
-
-        def spy(w, mu=smooth_mu(seed)):
-            shapes.append(np.shape(w))
-            return mu(w)
-
-        got = rig.exterior_derivative_identities(bump, spy, u)
+        got = rig.exterior_derivative_identities(bump, counted(smooth_mu(seed), shapes), u)
         assert tuple(r.hex() for r in got) == values
         # 8 gradient points around each of the 81 nested-stencil points,
         # and mu itself at the 9 outer points
         assert shapes == [(2,)] * 657
+        # a marked potential: one call on each of those two stacks
+        shapes.clear()
+        got = rig.exterior_derivative_identities(
+            bump, counted(smooth_mu(seed, batched=True), shapes), u)
+        assert tuple(r.hex() for r in got) == values
+        assert shapes == [(8, 9, 9, 2), (9, 2)]
 
 
 # ---------------------------------------------------------------------------
