@@ -6,6 +6,10 @@ sequence of elementwise operations, so each member of a batch gets the bits
 of the same call on that member alone.  Without batch axes the components
 are scalars, which keeps a single point at a handful of scalar operations
 instead of small-array or LAPACK calls.
+
+The functions whose names end in 2 take and return 2x2 matrices as entry
+tuples (m11, m12, m21, m22) (``entries``): a chain of them makes no stacked
+matmul and no (..., 2, 2) temporaries.
 """
 from __future__ import annotations
 
@@ -57,24 +61,44 @@ def any_of(mask) -> bool:
 
 
 def det(m):
-    a, b, c, d = entries(m)
-    return a * d - b * c
+    return det2(entries(m))
 
 
 def inv(m):
     """Adjugate over determinant (no pivoting; callers check conditioning)."""
-    a, b, c, d = entries(m)
-    q = a * d - b * c
-    return matrix(d / q, -b / q, -c / q, a / q)
+    return matrix(*inv2(entries(m)))
 
 
-def cholesky(m):
+def det2(m):
+    a, b, c, d = m
+    return a * d - b * c
+
+
+def inv2(m):
+    """Adjugate over determinant, as ``inv``."""
+    a, b, c, d = m
+    q = det2(m)
+    return d / q, -b / q, -c / q, a / q
+
+
+def mul2(m, n):
+    """The product m n."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def trace2(m):
+    return m[0] + m[3]
+
+
+def cholesky2(m):
     """Lower triangular L with L L^T = m, for a symmetric positive definite
     m; reads the lower triangle of m, as LAPACK does."""
-    a, _, c, d = entries(m)
+    a, _, c, d = m
     l11 = np.sqrt(a)
     l21 = c / l11
-    return matrix(l11, np.zeros_like(l11), l21, np.sqrt(d - l21 * l21))
+    return l11, 0.0, l21, np.sqrt(d - l21 * l21)
 
 
 def eigvalsh(a, m):
@@ -85,7 +109,7 @@ def eigvalsh(a, m):
     lower triangles of a and m are read.
     """
     a11, _, a21, a22 = entries(a)
-    l11, _, l21, l22 = entries(cholesky(m))
+    l11, _, l21, l22 = cholesky2(entries(m))
     # y = L^{-1} a, then C = y L^{-T}, row by row
     y11, y12 = a11 / l11, a21 / l11
     y22 = (a22 - l21 * y12) / l22

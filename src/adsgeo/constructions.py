@@ -164,12 +164,15 @@ class ExtensionMetric:
     over leading batch axes of the points.
 
     Block form diag(I((cos s E + sin s B) . , same), -1) in coordinates
-    (u1, u2, s); restricts to I at s = 0.
+    (u1, u2, s); restricts to I at s = 0.  Marked ``batched``, so
+    ``fd.evaluate`` calls it once per stack, with the bits of one call per
+    point.
     """
 
     immersion: Immersion
     cfg: DiffConfig
     s_range: tuple = (-np.pi / 2, 0.0)
+    batched = True      # a class attribute, not a field
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)

@@ -319,12 +319,15 @@ def metric_and_normal(immersion: Immersion, u, point, scheme):
 
 def metric_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
     """Chart metric as a plain callable u -> 2x2 (first derivatives only),
-    with one immersion call on the shifted points of the stencil."""
+    with one immersion call on the shifted points of the stencil.  It maps
+    over leading axes and is marked ``batched``, so ``fd.evaluate`` calls it
+    once per stack."""
     sch = cfg.inner
 
     def g(u):
         return _induced_metric(immersion(stencil(u, sch)[1:]), sch)[0]
 
+    g.batched = True
     return g
 
 

@@ -8,7 +8,10 @@ I-self-adjoint variation Bdot, the morphism
 satisfies tr((E + JB) b) = 0 always and tr((E + (JB)^{-1}) b) = 0 exactly
 when the linearized Gauss equation tr(B^{-1} Bdot) = 0 holds; through the
 Cayley-Hamilton identity J B = (1 + K) (J B)^{-1} the pair is equivalent
-to tr(b) = 0, tr(J B b) = 0.
+to tr(b) = 0, tr(J B b) = 0.  The layer works on 2x2 entry tuples
+(m11, m12, m21, m22) (``batch.mul2``, ``inv2``, ``trace2``) of one pair or
+of n pairs, with products written out: no stacked matmul, and pair i of a
+batch gets the bits of ``trace_conditions`` on pair i alone.
 
 Field layer: b built from a potential, b = J# (-D# D# mu + mu E), is
 traceless by pure algebra and satisfies the sharp Codazzi equation up to
@@ -26,7 +29,7 @@ import numbers
 
 import numpy as np
 
-from .batch import cholesky, det, eigvalsh, inv, matrix, vector
+from .batch import cholesky2, det2, eigvalsh, entries, inv, inv2, matrix, mul2, trace2, vector
 from .embedding import (EmbeddingData, Immersion, complex_structure,
                         exterior_covariant_derivative, require_strong_convexity)
 from .errors import DomainError
@@ -37,38 +40,39 @@ from .mess_metrics import SharpData, mess_metric, sharp_curvature, sharp_frame
 
 
 # ---------------------------------------------------------------------------
-# 2x2 algebra in closed form (``batch``): one matrix or (N, 2, 2) stacks
+# 2x2 algebra in closed form, on entry tuples of one pair or of n pairs
 
-def _trace(m):
-    return np.trace(m, axis1=-2, axis2=-1)
+def _plus_identity(m):
+    """E + m."""
+    a, b, c, d = m
+    return 1.0 + a, b, c, 1.0 + d
 
 
 def _b_of_bdot(J, B, bdot):
     """b = (E + JB)^{-1} J Bdot."""
-    return inv(np.eye(2) + J @ B) @ (J @ bdot)
+    return mul2(inv2(_plus_identity(mul2(J, B))), mul2(J, bdot))
 
 
 def _traces(J, B, b, bdot):
     """tr b, tr(JB b), tr((E + JB) b), tr((E + (JB)^{-1}) b), tr(B^{-1} Bdot)."""
-    eye = np.eye(2)
-    jb = J @ B
-    return {"tr_b": _trace(b), "tr_jbb": _trace(jb @ b),
-            "tr_first": _trace((eye + jb) @ b),
-            "tr_second": _trace((eye + inv(jb)) @ b),
-            "tr_binv_bdot": _trace(inv(B) @ bdot)}
+    jb = mul2(J, B)
+    return {"tr_b": trace2(b), "tr_jbb": trace2(mul2(jb, b)),
+            "tr_first": trace2(mul2(_plus_identity(jb), b)),
+            "tr_second": trace2(mul2(_plus_identity(inv2(jb)), b)),
+            "tr_binv_bdot": trace2(mul2(inv2(B), bdot))}
 
 
 def _cayley_hamilton(J, B):
-    """Componentwise residual of J B = (1 + K) (J B)^{-1}, K = -1 - det B."""
-    jb = J @ B
-    K = -1.0 - det(B)
-    return np.abs(jb - (1.0 + K)[..., None, None] * inv(jb)).max(axis=(-2, -1))
+    """Entrywise residual of J B = (1 + K) (J B)^{-1}, K = -1 - det B."""
+    jb = mul2(J, B)
+    K = -1.0 - det2(B)
+    return np.abs(np.array(jb) - (1.0 + K) * np.array(inv2(jb))).max(axis=0)
 
 
 def b_from_bdot(data: EmbeddingData, bdot):
     """(b, Idot#): b = (E + JB)^{-1} J Bdot and the first variation
     I#(b . , . ) + I#( . , b . ) it induces on the plus metric."""
-    b = _b_of_bdot(data.J, data.B, np.asarray(bdot, dtype=float))
+    b = matrix(*_b_of_bdot(entries(data.J), entries(data.B), entries(bdot)))
     i_sharp = mess_metric(data, +1)
     return b, b.T @ i_sharp + i_sharp @ b
 
@@ -87,14 +91,16 @@ def trace_conditions(data: EmbeddingData, bdot=None, b=None) -> dict:
     det_b = require_strong_convexity(data.B)
     if (bdot is None) == (b is None):
         raise DomainError("provide exactly one of bdot, b")
+    J, B = entries(data.J), entries(data.B)
     if b is None:
-        bdot = np.asarray(bdot, dtype=float)
-        b = _b_of_bdot(data.J, data.B, bdot)
+        bdot = entries(bdot)
+        b = _b_of_bdot(J, B, bdot)
     else:
-        b = np.asarray(b, dtype=float)
-        bdot = -data.J @ (np.eye(2) + data.J @ data.B) @ b
-    t = {k: float(v) for k, v in _traces(data.J, data.B, b, bdot).items()}
-    t["cayley_hamilton"] = float(_cayley_hamilton(data.J, data.B))
+        b = entries(b)
+        # Bdot = J^{-1} (E + JB) b = -J (E + JB) b
+        bdot = tuple(-x for x in mul2(J, mul2(_plus_identity(mul2(J, B)), b)))
+    t = {k: float(v) for k, v in _traces(J, B, b, bdot).items()}
+    t["cayley_hamilton"] = float(_cayley_hamilton(J, B))
     # (b1, b2) = L (b4, b5) with L = [[1, 1], [1, 1/(1+K)]], K < -1
     K = -1.0 - det_b
     mixed = np.array([t["tr_b"] + t["tr_jbb"], t["tr_b"] + t["tr_jbb"] / (1.0 + K)])
@@ -106,7 +112,7 @@ def trace_conditions(data: EmbeddingData, bdot=None, b=None) -> dict:
 def cayley_hamilton_residual(data: EmbeddingData) -> float:
     """Componentwise residual of J B = (1 + K) (J B)^{-1}, K = -1 - det B."""
     require_strong_convexity(data.B)
-    return float(_cayley_hamilton(data.J, data.B))
+    return float(_cayley_hamilton(entries(data.J), entries(data.B)))
 
 
 def variation_formula_residual(data: EmbeddingData, bdot) -> float:
@@ -138,23 +144,24 @@ def random_convex_pairs(rng, n: int):
     0.3 + 2.2 exp(-|z|^2 / 2), as exp(-|z|^2 / 2) is uniform on (0, 1].
     """
     z = rng.standard_normal((n, 14))
-    a = z[:, 0:4].reshape(n, 2, 2)
-    g = z[:, 4:6]
-    s = z[:, 6:10].reshape(n, 2, 2)
+    a11, a12, a21, a22, g1, g2, s11, s12, s21, s22 = z[:, :10].T
     z1, z2 = z[:, 10:12], z[:, 12:14]
     k1, k2 = (0.3 + 2.2 * np.exp(-0.5 * (z1 * z1 + z2 * z2))).T
     # d = Q diag(k1, k2) Q^T for the rotation Q = [[c, -sn], [sn, c]] whose
     # first column is g / |g| (Gram-Schmidt on g and its quarter turn)
-    r = np.sqrt(g[:, 0] * g[:, 0] + g[:, 1] * g[:, 1])
-    c, sn = g[:, 0] / r, g[:, 1] / r
+    r = np.sqrt(g1 * g1 + g2 * g2)
+    c, sn = g1 / r, g2 / r
     off = (k1 - k2) * c * sn
-    d = matrix(k1 * c * c + k2 * sn * sn, off, off, k1 * sn * sn + k2 * c * c)
-    I = np.swapaxes(a, -1, -2) @ a + 0.5 * np.eye(2)
-    lt = np.swapaxes(cholesky(I), -1, -2)
-    B = inv(lt) @ d @ lt
-    bdot0 = inv(I) @ (s + np.swapaxes(s, -1, -2))
-    bdot = bdot0 - (0.5 * _trace(inv(B) @ bdot0))[:, None, None] * B
-    return I, B, bdot
+    d = (k1 * c * c + k2 * sn * sn, off, off, k1 * sn * sn + k2 * c * c)
+    i11, i12, i21, i22 = mul2((a11, a21, a12, a22), (a11, a12, a21, a22))
+    I = (i11 + 0.5, i12, i21, i22 + 0.5)
+    l11, _, l21, l22 = cholesky2(I)
+    lt = (l11, l21, 0.0, l22)
+    B = mul2(mul2(inv2(lt), d), lt)
+    bdot0 = mul2(inv2(I), (s11 + s11, s12 + s21, s21 + s12, s22 + s22))
+    half = 0.5 * trace2(mul2(inv2(B), bdot0))
+    bdot = tuple(x - half * y for x, y in zip(bdot0, B))
+    return matrix(*I), matrix(*B), matrix(*bdot)
 
 
 def linearized_chain_batch(n: int, seed: int = 0):
@@ -162,7 +169,7 @@ def linearized_chain_batch(n: int, seed: int = 0):
     if not isinstance(n, numbers.Integral) or n < 1:
         raise DomainError(f"linearized chain needs an integer n >= 1, got {n!r}")
     I, B, bdot = random_convex_pairs(np.random.default_rng(seed), n)
-    J = complex_structure(I)
+    J, B, bdot = entries(complex_structure(I)), entries(B), entries(bdot)
     residuals = _traces(J, B, _b_of_bdot(J, B, bdot), bdot)
     residuals["cayley_hamilton"] = _cayley_hamilton(J, B)
     return {k: float(np.abs(v).max()) for k, v in residuals.items()}

@@ -1,7 +1,7 @@
 """The batch axis: a layer called once on an (N, 2) stack of chart points,
 or a hyperboloid helper on a (3, N) stack of points, returns for each point
 the bits of the same call on that point alone.  The closed-form 2x2 algebra
-behind the batches is checked against LAPACK."""
+behind the batches is checked against numpy and LAPACK."""
 import numpy as np
 import scipy.linalg
 from hypothesis import assume, given, settings
@@ -139,6 +139,52 @@ def test_convex_pairs_properties(seed, n):
     assert np.abs(np.imag(k)).max() == 0.0
     assert ((0.3 <= np.real(k)) & (np.real(k) <= 2.5)).all()
     assert np.abs(np.trace(np.linalg.solve(B, bdot), axis1=-2, axis2=-1)).max() <= 1e-13
+
+
+@CHECKS
+@given(pencils)
+def test_entry_tuple_algebra_matches_numpy(pairs):
+    # mul2, inv2 and trace2 against @, np.linalg.inv and np.trace, relative
+    # to the size of the result; each member gets the bits of its own call
+    m = np.array([x for x, _ in pairs])
+    n = np.array([y for _, y in pairs])
+    assume((np.linalg.cond(m) < 1e3).all())
+    me, ne = bat.entries(m), bat.entries(n)
+    prod, inv = bat.matrix(*bat.mul2(me, ne)), bat.matrix(*bat.inv2(me))
+    tr = bat.trace2(me)
+    for k in range(len(pairs)):
+        size = np.abs(m[k]).max() * np.abs(n[k]).max()
+        assert np.abs(prod[k] - m[k] @ n[k]).max() <= 2e-12 * size
+        ref = np.linalg.inv(m[k])
+        assert np.abs(inv[k] - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert abs(tr[k] - np.trace(m[k])) <= 1e-12 * np.abs(m[k]).max()
+    rows = [(bat.mul2(bat.entries(x), bat.entries(y)), bat.inv2(bat.entries(x)),
+             bat.trace2(bat.entries(x))) for x, y in zip(m, n)]
+    assert_rows_equal(prod, [bat.matrix(*r[0]) for r in rows])
+    assert_rows_equal(inv, [bat.matrix(*r[1]) for r in rows])
+    assert_rows_equal(tr, [r[2] for r in rows])
+    assert_rows_equal(bat.inv(m), [bat.inv(x) for x in m])
+    assert_rows_equal(bat.det(m), [bat.det(x) for x in m])
+
+
+@CHECKS
+@given(st.integers(0, 2 ** 31), st.integers(1, 20))
+def test_trace_conditions_are_batch_rows(seed, n):
+    # one implementation: trace_conditions at pair i has the bits of row i
+    # of the batch's signed residuals, whose maxima linearized_chain_batch
+    # reports
+    I, B, bdot = rig.random_convex_pairs(np.random.default_rng(seed), n)
+    J = emb.complex_structure(I)
+    je, be, bde = bat.entries(J), bat.entries(B), bat.entries(bdot)
+    signed = rig._traces(je, be, rig._b_of_bdot(je, be, bde), bde)
+    signed["cayley_hamilton"] = rig._cayley_hamilton(je, be)
+    for i in range(n):
+        data = emb.EmbeddingData(u=np.zeros(2), point=np.zeros(4), I=I[i], B=B[i],
+                                 J=J[i], n=np.zeros(4))
+        tc = rig.trace_conditions(data, bdot=bdot[i])
+        assert_rows_equal([tc[k] for k in signed], [v[i] for v in signed.values()])
+    worst = {k: float(np.abs(v).max()) for k, v in signed.items()}
+    assert rig.linearized_chain_batch(n, seed) == worst
 
 
 @CHECKS

@@ -198,6 +198,41 @@ def test_marked_metric_called_once_on_the_jet(bump):
     assert r == con.extension_curvature(ext, p)
 
 
+def test_builtin_metric_fields_are_marked_batched(bump, monkeypatch):
+    # the extension metric and the chart metric field map over leading axes
+    # and say so: one call on a batch's whole stencil, with the bits of one
+    # call per point
+    p = np.array([[0.2, -0.1, -0.5], [0.1, 0.3, -0.4], [-0.3, 0.0, -0.6], [0.0, 0.2, -0.3]])
+    scheme = FDScheme(1e-2, True)
+    ext = con.extension_metric(bump, slack=0.1)
+    per_point = [con.riemann_constant_curvature_residual(pointwise(ext, 3), q, scheme)
+                 for q in p]
+    data_calls = []
+
+    def embedding_data_at(*args, **kwargs):
+        data_calls.append(args[1].shape)
+        return emb.embedding_data_at(*args, **kwargs)
+
+    monkeypatch.setattr(con, "embedding_data_at", embedding_data_at)
+    r = con.riemann_constant_curvature_residual(ext, p, scheme)
+    assert data_calls == [(37, 4, 2)]
+    assert r.tobytes() == np.array(per_point).tobytes()
+    assert r.tobytes() == con.extension_curvature(ext, p).tobytes()
+
+    immersion_calls = []
+
+    def evaluator(w):
+        immersion_calls.append(w.shape)
+        return bump.evaluator(w)
+
+    g = emb.metric_field(emb.Immersion("counted", evaluator, batched=True))
+    u = p[:, :2]
+    gamma = emb.christoffels(g, u, DEFAULT_DIFF.field)
+    assert immersion_calls == [(8, 9, 4, 2)]
+    assert gamma.tobytes() == np.array([emb.christoffels(pointwise(g, 2), w, DEFAULT_DIFF.field)
+                                        for w in u]).tobytes()
+
+
 def test_pointwise_evaluator_gets_the_builtin_bits(bump):
     # a non-batched evaluator is called one (2,) point at a time on every
     # stacked stencil, and the layers return the bits of the built-in one

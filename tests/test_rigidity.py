@@ -104,13 +104,14 @@ def test_linearized_chain_batch_small():
 
 
 def test_linearized_chain_batch_pinned():
-    # values of the one-draw sampler and the closed-form 2x2 algebra; a
-    # change to either moves these bits and re-pins them on purpose
+    # values of the one-draw sampler and the closed-form 2x2 algebra on
+    # entry tuples; a change to either moves these bits and re-pins them on
+    # purpose
     assert rig.linearized_chain_batch(10000, seed=7) == {
-        'tr_b': 2.842170943040401e-14, 'tr_jbb': 3.552713678800501e-14,
-        'tr_first': 6.394884621840902e-14, 'tr_second': 3.952393967665557e-14,
+        'tr_b': 2.1316282072803006e-14, 'tr_jbb': 2.842170943040401e-14,
+        'tr_first': 2.842170943040401e-14, 'tr_second': 7.105427357601002e-14,
         'tr_binv_bdot': 7.105427357601002e-15,
-        'cayley_hamilton': 3.552713678800501e-14}
+        'cayley_hamilton': 6.394884621840902e-14}
 
 
 @pytest.mark.parametrize("n", [0, -1, 2.5])
