@@ -17,4 +17,4 @@ from .fuchsian import (DiscreteOperators, Genus2Mesh, HolonomySet,
                        discrete_operators, genus2_mesh, octagon_generators)
 from .rigidity import (b_from_bdot, b_from_mu, jbj_sharp, kernel_dimension,
                        sharp_codazzi_residual, trace_conditions)
-from .report import CheckReport, CheckRow, emit_report
+from .report import CheckReport, emit_report

@@ -174,8 +174,14 @@ def _sample_points(rng, n, box=0.8):
     return rng.uniform(-box, box, size=(n, 2))
 
 
-def _chart_location(u) -> str:
-    return f"u=({u[0]:+.4f},{u[1]:+.4f})"
+# row location of a chart point (u1, u2) and of an extension point (u1, u2, s)
+_LOCATION = {2: "u=({:+.4f},{:+.4f})", 3: "(u1,u2,s)=({:+.3f},{:+.3f},{:+.3f})"}
+
+
+def _chart_locations(pts) -> np.ndarray:
+    """The row location of each point of an (n, 2) or (n, 3) array, in order."""
+    template = _LOCATION[pts.shape[-1]]
+    return np.array([template.format(*p) for p in pts.tolist()])
 
 
 def _write_file(path: str, what: str, payload: bytes):
@@ -190,11 +196,10 @@ def run_check(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
     report = CheckReport(provenance=cfg.provenance())
     rng = np.random.default_rng(cfg.seed)
     pts = _sample_points(rng, cfg.samples)
-    gauss, codazzi = emb.structure_residuals(immersion, pts, cfg=cfg.diff())
-    for u, g, c in zip(pts, gauss, codazzi):
-        loc = _chart_location(u)
-        report.add("gauss_residual", loc, g, cfg.tol("gauss_residual"))
-        report.add("codazzi_residual", loc, c, cfg.tol("codazzi_residual"))
+    checks = ["gauss_residual", "codazzi_residual"]
+    residuals = emb.structure_residuals(immersion, pts, cfg=cfg.diff())
+    report.add(checks, _chart_locations(pts)[:, None],
+               np.stack(residuals, axis=-1), [cfg.tol(c) for c in checks])
     return report
 
 
@@ -205,16 +210,15 @@ def run_mess(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
     tol_name = ("left_curvature_bump" if cfg.fixture == "graph_bump"
                 else "left_curvature")
     pts = _sample_points(rng, cfg.samples)
-    rows, _ = mes.verify_left_metric_hyperbolic(immersion, pts, cfg=diff)
-    for u, _ks, resid in rows:
-        report.add("left_curvature", _chart_location(u), resid, cfg.tol(tol_name))
+    locations = _chart_locations(pts)
+    resid, _ = mes.verify_left_metric_hyperbolic(immersion, pts, cfg=diff)
+    report.add("left_curvature", locations, resid, cfg.tol(tol_name))
     if cfg.s2 is not None and cfg.fixture == "fuchsian_family":
         other = emb.make_immersion("fuchsian_family", s=cfg.s2)
         a = mes.mess_metric(emb.embedding_data_at(immersion, pts, cfg=diff), +1)
         b = mes.mess_metric(emb.embedding_data_at(other, pts, cfg=diff), +1)
-        for u, gap in zip(pts, np.abs(a - b).max(axis=(-2, -1))):
-            report.add("metric_match", _chart_location(u), gap,
-                       cfg.tol("metric_match"))
+        report.add("metric_match", locations, np.abs(a - b).max(axis=(-2, -1)),
+                   cfg.tol("metric_match"))
     return report
 
 
@@ -223,14 +227,11 @@ def run_dual(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
     rng = np.random.default_rng(cfg.seed)
     pts = _sample_points(rng, cfg.samples)
     _, diag = con.dual_surface(immersion, pts, cfg=cfg.diff())
-    for k, u in enumerate(pts):
-        loc = _chart_location(u)
-        report.add("dual_curvature", loc, diag["curvature_consistency"][k],
-                   cfg.tol("dual_curvature"))
-        report.add("dual_metric_third_form", loc, diag["metric_vs_third_form"][k],
-                   cfg.tol("dual_metric_third_form"))
-        report.add("dual_involution", loc, diag["involution"][k],
-                   cfg.tol("dual_involution"))
+    checks = ["dual_curvature", "dual_metric_third_form", "dual_involution"]
+    values = [diag["curvature_consistency"], diag["metric_vs_third_form"],
+              diag["involution"]]
+    report.add(checks, _chart_locations(pts)[:, None],
+               np.stack(values, axis=-1), [cfg.tol(c) for c in checks])
     return report
 
 
@@ -250,12 +251,12 @@ def run_extend(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
     ext = con.extension_metric(immersion, cfg=diff, slack=0.1)
     tol_name = ("extension_riemann_bump" if cfg.fixture == "graph_bump"
                 else "extension_riemann")
-    # rows ordered by s, then by point; the points are drawn per s value
-    pts = np.array([[u[0], u[1], sv] for sv in s_values
-                    for u in _sample_points(rng, cfg.points, box=0.7)]).reshape(-1, 3)
-    for p, r in zip(pts, con.extension_curvature(ext, pts)):
-        loc = f"(u1,u2,s)=({p[0]:+.3f},{p[1]:+.3f},{p[2]:+.3f})"
-        report.add("extension_riemann", loc, r, cfg.tol(tol_name))
+    # rows ordered by s, then by point; each s value takes the next
+    # cfg.points draws
+    u = _sample_points(rng, len(s_values) * cfg.points, box=0.7)
+    pts = np.column_stack([u, np.repeat(s_values, cfg.points)])
+    report.add("extension_riemann", _chart_locations(pts),
+               con.extension_curvature(ext, pts), cfg.tol(tol_name))
     return report
 
 
@@ -264,12 +265,12 @@ def run_rigidity(cfg: RunConfig) -> CheckReport:
     ops = fuc.discrete_operators(fuc.genus2_mesh(cfg.mesh_level))
     loc = f"level={cfg.mesh_level},s={cfg.s:+.4f}"
     spectrum = rig.rigidity_spectrum(ops, cfg.s, k=6, seed=cfg.seed)
-    for i, lam in enumerate(spectrum):
-        report.add(f"eigenvalue_{i}", loc, float(lam), float("inf"), passed=True)
+    report.add(np.char.add("eigenvalue_", np.arange(spectrum.size).astype(str)), loc,
+               spectrum, np.inf, passed=True)
     dim = rig.kernel_dimension(spectrum)
-    report.add("kernel_dimension", loc, float(dim), cfg.tol("kernel_dimension"),
+    report.add("kernel_dimension", loc, dim, cfg.tol("kernel_dimension"),
                passed=dim <= cfg.tol("kernel_dimension"))
-    min_abs = float(np.min(np.abs(spectrum))) / np.tan(abs(cfg.s))
+    min_abs = np.min(np.abs(spectrum)) / np.tan(abs(cfg.s))
     report.add("min_abs_eigenvalue", loc, min_abs, cfg.tol("min_abs_eigenvalue"),
                passed=min_abs >= cfg.tol("min_abs_eigenvalue"))
     report.add("constant_image", loc, rig.constant_function_check(ops, cfg.s),
@@ -280,17 +281,15 @@ def run_rigidity(cfg: RunConfig) -> CheckReport:
 def run_fuchsian(cfg: RunConfig) -> CheckReport:
     report = CheckReport(provenance=cfg.provenance())
     hol = fuc.octagon_generators()
-    report.add("relator_residual", "commutator",
-               hol.commutator_relator_residual(), cfg.tol("relator_residual"))
-    report.add("relator_residual", "octagon_word",
-               hol.octagon_relator_residual(), cfg.tol("relator_residual"))
-    for name, tr in zip(("a1", "b1", "a2", "b2"), hol.traces()):
-        report.add("generator_trace", name, abs(tr) - fuc.GENERATOR_TRACE,
-                   cfg.tol("generator_trace"))
+    report.add("relator_residual", ["commutator", "octagon_word"],
+               [hol.commutator_relator_residual(), hol.octagon_relator_residual()],
+               cfg.tol("relator_residual"))
+    report.add("generator_trace", ["a1", "b1", "a2", "b2"],
+               np.abs(hol.traces()) - fuc.GENERATOR_TRACE, cfg.tol("generator_trace"))
     mesh = fuc.genus2_mesh(cfg.mesh_level)
     loc = f"level={cfg.mesh_level}"
     chi = mesh.euler_characteristic()
-    report.add("euler_characteristic", loc, float(chi + 2),
+    report.add("euler_characteristic", loc, chi + 2,
                cfg.tol("euler_characteristic"), passed=chi == -2)
     area = mesh.area_angle_defect()
     report.add("octagon_area", loc, area / (4.0 * np.pi) - 1.0,
@@ -311,15 +310,13 @@ def run_phi_k(cfg: RunConfig) -> CheckReport:
     report.add("phi_k_parameter", f"K={cfg.k_curvature}",
                -1.0 / np.cos(result.s) ** 2 - cfg.k_curvature,
                cfg.tol("phi_k_parameter"))
-    for u in _sample_points(rng, max(cfg.samples // 10, 3)):
-        g = emb.hyperbolic_metric(u)
-        loc = _chart_location(u)
-        report.add("phi_k_metric", loc,
-                   float(np.abs(result.left_metric(u) - g).max()),
-                   cfg.tol("phi_k_metric"))
-        report.add("phi_k_metric", loc + "/surface",
-                   float(np.abs(result.surface_metric(u) - g).max()),
-                   cfg.tol("phi_k_metric"))
+    pts = _sample_points(rng, max(cfg.samples // 10, 3))
+    g = emb.hyperbolic_metric(pts)
+    locations = _chart_locations(pts)
+    gaps = [np.abs(result.left_metric(pts) - g).max(axis=(-2, -1)),
+            np.abs(result.surface_metric(pts) - g).max(axis=(-2, -1))]
+    report.add("phi_k_metric", np.stack([locations, np.char.add(locations, "/surface")], -1),
+               np.stack(gaps, axis=-1), cfg.tol("phi_k_metric"))
     return report
 
 

@@ -137,10 +137,9 @@ def sharp_torsion_residual(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DI
 
 def verify_left_metric_hyperbolic(immersion: Immersion, samples,
                                   cfg: DiffConfig = DEFAULT_DIFF):
-    """Rows (u, K#, |K# + 1|) over the sample set, plus the max residual.
+    """(|K# + 1| at each sample, shape (N,), and its maximum as a float).
 
     One batched call over the whole sample set, shape (N, 2)."""
     samples = np.asarray(samples, dtype=float).reshape(-1, 2)
-    ks = sharp_curvature(immersion, samples, cfg=cfg)
-    resid = np.abs(ks + 1.0)
-    return list(zip(samples, ks, resid)), float(np.max(resid, initial=0.0))
+    resid = np.abs(sharp_curvature(immersion, samples, cfg=cfg) + 1.0)
+    return resid, float(np.max(resid, initial=0.0))

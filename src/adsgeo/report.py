@@ -1,80 +1,82 @@
 """Structured check reports with deterministic serialization.
 
-A report is a list of rows (check id, location, value, tolerance, verdict)
-plus a provenance block echoing the run configuration; two runs with the
-same configuration and seed serialize to identical bytes.
+A report stores its rows as columns (check id, location, value, tolerance,
+verdict) plus a provenance block echoing the run configuration; two runs
+with the same configuration and seed serialize to identical bytes.
+
+``CheckReport.add`` declares a block of rows in one call: its arguments
+broadcast against each other, and the rows follow the broadcast shape in C
+order (the last axis varies fastest).  Scalars add one row.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
-class CheckRow:
-    check: str
-    location: str
-    value: float
-    tolerance: float
-    passed: bool
+import numpy as np
 
 
 @dataclass
 class CheckReport:
-    rows: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list, init=False)
+    locations: list = field(default_factory=list, init=False)
+    values: list = field(default_factory=list, init=False)
+    tolerances: list = field(default_factory=list, init=False)
+    verdicts: list = field(default_factory=list, init=False)
 
-    def add(self, check: str, location: str, value: float, tolerance: float,
-            passed: bool | None = None) -> CheckRow:
-        """Append a row; default verdict is |value| <= tolerance."""
+    def add(self, check, location, value, tolerance, passed=None) -> None:
+        """Append one row per element of the broadcast arguments, in C order:
+        a ``(k,)`` list of check ids with ``(n, 1)`` locations and ``(n, k)``
+        values adds k rows per location.  The default verdict is |value| <=
+        tolerance, elementwise, so a NaN value fails.  Shapes that do not
+        broadcast raise ValueError and add no row."""
+        value = np.asarray(value, dtype=float)
+        tolerance = np.asarray(tolerance, dtype=float)
         if passed is None:
-            passed = abs(value) <= tolerance
-        row = CheckRow(check=check, location=location, value=float(value),
-                       tolerance=float(tolerance), passed=bool(passed))
-        self.rows.append(row)
-        return row
+            passed = np.abs(value) <= tolerance
+        columns = np.broadcast_arrays(np.asarray(check), np.asarray(location), value,
+                                      tolerance, np.asarray(passed, dtype=bool))
+        for column, block in zip((self.checks, self.locations, self.values,
+                                  self.tolerances, self.verdicts), columns):
+            column.extend(block.ravel().tolist())
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.rows)
+        return all(self.verdicts)
 
     @property
     def summary(self) -> str:
-        n_fail = sum(1 for r in self.rows if not r.passed)
+        n_fail = self.verdicts.count(False)
         verdict = "PASS" if n_fail == 0 else "FAIL"
-        return f"{verdict} ({len(self.rows) - n_fail}/{len(self.rows)} checks)"
+        return f"{verdict} ({len(self.verdicts) - n_fail}/{len(self.verdicts)} checks)"
 
 
-def _fmt_value(v: float) -> str:
-    return f"{v:.9e}"
-
-
-def _fmt_tol(t: float) -> str:
-    return repr(float(t))
+def _rows(report: CheckReport):
+    """Rows of the formatted columns: check, location, value, tolerance and
+    verdict word ("pass" or "FAIL")."""
+    return zip(report.checks, report.locations,
+               [f"{v:.9e}" for v in report.values],
+               [repr(t) for t in report.tolerances],
+               ["pass" if p else "FAIL" for p in report.verdicts])
 
 
 def _emit_table(report: CheckReport) -> str:
-    lines = []
-    for key in sorted(report.provenance):
-        lines.append(f"# {key} = {report.provenance[key]}")
+    lines = [f"# {key} = {report.provenance[key]}" for key in sorted(report.provenance)]
     header = f"{'check':<28} {'location':<26} {'value':>16} {'tolerance':>12} verdict"
     lines.append(header)
     lines.append("-" * len(header))
-    for r in report.rows:
-        lines.append(f"{r.check:<28} {r.location:<26} {_fmt_value(r.value):>16} "
-                     f"{_fmt_tol(r.tolerance):>12} {'pass' if r.passed else 'FAIL'}")
+    lines.extend(f"{c:<28} {loc:<26} {v:>16} {t:>12} {word}"
+                 for c, loc, v, t, word in _rows(report))
     lines.append(f"summary: {report.summary}")
     return "\n".join(lines) + "\n"
 
 
 def _emit_records(report: CheckReport) -> str:
     lines = [json.dumps({"type": "provenance", **report.provenance}, sort_keys=True)]
-    for r in report.rows:
-        lines.append(json.dumps({
-            "type": "row", "check": r.check, "location": r.location,
-            "value": _fmt_value(r.value), "tolerance": _fmt_tol(r.tolerance),
-            "passed": r.passed,
-        }, sort_keys=True))
+    lines.extend(json.dumps({"type": "row", "check": c, "location": loc, "value": v,
+                             "tolerance": t, "passed": word == "pass"}, sort_keys=True)
+                 for c, loc, v, t, word in _rows(report))
     lines.append(json.dumps({"type": "summary", "passed": report.passed,
                              "text": report.summary}, sort_keys=True))
     return "\n".join(lines) + "\n"
@@ -82,24 +84,17 @@ def _emit_records(report: CheckReport) -> str:
 
 def _emit_csv(report: CheckReport) -> str:
     lines = ["check,location,value,tolerance,verdict"]
-    for r in report.rows:
-        location = r.location.replace(",", ";")
-        lines.append(f"{r.check},{location},{_fmt_value(r.value)},"
-                     f"{_fmt_tol(r.tolerance)},{'pass' if r.passed else 'FAIL'}")
+    lines.extend(f"{c},{loc.replace(',', ';')},{v},{t},{word}"
+                 for c, loc, v, t, word in _rows(report))
     lines.append(f"summary,,,,{'PASS' if report.passed else 'FAIL'}")
     return "\n".join(lines) + "\n"
 
 
-FORMATS = ("table", "records", "csv")
+_EMITTERS = {"table": _emit_table, "records": _emit_records, "csv": _emit_csv}
+FORMATS = tuple(_EMITTERS)
 
 
 def emit_report(report: CheckReport, fmt: str = "table") -> bytes:
-    if fmt == "table":
-        text = _emit_table(report)
-    elif fmt == "records":
-        text = _emit_records(report)
-    elif fmt == "csv":
-        text = _emit_csv(report)
-    else:
+    if fmt not in _EMITTERS:
         raise ValueError(f"unknown output format: {fmt!r}")
-    return text.encode("utf-8")
+    return _EMITTERS[fmt](report).encode("utf-8")

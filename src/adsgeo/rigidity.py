@@ -74,7 +74,7 @@ def b_from_bdot(data: EmbeddingData, bdot):
     I#(b . , . ) + I#( . , b . ) it induces on the plus metric."""
     b = matrix(*_b_of_bdot(entries(data.J), entries(data.B), entries(bdot)))
     i_sharp = mess_metric(data, +1)
-    return b, b.T @ i_sharp + i_sharp @ b
+    return b, np.swapaxes(b, -1, -2) @ i_sharp + i_sharp @ b
 
 
 def trace_conditions(data: EmbeddingData, bdot=None, b=None) -> dict:
@@ -123,7 +123,7 @@ def variation_formula_residual(data: EmbeddingData, bdot) -> float:
 
     def i_sharp_at(t):
         a = np.eye(2) + data.J @ (data.B + t * bdot)
-        return a.T @ data.I @ a
+        return np.swapaxes(a, -1, -2) @ data.I @ a
 
     numeric = (i_sharp_at(dt) - i_sharp_at(-dt)) / (2.0 * dt)
     algebraic = b_from_bdot(data, bdot)[1]

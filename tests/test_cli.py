@@ -256,6 +256,31 @@ def test_report_summary_semantics():
     report.add("b", "y", 5.0, 1e-6)
     assert not report.passed
     assert "FAIL" in report.summary
+    # a verdict override broadcasts like the other arguments
+    report = CheckReport()
+    report.add(["a", "b"], [["x"], ["y"]], 5.0, 1e-6, passed=[True, False])
+    assert report.checks == ["a", "b", "a", "b"]
+    assert report.locations == ["x", "x", "y", "y"]
+    assert report.verdicts == [True, False, True, False]
+    assert report.summary == "FAIL (2/4 checks)"
+    # shapes that do not broadcast raise and add no row
+    for args, passed in (((["a", "b", "c"], "z", [1.0, 2.0], 1e-6), None),
+                         (("a", "z", [1.0, 2.0], [1e-6, 1e-6, 1e-6]), None),
+                         (("a", "z", [1.0, 2.0], 1e-6), [True, False, True])):
+        with pytest.raises(ValueError):
+            report.add(*args, passed=passed)
+    assert len(report.verdicts) == 4
+    # a NaN value FAILs its row and the summary in every format, even against
+    # an infinite tolerance: no vacuous pass
+    report = CheckReport()
+    report.add("a", ["x", "y"], [1e-9, np.nan], [1e-6, np.inf])
+    assert not report.passed
+    assert report.summary == "FAIL (1/2 checks)"
+    table, records, csv = (emit_report(report, fmt).decode().splitlines()
+                           for fmt in ("table", "records", "csv"))
+    assert table[-2].endswith(" FAIL") and table[-1] == "summary: FAIL (1/2 checks)"
+    assert [json.loads(line)["passed"] for line in records[-3:]] == [True, False, False]
+    assert csv[-2].endswith(",FAIL") and csv[-1] == "summary,,,,FAIL"
 
 
 def test_tolerances_echoed_in_all_formats():
@@ -263,6 +288,19 @@ def test_tolerances_echoed_in_all_formats():
     report.add("a", "x", 1e-9, 1e-6)
     for fmt in ("table", "records", "csv"):
         assert b"1e-06" in emit_report(report, fmt)
+    # one add with 2 check ids and (n, 1) locations emits the bytes of the
+    # scalar adds in point-major order
+    locations = ["u=(+0.1000,-0.2000)", "u=(+0.3000,+0.4000)", "s,t"]
+    values = np.array([[1e-9, -2.0], [np.nan, 3e-8], [0.0, -0.0]])
+    block, rows = CheckReport(), CheckReport()
+    block.add(["a", "b"], np.array(locations)[:, None], values, [1e-6, 1e-7])
+    for loc, (va, vb) in zip(locations, values):
+        rows.add("a", loc, va, 1e-6)
+        rows.add("b", loc, vb, 1e-7)
+    for fmt in ("table", "records", "csv"):
+        payload = emit_report(block, fmt)
+        assert b"1e-06" in payload and b"1e-07" in payload
+        assert payload == emit_report(rows, fmt)
 
 
 # evaluator calls (embedding.hyperboloid_point, which every built-in fixture

@@ -51,6 +51,24 @@ def test_b_from_bdot_zero():
     assert np.abs(idot_sharp).max() == 0.0
 
 
+@pytest.mark.parametrize("points", [[[0.1, 0.2], [0.3, -0.1]],
+                                    [[0.1, 0.2], [0.3, -0.1], [-0.4, 0.25]]],
+                         ids=["2", "3"])
+def test_b_from_bdot_stack_matches_points(points):
+    # the transposes act on the matrix axes only, so each member of a stack
+    # gets the bits of its own single-point call
+    F = emb.family_immersion(-0.7)
+    bdot = np.array([[0.3, 0.1], [0.1, -0.2]])
+    b, idot_sharp = rig.b_from_bdot(emb.embedding_data_at(F, points), bdot)
+    singles = [rig.b_from_bdot(emb.embedding_data_at(F, u), bdot) for u in points]
+    assert b.tobytes() == np.stack([s[0] for s in singles]).tobytes()
+    assert idot_sharp.tobytes() == np.stack([s[1] for s in singles]).tobytes()
+    residuals = [rig.variation_formula_residual(emb.embedding_data_at(F, u), bdot)
+                 for u in points]
+    assert rig.variation_formula_residual(emb.embedding_data_at(F, points),
+                                          bdot) == max(residuals)
+
+
 def test_umbilic_fixture_trace_example():
     # diag(eps, -eps) is I-self-adjoint at the chart center and satisfies
     # the linearized Gauss equation, so all four traces vanish
