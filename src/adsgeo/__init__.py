@@ -11,8 +11,8 @@ from .embedding import (ConvexityClass, EmbeddingData, Immersion,
                         make_immersion, structure_residuals,
                         third_fundamental_form)
 from .mess_metrics import SharpData, mess_metric, sharp_frame, verify_left_metric_hyperbolic
-from .constructions import (DualData, dual_surface, equidistant_data,
-                            extension_curvature, extension_metric, phi_k_fuchsian)
+from .constructions import (DualData, ExtensionMetric, dual_surface,
+                            equidistant_data, extension_curvature, phi_k_fuchsian)
 from .fuchsian import (DiscreteOperators, Genus2Mesh, HolonomySet,
                        discrete_operators, genus2_mesh, octagon_generators)
 from .rigidity import (b_from_bdot, b_from_mu, jbj_sharp, kernel_dimension,

@@ -2,8 +2,10 @@
 
 Commands: check, mess, dual, extend, rigidity, fuchsian, phik, version.  Options
 come from an optional flat key=value config file plus command-line flags
-(flags win).  Exit codes: 0 all checks pass, 1 at least one check failed,
-2 usage or configuration error.
+(flags win).  Each flag and config key is one ``RunConfig`` field, typed by
+its annotation; ``COMMAND_FLAGS`` lists once which fields each command takes.
+Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
+configuration error.
 """
 from __future__ import annotations
 
@@ -89,9 +91,8 @@ class RunConfig:
                 rig.check_rigidity_parameter(self.s)
             if self.command == "dual" and self.fixture != "graph_bump":
                 # the umbilic fixtures have B = tan(s) E, with s = 0 on the plane
-                s = self.s if self.fixture == "fuchsian_family" else 0.0
-                emb.require_strong_convexity(np.tan(s) * np.eye(2))
-                con.require_family_dual(s)
+                con.require_family_dual(self.s if self.fixture == "fuchsian_family"
+                                        else 0.0)
         except AdsGeoError as exc:
             raise ConfigError(f"{self.command}: {exc}") from exc
         if self.s2 is not None and self.fixture != "fuchsian_family":
@@ -135,7 +136,7 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
-_PARSERS = {"int": int, "float": float, "str": str}
+_KINDS = {"int": int, "float": float, "str": str}
 
 
 def parse_config_file(path: str) -> dict:
@@ -160,10 +161,11 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(key: str, raw: str):
-    """Config-file value of ``key``, typed by its RunConfig annotation."""
-    kind = {f.name: f.type for f in fields(RunConfig)}[key]
-    return _PARSERS[kind.removesuffix(" | None")](raw)
+def _kind(name: str):
+    """int, float or str: the type of RunConfig field ``name``, from its
+    annotation; it parses both the config-file value and the flag."""
+    kind = {f.name: f.type for f in fields(RunConfig)}[name]
+    return _KINDS[kind.removesuffix(" | None")]
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +215,7 @@ def run_mess(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
     locations = _chart_locations(pts)
     resid, _ = mes.verify_left_metric_hyperbolic(immersion, pts, cfg=diff)
     report.add("left_curvature", locations, resid, cfg.tol(tol_name))
-    if cfg.s2 is not None and cfg.fixture == "fuchsian_family":
+    if cfg.s2 is not None:
         other = emb.make_immersion("fuchsian_family", s=cfg.s2)
         a = mes.mess_metric(emb.embedding_data_at(immersion, pts, cfg=diff), +1)
         b = mes.mess_metric(emb.embedding_data_at(other, pts, cfg=diff), +1)
@@ -238,7 +240,6 @@ def run_dual(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
 def run_extend(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
     report = CheckReport(provenance=cfg.provenance())
     rng = np.random.default_rng(cfg.seed)
-    diff = cfg.diff()
     try:
         s_values = [float(x) for x in cfg.s_list.split(",") if x.strip()]
     except ValueError as exc:
@@ -248,7 +249,7 @@ def run_extend(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
     for sv in s_values:
         if not -np.pi / 2 + 0.05 < sv <= 0.0:
             raise ConfigError(f"extension sample s={sv} outside (-pi/2+0.05, 0]")
-    ext = con.extension_metric(immersion, cfg=diff, slack=0.1)
+    ext = con.ExtensionMetric(immersion, cfg=cfg.diff())
     tol_name = ("extension_riemann_bump" if cfg.fixture == "graph_bump"
                 else "extension_riemann")
     # rows ordered by s, then by point; each s value takes the next
@@ -329,8 +330,42 @@ COMMANDS = {
     "fuchsian": run_fuchsian,
     "phik": run_phi_k,
 }
+
+# ---------------------------------------------------------------------------
+# argument handling: each command's flags are RunConfig fields, in help order
+
+_FIXTURE = ("fixture", "s", "amplitude", "width", "base")
+_COMMON = ("tolerance", "fd_step", "seed", "output", "out_file")
+COMMAND_FLAGS = {
+    "check": _FIXTURE + ("samples",) + _COMMON,
+    "mess": _FIXTURE + ("samples", "s2") + _COMMON,
+    "dual": _FIXTURE + ("samples",) + _COMMON,
+    "extend": _FIXTURE + ("s_list", "points") + _COMMON,
+    "rigidity": ("s", "mesh_level") + _COMMON,
+    "fuchsian": ("mesh_level", "export_mesh") + _COMMON,
+    "phik": ("k_curvature", "samples") + _COMMON,
+    "version": (),
+}
+_COMMAND_HELP = {
+    "check": "Gauss and Codazzi residuals",
+    "mess": "left/right metric checks",
+    "dual": "duality checks",
+    "extend": "equidistant extension curvature checks",
+    "rigidity": "discrete kernel verdict",
+    "fuchsian": "octagon group and mesh checks",
+    "phik": "constant-curvature slice map on the family",
+    "version": "print version and exit",
+}
+_FLAG_HELP = {
+    "s2": "second family parameter for surface-independence rows",
+    "s_list": "comma-separated extension parameters",
+    "tolerance": "override every check tolerance",
+    "fd_step": "immersion differentiation step",
+}
+_CHOICES = {"fixture": emb.CATALOG, "output": FORMATS}
+_FLAG_NAMES = {"k_curvature": "--k"}     # every other flag is --field-name
 # the commands that take the fixture's immersion
-SURFACE_COMMANDS = ("check", "mess", "dual", "extend")
+SURFACE_COMMANDS = tuple(c for c, names in COMMAND_FLAGS.items() if "fixture" in names)
 
 
 def run(cfg: RunConfig) -> CheckReport:
@@ -341,72 +376,18 @@ def run(cfg: RunConfig) -> CheckReport:
     return COMMANDS[cfg.command](cfg)
 
 
-# ---------------------------------------------------------------------------
-# argument handling
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adsgeo",
         description="verification harness for spacelike-surface geometry in AdS3")
     parser.add_argument("--config", help="flat key=value configuration file")
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override every check tolerance")
-        p.add_argument("--fd-step", dest="fd_step", type=float, default=None,
-                       help="immersion differentiation step")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--output", choices=FORMATS, default=None)
-        p.add_argument("--out-file", dest="out_file", default=None)
-
-    def add_fixture(p):
-        p.add_argument("--fixture", choices=emb.CATALOG, default=None)
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--amplitude", type=float, default=None)
-        p.add_argument("--width", type=float, default=None)
-        p.add_argument("--base", type=float, default=None)
-
-    p = sub.add_parser("check", help="Gauss and Codazzi residuals")
-    add_fixture(p)
-    p.add_argument("--samples", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("mess", help="left/right metric checks")
-    add_fixture(p)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--s2", type=float, default=None,
-                   help="second family parameter for surface-independence rows")
-    add_common(p)
-
-    p = sub.add_parser("dual", help="duality checks")
-    add_fixture(p)
-    p.add_argument("--samples", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("extend", help="equidistant extension curvature checks")
-    add_fixture(p)
-    p.add_argument("--s-list", dest="s_list", default=None,
-                   help="comma-separated extension parameters")
-    p.add_argument("--points", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("rigidity", help="discrete kernel verdict")
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--mesh-level", dest="mesh_level", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("fuchsian", help="octagon group and mesh checks")
-    p.add_argument("--mesh-level", dest="mesh_level", type=int, default=None)
-    p.add_argument("--export-mesh", dest="export_mesh", default=None)
-    add_common(p)
-
-    p = sub.add_parser("phik", help="constant-curvature slice map on the family")
-    p.add_argument("--k", dest="k_curvature", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    add_common(p)
-
-    sub.add_parser("version", help="print version and exit")
+    for command, names in COMMAND_FLAGS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for name in names:
+            p.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")),
+                           dest=name, type=_kind(name), default=None,
+                           choices=_CHOICES.get(name), help=_FLAG_HELP.get(name))
     return parser
 
 
@@ -432,7 +413,7 @@ def main(argv=None) -> int:
         if args.config:
             for key, raw in parse_config_file(args.config).items():
                 try:
-                    setattr(cfg, key, _coerce(key, raw))
+                    setattr(cfg, key, _kind(key)(raw))
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key}: {raw!r}") from exc
         for key, value in vars(args).items():

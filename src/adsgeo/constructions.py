@@ -158,10 +158,15 @@ def equidistant_data(I, B, s: float):
     return np.swapaxes(a, -1, -2) @ I @ a, inv(a) @ c
 
 
+# the admissible s of the extension: the interval (-pi/2, 0] of the paper,
+# widened past 0 so that difference stencils around s = 0 stay inside
+EXTENSION_S_RANGE = (-np.pi / 2, 0.1)
+
+
 @dataclass(frozen=True)
 class ExtensionMetric:
-    """Evaluator (u1, u2, s) -> 3x3 Lorentzian matrix, s in (-pi/2, 0],
-    over leading batch axes of the points.
+    """Evaluator (u1, u2, s) -> 3x3 Lorentzian matrix, s in
+    ``EXTENSION_S_RANGE``, over leading batch axes of the points.
 
     Block form diag(I((cos s E + sin s B) . , same), -1) in coordinates
     (u1, u2, s); restricts to I at s = 0.  Marked ``batched``, so
@@ -170,21 +175,22 @@ class ExtensionMetric:
     """
 
     immersion: Immersion
-    cfg: DiffConfig
-    s_range: tuple = (-np.pi / 2, 0.0)
+    cfg: DiffConfig = DEFAULT_DIFF
     batched = True      # a class attribute, not a field
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
-        self._require_inside(p[..., 2])
+        _require_inside(p[..., 2])
         data = embedding_data_at(self.immersion, p[..., :2], cfg=self.cfg)
         return _extension_block(data.I, data.B, p[..., 2])
 
-    def _require_inside(self, s):
-        inside = (self.s_range[0] < s) & (s <= self.s_range[1] + 1e-12)
-        if any_of(~inside):
-            raise DomainError(f"extension parameter s = {np.ravel(s)[np.argmin(inside)]} "
-                              f"outside {self.s_range}")
+
+def _require_inside(s):
+    lo, hi = EXTENSION_S_RANGE
+    inside = (lo < s) & (s <= hi + 1e-12)
+    if any_of(~inside):
+        raise DomainError(f"extension parameter s = {np.ravel(s)[np.argmin(inside)]} "
+                          f"outside {EXTENSION_S_RANGE}")
 
 
 def _extension_block(I, B, s):
@@ -196,14 +202,6 @@ def _extension_block(I, B, s):
     h[..., :2, :2] = g_s
     h[..., 2, 2] = -1.0
     return h
-
-
-def extension_metric(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF,
-                     slack: float = 0.0) -> ExtensionMetric:
-    """Extension evaluator; ``slack`` widens the admissible s-range so that
-    finite-difference stencils near s = 0 stay legal."""
-    return ExtensionMetric(immersion=immersion, cfg=cfg,
-                           s_range=(-np.pi / 2, slack))
 
 
 # the six independent components R_abcd, (a, b) <= (c, d) among the pairs
@@ -270,14 +268,14 @@ def extension_curvature(ext: ExtensionMetric, p):
     """
     scheme = FDScheme(step=1e-2, richardson=True)
     p = np.asarray(p, dtype=float)
-    lo, hi = ext.s_range
+    lo, hi = EXTENSION_S_RANGE
     s = p[..., 2]
     inside = (lo + scheme.step < s) & (s < hi - scheme.step + 1e-15)
     if any_of(~inside):
         raise DomainError(f"stencil of half-width {scheme.step} leaves s-range "
                           f"at s = {np.ravel(s)[np.argmin(inside)]}")
     s_points = jet_stencil(p, scheme)[..., 2]
-    ext._require_inside(s_points)
+    _require_inside(s_points)
     data = embedding_data_at(ext.immersion, jet_stencil(p[..., :2], scheme), cfg=ext.cfg)
     # each 3-D stencil point sits over the 2-D one with its shifts of u1, u2
     chart = {shift: k for k, shift in enumerate(jet_shifts(2, scheme))}

@@ -500,23 +500,14 @@ def laplace_eigenvalues(ops: DiscreteOperators, k: int = 6, seed: int = 0):
 # plain-text mesh exchange format
 
 def export_mesh(mesh: Genus2Mesh) -> str:
-    lines = [f"# genus-2 octagon mesh, level {mesh.level}"]
-    lines.append(f"vertices {len(mesh.vertices)}")
-    for v in mesh.vertices:
-        lines.append(f"{float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+    # boundary_pairs lists each gluing twice, as (near, far) then (far, near)
+    gluings = [sorted(pair) for pair in mesh.boundary_pairs[::2]]
+    lines = [f"# genus-2 octagon mesh, level {mesh.level}", f"vertices {len(mesh.vertices)}"]
+    lines += [f"{x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
     lines.append(f"triangles {len(mesh.triangles)}")
-    for t in mesh.triangles:
-        lines.append(f"{t[0]} {t[1]} {t[2]}")
-    seen = set()
-    pairs = []
-    for h1, h2 in mesh.boundary_pairs:
-        key = (min(h1, h2), max(h1, h2))
-        if key not in seen:
-            seen.add(key)
-            pairs.append(key)
-    lines.append(f"gluings {len(pairs)}")
-    for h1, h2 in pairs:
-        lines.append(f"{h1} {h2}")
+    lines += [f"{a} {b} {c}" for a, b, c in mesh.triangles.tolist()]
+    lines.append(f"gluings {len(gluings)}")
+    lines += [f"{a} {b}" for a, b in gluings]
     return "\n".join(lines) + "\n"
 
 

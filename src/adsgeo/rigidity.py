@@ -77,9 +77,10 @@ def b_from_bdot(data: EmbeddingData, bdot):
     return b, np.swapaxes(b, -1, -2) @ i_sharp + i_sharp @ b
 
 
-def trace_conditions(data: EmbeddingData, bdot=None, b=None) -> dict:
-    """The residuals of ``linearized_chain_batch`` at one pair, signed, plus
-    the equivalence gap, as a dict of floats.
+def trace_conditions(data: EmbeddingData, bdot) -> dict:
+    """The residuals of ``linearized_chain_batch``, signed, plus the
+    equivalence gap, at one pair or at each pair of a stack of data: a dict
+    of numbers or of arrays of the stack's shape.
 
     Keys: tr_b, tr_jbb, tr_first = tr((E + JB) b), tr_second =
     tr((E + (JB)^{-1}) b), tr_binv_bdot, cayley_hamilton and
@@ -89,30 +90,22 @@ def trace_conditions(data: EmbeddingData, bdot=None, b=None) -> dict:
     the residual pairs are compared directly.
     """
     det_b = require_strong_convexity(data.B)
-    if (bdot is None) == (b is None):
-        raise DomainError("provide exactly one of bdot, b")
-    J, B = entries(data.J), entries(data.B)
-    if b is None:
-        bdot = entries(bdot)
-        b = _b_of_bdot(J, B, bdot)
-    else:
-        b = entries(b)
-        # Bdot = J^{-1} (E + JB) b = -J (E + JB) b
-        bdot = tuple(-x for x in mul2(J, mul2(_plus_identity(mul2(J, B)), b)))
-    t = {k: float(v) for k, v in _traces(J, B, b, bdot).items()}
-    t["cayley_hamilton"] = float(_cayley_hamilton(J, B))
+    J, B, bdot = entries(data.J), entries(data.B), entries(bdot)
+    t = _traces(J, B, _b_of_bdot(J, B, bdot), bdot)
+    t["cayley_hamilton"] = _cayley_hamilton(J, B)
     # (b1, b2) = L (b4, b5) with L = [[1, 1], [1, 1/(1+K)]], K < -1
     K = -1.0 - det_b
     mixed = np.array([t["tr_b"] + t["tr_jbb"], t["tr_b"] + t["tr_jbb"] / (1.0 + K)])
-    t["equivalence_gap"] = float(np.abs(mixed - np.array([t["tr_first"],
-                                                           t["tr_second"]])).max())
+    t["equivalence_gap"] = np.abs(mixed - np.array([t["tr_first"],
+                                                    t["tr_second"]])).max(axis=0)
     return t
 
 
-def cayley_hamilton_residual(data: EmbeddingData) -> float:
-    """Componentwise residual of J B = (1 + K) (J B)^{-1}, K = -1 - det B."""
+def cayley_hamilton_residual(data: EmbeddingData):
+    """Componentwise residual of J B = (1 + K) (J B)^{-1}, K = -1 - det B,
+    at one point or at each point of a stack of data."""
     require_strong_convexity(data.B)
-    return float(_cayley_hamilton(entries(data.J), entries(data.B)))
+    return _cayley_hamilton(entries(data.J), entries(data.B))
 
 
 def variation_formula_residual(data: EmbeddingData, bdot) -> float:

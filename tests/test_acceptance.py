@@ -83,7 +83,7 @@ def test_criterion_05_equidistant_extension_is_ads():
     worst = {}
     for name, surface, tol in (("fuchsian", emb.family_immersion(-0.7), 1e-4),
                                ("bump", emb.bump_immersion(), 1e-3)):
-        ext = con.extension_metric(surface, slack=0.1)
+        ext = con.ExtensionMetric(surface)
         # the draws of one point follow each other, as in a per-point loop
         p = np.array([[rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7),
                        rng.uniform(-1.1, -0.15)] for _ in range(50)])

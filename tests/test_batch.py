@@ -96,7 +96,7 @@ def test_leading_axes_nest():
 @CHECKS
 @given(surfaces, extension_points)
 def test_extension_curvature_rows(surface, pts):
-    ext = con.extension_metric(surface, slack=0.1)
+    ext = con.ExtensionMetric(surface)
     assert_rows_equal(con.extension_curvature(ext, pts),
                       [con.extension_curvature(ext, p) for p in pts])
 

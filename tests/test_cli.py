@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,37 @@ def test_parser_built_once_and_reused(monkeypatch, capsys):
         cli._parser.cache_clear()
     assert builds[0] == 1
     assert [code for code, _, _ in fresh] == [0, 0, 1]
+
+
+@pytest.mark.parametrize("page", ["top", "check", "mess", "dual", "extend", "rigidity",
+                                  "fuchsian", "phik", "version"])
+def test_help_pages_pinned(monkeypatch, capsys, page):
+    # the parser built from COMMAND_FLAGS prints tests/golden/help_<page>.txt
+    # byte for byte
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        cli.main(([] if page == "top" else [page]) + ["--help"])
+    assert done.value.code == 0
+    golden = (Path(__file__).parent / "golden" / f"help_{page}.txt").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == golden
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["check", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
+    (["phik", "--k", "y"], "argument --k: invalid float value: 'y'"),
+], ids=["int", "float"])
+def test_bad_flag_value_names_its_type(capsys, argv, message):
+    with pytest.raises(SystemExit) as done:
+        cli.main(argv)
+    assert done.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_command_flags_are_the_config_keys():
+    # every RunConfig field but command is a flag of some command and a
+    # config key, declared once
+    flags = {name for names in cli.COMMAND_FLAGS.values() for name in names}
+    assert flags == {f.name for f in fields(cli.RunConfig)} - {"command"}
 
 
 SURFACE_COMMANDS = [

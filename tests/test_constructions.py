@@ -144,7 +144,7 @@ def test_equidistant_focal_point():
 # extension metric
 
 def test_extension_restricts_to_induced_metric(family_07):
-    ext = con.extension_metric(family_07, slack=0.1)
+    ext = con.ExtensionMetric(family_07)
     u = np.array([0.2, -0.3])
     h = ext(np.array([u[0], u[1], 0.0]))
     d = emb.embedding_data_at(family_07, u)
@@ -155,7 +155,7 @@ def test_extension_restricts_to_induced_metric(family_07):
 
 
 def test_extension_riemann_residual_family(family_07, rng):
-    ext = con.extension_metric(family_07, slack=0.1)
+    ext = con.ExtensionMetric(family_07)
     for _ in range(5):
         p = np.array([rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7),
                       rng.uniform(-1.1, -0.15)])
@@ -163,7 +163,7 @@ def test_extension_riemann_residual_family(family_07, rng):
 
 
 def test_extension_riemann_residual_bump(bump, rng):
-    ext = con.extension_metric(bump, slack=0.1)
+    ext = con.ExtensionMetric(bump)
     for _ in range(3):
         p = np.array([rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6),
                       rng.uniform(-1.0, -0.2)])
@@ -184,9 +184,10 @@ def test_extension_flat_guess_detector(family_07):
 
 
 def test_extension_stencil_range_guard(family_07):
-    ext = con.extension_metric(family_07)   # no slack: s-range (-pi/2, 0]
+    ext = con.ExtensionMetric(family_07)    # s-range (-pi/2, 0.1]
+    assert con.EXTENSION_S_RANGE == (-np.pi / 2, 0.1)
     with pytest.raises(DomainError):
-        con.extension_curvature(ext, np.array([0.0, 0.0, -0.001]))
+        con.extension_curvature(ext, np.array([0.0, 0.0, 0.095]))
     with pytest.raises(DomainError):
         ext(np.array([0.0, 0.0, 0.5]))
 

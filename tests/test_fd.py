@@ -177,14 +177,14 @@ def test_pointwise_callables_through_jet(bump):
     assert abs(k + 1.0) < 1e-6
 
     single = emb.Immersion("pointwise", pointwise(bump.evaluator, 2))
-    ext = con.extension_metric(single, slack=0.1)
+    ext = con.ExtensionMetric(single)
     p = np.array([0.2, -0.1, -0.5])
     r = con.riemann_constant_curvature_residual(pointwise(ext, 3), p, FDScheme(1e-2, True))
     assert r == con.extension_curvature(ext, p) < 1e-3
 
 
 def test_marked_metric_called_once_on_the_jet(bump):
-    ext = con.extension_metric(bump, slack=0.1)
+    ext = con.ExtensionMetric(bump)
     p = np.array([0.2, -0.1, -0.5])
     shapes = []
 
@@ -204,7 +204,7 @@ def test_builtin_metric_fields_are_marked_batched(bump, monkeypatch):
     # call per point
     p = np.array([[0.2, -0.1, -0.5], [0.1, 0.3, -0.4], [-0.3, 0.0, -0.6], [0.0, 0.2, -0.3]])
     scheme = FDScheme(1e-2, True)
-    ext = con.extension_metric(bump, slack=0.1)
+    ext = con.ExtensionMetric(bump)
     per_point = [con.riemann_constant_curvature_residual(pointwise(ext, 3), q, scheme)
                  for q in p]
     data_calls = []

@@ -69,6 +69,22 @@ def test_b_from_bdot_stack_matches_points(points):
                                           bdot) == max(residuals)
 
 
+@pytest.mark.parametrize("surface", ["family_07", "bump"])
+def test_trace_conditions_stack_matches_points(request, surface):
+    # each member of a stack gets the bits of its own single-point call
+    F = request.getfixturevalue(surface)
+    points = [[0.1, 0.2], [0.3, -0.1], [-0.4, 0.25]]
+    bdot = np.array([[0.3, 0.1], [0.1, -0.2]])
+    data = emb.embedding_data_at(F, points)
+    singles = [emb.embedding_data_at(F, u) for u in points]
+    stacked = rig.trace_conditions(data, bdot)
+    each = [rig.trace_conditions(d, bdot) for d in singles]
+    for key, values in stacked.items():
+        assert values.tobytes() == np.array([t[key] for t in each]).tobytes()
+    assert rig.cayley_hamilton_residual(data).tobytes() == np.array(
+        [rig.cayley_hamilton_residual(d) for d in singles]).tobytes()
+
+
 def test_umbilic_fixture_trace_example():
     # diag(eps, -eps) is I-self-adjoint at the chart center and satisfies
     # the linearized Gauss equation, so all four traces vanish
@@ -98,17 +114,6 @@ def test_linearized_gauss_detector():
     assert tc["tr_jbb"] == pytest.approx(expected, rel=1e-6)
     assert abs(tc["tr_jbb"]) > 1e-4
     assert tc["tr_binv_bdot"] == pytest.approx(2.0 * eps / k, rel=1e-6)
-
-
-def test_trace_conditions_from_b_roundtrip(rng):
-    I, B, bdot = convex_pair(rng)
-    d = emb.EmbeddingData(u=np.zeros(2), point=np.zeros(4), I=I, B=B,
-                          J=emb.complex_structure(I), n=np.zeros(4))
-    via_bdot = rig.trace_conditions(d, bdot=bdot)
-    b = rig.b_from_bdot(d, bdot)[0]
-    via_b = rig.trace_conditions(d, b=b)
-    assert via_bdot["tr_b"] == pytest.approx(via_b["tr_b"], abs=1e-13)
-    assert via_bdot["tr_binv_bdot"] == pytest.approx(via_b["tr_binv_bdot"], abs=1e-12)
 
 
 def test_linearized_chain_batch_small():
