@@ -268,9 +268,8 @@ def run_rigidity(cfg: RunConfig) -> CheckReport:
     spectrum = rig.rigidity_spectrum(ops, cfg.s, k=6, seed=cfg.seed)
     report.add(np.char.add("eigenvalue_", np.arange(spectrum.size).astype(str)), loc,
                spectrum, np.inf, passed=True)
-    dim = rig.kernel_dimension(spectrum)
-    report.add("kernel_dimension", loc, dim, cfg.tol("kernel_dimension"),
-               passed=dim <= cfg.tol("kernel_dimension"))
+    report.add("kernel_dimension", loc, rig.kernel_dimension(spectrum),
+               cfg.tol("kernel_dimension"))
     min_abs = np.min(np.abs(spectrum)) / np.tan(abs(cfg.s))
     report.add("min_abs_eigenvalue", loc, min_abs, cfg.tol("min_abs_eigenvalue"),
                passed=min_abs >= cfg.tol("min_abs_eigenvalue"))
@@ -289,9 +288,8 @@ def run_fuchsian(cfg: RunConfig) -> CheckReport:
                np.abs(hol.traces()) - fuc.GENERATOR_TRACE, cfg.tol("generator_trace"))
     mesh = fuc.genus2_mesh(cfg.mesh_level)
     loc = f"level={cfg.mesh_level}"
-    chi = mesh.euler_characteristic()
-    report.add("euler_characteristic", loc, chi + 2,
-               cfg.tol("euler_characteristic"), passed=chi == -2)
+    report.add("euler_characteristic", loc, mesh.euler_characteristic() + 2,
+               cfg.tol("euler_characteristic"))
     area = mesh.area_angle_defect()
     report.add("octagon_area", loc, area / (4.0 * np.pi) - 1.0,
                cfg.tol("octagon_area"))

@@ -27,8 +27,8 @@ import numpy as np
 from .batch import any_of, det, inv, singular_values
 from .embedding import (NORMAL_FLOOR, EmbeddingData, Immersion, _curvature_from_known,
                         christoffel_symbols, embedding_data_at, family_immersion,
-                        gaussian_curvature, metric_and_normal, metric_field,
-                        normal_field, require_strong_convexity, third_fundamental_form)
+                        metric_and_normal, metric_field, normal_field,
+                        require_strong_convexity, third_fundamental_form)
 from .errors import DegenerateDataError, DomainError, FocalPointError
 from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, jet_partials, jet_shifts,
                  jet_stencil)
@@ -86,8 +86,7 @@ def require_family_dual(s: float):
             f"= {sn2 * sn2 / (1.0 + r2):.3e} <= {NORMAL_FLOOR:g} at the box corners")
 
 
-def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
-                 independent_curvature: bool = False):
+def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
     """Duality with its verification residuals at one chart point.
 
     Diagnostics returned alongside the dual data:
@@ -98,10 +97,7 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
       routes, -K/(1+K) with K from the curvature of I, against the Gauss
       value -1 - det(B*) with B* from the second fundamental form;
     * ``involution``: dual of the dual against the antipodal base point
-      (identical in the projective model);
-    * ``curvature_independent`` (optional): Brioschi curvature of the
-      twice-differenced dual metric field against the formula.  Three nested
-      difference layers cap its accuracy near 1e-3.
+      (identical in the projective model).
 
     The dual immersion F* is differenced once, for both its induced metric
     and its normal (the dual of the dual); F*(u) is the base normal data.n.
@@ -121,15 +117,11 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
     antipode = -data.point
     involution_resid = np.minimum(np.abs(ddual_point - antipode).max(axis=-1),
                                   np.abs(ddual_point + antipode).max(axis=-1))
-    diagnostics = {
+    return dual, {
         "metric_vs_third_form": metric_resid,
         "curvature_consistency": consistency_resid,
         "involution": involution_resid,
     }
-    if independent_curvature:
-        k_dual_measured = gaussian_curvature(fstar, u, cfg=cfg)
-        diagnostics["curvature_independent"] = np.abs(k_dual_measured - dual.K_star)
-    return dual, diagnostics
 
 
 # ---------------------------------------------------------------------------

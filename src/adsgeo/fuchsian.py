@@ -445,28 +445,20 @@ def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
                              elimination_order=mesh.elimination_order)
 
 
-DENSE_EIG_LIMIT = 2000
-
-
 def generalized_eigs(a, m, order, k: int = 6, seed: int = 0):
-    """k generalized eigenvalues of a x = lambda m x nearest zero, sorted by
-    magnitude, for a symmetric definite ``a``.
+    """Smallest k generalized eigenvalues of a x = lambda m x, ascending,
+    for a symmetric positive definite ``a`` (all eigenvalues positive, so
+    the ones nearest zero are the smallest); k is capped at n - 1.
 
-    Dense below DENSE_EIG_LIMIT unknowns.  Above it, shift-invert about 0
-    with a deterministic start vector, where ``a`` is factored once by
-    SuperLU with rows and columns in ``order``, a permutation of the
-    unknowns.  ``Genus2Mesh.elimination_order`` fills L + U with about 40%
-    fewer nonzeros than SuperLU's own COLAMD column order.  Pivots stay on
-    the diagonal (threshold 0): a definite ``a`` needs no row exchange, and
-    none may undo the order.
+    Shift-invert about 0 with a deterministic start vector, at every size,
+    where ``a`` is factored once by SuperLU with rows and columns in
+    ``order``, a permutation of the unknowns.  ``Genus2Mesh.elimination_order``
+    fills L + U with about 40% fewer nonzeros than SuperLU's own COLAMD
+    column order.  Pivots stay on the diagonal (threshold 0): a definite
+    ``a`` needs no row exchange, and none may undo the order.
     """
     n = a.shape[0]
     k = min(k, n - 1)
-    if n < DENSE_EIG_LIMIT:
-        import scipy.linalg
-        vals = scipy.linalg.eigh(a.toarray(), m.toarray(), eigvals_only=True)
-        idx = np.argsort(np.abs(vals), kind="stable")
-        return vals[idx][:k]
     import scipy.sparse.linalg
     lu = scipy.sparse.linalg.splu(a[order][:, order].tocsc(), permc_spec="NATURAL",
                                   diag_pivot_thresh=0.0,
@@ -481,19 +473,17 @@ def generalized_eigs(a, m, order, k: int = 6, seed: int = 0):
     v0 = np.random.default_rng(seed).standard_normal(n)
     vals = scipy.sparse.linalg.eigsh(a, k=k, M=m, sigma=0.0, which="LM", v0=v0,
                                      OPinv=a_inv, return_eigenvectors=False)
-    idx = np.argsort(np.abs(vals), kind="stable")
-    return vals[idx]
+    return np.sort(vals)
 
 
 def laplace_eigenvalues(ops: DiscreteOperators, k: int = 6, seed: int = 0):
-    """Smallest k eigenvalues of the (positive) Laplace pair (S, M).
+    """Smallest k eigenvalues of the (positive) Laplace pair (S, M), ascending.
 
-    S is singular (constants are in its kernel), so the nonsingular pair
-    (S + M, M) is solved and shifted back by 1.
+    S is singular (constants are in its kernel), so the positive definite
+    pair (S + M, M) is solved and shifted back by 1.
     """
-    vals = generalized_eigs(ops.stiffness + ops.mass, ops.mass, ops.elimination_order,
-                            k=k, seed=seed)
-    return np.sort(vals - 1.0)
+    return generalized_eigs(ops.stiffness + ops.mass, ops.mass, ops.elimination_order,
+                            k=k, seed=seed) - 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,13 @@ def test_sharp_curvature_rows(surface, pts):
 @CHECKS
 @given(surfaces, chart_points)
 def test_dual_diagnostic_rows(surface, pts):
-    _, batch = con.dual_surface(surface, pts, independent_curvature=True)
-    rows = [con.dual_surface(surface, u, independent_curvature=True)[1] for u in pts]
+    _, batch = con.dual_surface(surface, pts)
+    rows = [con.dual_surface(surface, u)[1] for u in pts]
     for name in batch:
         assert_rows_equal(batch[name], [r[name] for r in rows])
+    fstar = con.dual_immersion(surface)
+    assert_rows_equal(emb.gaussian_curvature(fstar, pts),
+                      [emb.gaussian_curvature(fstar, u) for u in pts])
 
 
 def test_leading_axes_nest():

