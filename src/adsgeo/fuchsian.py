@@ -213,8 +213,6 @@ class Genus2Mesh:
     (v0, v1, v2) joins vertices (ve, v(e+1 mod 3)).  The methods hand the
     point helpers above (3, M) stacks, one column per triangle, so each
     triangle gets the bits of a call on its own corners.
-    ``elimination_order`` is a permutation of the classes for sparse
-    factorization: a nested dissection (see ``genus2_mesh``).
     """
 
     level: int
@@ -224,7 +222,6 @@ class Genus2Mesh:
     n_classes: int
     boundary_pairs: tuple
     side_paths: tuple = field(repr=False)
-    elimination_order: np.ndarray = field(repr=False)
 
     @property
     def n_triangles(self) -> int:
@@ -285,16 +282,12 @@ def _halfedge_keys(triangles, n):
     return _edge_keys(triangles, np.roll(triangles, -1, axis=1), n).ravel()
 
 
-def _subdivide(vertices, triangles, edge_tier, vertex_tier, side_paths, tier):
+def _subdivide(vertices, triangles, side_paths):
     """Split every triangle at its edge midpoints.
 
     New vertices are numbered in the order in which a scan over the
     triangles, edges (v0, v1), (v1, v2), (v0, v2) in turn, first meets
     their edge; each side path gains the midpoints of its edges.
-    ``edge_tier[t, e]`` is the dissection tier of edge e of triangle t:
-    the two halves of an edge keep its tier, the edges of each middle
-    triangle get ``tier``, and each midpoint takes the tier of the edge it
-    splits.
     """
     n = len(vertices)
     v0, v1, v2 = triangles.T
@@ -309,17 +302,11 @@ def _subdivide(vertices, triangles, edge_tier, vertex_tier, side_paths, tier):
     m01, m12, m02 = midpoint_id[inverse].reshape(-1, 3).T
     children = np.stack([v0, m01, m02, v1, m12, m01, v2, m02, m12, m01, m12, m02],
                         axis=1).reshape(-1, 3)
-    # edge e of a triangle joins corners e and e + 1 (mod 3)
-    t01, t12, t20 = edge_tier.T
-    new = np.full_like(t01, tier)
-    child_tiers = np.stack([t01, new, t20, t12, new, t01, t20, new, t12, new, new, new],
-                           axis=1).reshape(-1, 3)
     paths = np.empty((len(side_paths), 2 * side_paths.shape[1] - 1), dtype=np.int64)
     paths[:, ::2] = side_paths
     paths[:, 1::2] = midpoint_id[np.searchsorted(
         edges, _edge_keys(side_paths[:, :-1], side_paths[:, 1:], n))]
-    return (np.concatenate([vertices, midpoints]), children, child_tiers,
-            np.concatenate([vertex_tier, edge_tier.ravel()[first[order]]]), paths)
+    return np.concatenate([vertices, midpoints]), children, paths
 
 
 def genus2_mesh(level: int) -> Genus2Mesh:
@@ -330,13 +317,6 @@ def genus2_mesh(level: int) -> Genus2Mesh:
     Each step works on whole arrays: the midpoints of all new edges are one
     ``hyp_midpoint`` call on (3, n) stacks, and the side pairings map each
     far side as one (3, n) stack.
-
-    The subdivision hierarchy also gives the ``elimination_order``: a
-    nested dissection (George, SIAM J. Numer. Anal. 10, 1973) whose
-    separators are the edges of the coarser levels.  Classes on the edges
-    of the latest subdivision step come first, then those on the edges of
-    each earlier step, then the odd spokes, and the even spokes and octagon
-    sides last, each group in class order.
     """
     if level < 0:
         raise DomainError("mesh level must be >= 0")
@@ -346,15 +326,8 @@ def genus2_mesh(level: int) -> Genus2Mesh:
     vertices = np.array([[0.0, 0.0, 1.0]] + _octagon_corners())
     triangles = np.array([(0, 1 + k, 1 + (k + 1) % 8) for k in range(8)], dtype=np.int64)
     side_paths = np.array([[1 + k, 1 + (k + 1) % 8] for k in range(8)], dtype=np.int64)
-    # dissection tiers: octagon sides and even spokes 0, odd spokes 1 (they
-    # split the four fan-triangle pairs that the rest of tier 0 leaves),
-    # and the edges made by subdivision step i get tier i + 1
-    edge_tier = np.zeros_like(triangles)
-    edge_tier[1::2, 0] = edge_tier[0::2, 2] = 1
-    vertex_tier = np.zeros(len(vertices), dtype=np.int64)
-    for tier in range(2, level + 2):
-        vertices, triangles, edge_tier, vertex_tier, side_paths = _subdivide(
-            vertices, triangles, edge_tier, vertex_tier, side_paths, tier)
+    for _ in range(level):
+        vertices, triangles, side_paths = _subdivide(vertices, triangles, side_paths)
     n = len(vertices)
 
     # vertex gluing: side k matches side k+4 reversed (vertex j of the far
@@ -385,17 +358,121 @@ def genus2_mesh(level: int) -> Genus2Mesh:
 
     h_near, h_far = halfedges(near), halfedges(far)
     pairs = np.stack([h_near, h_far, h_far, h_near], axis=-1).reshape(-1, 2)
-
-    # the edges of each tier split the regions left by the lower tiers, so
-    # the highest tier is eliminated first; a glued class is a separator
-    # vertex of the lowest tier among its copies
-    class_tier = np.full(n_classes, level + 1, dtype=np.int64)
-    np.minimum.at(class_tier, labels, vertex_tier)
     return Genus2Mesh(level=level, vertices=vertices, triangles=triangles,
                       vertex_class=labels.astype(np.int64), n_classes=int(n_classes),
                       boundary_pairs=tuple(map(tuple, pairs.tolist())),
-                      side_paths=tuple(map(tuple, side_paths.tolist())),
-                      elimination_order=np.argsort(-class_tier, kind="stable"))
+                      side_paths=tuple(map(tuple, side_paths.tolist())))
+
+
+# ---------------------------------------------------------------------------
+# D8 symmetry of the glued mesh
+
+# irreducible representations of D8 = <r, s | r^8 = s^2 = 1, s r s = r^-1>
+IRREPS = ("A1", "A2", "B1", "B2", "E1", "E2", "E3")
+IRREP_DIMS = (1, 1, 1, 1, 2, 2, 2)
+
+
+def _chart_keys(points):
+    """Integer key of each column of a (3, n) stack: (y1, y2) rounded to
+    1e-6, so positions a roundoff apart share it (|y2| < 6 < 2^23 / 1e6)."""
+    k1, k2 = np.rint(points[:2] * 1e6).astype(np.int64)
+    return (k1 << 24) + k2
+
+
+def symmetry_permutations(mesh: Genus2Mesh):
+    """Class permutation of each element r^a s^b of D8, row a + 8 b of an
+    int64 array of shape (16, n_classes): r rotates the octagon by pi/4
+    about its center, s reflects y2 -> -y2, and row g maps each class to
+    the class of its image under g.
+
+    A generator's vertex image is found by matching rounded chart
+    positions (one sort, then ``searchsorted``) and checked within
+    GLUING_DISTANCE_TOL; it must also map glued copies onto glued copies.
+    Either failure raises DomainError.
+    """
+    c, s = np.cos(np.pi / 4.0), np.sin(np.pi / 4.0)
+    generators = {"rotation": np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
+                  "reflection": np.diag([1.0, -1.0, 1.0])}
+    points, cls = mesh.vertices.T, mesh.vertex_class
+    keys = _chart_keys(points)
+    order = np.argsort(keys)
+    perms = []
+    for name, g in generators.items():
+        moved = g @ points
+        at = np.searchsorted(keys[order], _chart_keys(moved))
+        image = order[np.minimum(at, len(order) - 1)]
+        dist = hyp_dist_small(moved, points[:, image])
+        bad = np.flatnonzero(dist > GLUING_DISTANCE_TOL)
+        if bad.size:
+            raise DomainError(f"{name} does not map the mesh onto itself: "
+                              f"vertex {bad[0]} is {dist[bad[0]]:.3e} from its match")
+        perm = np.empty(mesh.n_classes, dtype=np.int64)
+        perm[cls] = cls[image]
+        if (perm[cls] != cls[image]).any():
+            raise DomainError(f"{name} does not map glued vertices onto glued vertices")
+        perms.append(perm)
+    rotation, reflection = perms
+    table = np.empty((16, mesh.n_classes), dtype=np.int64)
+    table[0], table[8] = np.arange(mesh.n_classes), reflection
+    for a in range(1, 8):
+        table[a], table[a + 8] = rotation[table[a - 1]], rotation[table[a + 7]]
+    return table
+
+
+def symmetry_basis(mesh: Genus2Mesh):
+    """Symmetry-adapted basis of the functions on the glued classes:
+    (Q, block), where Q is a sparse (n_classes, n_red) matrix with
+    orthonormal columns and ``block[j]`` indexes IRREPS for column j.
+
+    With (T_g f)(g c) = f(c), block b spans the range of the projector
+    (d / 16) sum_g D(g)_11 T_g of its irrep D of dimension d (Fassler &
+    Stiefel, Group Theoretical Methods and Their Applications, 1992): the
+    whole isotypic part for the 1-dim irreps, its reflection-fixed half for
+    E1, E2 and E3.  An operator that commutes with D8 has no entries
+    between blocks, and each eigenvalue of an E block is a double one of
+    the full operator.
+
+    Each column lives on one D8 orbit, so it has at most 16 nonzeros.  The
+    projectors have one matrix on all orbits whose smallest class has the
+    same stabilizer, so one batch of small SVDs per stabilizer serves all
+    of them.  Columns are grouped by block, then by stabilizer and orbit.
+    """
+    n = mesh.n_classes
+    table = symmetry_permutations(mesh)
+    a, b = np.arange(16) % 8, np.arange(16) // 8
+    # D(r^a s^b)_11: the character of a 1-dim irrep, cos(2 pi j a / 8) for E_j
+    d11 = np.array([np.ones(16), (-1.0) ** b, (-1.0) ** a, (-1.0) ** (a + b)]
+                   + [np.cos(np.pi * j * a / 4.0) for j in (1, 2, 3)])
+    weights = d11 * np.array(IRREP_DIMS)[:, None] / 16.0
+    reps = np.flatnonzero(table.min(axis=0) == np.arange(n))
+    images = table[:, reps]                 # (16, orbits): class g x of the smallest x
+    # orbits whose x has one stabilizer (as a bit mask) share the projectors
+    stabilizer = (1 << np.arange(16)) @ (images == images[0])
+    orbit_kinds = []
+    for mask in np.unique(stabilizer):
+        orbits = images[:, stabilizer == mask]
+        members = orbits[np.unique(orbits[:, 0], return_index=True)[1]].T   # (orbits, m)
+        # hits[g, i, j]: g maps member j onto member i
+        m0 = members[0]
+        hits = (table[:, m0][:, None, :] == m0[:, None]).astype(float)
+        u, sv, _ = np.linalg.svd(np.tensordot(weights, hits, axes=1))
+        orbit_kinds.append((members, u, sv))
+    data, indices, counts, block = [], [], [], []
+    for irrep in range(len(IRREPS)):
+        for members, u, sv in orbit_kinds:
+            # the projector's range, without the SVD's roundoff off its support
+            vecs = u[irrep][:, sv[irrep] > 0.5].T
+            vecs[np.abs(vecs) < 1e-12] = 0.0
+            col, at = np.nonzero(vecs)
+            data.append(np.tile(vecs[col, at], len(members)))
+            indices.append(members[:, at].ravel())
+            counts.append(np.tile(np.bincount(col, minlength=len(vecs)), len(members)))
+            block.append(np.full(counts[-1].size, irrep))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    import scipy.sparse
+    basis = scipy.sparse.csc_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=(n, len(indptr) - 1))
+    return basis, np.concatenate(block)
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +483,15 @@ class DiscreteOperators:
     """P1 stiffness/mass pair on glued mesh functions.
 
     x^T stiffness x integrates |grad u|^2; mass integrates products over
-    the element areas.
-    ``elimination_order`` is the mesh's nested-dissection order of the
-    unknowns.
+    the element areas.  ``basis`` and ``block`` are the mesh's
+    ``symmetry_basis``.
     """
 
     stiffness: scipy.sparse.csr_matrix
     mass: scipy.sparse.csr_matrix
     n: int
-    elimination_order: np.ndarray = field(repr=False)
+    basis: scipy.sparse.csc_matrix = field(repr=False)
+    block: np.ndarray = field(repr=False)
 
 
 def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
@@ -441,49 +518,73 @@ def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
     import scipy.sparse
     stiffness = scipy.sparse.coo_matrix((s_vals, (rows, cols)), shape=(n, n)).tocsr()
     mass = scipy.sparse.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr()
-    return DiscreteOperators(stiffness=stiffness, mass=mass, n=n,
-                             elimination_order=mesh.elimination_order)
+    basis, block = symmetry_basis(mesh)
+    return DiscreteOperators(stiffness=stiffness, mass=mass, n=n, basis=basis, block=block)
 
 
-def generalized_eigs(a, m, order, k: int = 6, seed: int = 0):
-    """Smallest k generalized eigenvalues of a x = lambda m x, ascending,
-    for a symmetric positive definite ``a`` (all eigenvalues positive, so
-    the ones nearest zero are the smallest); k is capped at n - 1.
+def reduced_pencil(ops: DiscreteOperators):
+    """The pair (S + M, M) in the symmetry-adapted basis Q: block diagonal,
+    with the blocks Q_b^T X Q_b in the order of the columns of Q.  The
+    products between blocks, zero but for roundoff, are never formed."""
+    import scipy.sparse
+    bounds = np.searchsorted(ops.block, np.arange(len(IRREPS) + 1))
+    blocks = [ops.basis[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    Shift-invert about 0 with a deterministic start vector, at every size,
-    where ``a`` is factored once by SuperLU with rows and columns in
-    ``order``, a permutation of the unknowns.  ``Genus2Mesh.elimination_order``
-    fills L + U with about 40% fewer nonzeros than SuperLU's own COLAMD
-    column order.  Pivots stay on the diagonal (threshold 0): a definite
-    ``a`` needs no row exchange, and none may undo the order.
+    def reduce(x):
+        return scipy.sparse.block_diag([q.T @ (x @ q) for q in blocks], format="csc")
+
+    return reduce(ops.stiffness + ops.mass), reduce(ops.mass)
+
+
+def generalized_eigs(a, m, k: int = 6, seed: int = 0):
+    """Smallest k generalized eigenpairs of a x = lambda m x, ascending:
+    (values, Ritz vectors as columns), for a symmetric positive definite
+    ``a`` (all eigenvalues positive, so the ones nearest zero are the
+    smallest); k is capped at n - 1.
+
+    Shift-invert about 0 (ARPACK ``eigsh``) with a deterministic start
+    vector, where ``a`` is factored once by SuperLU in its COLAMD column
+    order.  Pivots stay on the diagonal (threshold 0, symmetric mode): a
+    definite ``a`` needs no row exchange.
     """
     n = a.shape[0]
     k = min(k, n - 1)
     import scipy.sparse.linalg
-    lu = scipy.sparse.linalg.splu(a[order][:, order].tocsc(), permc_spec="NATURAL",
-                                  diag_pivot_thresh=0.0,
+    lu = scipy.sparse.linalg.splu(a, permc_spec="COLAMD", diag_pivot_thresh=0.0,
                                   options=dict(SymmetricMode=True))
-
-    def solve(x):
-        y = np.empty_like(x)
-        y[order] = lu.solve(x[order])
-        return y
-
-    a_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=solve, dtype=a.dtype)
+    a_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=a.dtype)
     v0 = np.random.default_rng(seed).standard_normal(n)
-    vals = scipy.sparse.linalg.eigsh(a, k=k, M=m, sigma=0.0, which="LM", v0=v0,
-                                     OPinv=a_inv, return_eigenvectors=False)
-    return np.sort(vals)
+    vals, vecs = scipy.sparse.linalg.eigsh(a, k=k, M=m, sigma=0.0, which="LM", v0=v0,
+                                           OPinv=a_inv)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
+def laplace_spectrum(ops: DiscreteOperators, k: int = 6, seed: int = 0):
+    """Smallest k eigenvalues of the (positive) Laplace pair (S, M),
+    ascending, and the name in IRREPS of each; k is capped at n - 1.
+
+    S is singular (constants are in its kernel), so the positive definite
+    pair (S + M, M) is solved and shifted back by 1.  One
+    ``generalized_eigs`` call solves its ``reduced_pencil``: each value is
+    labelled by the block that holds its vector and counted twice for an
+    E irrep.  The k smallest values lie among the k smallest of the
+    reduced pencil, since each of those is at least one full value.
+    """
+    k = min(k, ops.n - 1)
+    vals, vecs = generalized_eigs(*reduced_pencil(ops), k=k, seed=seed)
+    shares = np.zeros((len(IRREPS), vecs.shape[1]))
+    np.add.at(shares, ops.block, vecs ** 2)
+    irrep = shares.argmax(axis=0)
+    copies = np.array(IRREP_DIMS)[irrep]
+    vals, irrep = np.repeat(vals, copies)[:k], np.repeat(irrep, copies)[:k]
+    return vals - 1.0, tuple(IRREPS[i] for i in irrep)
 
 
 def laplace_eigenvalues(ops: DiscreteOperators, k: int = 6, seed: int = 0):
-    """Smallest k eigenvalues of the (positive) Laplace pair (S, M), ascending.
-
-    S is singular (constants are in its kernel), so the positive definite
-    pair (S + M, M) is solved and shifted back by 1.
-    """
-    return generalized_eigs(ops.stiffness + ops.mass, ops.mass, ops.elimination_order,
-                            k=k, seed=seed) - 1.0
+    """Smallest k eigenvalues of the (positive) Laplace pair (S, M),
+    ascending (``laplace_spectrum`` without the labels)."""
+    return laplace_spectrum(ops, k=k, seed=seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,23 +601,3 @@ def export_mesh(mesh: Genus2Mesh) -> str:
     lines += [f"{a} {b}" for a, b in gluings]
     return "\n".join(lines) + "\n"
 
-
-def parse_mesh_text(text: str):
-    """Parse the exported format back into (vertices, triangles, gluings)."""
-    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    pos = 0
-
-    def section(name):
-        nonlocal pos
-        tag, count = rows[pos].split()
-        if tag != name:
-            raise DomainError(f"expected section {name}, found {tag}")
-        pos += 1
-        out = rows[pos:pos + int(count)]
-        pos += int(count)
-        return out
-
-    verts = np.array([[float(x) for x in ln.split()] for ln in section("vertices")])
-    tris = np.array([[int(x) for x in ln.split()] for ln in section("triangles")], dtype=int)
-    glue = [tuple(int(x) for x in ln.split()) for ln in section("gluings")]
-    return verts, tris, glue

@@ -1,7 +1,10 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from adsgeo import fuchsian as fu
@@ -176,10 +179,30 @@ def test_element_area_converges_to_octagon_area():
     assert rel[0] / rel[1] > 3.0
 
 
+def parse_mesh_text(text: str):
+    """Parse the exported format back into (vertices, triangles, gluings)."""
+    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    pos = 0
+
+    def section(name):
+        nonlocal pos
+        tag, count = rows[pos].split()
+        assert tag == name, f"expected section {name}, found {tag}"
+        pos += 1
+        out = rows[pos:pos + int(count)]
+        pos += int(count)
+        return out
+
+    verts = np.array([[float(x) for x in ln.split()] for ln in section("vertices")])
+    tris = np.array([[int(x) for x in ln.split()] for ln in section("triangles")], dtype=int)
+    glue = [tuple(int(x) for x in ln.split()) for ln in section("gluings")]
+    return verts, tris, glue
+
+
 def test_mesh_export_roundtrip(tmp_path):
     mesh = fu.genus2_mesh(1)
     text = fu.export_mesh(mesh)
-    verts, tris, glue = fu.parse_mesh_text(text)
+    verts, tris, glue = parse_mesh_text(text)
     assert np.allclose(verts, mesh.vertices)
     assert np.array_equal(tris, mesh.triangles)
     assert len(glue) == len(mesh.boundary_pairs) // 2
@@ -187,48 +210,92 @@ def test_mesh_export_roundtrip(tmp_path):
         assert (h1, h2) in mesh.boundary_pairs or (h2, h1) in mesh.boundary_pairs
 
 
-def _vertex_tiers(mesh):
-    """Dissection tier of each vertex, from the geometry of the coarser
-    meshes alone: 0 on the octagon sides and even spokes, 1 on the odd
-    spokes, j + 1 on the edges of the level-j mesh for j >= 1.  Every
-    vertex is a corner or an edge midpoint of the mesh one level down, so
-    none has a tier above the mesh level."""
-    tiers = np.full(len(mesh.vertices), mesh.level)
-    for j in range(max(mesh.level - 2, 0), -1, -1):
-        coarse = fu.genus2_mesh(j)
-        tri = coarse.triangles
-        edges = np.unique(np.sort(np.concatenate(
-            [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1), axis=0)
-        for a, b in edges:
-            pa, pb = coarse.vertices[a], coarse.vertices[b]
-            # on the geodesic segment [pa, pb]: the triangle inequality is tight
-            gap = (fu.hyp_dist(pa[:, None], mesh.vertices.T)
-                   + fu.hyp_dist(mesh.vertices.T, pb[:, None]) - fu.hyp_dist(pa, pb))
-            odd_spoke = j == 0 and a == 0 and b % 2 == 0
-            on = gap < 1e-9
-            tiers[on] = np.minimum(tiers[on], j + 1 if j or odd_spoke else 0)
-    return tiers
+# ---------------------------------------------------------------------------
+# D8 symmetry blocks
 
-
-@pytest.mark.parametrize("level", [1, 3, 5])
-def test_elimination_order_is_nested_dissection(level):
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_symmetry_permutations_preserve_operators(level):
     mesh = fu.genus2_mesh(level)
-    tiers = np.full(mesh.n_classes, level + 1)
-    np.minimum.at(tiers, mesh.vertex_class, _vertex_tiers(mesh))
-    order = mesh.elimination_order
-    assert np.array_equal(np.sort(order), np.arange(mesh.n_classes))
-    assert (np.diff(tiers[order]) <= 0).all()
+    ops = fu.discrete_operators(mesh)
+    table = fu.symmetry_permutations(mesh)
+    assert table.shape == (16, ops.n)
+    assert len({perm.tobytes() for perm in table}) == 16
+    for x in (ops.stiffness, ops.mass):
+        scale = np.abs(x).max()
+        for perm in table:
+            assert np.array_equal(np.sort(perm), np.arange(ops.n))
+            assert np.abs(x[perm][:, perm] - x).max() <= 1e-9 * scale
 
 
-def test_elimination_order_fills_less_than_colamd():
-    ops = fu.discrete_operators(fu.genus2_mesh(5))
-    a = (ops.stiffness + ops.mass).tocsc()
-    order = ops.elimination_order
-    nested = scipy.sparse.linalg.splu(a[order][:, order], permc_spec="NATURAL",
-                                      diag_pivot_thresh=0.0,
-                                      options=dict(SymmetricMode=True))
-    colamd = scipy.sparse.linalg.splu(a)
-    assert nested.L.nnz + nested.U.nnz < colamd.L.nnz + colamd.U.nnz
+def test_symmetry_permutations_reject_asymmetric_mesh():
+    mesh = fu.genus2_mesh(2)
+    # turn one interior vertex by 1e-6 about the center
+    vertices = mesh.vertices.copy()
+    c, s = np.cos(1e-6), np.sin(1e-6)
+    x, y = vertices[40, :2]
+    vertices[40, :2] = c * x - s * y, s * x + c * y
+    with pytest.raises(DomainError, match="onto itself"):
+        fu.symmetry_permutations(dataclasses.replace(mesh, vertices=vertices))
+    # glue one interior vertex onto the center, and none of its images
+    vertex_class = mesh.vertex_class.copy()
+    vertex_class[40] = vertex_class[0]
+    with pytest.raises(DomainError, match="glued"):
+        fu.symmetry_permutations(dataclasses.replace(mesh, vertex_class=vertex_class))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
+def test_symmetry_basis_orthonormal(level):
+    mesh = fu.genus2_mesh(level)
+    basis, block = fu.symmetry_basis(mesh)
+    assert abs(basis.T @ basis - scipy.sparse.eye(basis.shape[1])).max() <= 1e-14
+    assert np.diff(basis.indptr).max() <= 16
+    assert (np.diff(block) >= 0).all()
+    # the E blocks hold half of each 2-dim isotypic part
+    sizes = np.bincount(block, minlength=len(fu.IRREPS))
+    assert sizes @ np.array(fu.IRREP_DIMS) == mesh.n_classes
+
+
+def test_symmetry_block_sizes_level6():
+    _, block = fu.symmetry_basis(fu.genus2_mesh(6))
+    sizes = dict(zip(fu.IRREPS, np.bincount(block).tolist()))
+    assert sizes == {"A1": 1089, "A2": 961, "B1": 1024, "B2": 1024,
+                     "E1": 2047, "E2": 2048, "E3": 2047}
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
+def test_block_eigenvalues_match_full_pencil(level):
+    ops = fu.discrete_operators(fu.genus2_mesh(level))
+    k = min(9, ops.n - 1)
+    vals = fu.laplace_eigenvalues(ops, k=9)
+    if level <= 4:
+        ref = scipy.linalg.eigh(ops.stiffness.toarray(), ops.mass.toarray(),
+                                eigvals_only=True, subset_by_index=[0, k - 1])
+    else:
+        v0 = np.random.default_rng(0).standard_normal(ops.n)
+        ref = np.sort(scipy.sparse.linalg.eigsh(ops.stiffness, k=k, M=ops.mass, sigma=-1.0,
+                                                v0=v0, return_eigenvectors=False))
+    # relative to the solved pencil (S + M, M), whose values are 1 + ref:
+    # level 0 has the single value 0
+    assert np.abs(vals - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_bolza_clusters_by_irrep(level):
+    # lambda1 = E2 + A1 (multiplicity 3), lambda2 = E1 + E3 (multiplicity 4)
+    vals, irreps = fu.laplace_spectrum(fu.discrete_operators(fu.genus2_mesh(level)), k=8)
+    assert irreps[0] == "A1"
+    assert sorted(irreps[1:4]) == ["A1", "E2", "E2"]
+    assert sorted(irreps[4:8]) == ["E1", "E1", "E3", "E3"]
+    assert vals[3] < vals[4]
+
+
+@pytest.mark.parametrize("level", [1, 3, 6])
+def test_ritz_vectors_lie_in_one_block(level):
+    ops = fu.discrete_operators(fu.genus2_mesh(level))
+    _, vecs = fu.generalized_eigs(*fu.reduced_pencil(ops), k=9)
+    for v in vecs.T:
+        shares = np.bincount(ops.block, weights=v ** 2, minlength=len(fu.IRREPS))
+        assert shares.max() >= (1.0 - 1e-8) * shares.sum()
 
 
 # ---------------------------------------------------------------------------
