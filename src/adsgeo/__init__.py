@@ -3,9 +3,7 @@ in anti-de Sitter 3-space."""
 
 __version__ = "0.1.0"
 
-from .ads_core import (IsometryPair, TangentClass, apply_isometry, bilinear22,
-                       classify_tangent, from_matrix_model, geodesic_point,
-                       to_matrix_model)
+from .ads_core import bilinear22
 from .embedding import (ConvexityClass, EmbeddingData, Immersion,
                         convexity_class, embedding_data_at, gaussian_curvature,
                         make_immersion, structure_residuals,

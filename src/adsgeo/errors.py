@@ -7,7 +7,7 @@ class AdsGeoError(Exception):
 
 class DomainError(AdsGeoError):
     """Input violates a documented precondition (off-quadric point,
-    non-tangent vector, non-unimodular matrix, parameter out of range)."""
+    parameter out of range)."""
 
 
 class DegenerateDataError(AdsGeoError):

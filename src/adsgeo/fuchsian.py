@@ -25,6 +25,7 @@ complex carrying first-order finite-element Laplace operators.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,8 +319,8 @@ def genus2_mesh(level: int) -> Genus2Mesh:
     ``hyp_midpoint`` call on (3, n) stacks, and the side pairings map each
     far side as one (3, n) stack.
     """
-    if level < 0:
-        raise DomainError("mesh level must be >= 0")
+    if not isinstance(level, numbers.Integral) or level < 0:
+        raise DomainError(f"mesh level must be an integer >= 0, got {level!r}")
     if level > MAX_MESH_LEVEL:
         raise MeshResourceError(f"mesh level {level} exceeds maximum {MAX_MESH_LEVEL}")
 
@@ -540,13 +541,15 @@ def generalized_eigs(a, m, k: int = 6, seed: int = 0):
     """Smallest k generalized eigenpairs of a x = lambda m x, ascending:
     (values, Ritz vectors as columns), for a symmetric positive definite
     ``a`` (all eigenvalues positive, so the ones nearest zero are the
-    smallest); k is capped at n - 1.
+    smallest); k is an integer >= 1, capped at n - 1.
 
     Shift-invert about 0 (ARPACK ``eigsh``) with a deterministic start
     vector, where ``a`` is factored once by SuperLU in its COLAMD column
     order.  Pivots stay on the diagonal (threshold 0, symmetric mode): a
     definite ``a`` needs no row exchange.
     """
+    if not isinstance(k, numbers.Integral) or k < 1:
+        raise DomainError(f"eigenvalue count must be an integer >= 1, got {k!r}")
     n = a.shape[0]
     k = min(k, n - 1)
     import scipy.sparse.linalg

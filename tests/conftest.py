@@ -30,11 +30,3 @@ def codazzi_on_stencil(I_values, x_values, u, scheme):
     gamma = embedding.christoffel_symbols(inv(I), dI)
     return embedding.codazzi_norm(gamma, x, dx, I)
 
-
-def random_unimodular(rng, scale=0.8):
-    """Random 2x2 with determinant exactly normalized to 1."""
-    while True:
-        m = np.eye(2) + scale * rng.standard_normal((2, 2))
-        det = np.linalg.det(m)
-        if det > 0.05:
-            return m / np.sqrt(det)

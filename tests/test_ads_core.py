@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from adsgeo import ads_core as core
-from adsgeo.errors import DomainError
-
-from conftest import random_unimodular
+from adsgeo.fuchsian import octagon_generators, so21_of_sl2
 
 E1 = np.array([1.0, 0, 0, 0])
 E3 = np.array([0, 0, 1.0, 0])
 E4 = np.array([0, 0, 0, 1.0])
+
+_HOLONOMY = octagon_generators()
+# the 4 side pairings and the standard quadruple (a1, b1, a2, b2)
+FUCHSIAN_ELEMENTS = _HOLONOMY.side_pairings + _HOLONOMY.quadruple
 
 
 def test_bilinear_signature():
@@ -23,114 +26,26 @@ def test_bilinear_symmetric(rng):
         assert core.bilinear22(x, y) == pytest.approx(core.bilinear22(y, x), abs=1e-14)
 
 
-def test_classify_tangent_examples():
-    p = E3
-    assert core.classify_tangent(p, [1, 0, 0, 0]) is core.TangentClass.SPACELIKE
-    assert core.classify_tangent(p, [0, 0, 0, 1]) is core.TangentClass.TIMELIKE
-    assert core.classify_tangent(p, [1, 0, 0, 1]) is core.TangentClass.LIGHTLIKE
-
-
-def test_classify_tangent_rejects_bad_input():
-    with pytest.raises(DomainError):
-        core.classify_tangent([1, 0, 0, 0], [0, 1, 0, 0])   # p off quadric
-    with pytest.raises(DomainError):
-        core.classify_tangent(E3, [0, 0, 1.0, 0])           # not tangent
-
-
-def test_geodesic_identity_and_timelike_quarter_turn():
-    p, v = E3, E4
-    assert np.allclose(core.geodesic_point(p, v, 0.0), p)
-    assert np.allclose(core.geodesic_point(p, v, np.pi / 2), E4, atol=1e-15)
-
-
-def test_geodesic_stays_on_quadric():
-    cases = [
-        (E3, np.array([1.0, 0, 0, 0])),       # spacelike
-        (E3, E4),                             # timelike
-        (E3, np.array([1.0, 0, 0, 1.0])),     # lightlike
-    ]
-    for p, v in cases:
-        for t in np.linspace(-5, 5, 41):
-            g = core.geodesic_point(p, v, t)
-            assert abs(core.bilinear22(g, g) + 1.0) < 1e-10
-
-
-def test_geodesic_rejects_non_unit_velocity():
-    with pytest.raises(DomainError):
-        core.geodesic_point(E3, [2.0, 0, 0, 0], 1.0)
-
-
-def test_matrix_model_convention():
-    assert np.allclose(core.to_matrix_model(E3), np.eye(2))
-    assert np.linalg.det(core.to_matrix_model(E1)) == pytest.approx(-1.0)
-
-
-def test_matrix_model_determinant_identity(rng):
-    for _ in range(50):
-        x = rng.standard_normal(4)
-        det = np.linalg.det(core.to_matrix_model(x))
-        assert det + core.bilinear22(x, x) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_matrix_model_roundtrip(rng):
-    for _ in range(20):
-        x = rng.standard_normal(4)
-        assert np.allclose(core.from_matrix_model(core.to_matrix_model(x)), x,
-                           atol=1e-14)
-
-
-def test_isometry_preserves_form(rng):
-    for _ in range(50):
-        g = core.IsometryPair(random_unimodular(rng), random_unimodular(rng))
-        x = rng.standard_normal(4)
-        y = rng.standard_normal(4)
-        gx, gy = core.apply_isometry(g, x), core.apply_isometry(g, y)
-        assert core.bilinear22(gx, gy) == pytest.approx(core.bilinear22(x, y),
-                                                        abs=1e-12)
-
-
-def test_isometry_identity_and_quadric_preservation(rng):
-    ident = core.IsometryPair(np.eye(2), np.eye(2))
-    x = rng.standard_normal(4)
-    assert np.allclose(core.apply_isometry(ident, x), x)
-    g = core.IsometryPair(random_unimodular(rng), random_unimodular(rng))
-    p = core.geodesic_point(E3, E4, 0.3)
-    gp = core.apply_isometry(g, p)
-    assert abs(core.bilinear22(gp, gp) + 1.0) < 1e-12
-
-
-def test_isometry_group_action(rng):
-    for _ in range(30):
-        g = core.IsometryPair(random_unimodular(rng), random_unimodular(rng))
-        h = core.IsometryPair(random_unimodular(rng), random_unimodular(rng))
-        x = rng.standard_normal(4)
-        via_compose = core.apply_isometry(g.compose(h), x)
-        stepwise = core.apply_isometry(g, core.apply_isometry(h, x))
-        assert np.allclose(via_compose, stepwise, atol=1e-10)
-
-
-def test_isometry_rejects_non_unimodular():
-    with pytest.raises(DomainError):
-        core.IsometryPair(2.0 * np.eye(2), np.eye(2))
-
-
-def test_classification_invariant_under_isometry(rng):
-    p = E3
-    vectors = {
-        core.TangentClass.SPACELIKE: np.array([1.0, 0, 0, 0]),
-        core.TangentClass.TIMELIKE: E4,
-        core.TangentClass.LIGHTLIKE: np.array([1.0, 0, 0, 1.0]),
-    }
-    for _ in range(10):
-        g = core.IsometryPair(random_unimodular(rng), random_unimodular(rng))
-        for cls, v in vectors.items():
-            gp = core.apply_isometry(g, p)
-            gv = core.apply_isometry(g, p + 1e-5 * v) - gp
-            gv = gv / 1e-5
-            assert core.classify_tangent(gp, gv, tol=1e-8) is cls
-
-
 def test_future_orientation_matches_declared_curve():
     # velocity of s -> (0, 0, cos s, sin s) at s = 0 is e4 and must be future
     assert core.is_future(E3, E4)
     assert not core.is_future(E3, -E4)
+
+
+@pytest.mark.parametrize("m", FUCHSIAN_ELEMENTS,
+                         ids=["p0", "p1", "p2", "p3", "a1", "b1", "a2", "b2"])
+def test_fuchsian_element_acts_as_ads_isometry(m, rng, family_07, bump):
+    # the pair (m, m^-T) acts on R^{2,2} as diag(so21_of_sl2(m), 1); the
+    # residuals grow with the entries of G, up to 282 for a2 and b2
+    G = scipy.linalg.block_diag(so21_of_sl2(m), 1.0)
+    scale = 1e-13 * np.abs(G).max() ** 2
+    x, y = rng.standard_normal((2, 50, 4))
+    form = core.bilinear22(x @ G.T, y @ G.T) - core.bilinear22(x, y)
+    assert np.abs(form).max() <= scale * np.abs(x).max() * np.abs(y).max()
+    u = rng.uniform(-1.0, 1.0, (50, 2))
+    for surface in (family_07, bump):
+        p = surface(u)
+        gp = p @ G.T
+        assert np.abs(core.bilinear22(gp, gp) + 1.0).max() <= scale
+        assert np.array_equal(gp[:, 3], p[:, 3])
+        assert core.is_future(gp, core.future_timelike(p) @ G.T).all()

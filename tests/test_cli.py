@@ -385,6 +385,18 @@ def test_bad_flag_value_names_its_type(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+def test_negative_value_in_exponent_form(capsys):
+    # argparse takes "-1e-3" for a flag, not for a negative number: the
+    # value is written "--s=-1e-3" or "--s -0.001" (README "Command line")
+    with pytest.raises(SystemExit) as done:
+        cli.main(["check", "--s", "-1e-3", "--samples", "2"])
+    assert done.value.code == 2
+    assert "argument --s: expected one argument" in capsys.readouterr().err
+    joined = run_cli(capsys, "check", "--s=-1e-3", "--samples", "2")
+    assert joined[0] == 0
+    assert joined == run_cli(capsys, "check", "--s", "-0.001", "--samples", "2")
+
+
 def test_command_flags_are_the_config_keys():
     # every RunConfig field but command is a flag of some command and a
     # config key, declared once

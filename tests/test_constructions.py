@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from adsgeo import ads_core as core
 from adsgeo import constructions as con
@@ -211,11 +212,11 @@ def test_family_equivariance_under_holonomy():
     F = emb.family_immersion(s)
     m = octagon_generators().side_pairings[1]
     g3 = so21_of_sl2(m)
-    pair = core.fuchsian_isometry_pair(m)
     u = np.array([0.3, 0.2])
     moved_chart = g3 @ emb.hyperboloid_point(u)
     lhs = F(moved_chart[:2])
-    rhs = core.apply_isometry(pair, F(u))
+    # the pair (m, m^-T) acts on R^{2,2} as diag(so21_of_sl2(m), 1)
+    rhs = scipy.linalg.block_diag(g3, 1.0) @ F(u)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 

@@ -9,6 +9,7 @@ import scipy.sparse.linalg
 
 from adsgeo import fuchsian as fu
 from adsgeo.errors import DomainError, MeshResourceError
+from adsgeo.rigidity import rigidity_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +154,12 @@ def test_mesh_level_cap():
         fu.genus2_mesh(-1)
 
 
+@pytest.mark.parametrize("level", [2.0, 0.5, "1"])
+def test_mesh_level_must_be_an_integer(level):
+    with pytest.raises(DomainError):
+        fu.genus2_mesh(level)
+
+
 def test_mesh_gluing_involutive():
     mesh = fu.genus2_mesh(2)
     pair_of = dict(mesh.boundary_pairs)
@@ -277,6 +284,18 @@ def test_block_eigenvalues_match_full_pencil(level):
     # relative to the solved pencil (S + M, M), whose values are 1 + ref:
     # level 0 has the single value 0
     assert np.abs(vals - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+@pytest.mark.parametrize("k", [2.5, 0, -2])
+@pytest.mark.parametrize("solve", [
+    lambda ops, k: fu.generalized_eigs(*fu.reduced_pencil(ops), k=k),
+    lambda ops, k: fu.laplace_spectrum(ops, k=k),
+    lambda ops, k: fu.laplace_eigenvalues(ops, k=k),
+    lambda ops, k: rigidity_spectrum(ops, -0.7, k=k),
+], ids=["generalized_eigs", "laplace_spectrum", "laplace_eigenvalues", "rigidity_spectrum"])
+def test_eigenvalue_count_must_be_a_positive_integer(solve, k):
+    with pytest.raises(DomainError):
+        solve(fu.discrete_operators(fu.genus2_mesh(1)), k)
 
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6])
