@@ -63,9 +63,8 @@ def dual_data_pointwise(data: EmbeddingData, K: float | None = None) -> DualData
 
 def dual_immersion(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF) -> Immersion:
     """The dual surface as an immersion: u -> future unit normal of F at u."""
-    nf = normal_field(immersion, cfg)
-    return Immersion(f"dual({immersion.name})", nf, domain=immersion.domain,
-                     params=dict(immersion.params), batched=True)
+    return Immersion(f"dual({immersion.name})", normal_field(immersion, cfg),
+                     domain=immersion.domain, params=dict(immersion.params))
 
 
 def require_family_dual(s: float):
@@ -212,7 +211,7 @@ def riemann_constant_curvature_residual(metric, p, scheme: FDScheme):
     independent components is normalized by the squared Frobenius norm of
     h.  Every sum over an index runs in index order.
     """
-    h = evaluate(metric, jet_stencil(p, scheme), getattr(metric, "batched", False))
+    h = evaluate(metric, jet_stencil(p, scheme))
     return _curvature_residual(*jet_partials(h, scheme))
 
 

@@ -26,9 +26,10 @@ one point or of a batch.
 The layers evaluate an immersion once per finite-difference stencil: the
 stencil points are stacked on a new leading axis and handed to
 ``Immersion.__call__`` in one call, by the one calling rule ``fd.evaluate``:
-an evaluator that maps over leading axes says so with ``batched=True`` (the
-built-in fixtures and the dual immersion do); any other evaluator, or metric
-field handed to ``christoffels``, is called one point (2,) at a time.
+an evaluator that maps over leading axes says so with the attribute
+``batched = True`` (the built-in fixture evaluators and the normal field
+behind the dual immersion do); any other evaluator, or metric field handed
+to ``christoffels``, is called one point (2,) at a time.
 """
 from __future__ import annotations
 
@@ -75,19 +76,18 @@ def hyperbolic_metric(u):
 class Immersion:
     """Chart evaluator of a spacelike surface plus its domain box.
 
-    ``batched`` says that the evaluator maps over leading axes of its chart
-    points, (..., 2) -> (..., 4).  Otherwise calling the immersion maps the
-    evaluator over them (``fd.evaluate``): it only ever sees points (2,).
+    Calling the immersion evaluates it by ``fd.evaluate``: an evaluator
+    marked ``batched`` maps over leading axes of its chart points,
+    (..., 2) -> (..., 4); any other only ever sees points (2,).
     """
 
     name: str
     evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     domain: tuple = ((-1.0, 1.0), (-1.0, 1.0))
     params: dict = field(default_factory=dict)
-    batched: bool = False
 
     def __call__(self, u):
-        return evaluate(self.evaluator, u, self.batched)
+        return evaluate(self.evaluator, u)
 
 
 def _family_evaluator(s: float):
@@ -97,6 +97,7 @@ def _family_evaluator(s: float):
         y1, y2, y3 = components(hyperboloid_point(u))
         return vector(cs * y1, cs * y2, cs * y3, sn + 0.0 * y3)   # sin s per point
 
+    ev.batched = True
     return ev
 
 
@@ -108,13 +109,12 @@ def family_immersion(s: float = -0.7) -> Immersion:
     """
     if not -np.pi / 2 < s <= 0.0:
         raise DomainError(f"family parameter must lie in (-pi/2, 0], got {s}")
-    return Immersion("fuchsian_family", _family_evaluator(s), params={"s": s},
-                     batched=True)
+    return Immersion("fuchsian_family", _family_evaluator(s), params={"s": s})
 
 
 def _totally_geodesic() -> Immersion:
     """The plane {x4 = 0}: the family member at s = 0, B = 0."""
-    return Immersion("totally_geodesic", _family_evaluator(0.0), batched=True)
+    return Immersion("totally_geodesic", _family_evaluator(0.0))
 
 
 def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
@@ -157,9 +157,9 @@ def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
         c = np.cos(t)
         return vector(c * y1, c * y2, c * y3, np.sin(t))
 
+    ev.batched = True
     return Immersion("graph_bump", ev,
-                     params={"amplitude": amplitude, "width": width, "base": base},
-                     batched=True)
+                     params={"amplitude": amplitude, "width": width, "base": base})
 
 
 # fixture name -> (constructor, parameter names); parameters left out take
@@ -333,13 +333,15 @@ def metric_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
 
 def normal_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
     """Future unit normal as a plain callable, with one immersion call on the
-    first-order stencil (its centre is the point)."""
+    first-order stencil (its centre is the point).  It maps over leading
+    axes and is marked ``batched``, like ``metric_field``."""
     sch = cfg.inner
 
     def nf(u):
         values = immersion(stencil(u, sch))
         return _unit_future_normal(values[0], *shift_partials(values[1:], sch))
 
+    nf.batched = True
     return nf
 
 
@@ -398,7 +400,7 @@ def christoffel_symbols(g_inv, dg):
 def christoffels(g_field, u, scheme):
     """Christoffel symbols Gamma[..., k, i, j] of a chart metric field, from
     its values on ``fd.stencil(u, scheme)`` (``fd.evaluate``)."""
-    values = evaluate(g_field, stencil(u, scheme), getattr(g_field, "batched", False))
+    values = evaluate(g_field, stencil(u, scheme))
     g, dg = stencil_gradient(values, u, scheme)
     return christoffel_symbols(inv(g), dg)
 
@@ -455,11 +457,11 @@ def principal_curvatures(data: EmbeddingData):
     return vector(*eigvalsh(data.second_form, data.I))
 
 
-def require_strong_convexity(B, tol: float = STRONG_CONVEXITY_TOL) -> float:
-    """det B, raising ConvexityError unless det B > tol (strong convexity)
-    at every point of the batch."""
+def require_strong_convexity(B) -> float:
+    """det B, raising ConvexityError unless det B > STRONG_CONVEXITY_TOL
+    (strong convexity) at every point of the batch."""
     det_b = det(B)
-    if any_of(det_b <= tol):
+    if any_of(det_b <= STRONG_CONVEXITY_TOL):
         raise ConvexityError(f"strong convexity required: det B = {np.min(det_b):.3e}")
     return det_b
 

@@ -7,11 +7,12 @@ stencils shift the last axis of the whole array.
 
 A derivative takes three steps: stack the points of a stencil on a new
 leading axis, evaluate the callable there, and difference the values.
-``evaluate(f, points, batched)`` is the one calling rule for every callable
-the package differentiates: one call on the whole stack for a callable
-marked ``batched`` (it maps over leading axes), else one call per ``(dim,)``
-point, in stack order.  The difference formulas are elementwise, so every
-point gets the bits of the same call on that point alone.
+``evaluate(f, points)`` is the one calling rule for every callable the
+package differentiates: one call on the whole stack for a callable that
+carries the attribute ``batched = True`` (it maps over leading axes), else
+one call per ``(dim,)`` point, in stack order.  No other code reads the
+mark.  The difference formulas are elementwise, so every point gets the
+bits of the same call on that point alone.
 
 First partials: ``stencil(u, scheme)`` holds the centre ``u`` and the
 shifted points of the first differences, and ``stencil_partials`` turns the
@@ -143,13 +144,13 @@ def _points(u, plan):
     return points
 
 
-def evaluate(f, points, batched: bool):
+def evaluate(f, points):
     """``f`` at every point of a ``(..., dim)`` stack, as a float array with
-    the stack's leading axes first: one call on the whole stack when
-    ``batched``, otherwise one call per ``(dim,)`` point, in stack order,
-    with the values stacked in the points' layout."""
+    the stack's leading axes first: one call on the whole stack when ``f``
+    is marked ``batched``, otherwise one call per ``(dim,)`` point, in stack
+    order, with the values stacked in the points' layout."""
     points = np.asarray(points, dtype=float)
-    if batched or points.ndim == 1:
+    if getattr(f, "batched", False) or points.ndim == 1:
         return np.asarray(f(points), dtype=float)
     values = np.array([f(w) for w in points.reshape(-1, points.shape[-1])], dtype=float)
     return values.reshape(points.shape[:-1] + values.shape[1:])

@@ -15,8 +15,10 @@ batch gets the bits of ``trace_conditions`` on pair i alone.
 
 Field layer: b built from a potential, b = J# (-D# D# mu + mu E), is
 traceless by pure algebra and satisfies the sharp Codazzi equation up to
-discretization.  The operator J B J# is I#-self-adjoint with eigenvalues
-(-k2, -k1).
+discretization.  A b field is a function of the sharp frame:
+``sharp_codazzi_residual`` builds one frame on the field-step stencil and
+reads both the field and the connection at its centre from it.  The
+operator J B J# is I#-self-adjoint with eigenvalues (-k2, -k1).
 
 Discrete layer: on the umbilic family fixture at parameter s the trace
 equation reduces to tan|s| (Laplace - 2) on the genus-2 surface, whose
@@ -171,29 +173,21 @@ def linearized_chain_batch(n: int, seed: int = 0):
 # ---------------------------------------------------------------------------
 # potentials: b = J# (-D# D# mu + mu E)
 
-def _potential_at(mu, points):
-    """mu at every point of a (..., 2) stack (``fd.evaluate``: one call if mu
-    is marked ``batched``, else one (2,) point at a time)."""
-    return evaluate(mu, points, getattr(mu, "batched", False))
-
-
 def _gradient_field(sharp: SharpData, dmu):
     """The vector field v = -J# D# mu from the chart gradient dmu, (..., 2)."""
     return (-sharp.J_sharp @ np.linalg.solve(sharp.I_sharp, dmu[..., None]))[..., 0]
 
 
 def b_from_mu(mu, sharp: SharpData, scheme: FDScheme):
-    """(b, v) of a scalar potential at the sharp frame's points:
-    b = J# (-D# D# mu + mu E) and the vector field v = -J# D# mu, with the
-    leading batch axes of the frame.
+    """b = J# (-D# D# mu + mu E) of a scalar potential at the sharp frame's
+    points, with the leading batch axes of the frame.
 
     The covariant Hessian uses the sharp Christoffel symbols; tr(b) = 0
     holds by algebra (J# composed with an I#-self-adjoint operator).  mu is
     evaluated on ``fd.jet_stencil`` around every frame point (``fd.evaluate``);
     each frame point gets the bits of a frame of its own.
     """
-    mu0, dmu, ddmu = jet_partials(_potential_at(mu, jet_stencil(sharp.u, scheme)),
-                                  scheme)
+    mu0, dmu, ddmu = jet_partials(evaluate(mu, jet_stencil(sharp.u, scheme)), scheme)
     dmu = np.moveaxis(dmu, 0, -1)
     # Gamma#[..., :, i, j] . dmu for each (i, j), as a stack of (1, 2) @ (2, 1)
     # products: those keep the bits of a 1-D dot, where an elementwise sum
@@ -205,38 +199,29 @@ def b_from_mu(mu, sharp: SharpData, scheme: FDScheme):
     # finite-difference torsion noise keeps tr(b) = 0 at rounding level
     hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
     hess_op = np.linalg.solve(sharp.I_sharp, hess)
-    b = sharp.J_sharp @ (-hess_op + mu0[..., None, None] * np.eye(2))
-    return b, _gradient_field(sharp, dmu)
+    return sharp.J_sharp @ (-hess_op + mu0[..., None, None] * np.eye(2))
 
 
 def b_field_from_mu(immersion: Immersion, mu, cfg: DiffConfig = DEFAULT_DIFF):
-    """The b field of a potential as a callable on chart points (..., 2); mu
-    is differentiated with ``cfg.inner2`` (``b_from_mu``).
-
-    The field maps over leading axes with one ``sharp_frame`` call on the
-    whole stack, and says so, like a batched ``Immersion``, with
-    ``batched = True``, so ``fd.evaluate`` calls it once per stack."""
-    def bf(u):
-        frame = sharp_frame(immersion, u, cfg=cfg, check=False)
-        return b_from_mu(mu, frame, cfg.inner2)[0]
-
-    bf.batched = True
-    return bf
+    """The b field of a potential as a function of the sharp frame,
+    frame -> ``b_from_mu(mu, frame, cfg.inner2)``.  ``immersion`` is not
+    read, as the frame holds the surface; it stays in the signature for
+    callers that pass ``mu`` and ``cfg`` positionally."""
+    return lambda frame: b_from_mu(mu, frame, cfg.inner2)
 
 
 def sharp_codazzi_residual(immersion: Immersion, b_field, u,
                            cfg: DiffConfig = DEFAULT_DIFF) -> float:
-    """| D#_1 (b d2) - D#_2 (b d1) |_{I#} for an operator field b at u.
+    """| D#_1 (b d2) - D#_2 (b d1) |_{I#} at u for an operator field b, a
+    function of the sharp frame (``b_field_from_mu``).
 
-    The field is evaluated on the field-step ``fd.stencil`` by
-    ``fd.evaluate``: in one call if it is marked ``batched``, as
-    ``b_field_from_mu``'s is, which returns the bits of one call per point."""
-    u = np.asarray(u, dtype=float)
-    frame = sharp_frame(immersion, u, cfg=cfg, check=False)
-    values = evaluate(b_field, stencil(u, cfg.field), getattr(b_field, "batched", False))
-    b, d = stencil_partials(values, cfg.field)
-    vec = exterior_covariant_derivative(frame.christoffels, b, *d)
-    return float(np.sqrt(max(vec @ frame.I_sharp @ vec, 0.0)))
+    One sharp frame on the field-step ``fd.stencil(u)`` is handed to the
+    field once; its centre is u, so ``frame.christoffels[0]`` and
+    ``frame.I_sharp[0]`` hold the bits of a frame at u alone."""
+    frame = sharp_frame(immersion, stencil(u, cfg.field), cfg=cfg, check=False)
+    b, d = stencil_partials(b_field(frame), cfg.field)
+    vec = exterior_covariant_derivative(frame.christoffels[0], b, *d)
+    return float(np.sqrt(max(vec @ frame.I_sharp[0] @ vec, 0.0)))
 
 
 def exterior_derivative_identities(immersion: Immersion, mu, u,
@@ -259,7 +244,7 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
     points = stencil(stencil(u, cfg.field), cfg.field)
     fr = sharp_frame(immersion, points, cfg=cfg, check=False)
     shifted = stencil(points, cfg.inner2)[1:]
-    dmu = np.moveaxis(shift_partials(_potential_at(mu, shifted), cfg.inner2), 0, -1)
+    dmu = np.moveaxis(shift_partials(evaluate(mu, shifted), cfg.inner2), 0, -1)
 
     v = _gradient_field(fr, dmu)
     v_out, dv = stencil_partials(v, cfg.field)
@@ -268,7 +253,7 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
     dv_op = np.stack([dv[j] + (gamma[:, :, j, :] @ v_out[..., None])[..., 0]
                       for j in range(2)], axis=-1)
     dv_op0, d_dv_op = stencil_partials(dv_op, cfg.field)
-    mu_jsharp = _potential_at(mu, points[0])[:, None, None] * fr.J_sharp[0]
+    mu_jsharp = evaluate(mu, points[0])[:, None, None] * fr.J_sharp[0]
     mu_jsharp0, d_mu_jsharp = stencil_partials(mu_jsharp, cfg.field)
 
     v0, j_sharp, da_sharp = v_out[0], fr.J_sharp[0, 0], fr.da_sharp[0, 0]

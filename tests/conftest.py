@@ -1,9 +1,22 @@
+import warnings
+from contextlib import suppress
+
 import numpy as np
 import pytest
 
 from adsgeo import embedding
 from adsgeo.batch import inv
 from adsgeo.fd import stencil_gradient
+
+# hypothesis imports its patch writer only once a property test fails; with
+# libcst installed that import warns (mypy_extensions.TypedDict is
+# deprecated), and under -W error the warning leaves pytest's teardown hooks
+# as an INTERNALERROR that ends the session before the remaining tests run.
+# Importing the writer here, with that one warning class ignored, keeps a
+# failing property test a plain failure; no test's warning filter changes.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

@@ -187,10 +187,9 @@ def test_trace_conditions_require_convexity():
 
 def test_b_from_constant_mu(bump):
     frame = sharp_frame(bump, [0.2, -0.1])
-    b, v = rig.b_from_mu(lambda w: 0.75, frame, FDScheme(2e-3, True))
+    b = rig.b_from_mu(lambda w: 0.75, frame, FDScheme(2e-3, True))
     assert np.abs(b - 0.75 * frame.J_sharp).max() < 1e-9
     assert abs(np.trace(b)) < 1e-12
-    assert np.abs(v).max() < 1e-9
     bf = rig.b_field_from_mu(bump, lambda w: 0.75)
     assert rig.sharp_codazzi_residual(bump, bf, [0.2, -0.1]) < 1e-7
 
@@ -198,10 +197,8 @@ def test_b_from_constant_mu(bump):
 def test_b_from_mu_traceless_pointwise(bump, rng):
     frame = sharp_frame(bump, [0.3, 0.1])
     for seed in range(5):
-        b, v = rig.b_from_mu(smooth_mu(seed), frame, FDScheme(2e-3, True))
+        b = rig.b_from_mu(smooth_mu(seed), frame, FDScheme(2e-3, True))
         assert abs(np.trace(b)) < 1e-12
-        # v = -J# D# mu returned alongside
-        assert v.shape == (2,)
 
 
 def test_sharp_codazzi_from_codazzi_variations(bump):
@@ -210,8 +207,8 @@ def test_sharp_codazzi_from_codazzi_variations(bump):
     for mk in (lambda dd: 0.25 * np.eye(2),
                lambda dd: 0.4 * dd.B,
                lambda dd: 0.2 * np.eye(2) - 0.3 * dd.B):
-        def bf(w, mk=mk):
-            dd = emb.embedding_data_at(bump, w)
+        def bf(frame, mk=mk):
+            dd = emb.embedding_data_at(bump, frame.u)
             return rig.b_from_bdot(dd, mk(dd))[0]
 
         assert rig.sharp_codazzi_residual(bump, bf, u) < 1e-6
@@ -225,15 +222,16 @@ def test_sharp_codazzi_from_mu_small(bump):
 def test_sharp_codazzi_detector_unstructured(bump):
     shapes = []
 
-    def junk(w):
-        shapes.append(np.shape(w))
-        return np.array([[np.sin(3.0 * w[0]), 0.5 + w[1]],
-                         [0.2 * w[0], np.cos(2.0 * w[1])]])
+    def junk(frame):
+        shapes.append(np.shape(frame.u))
+        x, y = frame.u[..., 0], frame.u[..., 1]
+        return np.stack([np.stack([np.sin(3.0 * x), 0.5 + y], axis=-1),
+                         np.stack([0.2 * x, np.cos(2.0 * y)], axis=-1)], axis=-2)
 
     assert rig.sharp_codazzi_residual(bump, junk, [0.3, -0.2]) > 1e-3
-    # a field not marked batched is called one point at a time: u, then the
-    # 8 shifted points of the field stencil
-    assert shapes == [(2,)] * 9
+    # the field gets one frame on the field stencil: u, then its 8 shifted
+    # points
+    assert shapes == [(9, 2)]
 
 
 def test_sharp_codazzi_convergence_order(bump):
@@ -263,16 +261,25 @@ def test_sharp_codazzi_residuals_pinned(bump):
             assert rig.sharp_codazzi_residual(bump, bf, u, cfg).hex() == value
 
 
+def test_sharp_codazzi_residuals_pinned_default_steps(bump):
+    # float.hex at the default DiffConfig (field step 0.015, Richardson on):
+    # the centre of the frame on the field stencil has the bits of a frame
+    # at u alone
+    u = np.array([0.3, -0.2])
+    for seed, value in ((3, "0x1.0b8da5763d57cp-20"), (7, "0x1.9bbc0b434e668p-22")):
+        bf = rig.b_field_from_mu(bump, smooth_mu(seed))
+        assert rig.sharp_codazzi_residual(bump, bf, u).hex() == value
+
+
 def test_b_from_mu_stacked_frame_bits(bump):
     pts = np.random.default_rng(4).uniform(-0.7, 0.7, (3, 4, 2))
     scheme = FDScheme(2e-3, True)
     mu = smooth_mu(9)
-    b, v = rig.b_from_mu(mu, sharp_frame(bump, pts, check=False), scheme)
-    assert b.shape == (3, 4, 2, 2) and v.shape == (3, 4, 2)
+    b = rig.b_from_mu(mu, sharp_frame(bump, pts, check=False), scheme)
+    assert b.shape == (3, 4, 2, 2)
     for idx in np.ndindex(3, 4):
-        b1, v1 = rig.b_from_mu(mu, sharp_frame(bump, pts[idx], check=False), scheme)
+        b1 = rig.b_from_mu(mu, sharp_frame(bump, pts[idx], check=False), scheme)
         assert b[idx].tobytes() == b1.tobytes()
-        assert v[idx].tobytes() == v1.tobytes()
 
 
 def test_potential_called_pointwise_one_frame_per_field(bump, monkeypatch):
@@ -288,8 +295,8 @@ def test_potential_called_pointwise_one_frame_per_field(bump, monkeypatch):
     rig.sharp_codazzi_residual(bump, bf, [0.3, -0.2], cfg)
     # 9 jet points around each of the 5 points of the field stencil
     assert shapes == [(2,)] * 45
-    # the residual's own frame at u and one for the field on its stencil
-    assert len(frames) == 2
+    # one frame on the field stencil, for the field and for its centre u
+    assert len(frames) == 1
 
     # a potential marked batched gets the whole (9, 5, 2) jet in one call,
     # with the bits of the pinned single-point evaluation
