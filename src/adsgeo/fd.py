@@ -31,6 +31,12 @@ and second partials; its first partials are those of ``stencil_partials``.
 stencil need only the corners to make a jet.  Each difference formula runs
 once, elementwise over all coordinates (or pairs of coordinates).
 
+Both stencils are built the same way, whatever the batch shape: one copy
+of ``u`` per point, then one indexed add of every shift, read from a table
+of (point, coordinate, shift) entries that is built once per (dim, scheme,
+order) and cached.  Each coordinate of a point gets at most one add, so it
+has the bits of a copy of ``u`` shifted in place.
+
 Two default step sizes are distinguished:
 
 * ``immersion_step`` differentiates closed-form evaluators (immersions,
@@ -132,15 +138,46 @@ def _mixed_combine(values, scheme: FDScheme):
     return (4.0 * b - a) / 3.0
 
 
-def _points(u, plan):
-    """``u``, then for each ``(parent, i, s)`` of ``plan`` a new array of its
-    shape: the point ``parent`` (an index into the points so far) shifted
-    by s in coordinate i."""
-    points = [u]
-    for parent, i, s in plan:
-        v = points[parent].copy()
-        v.T[i] += s        # coordinate i of every point (v[..., i] is slower)
-        points.append(v)
+@functools.lru_cache(maxsize=32)
+def _shift_table(dim: int, scheme: FDScheme, order: int):
+    """The layout of the stencil of ``order`` 1 or 2 in ``dim`` coordinates,
+    built once for each (dim, scheme, order): ``(shifts, rows, cols,
+    steps)``.  Point r is ``shifts[r]``, a tuple of (coordinate, shift)
+    pairs, and the read-only arrays hold the same pairs as entries: point
+    ``rows[e]`` is shifted by ``steps[e]`` in coordinate ``cols[e]``.
+
+    The points are the centre ``()``, then, for each coordinate, the centre
+    shifted in it by each shift s of ``_offsets``: these are the points of
+    ``stencil``.  The second-order stencil goes on with, for each corner
+    (+t, +t), (+t, -t), (-t, +t), (-t, -t) of the step t = h, and with
+    Richardson of t = h/2, that corner in each pair of coordinates i < j, in
+    row-major order: the point shifted in i, then in j.
+    """
+    offsets = _offsets(scheme)
+    k = len(offsets)
+    shifts = ((),) + tuple(((i, s),) for i in range(dim) for s in offsets)
+    if order == 2:
+        corners = [(offsets[n], offsets[m]) for t in range(0, k, 2)
+                   for n, m in ((t, t), (t, t + 1), (t + 1, t), (t + 1, t + 1))]
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        shifts += tuple(((i, a), (j, b)) for a, b in corners for i, j in pairs)
+    entries = [(row, i, s) for row, shift in enumerate(shifts) for i, s in shift]
+    columns = tuple(np.array(column) for column in zip(*entries))
+    for column in columns:
+        column.flags.writeable = False
+    return (shifts,) + columns
+
+
+def _points(u, scheme: FDScheme, order: int):
+    """Every point of ``_shift_table(dim, scheme, order)`` at ``u``, on a new
+    leading axis: one copy of ``u`` per point, then one indexed add of all
+    the shifts."""
+    u = np.asarray(u, dtype=float)
+    shifts, rows, cols, steps = _shift_table(u.shape[-1], scheme, order)
+    points = u[None].repeat(len(shifts), axis=0)
+    # only the shifted coordinates get an add: adding a zero offset to the
+    # others would turn -0.0 into +0.0
+    points[rows, ..., cols] += steps.reshape((-1,) + (1,) * (u.ndim - 1))
     return points
 
 
@@ -163,9 +200,7 @@ def stencil(u, scheme: FDScheme):
     coordinate the shifts of ``_offsets`` (9 points in 2-D with Richardson).
     These are the first points of ``jet_stencil``.
     """
-    u = np.asarray(u, dtype=float)
-    plan = _jet_plan(u.shape[-1], scheme)[:len(_offsets(scheme)) * u.shape[-1]]
-    return np.stack(_points(u, plan))
+    return _points(u, scheme, 1)
 
 
 def shift_partials(values, scheme: FDScheme):
@@ -192,43 +227,17 @@ def stencil_gradient(values, u, scheme: FDScheme):
     return f0, np.stack(list(d), axis=np.ndim(u) - 1)
 
 
-@functools.lru_cache(maxsize=16)
-def _jet_plan(dim: int, scheme: FDScheme):
-    """How to make each point of the second-order stencil but the centre:
-    ``(parent, i, s)``, the point ``parent`` (an index into the points so
-    far) shifted by s in coordinate i.  Built once for each (dim, scheme).
-
-    First, for each coordinate, the centre shifted in it by each shift s of
-    ``_offsets``: these are the points of ``stencil``.  Then, for each corner
-    (+t, +t), (+t, -t), (-t, +t), (-t, -t) of the step t = h, and with
-    Richardson of t = h/2, that corner in each pair of coordinates i < j, in
-    row-major order: the point shifted in i, then shifted in j.
-    """
-    offsets = _offsets(scheme)
-    k = len(offsets)
-    axis = {(i, s): 1 + i * k + n for i in range(dim) for n, s in enumerate(offsets)}
-    corners = [(offsets[n], offsets[m]) for t in range(0, k, 2)
-               for n, m in ((t, t), (t, t + 1), (t + 1, t), (t + 1, t + 1))]
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    return (tuple((0, i, s) for i in range(dim) for s in offsets)
-            + tuple((axis[i, a], j, b) for a, b in corners for i, j in pairs))
-
-
 def jet_shifts(dim: int, scheme: FDScheme):
     """The points of the second-order stencil in ``dim`` coordinates, each as
-    a tuple of (coordinate, shift) pairs, in the order of ``_jet_plan``,
-    after the centre ``()``.  That is 1 + k dim^2 points for k shifts per
-    coordinate: 17 in 2-D and 37 in 3-D with Richardson, each distinct."""
-    shifts = [()]
-    for parent, i, s in _jet_plan(dim, scheme):
-        shifts.append(shifts[parent] + ((i, s),))
-    return shifts
+    a tuple of (coordinate, shift) pairs, after the centre ``()``.  That is
+    1 + k dim^2 points for k shifts per coordinate: 17 in 2-D and 37 in 3-D
+    with Richardson, each distinct."""
+    return list(_shift_table(dim, scheme, 2)[0])
 
 
 def jet_stencil(u, scheme: FDScheme):
     """Every point of ``jet_shifts`` at ``u``, on a new leading axis."""
-    u = np.asarray(u, dtype=float)
-    return np.stack(_points(u, _jet_plan(u.shape[-1], scheme)))
+    return _points(u, scheme, 2)
 
 
 def jet_partials(values, scheme: FDScheme):

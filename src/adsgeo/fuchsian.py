@@ -232,8 +232,11 @@ class Genus2Mesh:
         # boundary_pairs lists both directions; each unordered pair is one edge
         interior = np.ones(3 * self.n_triangles, dtype=bool)
         interior[np.array(self.boundary_pairs).ravel()] = False
-        keys = _halfedge_keys(self.triangles, len(self.vertices))
-        return len(np.unique(keys[interior])) + len(self.boundary_pairs) // 2
+        keys = _halfedge_keys(self.triangles, len(self.vertices))[interior]
+        keys.sort()
+        # the distinct keys: the first, then one more at each change
+        distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+        return distinct + len(self.boundary_pairs) // 2
 
     def euler_characteristic(self) -> int:
         return self.n_classes - self.glued_edge_count() + self.n_triangles

@@ -1,8 +1,9 @@
 """The fused second-order stencil (``fd.jet_stencil``, ``fd.jet_partials``)
 and the first-order one (``fd.stencil``, ``fd.stencil_partials``) against
 the separate one-coordinate difference formulas they replaced, kept here as
-the reference, and the one calling rule ``fd.evaluate`` that every layer
-differentiating a user callable follows."""
+the reference, their points against copies of ``u`` shifted in place, and
+the one calling rule ``fd.evaluate`` that every layer differentiating a user
+callable follows."""
 from dataclasses import fields
 
 import numpy as np
@@ -127,6 +128,68 @@ def test_jet_stencil_follows_jet_shifts(dim, richardson):
         for i, s in shift:
             expected[..., i] += s
         assert point.tobytes() == expected.tobytes()
+
+
+def ref_points(u, shifts):
+    """Each point of ``shifts`` as a copy of ``u`` shifted in place, stacked."""
+    points = []
+    for shift in shifts:
+        v = np.array(u, dtype=float)
+        for i, s in shift:
+            v = _shift(v, i, s)
+        points.append(v)
+    return np.array(points)
+
+
+def stencil_shifts(dim, scheme, build):
+    shifts = jet_shifts(dim, scheme)
+    return shifts[:1 + len(_offsets(scheme)) * dim] if build is stencil else shifts
+
+
+EDGE_POINTS = {
+    # unshifted coordinates keep the sign of a zero
+    "negative_zero": lambda: np.array([[-0.0, 0.3], [0.2, -0.0], [-0.0, -0.0]]),
+    "reversed": lambda: np.linspace(-0.4, 0.5, 6).reshape(3, 2)[::-1, ::-1],
+    "strided": lambda: np.linspace(-0.4, 0.5, 24).reshape(6, 4)[::2, ::3],
+    "single_negative_zero": lambda: np.array([-0.0, 0.25]),
+}
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("build", [stencil, jet_stencil])
+@pytest.mark.parametrize("case", sorted(EDGE_POINTS))
+def test_stencil_points_match_copy_and_add(case, build, richardson):
+    scheme = FDScheme(1e-2, richardson)
+    u = EDGE_POINTS[case]()
+    points = build(u, scheme)
+    want = ref_points(u, stencil_shifts(u.shape[-1], scheme, build))
+    assert points.shape == want.shape and points.tobytes() == want.tobytes()
+    assert points[0].tobytes() == np.ascontiguousarray(u).tobytes()
+
+
+def test_nested_stencil_matches_copy_and_add():
+    # the stencil of a stencil, as exterior_derivative_identities builds it
+    scheme = DEFAULT_DIFF.field
+    u = np.array([0.3, -0.0])
+    shifts = stencil_shifts(2, scheme, stencil)
+    nested = stencil(stencil(u, scheme), scheme)
+    want = ref_points(ref_points(u, shifts), shifts)
+    assert nested.shape == want.shape == (9, 9, 2)
+    assert nested.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("build", [stencil, jet_stencil])
+def test_stencil_is_a_new_array(build):
+    # writing to a stencil touches neither u nor the next stencil
+    scheme = FDScheme(1e-2, True)
+    u = np.array([[0.3, -0.2], [0.1, 0.4]])
+    before = u.tobytes()
+    first = build(u, scheme)
+    again = first.copy()
+    first += 1.0
+    first[0] = 7.0
+    assert u.tobytes() == before
+    assert build(u, scheme).tobytes() == again.tobytes()
 
 
 # ---------------------------------------------------------------------------

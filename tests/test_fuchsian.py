@@ -107,6 +107,14 @@ def test_mesh_combinatorics(level):
     assert mesh.area_angle_defect() == pytest.approx(4.0 * np.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
+def test_glued_edges_of_a_closed_triangulation(level):
+    # each triangle has 3 edges and each edge of a closed surface borders 2
+    # triangles, whatever the edge keys
+    mesh = fu.genus2_mesh(level)
+    assert mesh.glued_edge_count() == 3 * mesh.n_triangles // 2
+
+
 # sha256 of export_mesh and of vertex_class.tobytes() as the per-vertex
 # dict/union-find construction produced them
 PINNED_MESHES = {
