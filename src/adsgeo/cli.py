@@ -1,9 +1,9 @@
 """Command-line harness running the verification suites.
 
-Commands: check, mess, dual, extend, rigidity, fuchsian, phik, version.  Options
-come from an optional flat key=value config file plus command-line flags
-(flags win).  Each flag and config key is one ``RunConfig`` field, typed by
-its annotation; ``COMMAND_FLAGS`` lists once which fields each command takes.
+``COMMANDS`` declares each command once: its runner, its help line and
+the ``RunConfig`` fields it takes as flags.  Options come from an optional
+flat key=value config file plus command-line flags (flags win).  Each flag
+and config key is one ``RunConfig`` field, typed by its annotation.
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage or
 configuration error.
 """
@@ -319,40 +319,27 @@ def run_phi_k(cfg: RunConfig) -> CheckReport:
     return report
 
 
-COMMANDS = {
-    "check": run_check,
-    "mess": run_mess,
-    "dual": run_dual,
-    "extend": run_extend,
-    "rigidity": run_rigidity,
-    "fuchsian": run_fuchsian,
-    "phik": run_phi_k,
-}
-
 # ---------------------------------------------------------------------------
 # argument handling: each command's flags are RunConfig fields, in help order
 
 _FIXTURE = ("fixture", "s", "amplitude", "width", "base")
 _COMMON = ("tolerance", "fd_step", "seed", "output", "out_file")
-COMMAND_FLAGS = {
-    "check": _FIXTURE + ("samples",) + _COMMON,
-    "mess": _FIXTURE + ("samples", "s2") + _COMMON,
-    "dual": _FIXTURE + ("samples",) + _COMMON,
-    "extend": _FIXTURE + ("s_list", "points") + _COMMON,
-    "rigidity": ("s", "mesh_level") + _COMMON,
-    "fuchsian": ("mesh_level", "export_mesh") + _COMMON,
-    "phik": ("k_curvature", "samples") + _COMMON,
-    "version": (),
-}
-_COMMAND_HELP = {
-    "check": "Gauss and Codazzi residuals",
-    "mess": "left/right metric checks",
-    "dual": "duality checks",
-    "extend": "equidistant extension curvature checks",
-    "rigidity": "discrete kernel verdict",
-    "fuchsian": "octagon group and mesh checks",
-    "phik": "constant-curvature slice map on the family",
-    "version": "print version and exit",
+# command -> (runner, help line, flags); "fixture" runners take the immersion
+COMMANDS = {
+    "check": (run_check, "Gauss and Codazzi residuals",
+              _FIXTURE + ("samples",) + _COMMON),
+    "mess": (run_mess, "left/right metric checks",
+             _FIXTURE + ("samples", "s2") + _COMMON),
+    "dual": (run_dual, "duality checks", _FIXTURE + ("samples",) + _COMMON),
+    "extend": (run_extend, "equidistant extension curvature checks",
+               _FIXTURE + ("s_list", "points") + _COMMON),
+    "rigidity": (run_rigidity, "discrete kernel verdict",
+                 ("s", "mesh_level") + _COMMON),
+    "fuchsian": (run_fuchsian, "octagon group and mesh checks",
+                 ("mesh_level", "export_mesh") + _COMMON),
+    "phik": (run_phi_k, "constant-curvature slice map on the family",
+             ("k_curvature", "samples") + _COMMON),
+    "version": (None, "print version and exit", ()),
 }
 _FLAG_HELP = {
     "s2": "second family parameter for surface-independence rows",
@@ -362,16 +349,15 @@ _FLAG_HELP = {
 }
 _CHOICES = {"fixture": emb.CATALOG, "output": FORMATS}
 _FLAG_NAMES = {"k_curvature": "--k"}     # every other flag is --field-name
-# the commands that take the fixture's immersion
-SURFACE_COMMANDS = tuple(c for c, names in COMMAND_FLAGS.items() if "fixture" in names)
 
 
 def run(cfg: RunConfig) -> CheckReport:
     """Dispatch a validated configuration to its command."""
     immersion = cfg.validate()
-    if cfg.command in SURFACE_COMMANDS:
-        return COMMANDS[cfg.command](cfg, immersion)
-    return COMMANDS[cfg.command](cfg)
+    runner, _, names = COMMANDS[cfg.command]
+    if "fixture" in names:
+        return runner(cfg, immersion)
+    return runner(cfg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="verification harness for spacelike-surface geometry in AdS3")
     parser.add_argument("--config", help="flat key=value configuration file")
     sub = parser.add_subparsers(dest="command")
-    for command, names in COMMAND_FLAGS.items():
-        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+    for command, (_, help_line, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         for name in names:
             p.add_argument(_FLAG_NAMES.get(name, "--" + name.replace("_", "-")),
                            dest=name, type=_kind(name), default=None,

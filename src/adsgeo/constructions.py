@@ -32,6 +32,7 @@ from .embedding import (NORMAL_FLOOR, EmbeddingData, Immersion, _curvature_from_
 from .errors import DegenerateDataError, DomainError, FocalPointError
 from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, jet_partials, jet_shifts,
                  jet_stencil)
+from .mess_metrics import mess_metric
 
 # ---------------------------------------------------------------------------
 # duality
@@ -86,7 +87,7 @@ def require_family_dual(s: float):
 
 
 def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
-    """Duality with its verification residuals at one chart point.
+    """Duality with its verification residuals at the chart points u (..., 2).
 
     Diagnostics returned alongside the dual data:
 
@@ -298,7 +299,6 @@ def phi_k_fuchsian(K: float, cfg: DiffConfig = DEFAULT_DIFF) -> PhiKResult:
     surface = family_immersion(s)
 
     def left(u):
-        from .mess_metrics import mess_metric
         return mess_metric(embedding_data_at(surface, u, cfg=cfg), +1)
 
     def normalized(u):

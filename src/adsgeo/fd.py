@@ -29,7 +29,8 @@ and ``jet_partials`` turns the values there into ``f(u)`` with all first
 and second partials; its first partials are those of ``stencil_partials``.
 ``jet_stencil`` starts with the points of ``stencil``, so values on a
 stencil need only the corners to make a jet.  Each difference formula runs
-once, elementwise over all coordinates (or pairs of coordinates).
+once, elementwise over all coordinates (or pairs of coordinates); one
+helper extrapolates each of them from the steps h and h/2 to (4 b - a) / 3.
 
 Both stencils are built the same way, whatever the batch shape: one copy
 of ``u`` per point, then one indexed add of every shift, read from a table
@@ -103,39 +104,33 @@ def _offsets(scheme: FDScheme):
     return (h, -h, h / 2.0, -h / 2.0)
 
 
-def _d1_combine(values, scheme: FDScheme):
-    """First partial from the values of f at the shifts of ``_offsets``."""
+def _richardson(quotient, values, scheme: FDScheme, *args):
+    """The difference quotient a at step h, ``quotient(values, 0, h, *args)``;
+    with Richardson, the values go on with the quotient's inputs at h/2, and
+    the result is (4 b - a) / 3 with b the quotient at h/2."""
     h = scheme.step
-    a = (values[0] - values[1]) / (2.0 * h)
+    a = quotient(values, 0, h, *args)
     if not scheme.richardson:
         return a
-    b = (values[2] - values[3]) / (2.0 * (h / 2.0))
+    b = quotient(values, len(values) // 2, h / 2.0, *args)
     return (4.0 * b - a) / 3.0
 
 
-def _d2_combine(values, f0, scheme: FDScheme):
-    """Second partial along one coordinate from f(u) and the values of
-    ``_d1_combine``: (f(+t) - 2 f(u) + f(-t)) / t^2 for each step t."""
-    h = scheme.step
-    twice = 2.0 * f0
-    a = (values[0] - twice + values[1]) / (h * h)
-    if not scheme.richardson:
-        return a
-    t = h / 2.0
-    b = (values[2] - twice + values[3]) / (t * t)
-    return (4.0 * b - a) / 3.0
+def _d1_combine(v, i, t):
+    """First difference (f(+t) - f(-t)) / 2t from v[i] = f(+t), v[i + 1] = f(-t)."""
+    return (v[i] - v[i + 1]) / (2.0 * t)
 
 
-def _mixed_combine(values, scheme: FDScheme):
-    """Mixed second partial from the corners (+t, +t), (+t, -t), (-t, +t),
-    (-t, -t) of each step t: (f++ - f+- - f-+ + f--) / (4 t^2)."""
-    h = scheme.step
-    a = (values[0] - values[1] - values[2] + values[3]) / (4.0 * h * h)
-    if not scheme.richardson:
-        return a
-    t = h / 2.0
-    b = (values[4] - values[5] - values[6] + values[7]) / (4.0 * t * t)
-    return (4.0 * b - a) / 3.0
+def _d2_combine(v, i, t, twice):
+    """Second difference (f(+t) - 2 f(u) + f(-t)) / t^2 along one coordinate,
+    from v[i] = f(+t), v[i + 1] = f(-t) and ``twice = 2 f(u)``."""
+    return (v[i] - twice + v[i + 1]) / (t * t)
+
+
+def _mixed_combine(v, i, t):
+    """Mixed second difference (f++ - f+- - f-+ + f--) / (4 t^2) from the values
+    v[i:i + 4] at the corners (+t, +t), (+t, -t), (-t, +t), (-t, -t)."""
+    return (v[i] - v[i + 1] - v[i + 2] + v[i + 3]) / (4.0 * t * t)
 
 
 @functools.lru_cache(maxsize=32)
@@ -209,7 +204,7 @@ def shift_partials(values, scheme: FDScheme):
     values = np.asarray(values)
     k = len(_offsets(scheme))
     # values[n::k] is shift n of every coordinate: one combine for all
-    return _d1_combine([values[n::k] for n in range(k)], scheme)
+    return _richardson(_d1_combine, [values[n::k] for n in range(k)], scheme)
 
 
 def stencil_partials(values, scheme: FDScheme):
@@ -255,11 +250,11 @@ def jet_partials(values, scheme: FDScheme):
     # shifted[n]: shift n of every coordinate; corners[m]: corner m of every pair
     shifted = np.swapaxes(values[1:1 + k * dim].reshape((dim, k) + f0.shape), 0, 1)
     corners = values[1 + k * dim:].reshape((2 * k, dim * (dim - 1) // 2) + f0.shape)
-    diag = _d2_combine(shifted, f0, scheme)
-    mixed = iter(_mixed_combine(corners, scheme))
+    diag = _richardson(_d2_combine, shifted, scheme, 2.0 * f0)
+    mixed = iter(_richardson(_mixed_combine, corners, scheme))
     dd = np.empty((dim, dim) + f0.shape)
     for i in range(dim):
         dd[i, i] = diag[i]
         for j in range(i + 1, dim):
             dd[i, j] = dd[j, i] = next(mixed)
-    return f0, _d1_combine(shifted, scheme), dd
+    return f0, _richardson(_d1_combine, shifted, scheme), dd

@@ -77,9 +77,9 @@ def sharp_frame(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
 def _sharp_frame(data: EmbeddingData, u, scheme, check: bool) -> SharpData:
     """``sharp_frame`` at u from the embedding data on ``stencil(u, scheme)``."""
     centre = data[0]
-    a = _sharp_factor(centre, +1)
-    _, partials = stencil_gradient(np.stack([data.I, np.eye(2) + data.J @ data.B],
-                                            axis=-3), u, scheme)
+    a_stencil = _sharp_factor(data, +1)
+    a = a_stencil[0]
+    _, partials = stencil_gradient(np.stack([data.I, a_stencil], axis=-3), u, scheme)
     da = partials[..., 1, :, :]
     gamma = christoffel_symbols(inv(centre.I), partials[..., 0, :, :])
     codazzi = None

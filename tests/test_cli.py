@@ -13,6 +13,7 @@ from adsgeo import cli
 from adsgeo import embedding as emb
 from adsgeo.errors import ConfigError
 from adsgeo.report import CheckReport, emit_report
+from test_golden import CASES as GOLDEN_CASES
 
 
 def run_cli(capsys, *argv):
@@ -361,10 +362,9 @@ def test_parser_built_once_and_reused(monkeypatch, capsys):
     assert [code for code, _, _ in fresh] == [0, 0, 1]
 
 
-@pytest.mark.parametrize("page", ["top", "check", "mess", "dual", "extend", "rigidity",
-                                  "fuchsian", "phik", "version"])
+@pytest.mark.parametrize("page", ["top", *cli.COMMANDS])
 def test_help_pages_pinned(monkeypatch, capsys, page):
-    # the parser built from COMMAND_FLAGS prints tests/golden/help_<page>.txt
+    # the parser built from COMMANDS prints tests/golden/help_<page>.txt
     # byte for byte
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as done:
@@ -400,8 +400,15 @@ def test_negative_value_in_exponent_form(capsys):
 def test_command_flags_are_the_config_keys():
     # every RunConfig field but command is a flag of some command and a
     # config key, declared once
-    flags = {name for names in cli.COMMAND_FLAGS.values() for name in names}
+    flags = {name for _, _, names in cli.COMMANDS.values() for name in names}
     assert flags == {f.name for f in fields(cli.RunConfig)} - {"command"}
+
+
+def test_every_command_has_a_golden_case():
+    # a new command lands with its report bytes pinned (and, through
+    # test_help_pages_pinned, its help page)
+    covered = {argv[0] for _, argv, _ in GOLDEN_CASES}
+    assert covered == set(cli.COMMANDS) - {"version"}
 
 
 SURFACE_COMMANDS = [
