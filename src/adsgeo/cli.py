@@ -194,19 +194,16 @@ def _write_file(path: str, what: str, payload: bytes):
         raise AdsGeoError(f"cannot write {what} file {path}: {exc}") from exc
 
 
-def run_check(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
-    report = CheckReport(provenance=cfg.provenance())
+def run_check(cfg: RunConfig, report: CheckReport, immersion: emb.Immersion):
     rng = np.random.default_rng(cfg.seed)
     pts = _sample_points(rng, cfg.samples)
     checks = ["gauss_residual", "codazzi_residual"]
     residuals = emb.structure_residuals(immersion, pts, cfg=cfg.diff())
     report.add(checks, _chart_locations(pts)[:, None],
                np.stack(residuals, axis=-1), [cfg.tol(c) for c in checks])
-    return report
 
 
-def run_mess(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
-    report = CheckReport(provenance=cfg.provenance())
+def run_mess(cfg: RunConfig, report: CheckReport, immersion: emb.Immersion):
     rng = np.random.default_rng(cfg.seed)
     diff = cfg.diff()
     tol_name = ("left_curvature_bump" if cfg.fixture == "graph_bump"
@@ -221,11 +218,9 @@ def run_mess(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
         b = mes.mess_metric(emb.embedding_data_at(other, pts, cfg=diff), +1)
         report.add("metric_match", locations, np.abs(a - b).max(axis=(-2, -1)),
                    cfg.tol("metric_match"))
-    return report
 
 
-def run_dual(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
-    report = CheckReport(provenance=cfg.provenance())
+def run_dual(cfg: RunConfig, report: CheckReport, immersion: emb.Immersion):
     rng = np.random.default_rng(cfg.seed)
     pts = _sample_points(rng, cfg.samples)
     _, diag = con.dual_surface(immersion, pts, cfg=cfg.diff())
@@ -234,11 +229,9 @@ def run_dual(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
               diag["involution"]]
     report.add(checks, _chart_locations(pts)[:, None],
                np.stack(values, axis=-1), [cfg.tol(c) for c in checks])
-    return report
 
 
-def run_extend(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
-    report = CheckReport(provenance=cfg.provenance())
+def run_extend(cfg: RunConfig, report: CheckReport, immersion: emb.Immersion):
     rng = np.random.default_rng(cfg.seed)
     try:
         s_values = [float(x) for x in cfg.s_list.split(",") if x.strip()]
@@ -258,16 +251,14 @@ def run_extend(cfg: RunConfig, immersion: emb.Immersion) -> CheckReport:
     pts = np.column_stack([u, np.repeat(s_values, cfg.points)])
     report.add("extension_riemann", _chart_locations(pts),
                con.extension_curvature(ext, pts), cfg.tol(tol_name))
-    return report
 
 
-def run_rigidity(cfg: RunConfig) -> CheckReport:
-    report = CheckReport(provenance=cfg.provenance())
+def run_rigidity(cfg: RunConfig, report: CheckReport):
     ops = fuc.discrete_operators(fuc.genus2_mesh(cfg.mesh_level))
     loc = f"level={cfg.mesh_level},s={cfg.s:+.4f}"
     spectrum = rig.rigidity_spectrum(ops, cfg.s, k=6, seed=cfg.seed)
     report.add(np.char.add("eigenvalue_", np.arange(spectrum.size).astype(str)), loc,
-               spectrum, np.inf, passed=True)
+               spectrum, np.inf)
     report.add("kernel_dimension", loc, rig.kernel_dimension(spectrum),
                cfg.tol("kernel_dimension"))
     min_abs = np.min(np.abs(spectrum)) / np.tan(abs(cfg.s))
@@ -275,11 +266,9 @@ def run_rigidity(cfg: RunConfig) -> CheckReport:
                passed=min_abs >= cfg.tol("min_abs_eigenvalue"))
     report.add("constant_image", loc, rig.constant_function_check(ops, cfg.s),
                cfg.tol("constant_image"))
-    return report
 
 
-def run_fuchsian(cfg: RunConfig) -> CheckReport:
-    report = CheckReport(provenance=cfg.provenance())
+def run_fuchsian(cfg: RunConfig, report: CheckReport):
     hol = fuc.octagon_generators()
     report.add("relator_residual", ["commutator", "octagon_word"],
                [hol.commutator_relator_residual(), hol.octagon_relator_residual()],
@@ -297,13 +286,11 @@ def run_fuchsian(cfg: RunConfig) -> CheckReport:
                cfg.tol("element_area"))
     if cfg.export_mesh:
         _write_file(cfg.export_mesh, "mesh", fuc.export_mesh(mesh).encode("utf-8"))
-    return report
 
 
-def run_phi_k(cfg: RunConfig) -> CheckReport:
+def run_phi_k(cfg: RunConfig, report: CheckReport):
     """phi_K rows: the slice parameter of curvature K, and the left and
     normalized surface metrics against the hyperbolic metric."""
-    report = CheckReport(provenance=cfg.provenance())
     rng = np.random.default_rng(cfg.seed)
     result = con.phi_k_fuchsian(cfg.k_curvature, cfg=cfg.diff())
     report.add("phi_k_parameter", f"K={cfg.k_curvature}",
@@ -316,7 +303,6 @@ def run_phi_k(cfg: RunConfig) -> CheckReport:
             np.abs(result.surface_metric(pts) - g).max(axis=(-2, -1))]
     report.add("phi_k_metric", np.stack([locations, np.char.add(locations, "/surface")], -1),
                np.stack(gaps, axis=-1), cfg.tol("phi_k_metric"))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +310,8 @@ def run_phi_k(cfg: RunConfig) -> CheckReport:
 
 _FIXTURE = ("fixture", "s", "amplitude", "width", "base")
 _COMMON = ("tolerance", "fd_step", "seed", "output", "out_file")
-# command -> (runner, help line, flags); "fixture" runners take the immersion
+# command -> (runner, help line, flags); each runner adds its rows to the
+# report it is given, and "fixture" runners also take the immersion
 COMMANDS = {
     "check": (run_check, "Gauss and Codazzi residuals",
               _FIXTURE + ("samples",) + _COMMON),
@@ -352,12 +339,16 @@ _FLAG_NAMES = {"k_curvature": "--k"}     # every other flag is --field-name
 
 
 def run(cfg: RunConfig) -> CheckReport:
-    """Dispatch a validated configuration to its command."""
+    """Dispatch a validated configuration to its command, which adds its
+    rows to the one report made here."""
     immersion = cfg.validate()
     runner, _, names = COMMANDS[cfg.command]
+    report = CheckReport(provenance=cfg.provenance())
     if "fixture" in names:
-        return runner(cfg, immersion)
-    return runner(cfg)
+        runner(cfg, report, immersion)
+    else:
+        runner(cfg, report)
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,11 +22,6 @@ class FocalPointError(AdsGeoError):
     """Equidistant flow hit a focal point (cos(s) E + sin(s) B singular)."""
 
 
-class TransferPreconditionError(AdsGeoError):
-    """Connection-transfer precondition violated (Codazzi residual of
-    E + J B above tolerance)."""
-
-
 class MeshResourceError(AdsGeoError):
     """Requested mesh refinement level exceeds the configured maximum."""
 

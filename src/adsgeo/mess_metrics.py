@@ -6,7 +6,9 @@ with A = E + J B (never by differentiating the metric itself):
 
     D#_u v = A^{-1} D_u (A v),    J# = A^{-1} J A,    K# = K / det(A),
 
-valid whenever d^D A = 0, which reduces to the Codazzi equation of B.
+valid whenever d^D A = 0: the torsion of D# is A^{-1} d^D A, and
+d^D A = J d^D B with J an I-isometry, so the precondition is the Codazzi
+equation of B, the Codazzi row of ``embedding.structure_residuals``.
 For Gauss-Codazzi data det(E + J B) = 1 + det B = -K, so K# = -1.
 
 Every function here takes embedding data or chart points with leading
@@ -20,12 +22,11 @@ import numpy as np
 
 from .batch import any_of, det, entries, inv, singular_values
 from .embedding import (EmbeddingData, Immersion, _curvature_from_known,
-                        christoffel_symbols, codazzi_norm, embedding_data_at)
-from .errors import DegenerateDataError, TransferPreconditionError
+                        christoffel_symbols, embedding_data_at)
+from .errors import DegenerateDataError
 from .fd import DEFAULT_DIFF, DiffConfig, stencil, stencil_gradient
 
 MAX_SHARP_CONDITION = 1e8
-TRANSFER_CODAZZI_TOL = 1e-4
 
 
 def _sharp_factor(data: EmbeddingData, sign: int):
@@ -36,13 +37,17 @@ def _sharp_factor(data: EmbeddingData, sign: int):
     return a
 
 
-def mess_metric(data: EmbeddingData, sign: int = +1):
-    """I((E +- JB) . , (E +- JB) . ) as a chart matrix; positive definite."""
-    a = _sharp_factor(data, sign)
-    m = np.swapaxes(a, -1, -2) @ data.I @ a
+def _pull_back(a, I):
+    """I(A . , A . ) as a chart matrix A^T I A; positive definite."""
+    m = np.swapaxes(a, -1, -2) @ I @ a
     if any_of((entries(m)[0] <= 0.0) | (det(m) <= 0.0)):
         raise DegenerateDataError("sharp metric lost positive definiteness")
     return m
+
+
+def mess_metric(data: EmbeddingData, sign: int = +1):
+    """I((E +- JB) . , (E +- JB) . ) as a chart matrix; positive definite."""
+    return _pull_back(_sharp_factor(data, sign), data.I)
 
 
 @dataclass(frozen=True)
@@ -56,25 +61,22 @@ class SharpData:
     J_sharp: np.ndarray
     da_sharp: np.ndarray
     christoffels: np.ndarray        # Gamma#[..., k, i, j]
-    codazzi_residual: np.ndarray | None  # |d^D A|_I; None when unchecked
 
 
-def sharp_frame(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
-                check: bool = True) -> SharpData:
+def sharp_frame(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF) -> SharpData:
     """Connection, complex structure and area form of the plus metric.
 
     One embedding-data call on the field-step stencil gives the data at u
-    (its centre) and the partials of I and of A = E + JB.  With ``check``
-    on, TransferPreconditionError is raised where the Codazzi residual
-    |d^D A|_I, formed from the same partials, exceeds TRANSFER_CODAZZI_TOL
-    (the conjugation formula is then meaningless).
+    (its centre) and the partials of I and of A = E + JB.  The frame takes
+    d^D A = 0 on trust: its torsion is A^{-1} d^D A, and the Codazzi row
+    of ``embedding.structure_residuals`` measures |d^D B|_I = |d^D A|_I.
     """
     u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
-    return _sharp_frame(data, u, cfg.field, check)
+    return _sharp_frame(data, u, cfg.field)
 
 
-def _sharp_frame(data: EmbeddingData, u, scheme, check: bool) -> SharpData:
+def _sharp_frame(data: EmbeddingData, u, scheme) -> SharpData:
     """``sharp_frame`` at u from the embedding data on ``stencil(u, scheme)``."""
     centre = data[0]
     a_stencil = _sharp_factor(data, +1)
@@ -82,24 +84,15 @@ def _sharp_frame(data: EmbeddingData, u, scheme, check: bool) -> SharpData:
     _, partials = stencil_gradient(np.stack([data.I, a_stencil], axis=-3), u, scheme)
     da = partials[..., 1, :, :]
     gamma = christoffel_symbols(inv(centre.I), partials[..., 0, :, :])
-    codazzi = None
-    if check:
-        codazzi = codazzi_norm(gamma, a, da, centre.I)
-        if any_of(codazzi > TRANSFER_CODAZZI_TOL):
-            worst = int(np.argmax(codazzi))
-            raise TransferPreconditionError(
-                f"Codazzi residual of E + JB is {np.ravel(codazzi)[worst]:.3e} "
-                f"at u = {u.reshape(-1, 2)[worst]}")
 
     a_inv = inv(a)
     # D#_i (d_j) = A^{-1} [ dA_i . e_j + Gamma_i^k(e_j) A e_k ], as vec[k, i, j]
     vec = np.swapaxes(da, -3, -2) + gamma @ a[..., None, :, :]
     gamma_sharp = (a_inv @ vec.reshape(vec.shape[:-2] + (4,))).reshape(vec.shape)
 
-    i_sharp = mess_metric(centre, +1)
+    i_sharp = _pull_back(a, centre.I)
     return SharpData(u=u, I_sharp=i_sharp, J_sharp=a_inv @ centre.J @ a,
-                     da_sharp=np.sqrt(det(i_sharp)), christoffels=gamma_sharp,
-                     codazzi_residual=codazzi)
+                     da_sharp=np.sqrt(det(i_sharp)), christoffels=gamma_sharp)
 
 
 def sharp_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
@@ -119,7 +112,7 @@ def sharp_metric_derivative_residual(immersion: Immersion, u,
     """
     u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
-    frame = _sharp_frame(data, u, cfg.field, check=False)
+    frame = _sharp_frame(data, u, cfg.field)
     gamma, i_sharp = frame.christoffels, frame.I_sharp
     # resid[..., k, i, j] = d_k I#_ij
     _, resid = stencil_gradient(mess_metric(data, +1), u, cfg.field)
@@ -127,12 +120,6 @@ def sharp_metric_derivative_residual(immersion: Immersion, u,
         resid = resid - gamma[..., m, :, :, None] * i_sharp[..., None, None, m, :]
         resid = resid - gamma[..., m, :, None, :] * i_sharp[..., None, :, m, None]
     return np.abs(resid).max(axis=(-3, -2, -1))
-
-
-def sharp_torsion_residual(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
-    frame = sharp_frame(immersion, u, cfg=cfg, check=False)
-    t = frame.christoffels[..., :, 0, 1] - frame.christoffels[..., :, 1, 0]
-    return np.abs(t).max(axis=-1)
 
 
 def verify_left_metric_hyperbolic(immersion: Immersion, samples,

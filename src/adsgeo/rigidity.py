@@ -39,7 +39,8 @@ from .errors import DomainError
 from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, jet_partials, jet_stencil,
                  shift_partials, stencil, stencil_partials)
 from .fuchsian import DiscreteOperators, laplace_eigenvalues
-from .mess_metrics import SharpData, mess_metric, sharp_curvature, sharp_frame
+from .mess_metrics import (SharpData, _pull_back, _sharp_factor, mess_metric,
+                           sharp_curvature, sharp_frame)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,7 @@ def sharp_codazzi_residual(immersion: Immersion, b_field, u,
     One sharp frame on the field-step ``fd.stencil(u)`` is handed to the
     field once; its centre is u, so ``frame.christoffels[0]`` and
     ``frame.I_sharp[0]`` hold the bits of a frame at u alone."""
-    frame = sharp_frame(immersion, stencil(u, cfg.field), cfg=cfg, check=False)
+    frame = sharp_frame(immersion, stencil(u, cfg.field), cfg=cfg)
     b, d = stencil_partials(b_field(frame), cfg.field)
     vec = exterior_covariant_derivative(frame.christoffels[0], b, *d)
     return float(np.sqrt(max(vec @ frame.I_sharp[0] @ vec, 0.0)))
@@ -242,7 +243,7 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
     shifted points of that stencil and at the outer points."""
     u = np.asarray(u, dtype=float)
     points = stencil(stencil(u, cfg.field), cfg.field)
-    fr = sharp_frame(immersion, points, cfg=cfg, check=False)
+    fr = sharp_frame(immersion, points, cfg=cfg)
     shifted = stencil(points, cfg.inner2)[1:]
     dmu = np.moveaxis(shift_partials(evaluate(mu, shifted), cfg.inner2), 0, -1)
 
@@ -281,10 +282,10 @@ def jbj_sharp(data: EmbeddingData):
     (``batch.eigvalsh``).
     """
     require_strong_convexity(data.B)
-    a = np.eye(2) + data.J @ data.B
+    a = _sharp_factor(data, +1)
     j_sharp = inv(a) @ (data.J @ a)
     op = data.J @ data.B @ j_sharp
-    i_sharp = mess_metric(data, +1)
+    i_sharp = _pull_back(a, data.I)
     sym = i_sharp @ op
     sym_t = np.swapaxes(sym, -1, -2)
     selfadj = np.abs(sym - sym_t).max(axis=(-2, -1))

@@ -37,7 +37,7 @@ def family_07():
 def codazzi_on_stencil(I_values, x_values, u, scheme):
     """|d^D X (d1, d2)|_I at u from the values of a metric field I and an
     operator field X on ``fd.stencil(u, scheme)``: the arithmetic of the
-    Codazzi guard in ``mess_metrics.sharp_frame``."""
+    Codazzi row of ``embedding.structure_residuals``."""
     I, dI = stencil_gradient(I_values, u, scheme)
     x, dx = stencil_gradient(x_values, u, scheme)
     gamma = embedding.christoffel_symbols(inv(I), dI)

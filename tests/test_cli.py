@@ -11,6 +11,7 @@ import pytest
 import adsgeo
 from adsgeo import cli
 from adsgeo import embedding as emb
+from adsgeo import rigidity as rig
 from adsgeo.errors import ConfigError
 from adsgeo.report import CheckReport, emit_report
 from test_golden import CASES as GOLDEN_CASES
@@ -132,6 +133,23 @@ def test_rigidity_single_eigenvalue_is_inconclusive(capsys):
     assert code == 1
     row = next(ln for ln in out.splitlines() if ln.startswith("kernel_dimension"))
     assert row.split()[2:] == ["nan", "0.0", "FAIL"]
+
+
+def test_rigidity_nan_eigenvalue_fails(monkeypatch, capsys):
+    # an eigenvalue row has an infinite tolerance, which every finite value
+    # meets and NaN does not
+    spectrum = rig.rigidity_spectrum
+
+    def with_nan(*args, **kwargs):
+        eigs = spectrum(*args, **kwargs)
+        eigs[0] = np.nan
+        return eigs
+
+    monkeypatch.setattr(rig, "rigidity_spectrum", with_nan)
+    code, out, _ = run_cli(capsys, "rigidity", "--mesh-level", "2")
+    assert code == 1
+    row = next(ln for ln in out.splitlines() if ln.startswith("eigenvalue_0"))
+    assert row.split()[2:] == ["nan", "inf", "FAIL"]
 
 
 def test_fuchsian_command_with_export(tmp_path, capsys):

@@ -5,10 +5,9 @@ import pytest
 
 from adsgeo import embedding as emb
 from adsgeo import mess_metrics as mm
-from adsgeo.errors import TransferPreconditionError
-from adsgeo.fd import DEFAULT_DIFF, DiffConfig, stencil
+from adsgeo.batch import inv
+from adsgeo.fd import DEFAULT_DIFF, DiffConfig, stencil, stencil_gradient
 from adsgeo.rigidity import exterior_derivative_identities
-from conftest import codazzi_on_stencil
 
 
 def test_zero_shape_operator_gives_base_metric():
@@ -68,17 +67,15 @@ def test_sharp_frame_trivial_when_b_zero():
 
 
 # sha256 of the float64 bytes of each sharp-frame field as the frame that
-# carried K# and ran its own Codazzi guard produced them: at one point with
-# the guard on, and on the nested field-step stencil around (0.2, 0.15) with
-# it off; "K_sharp" is now read from sharp_curvature at the same points
+# carried K# produced them: at one point, and on the nested field-step
+# stencil around (0.2, 0.15); "K_sharp" is now read from sharp_curvature at
+# the same points
 PINNED_FRAMES = {
     "point": {
         "I_sharp": "2120a27df02cc2f3b5dc3b2cb97eaaeb0f1743f49d926ed96bb2537a65cad004",
         "J_sharp": "2c32ce3ed5a331f022fe9b16b65df6f6e98e14bce720586b7fb49e99b2d23cb2",
         "christoffels": "cb1d114f62e9cdccd951aa1b941d3bd09609ab5ffe039f943dd3e2b0045d8f4b",
         "da_sharp": "7a120d680db9514d7d56728aa93b8e855a0a372801947413a5ff43bbbaf07de4",
-        "codazzi_residual":
-            "b14dd9a63527f26b289029f0c17599b0219674403e98c0907a1d25538c9168d8",
         "K_sharp": "bb78a0dad1309a9829ab59c2425f0b34c2db71d678a735a87bcad0224673793b",
     },
     "nested": {
@@ -86,26 +83,22 @@ PINNED_FRAMES = {
         "J_sharp": "4ed700ad9d4a40b2b0be8f30c3be28c9dcc28e663f7b054de8aa7f5eed71a82e",
         "christoffels": "fa8a1a6a3a2f09f51549bf307e6df2d16b006396eabcb878301140a482a4dc64",
         "da_sharp": "69958e266206cc93f9d098b00c80cd8c96f8bbd32b0427c74a2168147da3e4fb",
-        "codazzi_residual": None,
         "K_sharp": "8e4d8dccc44119fd0ac40c9192f9d3578f5ac62b1fdd10bfdeddb954d5295cb7",
     },
 }
 
 
 def _digest(x):
-    if x is None:
-        return None
     return hashlib.sha256(np.ascontiguousarray(x, dtype=float).tobytes()).hexdigest()
 
 
 def test_sharp_frame_pinned(bump):
     nested = stencil(stencil(np.array([0.2, 0.15]), DEFAULT_DIFF.field), DEFAULT_DIFF.field)
     frames = {"point": mm.sharp_frame(bump, [0.2, -0.3]),
-              "nested": mm.sharp_frame(bump, nested, check=False)}
+              "nested": mm.sharp_frame(bump, nested)}
     for name, frame in frames.items():
         digests = {key: _digest(getattr(frame, key))
-                   for key in ("I_sharp", "J_sharp", "christoffels", "da_sharp",
-                               "codazzi_residual")}
+                   for key in ("I_sharp", "J_sharp", "christoffels", "da_sharp")}
         digests["K_sharp"] = _digest(mm.sharp_curvature(bump, frame.u))
         assert digests == PINNED_FRAMES[name], name
 
@@ -142,10 +135,31 @@ def test_sharp_structure_identities(bump):
     assert frame.da_sharp == pytest.approx(np.sqrt(np.linalg.det(frame.I_sharp)))
 
 
+def _torsion(frame):
+    """T#(d1, d2) = D#_1 d2 - D#_2 d1 from the frame's Christoffel symbols."""
+    return frame.christoffels[..., :, 0, 1] - frame.christoffels[..., :, 1, 0]
+
+
 def test_sharp_connection_metric_and_torsion_free(bump):
     for u in ([0.25, -0.4], [0.0, 0.3]):
         assert mm.sharp_metric_derivative_residual(bump, u) < 1e-6
-        assert mm.sharp_torsion_residual(bump, u) < 1e-6
+        assert np.abs(_torsion(mm.sharp_frame(bump, u))).max() < 1e-6
+
+
+def test_sharp_torsion_is_codazzi_of_a(bump):
+    # T# = A^{-1} d^D A with A = E + JB: the frame is torsion-free exactly
+    # where A satisfies Codazzi, which is why the frame needs no guard
+    scheme = DEFAULT_DIFF.field
+    for u in ([0.25, -0.4], [0.0, 0.3], [-0.5, 0.1]):
+        u = np.array(u)
+        data = emb.embedding_data_at(bump, stencil(u, scheme))
+        a_stencil = np.eye(2) + data.J @ data.B
+        _, partials = stencil_gradient(np.stack([data.I, a_stencil], axis=-3), u, scheme)
+        gamma = emb.christoffel_symbols(inv(data.I[0]), partials[:, 0])
+        da = partials[:, 1]
+        codazzi = inv(a_stencil[0]) @ emb.exterior_covariant_derivative(
+            gamma, a_stencil[0], da[0], da[1])
+        assert np.abs(_torsion(mm.sharp_frame(bump, u)) - codazzi).max() < 1e-15
 
 
 def test_sharp_connection_residual_convergence(bump):
@@ -167,22 +181,10 @@ def crooked(u):
 
 
 def test_transfer_precondition_detector():
-    # an immersion-free frame cannot be built from non-Codazzi data; fake it
-    # by perturbing the fixture evaluator off the quadric-compatible family
+    # the connection transfer needs Codazzi for E + JB, which is Codazzi for
+    # B: the crooked surface satisfies it, and the structure residual says so
     F = emb.Immersion("crooked", crooked)
-    # the surface is fine (it satisfies Codazzi), so the frame must build
-    frame = mm.sharp_frame(F, [0.1, 0.2])
-    assert frame.codazzi_residual < 1e-4
-
-    # a genuinely broken operator field trips the guard inside the residual
-    u = np.array([0.1, 0.2])
-    scheme = DiffConfig().field
-    w = stencil(u, scheme)
-    broken_a = np.eye(2) + 0.3 * np.stack([np.sin(4 * w[:, 0]), np.zeros(len(w)),
-                                           w[:, 1], np.cos(3 * w[:, 1])],
-                                          axis=-1).reshape(-1, 2, 2)
-    resid = codazzi_on_stencil(emb.embedding_data_at(F, w).I, broken_a, u, scheme)
-    assert resid > mm.TRANSFER_CODAZZI_TOL
+    assert emb.structure_residuals(F, np.array([0.1, 0.2]))[1] < 1e-4
 
 
 def test_pointwise_evaluator_through_exterior_identities():

@@ -275,10 +275,10 @@ def test_b_from_mu_stacked_frame_bits(bump):
     pts = np.random.default_rng(4).uniform(-0.7, 0.7, (3, 4, 2))
     scheme = FDScheme(2e-3, True)
     mu = smooth_mu(9)
-    b = rig.b_from_mu(mu, sharp_frame(bump, pts, check=False), scheme)
+    b = rig.b_from_mu(mu, sharp_frame(bump, pts), scheme)
     assert b.shape == (3, 4, 2, 2)
     for idx in np.ndindex(3, 4):
-        b1 = rig.b_from_mu(mu, sharp_frame(bump, pts[idx], check=False), scheme)
+        b1 = rig.b_from_mu(mu, sharp_frame(bump, pts[idx]), scheme)
         assert b[idx].tobytes() == b1.tobytes()
 
 
