@@ -527,15 +527,16 @@ def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
 
 
 def reduced_pencil(ops: DiscreteOperators):
-    """The pair (S + M, M) in the symmetry-adapted basis Q: block diagonal,
-    with the blocks Q_b^T X Q_b in the order of the columns of Q.  The
-    products between blocks, zero but for roundoff, are never formed."""
+    """The pair (S + M, M) in the symmetry-adapted basis Q: block diagonal
+    CSR matrices, with the blocks Q_b^T X Q_b in the order of the columns
+    of Q.  The products between blocks, zero but for roundoff, are never
+    formed."""
     import scipy.sparse
     bounds = np.searchsorted(ops.block, np.arange(len(IRREPS) + 1))
     blocks = [ops.basis[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def reduce(x):
-        return scipy.sparse.block_diag([q.T @ (x @ q) for q in blocks], format="csc")
+        return scipy.sparse.block_diag([q.T @ (x @ q) for q in blocks], format="csr")
 
     return reduce(ops.stiffness + ops.mass), reduce(ops.mass)
 
@@ -543,27 +544,61 @@ def reduced_pencil(ops: DiscreteOperators):
 def generalized_eigs(a, m, k: int = 6, seed: int = 0):
     """Smallest k generalized eigenpairs of a x = lambda m x, ascending:
     (values, Ritz vectors as columns), for a symmetric positive definite
-    ``a`` (all eigenvalues positive, so the ones nearest zero are the
-    smallest); k is an integer >= 1, capped at n - 1.
+    ``a`` and a symmetric positive semidefinite ``m``; k is an integer
+    >= 1, capped at n - 1.  The vectors are a-orthonormal: x^T a x = 1.
+    Positive definiteness is required, not assumed: a Cholesky pivot that
+    is not positive raises DomainError naming its leading minor.
 
-    Shift-invert about 0 (ARPACK ``eigsh``) with a deterministic start
-    vector, where ``a`` is factored once by SuperLU in its COLAMD column
-    order.  Pivots stay on the diagonal (threshold 0, symmetric mode): a
-    definite ``a`` needs no row exchange.
+    ``a`` is reordered by reverse Cuthill-McKee, P a P^T (``_rcm_band``),
+    and its band is factored in place as L L^T by LAPACK's band Cholesky.
+    ARPACK (``eigsh``) then finds, from a deterministic start vector, the k
+    largest eigenvalues mu of the symmetric operator L^-1 P m P^T L^-T, each
+    application two banded triangular solves around one CSR product:
+    lambda = 1 / mu and x = P^T L^-T y.
     """
     if not isinstance(k, numbers.Integral) or k < 1:
         raise DomainError(f"eigenvalue count must be an integer >= 1, got {k!r}")
     n = a.shape[0]
     k = min(k, n - 1)
     import scipy.sparse.linalg
-    lu = scipy.sparse.linalg.splu(a, permc_spec="COLAMD", diag_pivot_thresh=0.0,
-                                  options=dict(SymmetricMode=True))
-    a_inv = scipy.sparse.linalg.LinearOperator((n, n), matvec=lu.solve, dtype=a.dtype)
+    from scipy.linalg.lapack import dpbtrf, dtbtrs
+    rank, ab = _rcm_band(a)
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise DomainError(f"matrix is not positive definite: leading minor {info} "
+                          "of its reverse Cuthill-McKee order is not positive")
+    m = m.tocoo()
+    m = scipy.sparse.csr_matrix((m.data, (rank[m.row], rank[m.col])), shape=m.shape)
+
+    def matvec(y):
+        z = dtbtrs(factor, y, uplo="L", trans="T")[0]
+        return dtbtrs(factor, m @ z, uplo="L", overwrite_b=1)[0]
+
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
     v0 = np.random.default_rng(seed).standard_normal(n)
-    vals, vecs = scipy.sparse.linalg.eigsh(a, k=k, M=m, sigma=0.0, which="LM", v0=v0,
-                                           OPinv=a_inv)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    mu, y = scipy.sparse.linalg.eigsh(op, k=k, which="LA", v0=v0)
+    order = np.argsort(mu)[::-1]
+    x = dtbtrs(factor, y[:, order], uplo="L", trans="T")[0]
+    return 1.0 / mu[order], x[rank]
+
+
+def _rcm_band(a):
+    """(rank, ab) of the symmetric sparse ``a``: ``rank[i]`` is the position
+    of unknown i in the reverse Cuthill-McKee order (Cuthill & McKee, 1969),
+    and ``ab`` holds the lower band of the reordered matrix in LAPACK band
+    storage, ab[r - c, c] = a[i, j] for r = rank[i] >= c = rank[j], as a
+    Fortran-ordered (bandwidth + 1, n) array that the factor may overwrite."""
+    import scipy.sparse.csgraph
+    order = scipy.sparse.csgraph.reverse_cuthill_mckee(a, symmetric_mode=True)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    a = a.tocoo()
+    row, col = rank[a.row], rank[a.col]
+    lower = row >= col
+    offset, col = (row - col)[lower], col[lower]
+    ab = np.zeros((offset.max() + 1, len(rank)), order="F")
+    ab[offset, col] = a.data[lower]
+    return rank, ab
 
 
 def laplace_spectrum(ops: DiscreteOperators, k: int = 6, seed: int = 0):

@@ -325,6 +325,39 @@ def test_ritz_vectors_lie_in_one_block(level):
         assert shares.max() >= (1.0 - 1e-8) * shares.sum()
 
 
+@pytest.mark.parametrize("level", [1, 3, 6])
+def test_generalized_pairs_are_a_orthonormal(level):
+    a, m = fu.reduced_pencil(fu.discrete_operators(fu.genus2_mesh(level)))
+    vals, vecs = fu.generalized_eigs(a, m, k=9)
+    assert np.all(np.diff(vals) >= 0.0)
+    for lam, x in zip(vals, vecs.T):
+        mx = m @ x
+        assert np.linalg.norm(a @ x - lam * mx) <= 1e-10 * lam * np.linalg.norm(mx)
+    gram = vecs.T @ (a @ vecs)
+    assert np.abs(gram - np.eye(len(vals))).max() <= 1e-12
+
+
+@pytest.mark.parametrize("sign, shift, minor", [(-1.0, 0.0, "1 "), (1.0, 2.0, r"\d+ ")],
+                         ids=["negative", "indefinite"])
+def test_generalized_eigs_requires_positive_definite_a(sign, shift, minor):
+    # -(S + M) fails at the first pivot; S + M - 2 M = S - M has the value
+    # -1 (the constants) and fails further down
+    a, m = fu.reduced_pencil(fu.discrete_operators(fu.genus2_mesh(2)))
+    with pytest.raises(DomainError, match="leading minor " + minor):
+        fu.generalized_eigs(sign * a - shift * m, m)
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_reduced_pencil_bandwidth_is_at_most_two_to_the_level(level):
+    # the cost model of the banded Cholesky: one reverse Cuthill-McKee band
+    # of width 2^level over all blocks, Fortran-ordered so that LAPACK
+    # factors and solves on it without a copy
+    a, _ = fu.reduced_pencil(fu.discrete_operators(fu.genus2_mesh(level)))
+    _, ab = fu._rcm_band(a)
+    assert ab.shape[1] == a.shape[0] and ab.flags.f_contiguous
+    assert ab.shape[0] - 1 <= 2 ** level
+
+
 # ---------------------------------------------------------------------------
 # discrete operators
 
