@@ -212,7 +212,8 @@ class Genus2Mesh:
     glued complex whose vertex count is ``n_classes``.  ``boundary_pairs``
     identifies boundary half-edges 3*tri + e, where edge e of triangle
     (v0, v1, v2) joins vertices (ve, v(e+1 mod 3)).  The methods hand the
-    point helpers above (3, M) stacks, one column per triangle, so each
+    point helpers above (3, M) stacks, one column per triangle, cut from
+    one contiguous (coordinate, corner, M) gather of the corners, so each
     triangle gets the bits of a call on its own corners.
     """
 
@@ -241,27 +242,32 @@ class Genus2Mesh:
     def euler_characteristic(self) -> int:
         return self.n_classes - self.glued_edge_count() + self.n_triangles
 
+    @functools.cached_property
+    def _corners(self):
+        """Triangle corners as a C-contiguous (coordinate, corner, M) array."""
+        return self.vertices.T[:, self.triangles.T]
+
     def area_angle_defect(self) -> float:
-        corners = self.vertices[self.triangles].T      # (coordinate, corner, M)
+        corners = self._corners
         defects = triangle_area_defect(corners[:, 0], corners[:, 1], corners[:, 2])
         # summed in triangle order: the total is 4 pi up to roundoff, which
         # the octagon_area row prints, so np.sum's pairwise order would
         # change report digits
-        return float(sum(defects.tolist()))
+        return float(np.add.accumulate(defects)[-1])
 
     @functools.cached_property
     def element_geometry(self):
         """(lengths, areas) of the Euclidean-layout elements: the hyperbolic
         length of the edge opposite each triangle corner, shape (M, 3), and
         the Heron area of each triangle, shape (M,)."""
-        corners = self.vertices[self.triangles].T      # (coordinate, corner, M)
+        corners = self._corners
         lengths = np.stack([hyp_dist(corners[:, 1], corners[:, 2]),
                             hyp_dist(corners[:, 0], corners[:, 2]),
-                            hyp_dist(corners[:, 0], corners[:, 1])], axis=1)
-        la, lb, lc = lengths.T
+                            hyp_dist(corners[:, 0], corners[:, 1])])
+        la, lb, lc = lengths
         s = 0.5 * (la + lb + lc)
         areas = np.sqrt(np.maximum(s * (s - la) * (s - lb) * (s - lc), 0.0))
-        return lengths, areas
+        return lengths.T, areas
 
     def area_elementwise(self) -> float:
         """Total area of the Euclidean-layout elements (what the mass
@@ -350,9 +356,18 @@ def genus2_mesh(level: int) -> Genus2Mesh:
                                    shape=(n, n))
     n_classes, labels = scipy.sparse.csgraph.connected_components(glue, directed=False)
 
-    # boundary half-edge pairing: each side edge has exactly one owner
-    edges, owner, owners = np.unique(_halfedge_keys(triangles, n),
-                                     return_index=True, return_counts=True)
+    # boundary half-edge pairing: each side edge has exactly one owner.  Only
+    # half-edges with both ends on a side path can lie on one, so the lookup
+    # runs over those alone
+    on_side = np.zeros(n, dtype=bool)
+    on_side[side_paths] = True
+    ends = on_side[triangles]
+    candidates = np.flatnonzero(ends & np.roll(ends, -1, axis=1))
+    tri, e = np.divmod(candidates, 3)
+    edges, first, owners = np.unique(
+        _edge_keys(triangles[tri, e], triangles[tri, (e + 1) % 3], n),
+        return_index=True, return_counts=True)
+    owner = candidates[first]
 
     def halfedges(path):
         at = np.searchsorted(edges, _edge_keys(path[:, :-1], path[:, 1:], n))
@@ -390,9 +405,10 @@ def symmetry_permutations(mesh: Genus2Mesh):
     the class of its image under g.
 
     A generator's vertex image is found by matching rounded chart
-    positions (one sort, then ``searchsorted``) and checked within
-    GLUING_DISTANCE_TOL; it must also map glued copies onto glued copies.
-    Either failure raises DomainError.
+    positions (``searchsorted`` of the sorted image positions in the
+    sorted vertex positions) and checked within GLUING_DISTANCE_TOL; it
+    must also map glued copies onto glued copies.  Either failure raises
+    DomainError.
     """
     c, s = np.cos(np.pi / 4.0), np.sin(np.pi / 4.0)
     generators = {"rotation": np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]),
@@ -400,10 +416,15 @@ def symmetry_permutations(mesh: Genus2Mesh):
     points, cls = mesh.vertices.T, mesh.vertex_class
     keys = _chart_keys(points)
     order = np.argsort(keys)
+    keys = keys[order]
     perms = []
     for name, g in generators.items():
         moved = g @ points
-        at = np.searchsorted(keys[order], _chart_keys(moved))
+        needles = _chart_keys(moved)
+        # sorted needles make searchsorted's memory access sequential
+        by = np.argsort(needles)
+        at = np.empty_like(by)
+        at[by] = np.searchsorted(keys, needles[by])
         image = order[np.minimum(at, len(order) - 1)]
         dist = hyp_dist_small(moved, points[:, image])
         bad = np.flatnonzero(dist > GLUING_DISTANCE_TOL)
@@ -504,24 +525,28 @@ def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
     lengths, area = mesh.element_geometry
     if area.min() < 1e-14:
         raise DomainError("degenerate triangle in mesh")
-    lensq = lengths ** 2
-    # cot[:, i]: cotangent of the angle at corner i, opposite edge i
-    cot = (lensq[:, [1, 0, 0]] + lensq[:, [2, 2, 1]] - lensq) / (4.0 * area)[:, None]
-    k_local = np.empty((len(area), 3, 3))
+    lensq = lengths.T ** 2                              # (edge, M)
+    # cot[i]: cotangent of the angle at corner i, opposite edge i
+    cot = (lensq[[1, 0, 0]] + lensq[[2, 2, 1]] - lensq) / (4.0 * area)
+    k_local = np.empty((3, 3, len(area)))               # (row, col, M)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
-        k_local[:, j, k] = k_local[:, k, j] = -0.5 * cot[:, i]
+        k_local[j, k] = k_local[k, j] = -0.5 * cot[i]
     for i in range(3):
-        k_local[:, i, i] = -k_local[:, i, (i + 1) % 3] - k_local[:, i, (i + 2) % 3]
-    m_local = (area / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3))
-    # entries ordered by triangle, row, column: tocsr sums duplicates in this order
-    ids = mesh.vertex_class[mesh.triangles]
+        k_local[i, i] = -k_local[i, (i + 1) % 3] - k_local[i, (i + 2) % 3]
+    # entries ordered by triangle, row, column: tocsr sums duplicates in this
+    # order; one (M, 3, 3) value array is alive at a time
+    ids = mesh.vertex_class[mesh.triangles].astype(np.int32)
     rows, cols = np.repeat(ids, 3, axis=1).ravel(), np.tile(ids, 3).ravel()
-    s_vals, m_vals = k_local.ravel(), m_local.ravel()
     n = mesh.n_classes
     import scipy.sparse
-    stiffness = scipy.sparse.coo_matrix((s_vals, (rows, cols)), shape=(n, n)).tocsr()
-    mass = scipy.sparse.coo_matrix((m_vals, (rows, cols)), shape=(n, n)).tocsr()
+
+    def assemble(values):
+        return scipy.sparse.coo_matrix((values.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+    stiffness = assemble(k_local.transpose(2, 0, 1))
+    del k_local
+    mass = assemble((area / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3)))
     basis, block = symmetry_basis(mesh)
     return DiscreteOperators(stiffness=stiffness, mass=mass, n=n, basis=basis, block=block)
 
@@ -567,8 +592,7 @@ def generalized_eigs(a, m, k: int = 6, seed: int = 0):
     if info > 0:
         raise DomainError(f"matrix is not positive definite: leading minor {info} "
                           "of its reverse Cuthill-McKee order is not positive")
-    m = m.tocoo()
-    m = scipy.sparse.csr_matrix((m.data, (rank[m.row], rank[m.col])), shape=m.shape)
+    m = _permuted(m, rank)
 
     def matvec(y):
         z = dtbtrs(factor, y, uplo="L", trans="T")[0]
@@ -589,16 +613,30 @@ def _rcm_band(a):
     storage, ab[r - c, c] = a[i, j] for r = rank[i] >= c = rank[j], as a
     Fortran-ordered (bandwidth + 1, n) array that the factor may overwrite."""
     import scipy.sparse.csgraph
+    a = a.tocsr()
     order = scipy.sparse.csgraph.reverse_cuthill_mckee(a, symmetric_mode=True)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    a = a.tocoo()
-    row, col = rank[a.row], rank[a.col]
+    row = np.repeat(rank, np.diff(a.indptr))
+    col = rank[a.indices]
     lower = row >= col
     offset, col = (row - col)[lower], col[lower]
     ab = np.zeros((offset.max() + 1, len(rank)), order="F")
     ab[offset, col] = a.data[lower]
     return rank, ab
+
+
+def _permuted(x, rank):
+    """P x P^T as canonical CSR (sorted indices, duplicates summed), where P
+    moves unknown i to position ``rank[i]``: a gather of the rows of ``x``
+    in their new order, then its column indices mapped through ``rank``."""
+    import scipy.sparse
+    order = np.empty_like(rank)
+    order[rank] = np.arange(len(rank))
+    rows = x.tocsr()[order]
+    x = scipy.sparse.csr_matrix((rows.data, rank[rows.indices], rows.indptr), shape=x.shape)
+    x.sum_duplicates()
+    return x
 
 
 def laplace_spectrum(ops: DiscreteOperators, k: int = 6, seed: int = 0):
@@ -614,9 +652,10 @@ def laplace_spectrum(ops: DiscreteOperators, k: int = 6, seed: int = 0):
     """
     k = min(k, ops.n - 1)
     vals, vecs = generalized_eigs(*reduced_pencil(ops), k=k, seed=seed)
-    shares = np.zeros((len(IRREPS), vecs.shape[1]))
-    np.add.at(shares, ops.block, vecs ** 2)
-    irrep = shares.argmax(axis=0)
+    # shares[j, b]: the weight of vector j on block b, summed in row order
+    shares = np.array([np.bincount(ops.block, weights=w, minlength=len(IRREPS))
+                       for w in (vecs ** 2).T])
+    irrep = shares.argmax(axis=1)
     copies = np.array(IRREP_DIMS)[irrep]
     vals, irrep = np.repeat(vals, copies)[:k], np.repeat(irrep, copies)[:k]
     return vals - 1.0, tuple(IRREPS[i] for i in irrep)

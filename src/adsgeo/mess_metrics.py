@@ -73,13 +73,13 @@ def sharp_frame(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF) -> Shar
     """
     u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
-    return _sharp_frame(data, u, cfg.field)
+    return _sharp_frame(data, _sharp_factor(data, +1), u, cfg.field)
 
 
-def _sharp_frame(data: EmbeddingData, u, scheme) -> SharpData:
-    """``sharp_frame`` at u from the embedding data on ``stencil(u, scheme)``."""
+def _sharp_frame(data: EmbeddingData, a_stencil, u, scheme) -> SharpData:
+    """``sharp_frame`` at u from the embedding data on ``stencil(u, scheme)``
+    and the factor E + JB formed from it (``_sharp_factor(data, +1)``)."""
     centre = data[0]
-    a_stencil = _sharp_factor(data, +1)
     a = a_stencil[0]
     _, partials = stencil_gradient(np.stack([data.I, a_stencil], axis=-3), u, scheme)
     da = partials[..., 1, :, :]
@@ -112,10 +112,11 @@ def sharp_metric_derivative_residual(immersion: Immersion, u,
     """
     u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
-    frame = _sharp_frame(data, u, cfg.field)
+    a_stencil = _sharp_factor(data, +1)
+    frame = _sharp_frame(data, a_stencil, u, cfg.field)
     gamma, i_sharp = frame.christoffels, frame.I_sharp
-    # resid[..., k, i, j] = d_k I#_ij
-    _, resid = stencil_gradient(mess_metric(data, +1), u, cfg.field)
+    # resid[..., k, i, j] = d_k I#_ij, with I# = A^T I A on the stencil
+    _, resid = stencil_gradient(_pull_back(a_stencil, data.I), u, cfg.field)
     for m in range(2):
         resid = resid - gamma[..., m, :, :, None] * i_sharp[..., None, None, m, :]
         resid = resid - gamma[..., m, :, None, :] * i_sharp[..., None, :, m, None]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from adsgeo import fuchsian as fu
@@ -184,6 +185,53 @@ def test_mesh_boundary_vertices_identified_in_pairs():
     assert len(classes) == 1
 
 
+def test_element_stacks_match_calls_on_each_triangle():
+    # the corner stacks give each triangle the bits of the point helpers
+    # called on its own three corners, and the defects are summed in
+    # triangle order
+    mesh = fu.genus2_mesh(2)
+    lengths, areas = mesh.element_geometry
+    total = 0.0
+    for t, (p, q, r) in enumerate(mesh.vertices[mesh.triangles]):
+        own = [fu.hyp_dist(q, r), fu.hyp_dist(p, r), fu.hyp_dist(p, q)]
+        assert lengths[t].tolist() == own
+        s = 0.5 * (own[0] + own[1] + own[2])
+        heron = s * (s - own[0]) * (s - own[1]) * (s - own[2])
+        assert areas[t] == np.sqrt(max(heron, 0.0))
+        total += fu.triangle_area_defect(p, q, r)
+    corners = mesh._corners
+    defects = fu.triangle_area_defect(corners[:, 0], corners[:, 1], corners[:, 2])
+    assert defects.tolist() == [fu.triangle_area_defect(*c)
+                                for c in mesh.vertices[mesh.triangles]]
+    assert mesh.area_angle_defect() == total
+
+
+def _boundary_pairs_from_all_halfedges(mesh):
+    """boundary_pairs by a lookup among all half-edge keys of the mesh."""
+    n = len(mesh.vertices)
+    edges, owner, owners = np.unique(fu._halfedge_keys(mesh.triangles, n),
+                                     return_index=True, return_counts=True)
+    paths = np.array(mesh.side_paths)
+    near, far = paths[:4, ::-1], paths[4:]
+
+    def halfedges(path):
+        at = np.searchsorted(edges, fu._edge_keys(path[:, :-1], path[:, 1:], n))
+        assert (edges[at] == fu._edge_keys(path[:, :-1], path[:, 1:], n)).all()
+        assert (owners[at] == 1).all()
+        return owner[at]
+
+    h_near, h_far = halfedges(near), halfedges(far)
+    pairs = np.stack([h_near, h_far, h_far, h_near], axis=-1).reshape(-1, 2)
+    return tuple(map(tuple, pairs.tolist()))
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
+def test_boundary_pairs_match_lookup_over_all_halfedges(level):
+    mesh = fu.genus2_mesh(level)
+    assert mesh.boundary_pairs == _boundary_pairs_from_all_halfedges(mesh)
+    assert len(mesh.boundary_pairs) == 8 * 2 ** level
+
+
 def test_element_area_converges_to_octagon_area():
     rel = []
     for level in (1, 2, 3):
@@ -358,6 +406,35 @@ def test_reduced_pencil_bandwidth_is_at_most_two_to_the_level(level):
     assert ab.shape[0] - 1 <= 2 ** level
 
 
+def _rcm_band_through_coo(a):
+    """``_rcm_band`` through a COO copy of ``a``."""
+    order = scipy.sparse.csgraph.reverse_cuthill_mckee(a, symmetric_mode=True)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    a = a.tocoo()
+    row, col = rank[a.row], rank[a.col]
+    lower = row >= col
+    offset, col = (row - col)[lower], col[lower]
+    ab = np.zeros((offset.max() + 1, len(rank)), order="F")
+    ab[offset, col] = a.data[lower]
+    return rank, ab
+
+
+@pytest.mark.parametrize("level", range(1, 7))
+def test_band_and_permuted_mass_match_coo_route(level):
+    a, m = fu.reduced_pencil(fu.discrete_operators(fu.genus2_mesh(level)))
+    rank, ab = fu._rcm_band(a)
+    ref_rank, ref_ab = _rcm_band_through_coo(a)
+    assert np.array_equal(rank, ref_rank)
+    assert ab.tobytes(order="F") == ref_ab.tobytes(order="F") and ab.shape == ref_ab.shape
+    permuted = fu._permuted(m, rank)
+    coo = m.tocoo()
+    ref = scipy.sparse.csr_matrix((coo.data, (rank[coo.row], rank[coo.col])), shape=m.shape)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(permuted, name), getattr(ref, name)), name
+        assert getattr(permuted, name).dtype == getattr(ref, name).dtype, name
+
+
 # ---------------------------------------------------------------------------
 # discrete operators
 
@@ -372,6 +449,26 @@ def test_operators_structure():
     assert np.linalg.eigvalsh(m.toarray())[0] > 0.0  # mass positive definite
     evals = np.linalg.eigvalsh(s.toarray())
     assert evals[0] > -1e-12                         # stiffness PSD
+
+
+# sha256 of the CSR arrays (data, indices, indptr) of the level-4 operators
+PINNED_OPERATORS = {
+    "stiffness": ("b9cc04264d56eae2cf57444bb38ae7e58a529d04fe6f30761a01521bdb1acc72",
+                  "48f6dc41b4771b59e255f6fea19921abf870821cd43e1849ce2409d04259e6e5",
+                  "44affc53bc3991b74756663d96819a02db7c7c2e40da2b6d43cf721f4cbcfed4"),
+    "mass": ("1494fb0c49350e424f2cad82db836f7bd4ff7e4a1929eeecf949202cb2b445af",
+             "48f6dc41b4771b59e255f6fea19921abf870821cd43e1849ce2409d04259e6e5",
+             "44affc53bc3991b74756663d96819a02db7c7c2e40da2b6d43cf721f4cbcfed4"),
+}
+
+
+def test_operators_pinned():
+    ops = fu.discrete_operators(fu.genus2_mesh(4))
+    for name, pins in PINNED_OPERATORS.items():
+        x = getattr(ops, name)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                        for a in (x.data, x.indices, x.indptr))
+        assert digests == pins, name
 
 
 def test_mass_total_is_conformal_area():
