@@ -508,8 +508,9 @@ class DiscreteOperators:
     """P1 stiffness/mass pair on glued mesh functions.
 
     x^T stiffness x integrates |grad u|^2; mass integrates products over
-    the element areas.  ``basis`` and ``block`` are the mesh's
-    ``symmetry_basis``.
+    the element areas.  Both are assembled from one (row, col) list, so
+    they share one pattern: equal ``indptr`` and ``indices``, entry for
+    entry.  ``basis`` and ``block`` are the mesh's ``symmetry_basis``.
     """
 
     stiffness: scipy.sparse.csr_matrix
@@ -553,17 +554,39 @@ def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
 
 def reduced_pencil(ops: DiscreteOperators):
     """The pair (S + M, M) in the symmetry-adapted basis Q: block diagonal
-    CSR matrices, with the blocks Q_b^T X Q_b in the order of the columns
-    of Q.  The products between blocks, zero but for roundoff, are never
-    formed."""
+    canonical CSR matrices with no stored zeros, with the blocks
+    Q_b^T X Q_b in the order of the columns of Q.  The products between
+    blocks, zero but for roundoff, are never formed.
+
+    Both matrices go through each block at once, as the real and imaginary
+    parts of the complex (S + M) + iM on the shared pattern of S and M.
+    The real Q enters the products as Q + 0i, so each part is rounded as
+    in its own real product: (a + ib)(q + 0i) = aq + i bq exactly, and the
+    sums add each part in the same order."""
     import scipy.sparse
+    s, m = ops.stiffness, ops.mass
+    entries = np.empty(len(m.data), dtype=complex)
+    entries.real, entries.imag = s.data + m.data, m.data
+    pair = scipy.sparse.csr_matrix((entries, s.indices, s.indptr), shape=s.shape)
     bounds = np.searchsorted(ops.block, np.arange(len(IRREPS) + 1))
-    blocks = [ops.basis[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    blocks = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        q = ops.basis[:, lo:hi]
+        blocks.append(q.T @ (pair @ q))
+    # the blocks side by side: column indices shifted by each block's start
+    values = np.concatenate([x.data for x in blocks])
+    indices = np.concatenate([x.indices + lo for x, lo in zip(blocks, bounds)])
+    indptr = np.concatenate([[0], np.concatenate([np.diff(x.indptr) for x in blocks]).cumsum()])
 
-    def reduce(x):
-        return scipy.sparse.block_diag([q.T @ (x @ q) for q in blocks], format="csr")
+    def part(data):
+        # a copy of the index arrays each: eliminate_zeros compacts them in
+        # place, dropping the zeros that the other part's entry kept stored
+        x = scipy.sparse.csr_matrix((data, indices, indptr), shape=(bounds[-1],) * 2, copy=True)
+        x.eliminate_zeros()
+        x.sort_indices()
+        return x
 
-    return reduce(ops.stiffness + ops.mass), reduce(ops.mass)
+    return part(values.real), part(values.imag)
 
 
 def generalized_eigs(a, m, k: int = 6, seed: int = 0):

@@ -334,9 +334,14 @@ def kernel_dimension(eigs) -> float:
 
 def constant_function_check(ops: DiscreteOperators, s: float) -> float:
     """Pointwise weak-form check L(1) = -2 tan|s| against the mass of 1, with
-    L = tan|s| (-S - 2 M) assembled for the check."""
+    L = tan|s| (-S - 2 M) assembled for the check on the pattern S and M
+    share."""
+    import scipy.sparse
     t = float(np.tan(abs(s)))
     ones = np.ones(ops.n)
-    lhs = (t * (-ops.stiffness - 2.0 * ops.mass)).tocsr() @ ones
+    stiffness, mass = ops.stiffness, ops.mass
+    op = scipy.sparse.csr_matrix((t * (-stiffness.data - 2.0 * mass.data),
+                                  stiffness.indices, stiffness.indptr), shape=stiffness.shape)
+    lhs = op @ ones
     rhs = -2.0 * t * (ops.mass @ ones)
     return float(np.abs(lhs - rhs).max() / np.abs(rhs).max())

@@ -471,6 +471,50 @@ def test_operators_pinned():
         assert digests == pins, name
 
 
+@pytest.mark.parametrize("level", range(7))
+def test_stiffness_and_mass_share_one_pattern(level):
+    # reduced_pencil and constant_function_check combine S and M entry by
+    # entry on this pattern
+    ops = fu.discrete_operators(fu.genus2_mesh(level))
+    for name in ("indptr", "indices"):
+        assert np.array_equal(getattr(ops.stiffness, name), getattr(ops.mass, name)), name
+
+
+# sha256 of the CSR arrays (data, indices, indptr) of the level-4 reduced
+# pencil (S + M, M), measured with one real reduction of each matrix per
+# block, put on the block diagonal by scipy.sparse.block_diag
+PINNED_REDUCED = (
+    ("e43d89356d62f347523db4cbf4899def21075d7b5758a3463718c0ae6062fdfc",
+     "de7325c149e510bf79487ee7733257583e03690b2a10df0050d345f382d5ca2d",
+     "68d1aa41c4987217acbebbded425d04bb5d0525062e8aaa728ff3c812fbf1c5c"),
+    ("a9c10216f14424c1a548adec9508f4b08d988489d266fe4ad0dc26e4506b2857",
+     "8cd1478008586317ab8b3f9e370667daf71d91da6ea62a618445ffc6c3e6b824",
+     "55bbed60418b36260a2e5d775958909b62011e90f222a71379e9f34b8e05c195"),
+)
+
+
+def test_reduced_pencil_pinned():
+    pencil = fu.reduced_pencil(fu.discrete_operators(fu.genus2_mesh(4)))
+    for name, x, pins in zip(("S + M", "M"), pencil, PINNED_REDUCED):
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                        for a in (x.data, x.indices, x.indptr))
+        assert digests == pins, name
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_reduced_pencil_is_canonical_without_stored_zeros(level):
+    # reverse Cuthill-McKee reads the stored pattern, so neither matrix may
+    # keep an entry that is zero in it but not in the other
+    ops = fu.discrete_operators(fu.genus2_mesh(level))
+    for name, x in zip(("S + M", "M"), fu.reduced_pencil(ops)):
+        assert x.format == "csr" and x.dtype == np.float64, name
+        assert x.shape == (ops.basis.shape[1],) * 2, name
+        # a fresh matrix checks the arrays, not a flag the code has set
+        fresh = scipy.sparse.csr_matrix((x.data, x.indices, x.indptr), shape=x.shape)
+        assert fresh.has_canonical_format, name
+        assert np.all(x.data != 0.0), name
+
+
 def test_mass_total_is_conformal_area():
     mesh = fu.genus2_mesh(3)
     ops = fu.discrete_operators(mesh)
