@@ -41,6 +41,8 @@ GENERATOR_TRACE = 2.0 * COSH_HALF_LENGTH
 PAIRING_AXIS_ANGLES = tuple((2 * k + 1) * np.pi / 8.0 for k in range(4))
 MAX_MESH_LEVEL = 7
 GLUING_DISTANCE_TOL = 1e-9
+# largest asymmetry of a reduced block, relative to its largest entry
+SYMMETRY_TOL = 1e-8
 
 # standard quadruple as words in the side pairings (index, exponent)
 STANDARD_QUADRUPLE_WORDS = (
@@ -462,6 +464,32 @@ def symmetry_basis(mesh: Genus2Mesh):
     same stabilizer, so one batch of small SVDs per stabilizer serves all
     of them.  Columns are grouped by block, then by stabilizer and orbit.
     """
+    return _symmetry_reduction(mesh)[:2]
+
+
+def _pivot_columns(x):
+    """Columns piv of the (r, m) matrix x of rank r at which x[:, piv] is
+    invertible: the rows of x^T that LAPACK's LU with partial pivoting
+    moves to the top."""
+    from scipy.linalg.lapack import dgetrf
+    order = list(range(x.shape[1]))
+    for i, j in enumerate(dgetrf(x.T)[1].tolist()):
+        order[i], order[j] = order[j], order[i]
+    return order[:len(x)]
+
+
+def _symmetry_reduction(mesh: Genus2Mesh):
+    """(Q, block, W): ``symmetry_basis`` and a sparse (n_red, n_classes)
+    W whose rows of each block b are a left inverse of Q's columns of that
+    block, W_b Q_b = I: the inverse of Q_b[pivots], placed in the columns
+    of one pivot class per column of Q_b.
+
+    The columns of one orbit have their support on its members, so
+    Q[pivots] is block diagonal by orbit, with one block of order at most
+    2 per orbit.  All orbits of a stabilizer share its matrix, so one
+    small elimination per stabilizer and irrep picks the pivot members,
+    and one small inverse serves every orbit of that stabilizer.
+    """
     n = mesh.n_classes
     table = symmetry_permutations(mesh)
     a, b = np.arange(16) % 8, np.arange(16) // 8
@@ -476,28 +504,43 @@ def symmetry_basis(mesh: Genus2Mesh):
     orbit_kinds = []
     for mask in np.unique(stabilizer):
         orbits = images[:, stabilizer == mask]
-        members = orbits[np.unique(orbits[:, 0], return_index=True)[1]].T   # (orbits, m)
+        # (orbits, m), as int32 sparse indices
+        members = orbits[np.unique(orbits[:, 0], return_index=True)[1]].T.astype(np.int32)
         # hits[g, i, j]: g maps member j onto member i
         m0 = members[0]
         hits = (table[:, m0][:, None, :] == m0[:, None]).astype(float)
         u, sv, _ = np.linalg.svd(np.tensordot(weights, hits, axes=1))
         orbit_kinds.append((members, u, sv))
-    data, indices, counts, block = [], [], [], []
+    import scipy.sparse
+    basis, inverse, block = [], [], []
     for irrep in range(len(IRREPS)):
         for members, u, sv in orbit_kinds:
             # the projector's range, without the SVD's roundoff off its support
             vecs = u[irrep][:, sv[irrep] > 0.5].T
+            if not len(vecs):
+                continue
             vecs[np.abs(vecs) < 1e-12] = 0.0
-            col, at = np.nonzero(vecs)
-            data.append(np.tile(vecs[col, at], len(members)))
-            indices.append(members[:, at].ravel())
-            counts.append(np.tile(np.bincount(col, minlength=len(vecs)), len(members)))
-            block.append(np.full(counts[-1].size, irrep))
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    import scipy.sparse
-    basis = scipy.sparse.csc_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr), shape=(n, len(indptr) - 1))
-    return basis, np.concatenate(block)
+            piv = _pivot_columns(vecs)
+            # on each orbit, the rows of Q at the pivot members are vecs[:, piv].T
+            basis.append((vecs, members))
+            inverse.append((np.linalg.inv(vecs[:, piv].T), members[:, piv]))
+            block.append(np.full(vecs.shape[0] * len(members), irrep))
+    block = np.concatenate(block)
+
+    def compressed(parts, layout, shape):
+        # each part's lines (columns of Q, rows of W) repeated for every
+        # orbit o, with the entry positions read from targets[o]
+        data, indices, counts = [], [], []
+        for x, targets in parts:
+            line, at = np.nonzero(x)
+            data.append(np.tile(x[line, at], len(targets)))
+            indices.append(targets[:, at].ravel())
+            counts.append(np.tile(np.bincount(line, minlength=len(x)), len(targets)))
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        return layout((np.concatenate(data), np.concatenate(indices), indptr), shape=shape)
+
+    return (compressed(basis, scipy.sparse.csc_matrix, (n, len(block))), block,
+            compressed(inverse, scipy.sparse.csr_matrix, (len(block), n)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +553,9 @@ class DiscreteOperators:
     x^T stiffness x integrates |grad u|^2; mass integrates products over
     the element areas.  Both are assembled from one (row, col) list, so
     they share one pattern: equal ``indptr`` and ``indices``, entry for
-    entry.  ``basis`` and ``block`` are the mesh's ``symmetry_basis``.
+    entry.  ``basis`` and ``block`` are the mesh's ``symmetry_basis``, and
+    the CSR ``left_inverse`` W holds a left inverse of each block of the
+    basis Q, W_b Q_b = I, with its entries in the columns of pivot classes.
     """
 
     stiffness: scipy.sparse.csr_matrix
@@ -518,6 +563,7 @@ class DiscreteOperators:
     n: int
     basis: scipy.sparse.csc_matrix = field(repr=False)
     block: np.ndarray = field(repr=False)
+    left_inverse: scipy.sparse.csr_matrix = field(repr=False)
 
 
 def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
@@ -548,45 +594,73 @@ def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
     stiffness = assemble(k_local.transpose(2, 0, 1))
     del k_local
     mass = assemble((area / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3)))
-    basis, block = symmetry_basis(mesh)
-    return DiscreteOperators(stiffness=stiffness, mass=mass, n=n, basis=basis, block=block)
+    basis, block, left_inverse = _symmetry_reduction(mesh)
+    return DiscreteOperators(stiffness=stiffness, mass=mass, n=n, basis=basis, block=block,
+                             left_inverse=left_inverse)
 
 
 def reduced_pencil(ops: DiscreteOperators):
-    """The pair (S + M, M) in the symmetry-adapted basis Q: block diagonal
-    canonical CSR matrices with no stored zeros, with the blocks
-    Q_b^T X Q_b in the order of the columns of Q.  The products between
-    blocks, zero but for roundoff, are never formed.
+    """The pair (S + M, M) in the symmetry-adapted basis Q: exactly
+    symmetric, block diagonal canonical CSR matrices with no stored zeros,
+    with the blocks B_b = Q_b^T X Q_b in the order of the columns of Q.
 
-    Both matrices go through each block at once, as the real and imaginary
-    parts of the complex (S + M) + iM on the shared pattern of S and M.
-    The real Q enters the products as Q + 0i, so each part is rounded as
-    in its own real product: (a + ib)(q + 0i) = aq + i bq exactly, and the
-    sums add each part in the same order."""
+    S and M commute with D8, so X Q_b = Q_b B_b, and the pivot rows of
+    that identity give B_b = W_b X Q_b, where W_b = Q_b[pivots]^-1 sits in
+    the pivot columns (``ops.left_inverse``).  Both matrices go through at
+    once, as the real and imaginary parts of the complex (S + M) + iM on
+    the shared pattern of S and M.  One product forms every block and no
+    entry between blocks: the class index of each row of W X and of each
+    column of Q is shifted by n times its block, so that only entries of
+    one block meet.  B is then replaced by (B + B^T) / 2.  The identity
+    holds only for a pencil that commutes with D8: a block whose real or
+    imaginary part is asymmetric by more than SYMMETRY_TOL of its largest
+    entry raises DomainError.  A change that breaks D8 only on the diagonal
+    of S or M leaves the blocks symmetric, so this check cannot see it."""
     import scipy.sparse
-    s, m = ops.stiffness, ops.mass
+    s, m, q, n = ops.stiffness, ops.mass, ops.basis, ops.n
     entries = np.empty(len(m.data), dtype=complex)
     entries.real, entries.imag = s.data + m.data, m.data
-    pair = scipy.sparse.csr_matrix((entries, s.indices, s.indptr), shape=s.shape)
+    rows = ops.left_inverse @ scipy.sparse.csr_matrix((entries, s.indices, s.indptr),
+                                                      shape=s.shape)
+    # each temporary is let go as soon as it is used: their high-water mark
+    # is part of the heap under the band that generalized_eigs factors
+    del entries
+    shape = (len(IRREPS) * n, len(ops.block))
+    rows = scipy.sparse.csr_matrix(
+        (rows.data, rows.indices + n * np.repeat(ops.block, np.diff(rows.indptr)), rows.indptr),
+        shape=shape[::-1])
+    q = scipy.sparse.csc_matrix(
+        (q.data, q.indices + n * np.repeat(ops.block, np.diff(q.indptr)), q.indptr), shape=shape)
+    pencil = rows @ q
+    del rows, q
+    # canonical operands: the sum and the difference stay canonical and
+    # store no zeros
+    pencil.sort_indices()
+    transpose = pencil.T.tocsr()
+    asymmetry = pencil - transpose
     bounds = np.searchsorted(ops.block, np.arange(len(IRREPS) + 1))
-    blocks = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        q = ops.basis[:, lo:hi]
-        blocks.append(q.T @ (pair @ q))
-    # the blocks side by side: column indices shifted by each block's start
-    values = np.concatenate([x.data for x in blocks])
-    indices = np.concatenate([x.indices + lo for x, lo in zip(blocks, bounds)])
-    indptr = np.concatenate([[0], np.concatenate([np.diff(x.indptr) for x in blocks]).cumsum()])
+    for irrep, lo, hi in zip(IRREPS, bounds[:-1], bounds[1:]):
+        values, skew = (x.data[x.indptr[lo]:x.indptr[hi]] for x in (pencil, asymmetry))
+        for name, take in (("real", np.real), ("imaginary", np.imag)):
+            top, worst = (np.abs(take(x)).max(initial=0.0) for x in (values, skew))
+            if worst > SYMMETRY_TOL * top:
+                raise DomainError(
+                    f"reduced block {irrep} is not symmetric: the {name} part's asymmetry "
+                    f"{worst:.3e} exceeds {SYMMETRY_TOL:g} of its largest entry {top:.3e}, "
+                    "so the pencil does not commute with D8")
+    pencil = pencil + transpose
+    del asymmetry, transpose
+    pencil.data *= 0.5
 
     def part(data):
         # a copy of the index arrays each: eliminate_zeros compacts them in
         # place, dropping the zeros that the other part's entry kept stored
-        x = scipy.sparse.csr_matrix((data, indices, indptr), shape=(bounds[-1],) * 2, copy=True)
+        x = scipy.sparse.csr_matrix((data, pencil.indices, pencil.indptr),
+                                    shape=pencil.shape, copy=True)
         x.eliminate_zeros()
-        x.sort_indices()
         return x
 
-    return part(values.real), part(values.imag)
+    return part(pencil.data.real), part(pencil.data.imag)
 
 
 def generalized_eigs(a, m, k: int = 6, seed: int = 0):
@@ -604,6 +678,16 @@ def generalized_eigs(a, m, k: int = 6, seed: int = 0):
     application two banded triangular solves around one CSR product:
     lambda = 1 / mu and x = P^T L^-T y.
     """
+    from scipy.linalg.lapack import dtbtrs
+    vals, y, factor, rank = _standard_ritz_pairs(a, m, k, seed)
+    return vals, dtbtrs(factor, y, uplo="L", trans="T")[0][rank]
+
+
+def _standard_ritz_pairs(a, m, k, seed):
+    """``generalized_eigs`` before the back-substitution: (values, y,
+    factor, rank), with the orthonormal Ritz vectors y of the standard
+    operator as columns in reverse Cuthill-McKee order (entry rank[i] of a
+    column belongs to unknown i) and the band Cholesky factor L."""
     if not isinstance(k, numbers.Integral) or k < 1:
         raise DomainError(f"eigenvalue count must be an integer >= 1, got {k!r}")
     n = a.shape[0]
@@ -625,8 +709,7 @@ def generalized_eigs(a, m, k: int = 6, seed: int = 0):
     v0 = np.random.default_rng(seed).standard_normal(n)
     mu, y = scipy.sparse.linalg.eigsh(op, k=k, which="LA", v0=v0)
     order = np.argsort(mu)[::-1]
-    x = dtbtrs(factor, y[:, order], uplo="L", trans="T")[0]
-    return 1.0 / mu[order], x[rank]
+    return 1.0 / mu[order], y[:, order], factor, rank
 
 
 def _rcm_band(a):
@@ -667,16 +750,21 @@ def laplace_spectrum(ops: DiscreteOperators, k: int = 6, seed: int = 0):
     ascending, and the name in IRREPS of each; k is capped at n - 1.
 
     S is singular (constants are in its kernel), so the positive definite
-    pair (S + M, M) is solved and shifted back by 1.  One
-    ``generalized_eigs`` call solves its ``reduced_pencil``: each value is
-    labelled by the block that holds its vector and counted twice for an
-    E irrep.  The k smallest values lie among the k smallest of the
-    reduced pencil, since each of those is at least one full value.
+    pair (S + M, M) is solved and shifted back by 1.  One eigensolve of
+    its ``reduced_pencil`` (``generalized_eigs`` without the
+    back-substitution): each value is labelled by the block that holds its
+    standard-form Ritz vector y = L^T P x, which is that of x since the
+    band factor L of the block diagonal pencil keeps the blocks apart, and
+    counted twice for an E irrep.  The k smallest values lie among the k
+    smallest of the reduced pencil, since each of those is at least one
+    full value.
     """
     k = min(k, ops.n - 1)
-    vals, vecs = generalized_eigs(*reduced_pencil(ops), k=k, seed=seed)
+    vals, vecs, _, rank = _standard_ritz_pairs(*reduced_pencil(ops), k, seed)
+    block = np.empty_like(ops.block)
+    block[rank] = ops.block
     # shares[j, b]: the weight of vector j on block b, summed in row order
-    shares = np.array([np.bincount(ops.block, weights=w, minlength=len(IRREPS))
+    shares = np.array([np.bincount(block, weights=w, minlength=len(IRREPS))
                        for w in (vecs ** 2).T])
     irrep = shares.argmax(axis=1)
     copies = np.array(IRREP_DIMS)[irrep]

@@ -373,6 +373,19 @@ def test_ritz_vectors_lie_in_one_block(level):
         assert shares.max() >= (1.0 - 1e-8) * shares.sum()
 
 
+@pytest.mark.parametrize("level", range(1, 7))
+def test_labels_from_standard_vectors_match_generalized_vectors(level):
+    # laplace_spectrum labels each value by the block of its standard-form
+    # Ritz vector; the a-orthonormal vector of generalized_eigs gives the same
+    ops = fu.discrete_operators(fu.genus2_mesh(level))
+    _, labels = fu.laplace_spectrum(ops, k=9)
+    _, vecs = fu.generalized_eigs(*fu.reduced_pencil(ops), k=9)
+    irrep = np.array([np.bincount(ops.block, weights=v ** 2, minlength=len(fu.IRREPS)).argmax()
+                      for v in vecs.T])
+    irrep = np.repeat(irrep, np.array(fu.IRREP_DIMS)[irrep])[:9]
+    assert labels == tuple(fu.IRREPS[i] for i in irrep)
+
+
 @pytest.mark.parametrize("level", [1, 3, 6])
 def test_generalized_pairs_are_a_orthonormal(level):
     a, m = fu.reduced_pencil(fu.discrete_operators(fu.genus2_mesh(level)))
@@ -481,15 +494,15 @@ def test_stiffness_and_mass_share_one_pattern(level):
 
 
 # sha256 of the CSR arrays (data, indices, indptr) of the level-4 reduced
-# pencil (S + M, M), measured with one real reduction of each matrix per
-# block, put on the block diagonal by scipy.sparse.block_diag
+# pencil (S + M, M), measured with the blocks read at the orbit pivot rows,
+# W_b X Q_b, and then symmetrized
 PINNED_REDUCED = (
-    ("e43d89356d62f347523db4cbf4899def21075d7b5758a3463718c0ae6062fdfc",
-     "de7325c149e510bf79487ee7733257583e03690b2a10df0050d345f382d5ca2d",
-     "68d1aa41c4987217acbebbded425d04bb5d0525062e8aaa728ff3c812fbf1c5c"),
-    ("a9c10216f14424c1a548adec9508f4b08d988489d266fe4ad0dc26e4506b2857",
-     "8cd1478008586317ab8b3f9e370667daf71d91da6ea62a618445ffc6c3e6b824",
-     "55bbed60418b36260a2e5d775958909b62011e90f222a71379e9f34b8e05c195"),
+    ("b690e39c112d31c8e499392f686ee5f80300ec0a6efa2cb87158dd080c8a1447",
+     "de2ce842e294eb4639e22cfdbfe6189f21b7060385848644b3245540eb230352",
+     "582ac0d18383f5ce72426b53fe9fc9ea783ddb652f840454109d114f0f7e0fa5"),
+    ("c77941c7adba5fe09276552e44e05ecc7642b264461a8fe356f7db51ac3747ce",
+     "de2ce842e294eb4639e22cfdbfe6189f21b7060385848644b3245540eb230352",
+     "582ac0d18383f5ce72426b53fe9fc9ea783ddb652f840454109d114f0f7e0fa5"),
 )
 
 
@@ -513,6 +526,72 @@ def test_reduced_pencil_is_canonical_without_stored_zeros(level):
         fresh = scipy.sparse.csr_matrix((x.data, x.indices, x.indptr), shape=x.shape)
         assert fresh.has_canonical_format, name
         assert np.all(x.data != 0.0), name
+
+
+def _projected_pencil(ops):
+    """The pair (S + M, M) reduced by the projections Q_b^T X Q_b, each
+    block on its own, put on the block diagonal by scipy.sparse.block_diag."""
+    bounds = np.searchsorted(ops.block, np.arange(len(fu.IRREPS) + 1))
+    blocks = [ops.basis[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return tuple(scipy.sparse.block_diag([q.T @ x @ q for q in blocks], format="csr")
+                 for x in (ops.stiffness + ops.mass, ops.mass))
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_reduced_pencil_matches_projection(level):
+    ops = fu.discrete_operators(fu.genus2_mesh(level))
+    for name, x, ref in zip(("S + M", "M"), fu.reduced_pencil(ops), _projected_pencil(ops)):
+        assert abs(x - ref).max() <= 1e-10 * abs(ref).max(), name
+        transpose = x.T.tocsr()
+        transpose.sort_indices()
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(x, attr), getattr(transpose, attr)), (name, attr)
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_laplace_eigenvalues_match_projected_pencil(level, monkeypatch):
+    ops = fu.discrete_operators(fu.genus2_mesh(level))
+    vals = fu.laplace_eigenvalues(ops, k=9)
+    monkeypatch.setattr(fu, "reduced_pencil", _projected_pencil)
+    ref = fu.laplace_eigenvalues(ops, k=9)
+    # relative to the solved pencil (S + M, M), whose values are 1 + ref
+    assert np.abs(vals - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def test_reduced_pencil_keeps_only_the_structural_entries():
+    # the projection Q_b^T X Q_b stores 95,679 and 95,647 entries here
+    for x in fu.reduced_pencil(fu.discrete_operators(fu.genus2_mesh(6))):
+        assert x.nnz == 70362
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_left_inverse_of_each_block(level):
+    ops = fu.discrete_operators(fu.genus2_mesh(level))
+    w, q = ops.left_inverse, ops.basis
+    assert w.shape == q.shape[::-1]
+    bounds = np.searchsorted(ops.block, np.arange(len(fu.IRREPS) + 1))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        product = (w[lo:hi] @ q[:, lo:hi]).toarray()
+        assert np.abs(product - np.eye(hi - lo)).max(initial=0.0) <= 1e-15
+    # one pivot class per column of Q, where Q[pivots] is diagonal on D8
+    assert np.array_equal(np.diff(w.indptr), np.ones(q.shape[1]))
+    at_pivots = np.asarray(q.tocsr()[w.indices, np.arange(q.shape[1])]).ravel()
+    assert np.abs(at_pivots * w.data - 1.0).max() <= 1e-15
+
+
+def test_reduced_pencil_rejects_a_pencil_without_the_symmetry():
+    ops = fu.discrete_operators(fu.genus2_mesh(3))
+    s = ops.stiffness
+    # a symmetric change of S on its own pattern that breaks D8: random
+    # values plus their transpose, 1e-6 of the largest entry
+    noise = scipy.sparse.csr_matrix(
+        (np.random.default_rng(0).random(s.nnz), s.indices, s.indptr), shape=s.shape)
+    noise = 1e-6 * abs(s).max() * (noise + noise.T)
+    stiffness = s + noise
+    stiffness.sort_indices()
+    assert np.array_equal(stiffness.indices, ops.mass.indices)
+    with pytest.raises(DomainError, match="block A1 is not symmetric"):
+        fu.reduced_pencil(dataclasses.replace(ops, stiffness=stiffness))
 
 
 def test_mass_total_is_conformal_area():
