@@ -172,17 +172,14 @@ class ExtensionMetric:
 
     def __call__(self, p):
         p = np.asarray(p, dtype=float)
-        _require_inside(p[..., 2])
+        lo, hi = EXTENSION_S_RANGE
+        s = p[..., 2]
+        inside = (lo < s) & (s <= hi + 1e-12)
+        if any_of(~inside):
+            raise DomainError(f"extension parameter s = {np.ravel(s)[np.argmin(inside)]} "
+                              f"outside {EXTENSION_S_RANGE}")
         data = embedding_data_at(self.immersion, p[..., :2], cfg=self.cfg)
-        return _extension_block(data.I, data.B, p[..., 2])
-
-
-def _require_inside(s):
-    lo, hi = EXTENSION_S_RANGE
-    inside = (lo < s) & (s <= hi + 1e-12)
-    if any_of(~inside):
-        raise DomainError(f"extension parameter s = {np.ravel(s)[np.argmin(inside)]} "
-                          f"outside {EXTENSION_S_RANGE}")
+        return _extension_block(data.I, data.B, s)
 
 
 def _extension_block(I, B, s):
@@ -267,7 +264,6 @@ def extension_curvature(ext: ExtensionMetric, p):
         raise DomainError(f"stencil of half-width {scheme.step} leaves s-range "
                           f"at s = {np.ravel(s)[np.argmin(inside)]}")
     s_points = jet_stencil(p, scheme)[..., 2]
-    _require_inside(s_points)
     data = embedding_data_at(ext.immersion, jet_stencil(p[..., :2], scheme), cfg=ext.cfg)
     # each 3-D stencil point sits over the 2-D one with its shifts of u1, u2
     chart = {shift: k for k, shift in enumerate(jet_shifts(2, scheme))}

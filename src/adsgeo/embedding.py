@@ -20,8 +20,8 @@ Chart points may carry leading batch axes, u of shape (..., 2): the
 built-in evaluators and fields, ``embedding_data_at`` and the curvature,
 Christoffel and Codazzi layers map over them and return results with the
 same leading axes, each point bit for bit equal to the call on that point
-alone.  ``principal_curvatures`` and ``convexity_class`` take the data of
-one point or of a batch.
+alone.  ``principal_curvatures`` takes the data of one point or of a
+batch.
 
 The layers evaluate an immersion once per finite-difference stencil: the
 stencil points are stacked on a new leading axis and handed to
@@ -33,7 +33,6 @@ to ``christoffels``, is called one point (2,) at a time.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -189,12 +188,6 @@ def make_immersion(name: str, **params) -> Immersion:
 # ---------------------------------------------------------------------------
 # pointwise embedding data
 
-class ConvexityClass(enum.Enum):
-    STRONGLY_PAST_CONVEX = "strongly_past_convex"
-    STRONGLY_FUTURE_CONVEX = "strongly_future_convex"
-    NOT_STRONGLY_CONVEX = "not_strongly_convex"
-
-
 @dataclass(frozen=True)
 class EmbeddingData:
     """Bundle (I, B, J, n) plus chart point and ambient position, with the
@@ -216,10 +209,6 @@ class EmbeddingData:
     @property
     def second_form(self):
         return self.I @ self.B
-
-    def self_adjointness_residual(self) -> float:
-        ib = self.I @ self.B
-        return float(np.abs(ib - np.swapaxes(ib, -1, -2)).max())
 
 
 def complex_structure(I):
@@ -464,19 +453,3 @@ def require_strong_convexity(B) -> float:
     if any_of(det_b <= STRONG_CONVEXITY_TOL):
         raise ConvexityError(f"strong convexity required: det B = {np.min(det_b):.3e}")
     return det_b
-
-
-# convexity_class indexes this by 1 * past + 2 * future
-_CONVEXITY_CLASSES = np.array([ConvexityClass.NOT_STRONGLY_CONVEX,
-                               ConvexityClass.STRONGLY_PAST_CONVEX,
-                               ConvexityClass.STRONGLY_FUTURE_CONVEX], dtype=object)
-
-
-def convexity_class(data: EmbeddingData):
-    """Sign class of the principal curvatures, with margin 1e-10: a
-    ConvexityClass for one point, an object array of them for a batch."""
-    tol = 1e-10
-    k1, k2 = components(principal_curvatures(data))
-    past = (k1 > tol) & (k2 > tol)
-    future = (k1 < -tol) & (k2 < -tol)
-    return _CONVEXITY_CLASSES[1 * past + 2 * future]

@@ -41,7 +41,7 @@ GENERATOR_TRACE = 2.0 * COSH_HALF_LENGTH
 PAIRING_AXIS_ANGLES = tuple((2 * k + 1) * np.pi / 8.0 for k in range(4))
 MAX_MESH_LEVEL = 7
 GLUING_DISTANCE_TOL = 1e-9
-# largest asymmetry of a reduced block, relative to its largest entry
+# largest asymmetry of a reduced block or orbit spread of a diagonal, relative to its largest entry
 SYMMETRY_TOL = 1e-8
 
 # standard quadruple as words in the side pairings (index, exponent)
@@ -130,11 +130,6 @@ class HolonomySet:
     def traces(self):
         return tuple(float(np.trace(m)) for m in self.quadruple)
 
-    def all_hyperbolic(self) -> bool:
-        """Every generator and side pairing has |trace| > 2 + 1e-9."""
-        mats = list(self.quadruple) + list(self.side_pairings)
-        return all(abs(np.trace(m)) > 2.0 + 1e-9 for m in mats)
-
 
 def octagon_generators() -> HolonomySet:
     """Holonomy of the regular-octagon genus-2 surface.
@@ -170,7 +165,7 @@ def hyp_dist_small(p, q):
     """Chord version of ``hyp_dist``, accurate for tiny separations where
     arccosh is not: a float for points, an array for (3, n) stacks."""
     d = p - q
-    return _float_if_point(np.sqrt(np.maximum(mdot(d, d), 0.0)))
+    return np.sqrt(np.maximum(mdot(d, d), 0.0))
 
 
 def hyp_midpoint(p, q):
@@ -186,7 +181,7 @@ def triangle_angles(p, q, r):
         u = b + mdot(b, a) * a
         v = c + mdot(c, a) * a
         cosang = mdot(u, v) / np.sqrt(mdot(u, u) * mdot(v, v))
-        return _float_if_point(np.arccos(np.clip(cosang, -1.0, 1.0)))
+        return np.arccos(np.clip(cosang, -1.0, 1.0))
 
     return angle_at(p, q, r), angle_at(q, r, p), angle_at(r, p, q)
 
@@ -195,11 +190,7 @@ def triangle_area_defect(p, q, r):
     """Hyperbolic area by angle defect: a float for points, an array for
     (3, n) corner stacks."""
     a, b, c = triangle_angles(p, q, r)
-    return _float_if_point(np.pi - (a + b + c))
-
-
-def _float_if_point(x):
-    return float(x) if np.ndim(x) == 0 else x
+    return np.pi - (a + b + c)
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +437,23 @@ def symmetry_permutations(mesh: Genus2Mesh):
     return table
 
 
+def _pivot_columns(x):
+    """Columns piv of the (r, m) matrix x of rank r at which x[:, piv] is
+    invertible: the rows of x^T that LAPACK's LU with partial pivoting
+    moves to the top."""
+    from scipy.linalg.lapack import dgetrf
+    order = list(range(x.shape[1]))
+    for i, j in enumerate(dgetrf(x.T)[1].tolist()):
+        order[i], order[j] = order[j], order[i]
+    return order[:len(x)]
+
+
 def symmetry_basis(mesh: Genus2Mesh):
     """Symmetry-adapted basis of the functions on the glued classes:
-    (Q, block), where Q is a sparse (n_classes, n_red) matrix with
-    orthonormal columns and ``block[j]`` indexes IRREPS for column j.
+    (Q, block, W), where Q is a sparse (n_classes, n_red) matrix with
+    orthonormal columns, ``block[j]`` indexes IRREPS for column j, and the
+    sparse (n_red, n_classes) W holds a left inverse of each block of Q,
+    W_b Q_b = I: Q_b[pivots]^-1 in the columns of one pivot class each.
 
     With (T_g f)(g c) = f(c), block b spans the range of the projector
     (d / 16) sum_g D(g)_11 T_g of its irrep D of dimension d (Fassler &
@@ -463,26 +467,6 @@ def symmetry_basis(mesh: Genus2Mesh):
     projectors have one matrix on all orbits whose smallest class has the
     same stabilizer, so one batch of small SVDs per stabilizer serves all
     of them.  Columns are grouped by block, then by stabilizer and orbit.
-    """
-    return _symmetry_reduction(mesh)[:2]
-
-
-def _pivot_columns(x):
-    """Columns piv of the (r, m) matrix x of rank r at which x[:, piv] is
-    invertible: the rows of x^T that LAPACK's LU with partial pivoting
-    moves to the top."""
-    from scipy.linalg.lapack import dgetrf
-    order = list(range(x.shape[1]))
-    for i, j in enumerate(dgetrf(x.T)[1].tolist()):
-        order[i], order[j] = order[j], order[i]
-    return order[:len(x)]
-
-
-def _symmetry_reduction(mesh: Genus2Mesh):
-    """(Q, block, W): ``symmetry_basis`` and a sparse (n_red, n_classes)
-    W whose rows of each block b are a left inverse of Q's columns of that
-    block, W_b Q_b = I: the inverse of Q_b[pivots], placed in the columns
-    of one pivot class per column of Q_b.
 
     The columns of one orbit have their support on its members, so
     Q[pivots] is block diagonal by orbit, with one block of order at most
@@ -553,9 +537,8 @@ class DiscreteOperators:
     x^T stiffness x integrates |grad u|^2; mass integrates products over
     the element areas.  Both are assembled from one (row, col) list, so
     they share one pattern: equal ``indptr`` and ``indices``, entry for
-    entry.  ``basis`` and ``block`` are the mesh's ``symmetry_basis``, and
-    the CSR ``left_inverse`` W holds a left inverse of each block of the
-    basis Q, W_b Q_b = I, with its entries in the columns of pivot classes.
+    entry.  ``basis``, ``block`` and the CSR ``left_inverse`` are the
+    mesh's ``symmetry_basis`` (Q, block, W).
     """
 
     stiffness: scipy.sparse.csr_matrix
@@ -594,7 +577,7 @@ def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
     stiffness = assemble(k_local.transpose(2, 0, 1))
     del k_local
     mass = assemble((area / 12.0)[:, None, None] * (np.ones((3, 3)) + np.eye(3)))
-    basis, block, left_inverse = _symmetry_reduction(mesh)
+    basis, block, left_inverse = symmetry_basis(mesh)
     return DiscreteOperators(stiffness=stiffness, mass=mass, n=n, basis=basis, block=block,
                              left_inverse=left_inverse)
 
@@ -614,8 +597,8 @@ def reduced_pencil(ops: DiscreteOperators):
     one block meet.  B is then replaced by (B + B^T) / 2.  The identity
     holds only for a pencil that commutes with D8: a block whose real or
     imaginary part is asymmetric by more than SYMMETRY_TOL of its largest
-    entry raises DomainError.  A change that breaks D8 only on the diagonal
-    of S or M leaves the blocks symmetric, so this check cannot see it."""
+    entry raises DomainError.  So does a diagonal d of S or M farther than
+    that from its D8 orbit means Q_A1 Q_A1^T d, which the blocks cannot show."""
     import scipy.sparse
     s, m, q, n = ops.stiffness, ops.mass, ops.basis, ops.n
     entries = np.empty(len(m.data), dtype=complex)
@@ -648,6 +631,13 @@ def reduced_pencil(ops: DiscreteOperators):
                     f"reduced block {irrep} is not symmetric: the {name} part's asymmetry "
                     f"{worst:.3e} exceeds {SYMMETRY_TOL:g} of its largest entry {top:.3e}, "
                     "so the pencil does not commute with D8")
+    orbits = ops.basis[:, :bounds[1]]       # A1: the normalized orbit indicators
+    for name, d in (("S", s.diagonal()), ("M", m.diagonal())):
+        worst, top = np.abs(d - orbits @ (orbits.T @ d)).max(), np.abs(d).max()
+        if worst > SYMMETRY_TOL * top:
+            raise DomainError(f"the diagonal of {name} is not constant on D8 orbits: {worst:.3e} "
+                              f"from its orbit means exceeds {SYMMETRY_TOL:g} of its largest "
+                              f"entry {top:.3e}")
     pencil = pencil + transpose
     del asymmetry, transpose
     pencil.data *= 0.5
@@ -665,29 +655,21 @@ def reduced_pencil(ops: DiscreteOperators):
 
 def generalized_eigs(a, m, k: int = 6, seed: int = 0):
     """Smallest k generalized eigenpairs of a x = lambda m x, ascending:
-    (values, Ritz vectors as columns), for a symmetric positive definite
-    ``a`` and a symmetric positive semidefinite ``m``; k is an integer
-    >= 1, capped at n - 1.  The vectors are a-orthonormal: x^T a x = 1.
-    Positive definiteness is required, not assumed: a Cholesky pivot that
-    is not positive raises DomainError naming its leading minor.
+    (values, y, factor, rank), for a symmetric positive definite ``a`` and
+    a symmetric positive semidefinite ``m``; k is an integer >= 1, capped
+    at n - 1.  Positive definiteness is required, not assumed: a Cholesky
+    pivot that is not positive raises DomainError naming its leading minor.
 
     ``a`` is reordered by reverse Cuthill-McKee, P a P^T (``_rcm_band``),
     and its band is factored in place as L L^T by LAPACK's band Cholesky.
     ARPACK (``eigsh``) then finds, from a deterministic start vector, the k
     largest eigenvalues mu of the symmetric operator L^-1 P m P^T L^-T, each
     application two banded triangular solves around one CSR product:
-    lambda = 1 / mu and x = P^T L^-T y.
+    lambda = 1 / mu, with the orthonormal Ritz vectors y as columns in the
+    reordered unknowns (entry rank[i] belongs to unknown i) and the band
+    ``factor`` L.  No back-substitution runs: the a-orthonormal vectors
+    x = P^T L^-T y are x = dtbtrs(factor, y, uplo="L", trans="T")[0][rank].
     """
-    from scipy.linalg.lapack import dtbtrs
-    vals, y, factor, rank = _standard_ritz_pairs(a, m, k, seed)
-    return vals, dtbtrs(factor, y, uplo="L", trans="T")[0][rank]
-
-
-def _standard_ritz_pairs(a, m, k, seed):
-    """``generalized_eigs`` before the back-substitution: (values, y,
-    factor, rank), with the orthonormal Ritz vectors y of the standard
-    operator as columns in reverse Cuthill-McKee order (entry rank[i] of a
-    column belongs to unknown i) and the band Cholesky factor L."""
     if not isinstance(k, numbers.Integral) or k < 1:
         raise DomainError(f"eigenvalue count must be an integer >= 1, got {k!r}")
     n = a.shape[0]
@@ -751,16 +733,15 @@ def laplace_spectrum(ops: DiscreteOperators, k: int = 6, seed: int = 0):
 
     S is singular (constants are in its kernel), so the positive definite
     pair (S + M, M) is solved and shifted back by 1.  One eigensolve of
-    its ``reduced_pencil`` (``generalized_eigs`` without the
-    back-substitution): each value is labelled by the block that holds its
-    standard-form Ritz vector y = L^T P x, which is that of x since the
-    band factor L of the block diagonal pencil keeps the blocks apart, and
-    counted twice for an E irrep.  The k smallest values lie among the k
-    smallest of the reduced pencil, since each of those is at least one
-    full value.
+    its ``reduced_pencil`` by ``generalized_eigs``: each value is labelled
+    by the block that holds its standard-form Ritz vector y = L^T P x,
+    which is that of x since the band factor L of the block diagonal
+    pencil keeps the blocks apart, and counted twice for an E irrep.  The
+    k smallest values lie among the k smallest of the reduced pencil,
+    since each of those is at least one full value.
     """
     k = min(k, ops.n - 1)
-    vals, vecs, _, rank = _standard_ritz_pairs(*reduced_pencil(ops), k, seed)
+    vals, vecs, _, rank = generalized_eigs(*reduced_pencil(ops), k, seed)
     block = np.empty_like(ops.block)
     block[rank] = ops.block
     # shares[j, b]: the weight of vector j on block b, summed in row order

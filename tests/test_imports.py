@@ -3,7 +3,25 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "adsgeo").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "adsgeo").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+# public functions kept on purpose even when nothing in src/ or perfbench/ reads them
+UNREFERENCED_ALLOWED = {
+    # identities of the linearized chain and the sharp connection that wait
+    # for their report rows
+    "rigidity.variation_formula_residual": "first variation of I#, a future row",
+    "rigidity.b_from_bdot": "the variation b of a Bdot, a future row",
+    "mess_metrics.sharp_metric_derivative_residual": "D# compatibility, a future row",
+    "rigidity.trace_conditions": "pointwise trace conditions, a future row",
+    "rigidity.jbj_sharp": "J B J# negative definiteness, a future row",
+    "rigidity.exterior_derivative_identities": "sharp d^D identities, a future row",
+    # reference implementations that tests compare the batched paths against
+    "embedding.christoffels": "Christoffel symbols of any metric field",
+    "constructions.riemann_constant_curvature_residual":
+        "curvature of any metric, the reference of extension_curvature",
+}
 
 
 def unread_imports(source: str) -> list:
@@ -32,3 +50,77 @@ def test_unread_import_detected():
               "import numpy as np\n"
               "x = np.eye(2) @ inv(y)\n")
     assert unread_imports(source) == [(1, "codazzi_norm")]
+
+
+def public_defs(tree):
+    """(name, node) of each public function of a module and each public
+    method of its public classes, named "Class.method"."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def unreferenced(modules: dict, others=()) -> list:
+    """The public functions and methods of the package ``modules`` (module
+    name -> source) that no code in them or in ``others`` (sources) reads
+    outside their own definition, as "module.name".
+
+    A function is read by its name in its own module, by an import from its
+    module, or as an attribute of a name bound to its module by
+    ``from adsgeo import module``; a method by any attribute of its name.
+    """
+    parsed = [(name, ast.parse(source)) for name, source in modules.items()]
+    parsed += [(None, ast.parse(source)) for source in others]
+    readers = {}                # (module, name) or (".", attribute) -> reading defs
+    for module, tree in parsed:
+        aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module in (None, "adsgeo")
+                   for alias in node.names}
+        owner = {id(sub): name for name, node in public_defs(tree) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            where = owner.get(id(node)) if module else None
+            if isinstance(node, ast.ImportFrom) and node.module not in (None, "adsgeo"):
+                keys = [(node.module.rsplit(".", 1)[-1], alias.name) for alias in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and module:
+                keys = [(module, node.id)]
+            elif isinstance(node, ast.Attribute):
+                keys = [(".", node.attr)]
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    keys.append((aliases[node.value.id], node.attr))
+            else:
+                continue
+            for key in keys:
+                readers.setdefault(key, set()).add(where)
+    unread = []
+    for module, tree in parsed:
+        for name, _ in public_defs(tree) if module else ():
+            cls, _, attr = name.rpartition(".")
+            if not readers.get(("." if cls else module, attr), set()) - {name}:
+                unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_every_public_function_is_read():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    others = [path.read_text(encoding="utf-8") for path in PERFBENCH]
+    defined = {f"{module}.{name}" for module, source in modules.items()
+               for name, _ in public_defs(ast.parse(source))}
+    assert set(UNREFERENCED_ALLOWED) <= defined
+    assert sorted(set(unreferenced(modules, others)) - set(UNREFERENCED_ALLOWED)) == []
+
+
+def test_unread_function_detected():
+    modules = {
+        "geo": ("def used():\n    return 1\n\n\n"
+                "def only_itself():\n    return only_itself()\n\n\n"
+                "def by_alias():\n    return 2\n"),
+        "io": ("from .geo import used\n\n\n"
+               "class Thing:\n    def read(self):\n        return used() + self.read()\n"),
+    }
+    others = ["from adsgeo import geo as g\ng.by_alias()\n"]
+    assert unreferenced(modules, others) == ["geo.only_itself", "io.Thing.read"]
+    assert unreferenced(modules) == ["geo.only_itself", "geo.by_alias", "io.Thing.read"]
