@@ -41,7 +41,7 @@ GENERATOR_TRACE = 2.0 * COSH_HALF_LENGTH
 PAIRING_AXIS_ANGLES = tuple((2 * k + 1) * np.pi / 8.0 for k in range(4))
 MAX_MESH_LEVEL = 7
 GLUING_DISTANCE_TOL = 1e-9
-# largest asymmetry of a reduced block or orbit spread of a diagonal, relative to its largest entry
+# largest residual of X Q = Q B for the reduced pencil B, relative to max|X| max|Q r| (see reduced_pencil)
 SYMMETRY_TOL = 1e-8
 
 # standard quadruple as words in the side pairings (index, exponent)
@@ -591,23 +591,33 @@ def reduced_pencil(ops: DiscreteOperators):
     that identity give B_b = W_b X Q_b, where W_b = Q_b[pivots]^-1 sits in
     the pivot columns (``ops.left_inverse``).  Both matrices go through at
     once, as the real and imaginary parts of the complex (S + M) + iM on
-    the shared pattern of S and M.  One product forms every block and no
-    entry between blocks: the class index of each row of W X and of each
-    column of Q is shifted by n times its block, so that only entries of
-    one block meet.  B is then replaced by (B + B^T) / 2.  The identity
-    holds only for a pencil that commutes with D8: a block whose real or
-    imaginary part is asymmetric by more than SYMMETRY_TOL of its largest
-    entry raises DomainError.  So does a diagonal d of S or M farther than
-    that from its D8 orbit means Q_A1 Q_A1^T d, which the blocks cannot show."""
+    the shared pattern of S and M (a pattern that differs raises
+    DomainError).  One product forms every block and no entry between
+    blocks: the class index of each row of W X and of each column of Q is
+    shifted by n times its block, so that only entries of one block meet.
+    B is then replaced by (B + B^T) / 2.  The pivot rows hold the identity
+    only for a pencil that commutes with D8, so the B returned is checked
+    against all of it, X Q r = Q B r, for one fixed random vector r: a
+    real or imaginary part whose residual exceeds SYMMETRY_TOL of max|X|
+    max|Q r| in that part raises DomainError.  This also catches a
+    symmetric B from a pencil that is not; a break whose residual is
+    orthogonal to r passes."""
     import scipy.sparse
     s, m, q, n = ops.stiffness, ops.mass, ops.basis, ops.n
+    if not (np.array_equal(s.indptr, m.indptr) and np.array_equal(s.indices, m.indices)):
+        raise DomainError("the stiffness and mass matrices do not share one sparsity pattern")
     entries = np.empty(len(m.data), dtype=complex)
     entries.real, entries.imag = s.data + m.data, m.data
-    rows = ops.left_inverse @ scipy.sparse.csr_matrix((entries, s.indices, s.indptr),
-                                                      shape=s.shape)
+    x = scipy.sparse.csr_matrix((entries, s.indices, s.indptr), shape=s.shape)
+    tops = np.abs(entries.real).max(), np.abs(entries.imag).max()
+    # the probe of X Q = Q B, taken before X goes
+    probe = np.random.default_rng(0).standard_normal(len(ops.block))
+    image = q @ probe
+    lhs = x @ image
+    rows = ops.left_inverse @ x
     # each temporary is let go as soon as it is used: their high-water mark
     # is part of the heap under the band that generalized_eigs factors
-    del entries
+    del entries, x
     shape = (len(IRREPS) * n, len(ops.block))
     rows = scipy.sparse.csr_matrix(
         (rows.data, rows.indices + n * np.repeat(ops.block, np.diff(rows.indptr)), rows.indptr),
@@ -616,31 +626,20 @@ def reduced_pencil(ops: DiscreteOperators):
         (q.data, q.indices + n * np.repeat(ops.block, np.diff(q.indptr)), q.indptr), shape=shape)
     pencil = rows @ q
     del rows, q
-    # canonical operands: the sum and the difference stay canonical and
-    # store no zeros
+    # canonical operands: the sum stays canonical
     pencil.sort_indices()
-    transpose = pencil.T.tocsr()
-    asymmetry = pencil - transpose
-    bounds = np.searchsorted(ops.block, np.arange(len(IRREPS) + 1))
-    for irrep, lo, hi in zip(IRREPS, bounds[:-1], bounds[1:]):
-        values, skew = (x.data[x.indptr[lo]:x.indptr[hi]] for x in (pencil, asymmetry))
-        for name, take in (("real", np.real), ("imaginary", np.imag)):
-            top, worst = (np.abs(take(x)).max(initial=0.0) for x in (values, skew))
-            if worst > SYMMETRY_TOL * top:
-                raise DomainError(
-                    f"reduced block {irrep} is not symmetric: the {name} part's asymmetry "
-                    f"{worst:.3e} exceeds {SYMMETRY_TOL:g} of its largest entry {top:.3e}, "
-                    "so the pencil does not commute with D8")
-    orbits = ops.basis[:, :bounds[1]]       # A1: the normalized orbit indicators
-    for name, d in (("S", s.diagonal()), ("M", m.diagonal())):
-        worst, top = np.abs(d - orbits @ (orbits.T @ d)).max(), np.abs(d).max()
-        if worst > SYMMETRY_TOL * top:
-            raise DomainError(f"the diagonal of {name} is not constant on D8 orbits: {worst:.3e} "
-                              f"from its orbit means exceeds {SYMMETRY_TOL:g} of its largest "
-                              f"entry {top:.3e}")
-    pencil = pencil + transpose
-    del asymmetry, transpose
+    pencil = pencil + pencil.T.tocsr()
     pencil.data *= 0.5
+    back = pencil @ probe
+    scale = np.abs(image).max()
+    for name, take, top in zip(("real", "imaginary"), (np.real, np.imag), tops):
+        # two real products: Q times a complex vector would copy Q to complex
+        worst = np.abs(take(lhs) - ops.basis @ take(back)).max()
+        if worst > SYMMETRY_TOL * top * scale:
+            raise DomainError(
+                f"the reduced pencil's {name} part fails X Q = Q B: the residual {worst:.3e} "
+                f"exceeds {SYMMETRY_TOL:g} of max|X| max|Q r| = {top * scale:.3e}, so the "
+                "pencil does not commute with D8 or is not symmetric")
 
     def part(data):
         # a copy of the index arrays each: eliminate_zeros compacts them in

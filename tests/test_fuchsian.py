@@ -617,7 +617,7 @@ def test_reduced_pencil_rejects_a_pencil_without_the_symmetry():
     stiffness = s + noise
     stiffness.sort_indices()
     assert np.array_equal(stiffness.indices, ops.mass.indices)
-    with pytest.raises(DomainError, match="block A1 is not symmetric"):
+    with pytest.raises(DomainError, match="fails X Q = Q B"):
         fu.reduced_pencil(dataclasses.replace(ops, stiffness=stiffness))
 
 
@@ -631,8 +631,50 @@ def test_reduced_pencil_rejects_a_diagonal_without_the_symmetry(name, letter):
     changed = x + scipy.sparse.diags(noise, format="csr")
     changed.sort_indices()
     assert np.array_equal(changed.indices, x.indices)
-    with pytest.raises(DomainError, match=f"diagonal of {letter} is not constant on D8 orbits"):
+    with pytest.raises(DomainError, match="fails X Q = Q B"):
         fu.reduced_pencil(dataclasses.replace(ops, **{name: changed}))
+
+
+@pytest.mark.parametrize("i, j, at_pivots", [(5, 101, False), (2, 67, True)],
+                         ids=["off-pivot", "pivot-pivot"])
+def test_reduced_pencil_rejects_one_edge_without_the_symmetry(i, j, at_pivots):
+    # one symmetric edge of S changed by 1e-6 of its largest entry: (5, 101)
+    # joins two classes off the pivot rows, where W X does not read it, and
+    # (2, 67) two pivot classes; each leaves every reduced block symmetric
+    ops = fu.discrete_operators(fu.genus2_mesh(3))
+    s = ops.stiffness
+    pivots = ops.left_inverse.indices
+    assert (i in pivots, j in pivots) == (at_pivots, at_pivots)
+    bump = scipy.sparse.csr_matrix(([1.0, 1.0], ([i, j], [j, i])), shape=s.shape)
+    stiffness = s + 1e-6 * abs(s).max() * bump
+    stiffness.sort_indices()
+    assert np.array_equal(stiffness.indices, s.indices)
+    with pytest.raises(DomainError, match="real part fails X Q = Q B"):
+        fu.reduced_pencil(dataclasses.replace(ops, stiffness=stiffness))
+
+
+def test_reduced_pencil_rejects_a_commuting_pencil_that_is_not_symmetric():
+    # S D - D S, D = diag(M), commutes with D8 but is antisymmetric: its
+    # reduced blocks vanish in (B + B^T) / 2, so B alone cannot show it
+    ops = fu.discrete_operators(fu.genus2_mesh(3))
+    s, d = ops.stiffness, scipy.sparse.diags(ops.mass.diagonal())
+    commutator = s @ d - d @ s
+    stiffness = (s + 1e-6 * abs(s).max() / abs(commutator).max() * commutator).tocsr()
+    stiffness.sort_indices()
+    assert np.array_equal(stiffness.indices, s.indices)
+    with pytest.raises(DomainError, match="real part fails X Q = Q B"):
+        fu.reduced_pencil(dataclasses.replace(ops, stiffness=stiffness))
+
+
+def test_reduced_pencil_rejects_operators_on_two_patterns():
+    # one more stored entry in S, between two classes that share no triangle
+    ops = fu.discrete_operators(fu.genus2_mesh(3))
+    s = ops.stiffness
+    j = np.setdiff1d(np.arange(ops.n), s.indices[s.indptr[0]:s.indptr[1]])[0]
+    stiffness = s + scipy.sparse.csr_matrix(([1e-3], ([0], [j])), shape=s.shape)
+    assert stiffness.nnz == s.nnz + 1
+    with pytest.raises(DomainError, match="do not share one sparsity pattern"):
+        fu.reduced_pencil(dataclasses.replace(ops, stiffness=stiffness))
 
 
 def test_mass_total_is_conformal_area():
