@@ -242,7 +242,6 @@ def run_extend(cfg: RunConfig, report: CheckReport, immersion: emb.Immersion):
     for sv in s_values:
         if not -np.pi / 2 + 0.05 < sv <= 0.0:
             raise ConfigError(f"extension sample s={sv} outside (-pi/2+0.05, 0]")
-    ext = con.ExtensionMetric(immersion, cfg=cfg.diff())
     tol_name = ("extension_riemann_bump" if cfg.fixture == "graph_bump"
                 else "extension_riemann")
     # rows ordered by s, then by point; each s value takes the next
@@ -250,7 +249,7 @@ def run_extend(cfg: RunConfig, report: CheckReport, immersion: emb.Immersion):
     u = _sample_points(rng, len(s_values) * cfg.points, box=0.7)
     pts = np.column_stack([u, np.repeat(s_values, cfg.points)])
     report.add("extension_riemann", _chart_locations(pts),
-               con.extension_curvature(ext, pts), cfg.tol(tol_name))
+               con.extension_curvature(immersion, pts, cfg.diff()), cfg.tol(tol_name))
 
 
 def run_rigidity(cfg: RunConfig, report: CheckReport):

@@ -25,9 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .batch import any_of, det, inv, singular_values
-from .embedding import (NORMAL_FLOOR, EmbeddingData, Immersion, _curvature_from_known,
-                        christoffel_symbols, embedding_data_at, family_immersion,
-                        metric_and_normal, metric_field, normal_field,
+from .embedding import (CHART_CORNER_R2, NORMAL_FLOOR, EmbeddingData, Immersion,
+                        _curvature_from_known, christoffel_symbols, embedding_data_at,
+                        family_immersion, metric_and_normal, metric_field, normal_field,
                         require_strong_convexity, third_fundamental_form)
 from .errors import DegenerateDataError, DomainError, FocalPointError
 from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, jet_partials, jet_shifts,
@@ -62,28 +62,22 @@ def dual_data_pointwise(data: EmbeddingData, K: float | None = None) -> DualData
                     K_star=-K / (1.0 + K))
 
 
-def dual_immersion(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF) -> Immersion:
-    """The dual surface as an immersion: u -> future unit normal of F at u."""
-    return Immersion(f"dual({immersion.name})", normal_field(immersion, cfg),
-                     domain=immersion.domain, params=dict(immersion.params))
-
-
 def require_family_dual(s: float):
     """Reject a family parameter whose dual immersion has a normal that
     ``embedding._unit_future_normal`` cannot resolve on the chart box.
 
     On the family B = tan(s) E and I = cos(s)^2 g_hyp, so the unnormalized
-    normal of the dual immersion has <n, n> = -det III = -det(B)^2 det(I)
-    = -sin(s)^4 / (1 + |u|^2); it must stay below -NORMAL_FLOOR at the
-    corners of the box, where |u|^2 is largest.
+    normal of the dual immersion (``embedding.normal_field``) has <n, n> =
+    -det III = -det(B)^2 det(I) = -sin(s)^4 / (1 + |u|^2); it must stay below
+    -NORMAL_FLOOR at the corners of the box, where |u|^2 = CHART_CORNER_R2.
     """
-    surface = family_immersion(s)
-    r2 = sum(max(lo * lo, hi * hi) for lo, hi in surface.domain)
+    family_immersion(s)     # rejects s outside (-pi/2, 0]
     sn2 = np.sin(s) * np.sin(s)
-    if not sn2 * sn2 / (1.0 + r2) > NORMAL_FLOOR:
+    corner = sn2 * sn2 / (1.0 + CHART_CORNER_R2)
+    if not corner > NORMAL_FLOOR:
         raise DegenerateDataError(
             f"dual normal unresolvable at s = {s}: sin(s)^4 / (1 + |u|^2) "
-            f"= {sn2 * sn2 / (1.0 + r2):.3e} <= {NORMAL_FLOOR:g} at the box corners")
+            f"= {corner:.3e} <= {NORMAL_FLOOR:g} at the box corners")
 
 
 def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
@@ -99,16 +93,17 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
     * ``involution``: dual of the dual against the antipodal base point
       (identical in the projective model).
 
-    The dual immersion F* is differenced once, for both its induced metric
-    and its normal (the dual of the dual); F*(u) is the base normal data.n.
+    The dual immersion F*, the normal field of F, is differenced once, for
+    both its induced metric and its normal (the dual of the dual); F*(u) is
+    the base normal data.n.
     """
     u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, u, cfg=cfg)
     k_measured = _curvature_from_known(immersion, u, data.I[None], cfg)
     dual = dual_data_pointwise(data, K=k_measured)
 
-    fstar = dual_immersion(immersion, cfg)
-    i_star, ddual_point = metric_and_normal(fstar, u, data.n, cfg.inner)
+    i_star, ddual_point = metric_and_normal(normal_field(immersion, cfg), u, data.n,
+                                            cfg.inner)
     metric_resid = np.abs(i_star - dual.I_star).max(axis=(-2, -1))
 
     k_star_gauss = -1.0 - det(dual.B_star)
@@ -155,31 +150,30 @@ def equidistant_data(I, B, s: float):
 EXTENSION_S_RANGE = (-np.pi / 2, 0.1)
 
 
-@dataclass(frozen=True)
-class ExtensionMetric:
+def extension_metric(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
     """Evaluator (u1, u2, s) -> 3x3 Lorentzian matrix, s in
-    ``EXTENSION_S_RANGE``, over leading batch axes of the points.
+    ``EXTENSION_S_RANGE``, over leading batch axes of the points: the
+    reference of ``extension_curvature``.
 
     Block form diag(I((cos s E + sin s B) . , same), -1) in coordinates
     (u1, u2, s); restricts to I at s = 0.  Marked ``batched``, so
     ``fd.evaluate`` calls it once per stack, with the bits of one call per
     point.
     """
+    lo, hi = EXTENSION_S_RANGE
 
-    immersion: Immersion
-    cfg: DiffConfig = DEFAULT_DIFF
-    batched = True      # a class attribute, not a field
-
-    def __call__(self, p):
+    def h(p):
         p = np.asarray(p, dtype=float)
-        lo, hi = EXTENSION_S_RANGE
         s = p[..., 2]
         inside = (lo < s) & (s <= hi + 1e-12)
         if any_of(~inside):
             raise DomainError(f"extension parameter s = {np.ravel(s)[np.argmin(inside)]} "
                               f"outside {EXTENSION_S_RANGE}")
-        data = embedding_data_at(self.immersion, p[..., :2], cfg=self.cfg)
+        data = embedding_data_at(immersion, p[..., :2], cfg=cfg)
         return _extension_block(data.I, data.B, s)
+
+    h.batched = True
+    return h
 
 
 def _extension_block(I, B, s):
@@ -246,10 +240,10 @@ def _curvature_residual(h, d, dd):
     return worst / np.sum((h * h).reshape(h.shape[:-2] + (9,)), axis=-1)
 
 
-def extension_curvature(ext: ExtensionMetric, p):
-    """Constant-curvature residual of the extension metric at interior
-    points, differenced with step 1e-2 and Richardson; errors out when the
-    stencil of any point would leave the s-range.
+def extension_curvature(immersion: Immersion, p, cfg: DiffConfig = DEFAULT_DIFF):
+    """Constant-curvature residual of ``extension_metric(immersion, cfg)``
+    at interior points, differenced with step 1e-2 and Richardson; errors
+    out when the stencil of any point would leave the s-range.
 
     The metric at each of the 37 points of the 3-D stencil is assembled
     from the embedding data at its chart point (u1, u2).  Those are the 17
@@ -264,7 +258,7 @@ def extension_curvature(ext: ExtensionMetric, p):
         raise DomainError(f"stencil of half-width {scheme.step} leaves s-range "
                           f"at s = {np.ravel(s)[np.argmin(inside)]}")
     s_points = jet_stencil(p, scheme)[..., 2]
-    data = embedding_data_at(ext.immersion, jet_stencil(p[..., :2], scheme), cfg=ext.cfg)
+    data = embedding_data_at(immersion, jet_stencil(p[..., :2], scheme), cfg=cfg)
     # each 3-D stencil point sits over the 2-D one with its shifts of u1, u2
     chart = {shift: k for k, shift in enumerate(jet_shifts(2, scheme))}
     over = [chart[tuple(c for c in shift if c[0] < 2)] for shift in jet_shifts(3, scheme)]

@@ -1,10 +1,10 @@
 """Embedding data of spacelike surfaces in the quadric model.
 
-A surface is handed to the package as an ``Immersion``: a chart evaluator
-(u1, u2) -> R^{2,2} landing on the quadric, together with its chart box.
-First and second fundamental forms are produced by central differences of
-the evaluator; curvature and Codazzi residuals differentiate the resulting
-fields with a second, coarser step (see ``fd.DiffConfig``).
+A surface is handed to the package as its immersion: the chart evaluator
+(u1, u2) -> R^{2,2} landing on the quadric, a plain callable over the chart
+box [-1, 1]^2.  First and second fundamental forms are produced by central
+differences of the evaluator; curvature and Codazzi residuals differentiate
+the resulting fields with a second, coarser step (see ``fd.DiffConfig``).
 
 Conventions fixed here and relied on everywhere else:
 
@@ -24,16 +24,16 @@ alone.  ``principal_curvatures`` takes the data of one point or of a
 batch.
 
 The layers evaluate an immersion once per finite-difference stencil: the
-stencil points are stacked on a new leading axis and handed to
-``Immersion.__call__`` in one call, by the one calling rule ``fd.evaluate``:
-an evaluator that maps over leading axes says so with the attribute
-``batched = True`` (the built-in fixture evaluators and the normal field
-behind the dual immersion do); any other evaluator, or metric field handed
-to ``christoffels``, is called one point (2,) at a time.
+stencil points are stacked on a new leading axis and handed to the
+evaluator in one call, by the one calling rule ``fd.evaluate``: an
+evaluator that maps over leading axes says so with the attribute
+``batched = True`` (the built-in fixture evaluators and ``normal_field``,
+the dual immersion, do); any other evaluator, or metric field handed to
+``christoffels``, is called one point (2,) at a time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -71,33 +71,11 @@ def hyperbolic_metric(u):
 # ---------------------------------------------------------------------------
 # immersion fixtures
 
-@dataclass(frozen=True)
-class Immersion:
-    """Chart evaluator of a spacelike surface plus its domain box.
-
-    Calling the immersion evaluates it by ``fd.evaluate``: an evaluator
-    marked ``batched`` maps over leading axes of its chart points,
-    (..., 2) -> (..., 4); any other only ever sees points (2,).
-    """
-
-    name: str
-    evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    domain: tuple = ((-1.0, 1.0), (-1.0, 1.0))
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, u):
-        return evaluate(self.evaluator, u)
-
-
-def _family_evaluator(s: float):
-    cs, sn = np.cos(s), np.sin(s)
-
-    def ev(u):
-        y1, y2, y3 = components(hyperboloid_point(u))
-        return vector(cs * y1, cs * y2, cs * y3, sn + 0.0 * y3)   # sin s per point
-
-    ev.batched = True
-    return ev
+# an immersion is its chart evaluator, (..., 2) -> (..., 4) when marked
+# ``batched`` and (2,) -> (4,) otherwise; the layers call it by ``fd.evaluate``
+Immersion = Callable[[np.ndarray], np.ndarray]
+# |u|^2 at the corners of the chart box [-1, 1]^2, its largest value there
+CHART_CORNER_R2 = 2.0
 
 
 def family_immersion(s: float = -0.7) -> Immersion:
@@ -108,12 +86,19 @@ def family_immersion(s: float = -0.7) -> Immersion:
     """
     if not -np.pi / 2 < s <= 0.0:
         raise DomainError(f"family parameter must lie in (-pi/2, 0], got {s}")
-    return Immersion("fuchsian_family", _family_evaluator(s), params={"s": s})
+    cs, sn = np.cos(s), np.sin(s)
+
+    def ev(u):
+        y1, y2, y3 = components(hyperboloid_point(u))
+        return vector(cs * y1, cs * y2, cs * y3, sn + 0.0 * y3)   # sin s per point
+
+    ev.batched = True
+    return ev
 
 
 def _totally_geodesic() -> Immersion:
     """The plane {x4 = 0}: the family member at s = 0, B = 0."""
-    return Immersion("totally_geodesic", _family_evaluator(0.0))
+    return family_immersion(0.0)
 
 
 def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
@@ -127,7 +112,7 @@ def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
     The induced metric is cos(t)^2 g_hyp - dt (x) dt.  It is radially
     symmetric, with eigenvalue cos(t)^2 along circles and cos(t)^2 / (1 + r^2)
     - t'(r)^2 along rays; both must be positive, with condition at most
-    MAX_METRIC_CONDITION, for r in [0, sqrt 2], which covers the chart box.
+    MAX_METRIC_CONDITION, for r^2 up to CHART_CORNER_R2: over the chart box.
     """
     # comparisons are written so that NaN parameters fail them
     if not width >= 0.2:
@@ -137,7 +122,7 @@ def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
     if not -np.pi / 2 < base + abs(amplitude) <= 0.0 or not base > -np.pi / 2:
         raise DomainError(f"bump base parameter out of range: {base}")
     # radii spaced 7e-4 apart, far finer than the bump's scale width >= 0.2
-    r = np.linspace(0.0, np.sqrt(2.0), 2001)
+    r = np.linspace(0.0, np.sqrt(CHART_CORNER_R2), 2001)
     gauss = amplitude * np.exp(-r * r / (2.0 * width * width))
     slope = -r / (width * width) * gauss
     circle = np.cos(base + gauss) ** 2
@@ -157,8 +142,7 @@ def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
         return vector(c * y1, c * y2, c * y3, np.sin(t))
 
     ev.batched = True
-    return Immersion("graph_bump", ev,
-                     params={"amplitude": amplitude, "width": width, "base": base})
+    return ev
 
 
 # fixture name -> (constructor, parameter names); parameters left out take
@@ -283,7 +267,7 @@ def embedding_data_at(immersion: Immersion, u,
     """
     u = np.asarray(u, dtype=float)
     second = jet_stencil(u, cfg.inner2)
-    values = immersion(np.concatenate([second, stencil(u, cfg.inner)[1:]]))
+    values = evaluate(immersion, np.concatenate([second, stencil(u, cfg.inner)[1:]]))
     point, _, dd = jet_partials(values[:len(second)], cfg.inner2)
     if any_of(np.abs(ads_core.bilinear22(point, point) + 1.0) > 1e-8):
         raise DomainError("immersion leaves the quadric at this chart point")
@@ -302,7 +286,7 @@ def metric_and_normal(immersion: Immersion, u, point, scheme):
     """(I, n) of the immersion at chart points u, from one call on the shifted
     points of a first-difference stencil: the induced metric and the future
     unit normal at ``point``, which is the immersion at u."""
-    I, f1, f2 = _induced_metric(immersion(stencil(u, scheme)[1:]), scheme)
+    I, f1, f2 = _induced_metric(evaluate(immersion, stencil(u, scheme)[1:]), scheme)
     return I, _unit_future_normal(point, f1, f2)
 
 
@@ -314,7 +298,7 @@ def metric_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
     sch = cfg.inner
 
     def g(u):
-        return _induced_metric(immersion(stencil(u, sch)[1:]), sch)[0]
+        return _induced_metric(evaluate(immersion, stencil(u, sch)[1:]), sch)[0]
 
     g.batched = True
     return g
@@ -327,7 +311,7 @@ def normal_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
     sch = cfg.inner
 
     def nf(u):
-        values = immersion(stencil(u, sch))
+        values = evaluate(immersion, stencil(u, sch))
         return _unit_future_normal(values[0], *shift_partials(values[1:], sch))
 
     nf.batched = True

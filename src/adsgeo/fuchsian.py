@@ -582,6 +582,15 @@ def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
                              left_inverse=left_inverse)
 
 
+def shared_pattern(ops: DiscreteOperators):
+    """(S, M) of ``ops``, raising DomainError unless they store one sparsity
+    pattern: the pattern on which S and M are combined entry by entry."""
+    s, m = ops.stiffness, ops.mass
+    if not (np.array_equal(s.indptr, m.indptr) and np.array_equal(s.indices, m.indices)):
+        raise DomainError("the stiffness and mass matrices do not share one sparsity pattern")
+    return s, m
+
+
 def reduced_pencil(ops: DiscreteOperators):
     """The pair (S + M, M) in the symmetry-adapted basis Q: exactly
     symmetric, block diagonal canonical CSR matrices with no stored zeros,
@@ -591,10 +600,10 @@ def reduced_pencil(ops: DiscreteOperators):
     that identity give B_b = W_b X Q_b, where W_b = Q_b[pivots]^-1 sits in
     the pivot columns (``ops.left_inverse``).  Both matrices go through at
     once, as the real and imaginary parts of the complex (S + M) + iM on
-    the shared pattern of S and M (a pattern that differs raises
-    DomainError).  One product forms every block and no entry between
-    blocks: the class index of each row of W X and of each column of Q is
-    shifted by n times its block, so that only entries of one block meet.
+    the ``shared_pattern`` of S and M.  One product forms every block and
+    no entry between blocks: the class index of each row of W X and of each
+    column of Q is shifted by n times its block, so that only entries of
+    one block meet.
     B is then replaced by (B + B^T) / 2.  The pivot rows hold the identity
     only for a pencil that commutes with D8, so the B returned is checked
     against all of it, X Q r = Q B r, for one fixed random vector r: a
@@ -603,9 +612,7 @@ def reduced_pencil(ops: DiscreteOperators):
     symmetric B from a pencil that is not; a break whose residual is
     orthogonal to r passes."""
     import scipy.sparse
-    s, m, q, n = ops.stiffness, ops.mass, ops.basis, ops.n
-    if not (np.array_equal(s.indptr, m.indptr) and np.array_equal(s.indices, m.indices)):
-        raise DomainError("the stiffness and mass matrices do not share one sparsity pattern")
+    (s, m), q, n = shared_pattern(ops), ops.basis, ops.n
     entries = np.empty(len(m.data), dtype=complex)
     entries.real, entries.imag = s.data + m.data, m.data
     x = scipy.sparse.csr_matrix((entries, s.indices, s.indptr), shape=s.shape)

@@ -38,7 +38,7 @@ from .embedding import (EmbeddingData, Immersion, complex_structure,
 from .errors import DomainError
 from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, jet_partials, jet_stencil,
                  shift_partials, stencil, stencil_partials)
-from .fuchsian import DiscreteOperators, laplace_eigenvalues
+from .fuchsian import DiscreteOperators, laplace_eigenvalues, shared_pattern
 from .mess_metrics import (SharpData, _pull_back, _sharp_factor, mess_metric,
                            sharp_curvature, sharp_frame)
 
@@ -334,12 +334,12 @@ def kernel_dimension(eigs) -> float:
 
 def constant_function_check(ops: DiscreteOperators, s: float) -> float:
     """Pointwise weak-form check L(1) = -2 tan|s| against the mass of 1, with
-    L = tan|s| (-S - 2 M) assembled for the check on the pattern S and M
-    share."""
+    L = tan|s| (-S - 2 M) assembled for the check on the
+    ``fuchsian.shared_pattern`` of S and M."""
     import scipy.sparse
     t = float(np.tan(abs(s)))
     ones = np.ones(ops.n)
-    stiffness, mass = ops.stiffness, ops.mass
+    stiffness, mass = shared_pattern(ops)
     op = scipy.sparse.csr_matrix((t * (-stiffness.data - 2.0 * mass.data),
                                   stiffness.indices, stiffness.indptr), shape=stiffness.shape)
     lhs = op @ ones

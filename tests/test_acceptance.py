@@ -83,11 +83,10 @@ def test_criterion_05_equidistant_extension_is_ads():
     worst = {}
     for name, surface, tol in (("fuchsian", emb.family_immersion(-0.7), 1e-4),
                                ("bump", emb.bump_immersion(), 1e-3)):
-        ext = con.ExtensionMetric(surface)
         # the draws of one point follow each other, as in a per-point loop
         p = np.array([[rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7),
                        rng.uniform(-1.1, -0.15)] for _ in range(50)])
-        worst[name] = (float(con.extension_curvature(ext, p).max()), tol)
+        worst[name] = (float(con.extension_curvature(surface, p).max()), tol)
     ok = all(w < tol for w, tol in worst.values())
     detail = ", ".join(f"{k} {w:.2e} < {tol:g}" for k, (w, tol) in worst.items())
     _verdict(5, ok, "Riemann residual " + detail, t0, 60.0)

@@ -80,7 +80,7 @@ def test_dual_diagnostic_rows(surface, pts):
     rows = [con.dual_surface(surface, u)[1] for u in pts]
     for name in batch:
         assert_rows_equal(batch[name], [r[name] for r in rows])
-    fstar = con.dual_immersion(surface)
+    fstar = emb.normal_field(surface)
     assert_rows_equal(emb.gaussian_curvature(fstar, pts),
                       [emb.gaussian_curvature(fstar, u) for u in pts])
 
@@ -99,9 +99,8 @@ def test_leading_axes_nest():
 @CHECKS
 @given(surfaces, extension_points)
 def test_extension_curvature_rows(surface, pts):
-    ext = con.ExtensionMetric(surface)
-    assert_rows_equal(con.extension_curvature(ext, pts),
-                      [con.extension_curvature(ext, p) for p in pts])
+    assert_rows_equal(con.extension_curvature(surface, pts),
+                      [con.extension_curvature(surface, p) for p in pts])
 
 
 @CHECKS

@@ -24,9 +24,16 @@ def test_family_image_on_quadric():
 
 
 def test_catalog_selection_and_rejection():
-    assert emb.make_immersion("totally_geodesic").name == "totally_geodesic"
-    assert emb.make_immersion("fuchsian_family", s=-0.3).params["s"] == -0.3
-    assert emb.make_immersion("graph_bump", amplitude=0.02).params["width"] == 1.0
+    # each name gives its constructor's evaluator, at the given parameters
+    # and the constructor's defaults for the rest
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 2))
+    for name, params, want in (
+            ("totally_geodesic", {}, emb.family_immersion(0.0)),
+            ("fuchsian_family", {"s": -0.3}, emb.family_immersion(-0.3)),
+            ("fuchsian_family", {}, emb.family_immersion(-0.7)),
+            ("graph_bump", {"amplitude": 0.02}, emb.bump_immersion(0.02, 1.0, -0.7)),
+            ("graph_bump", {}, emb.bump_immersion(0.05, 1.0, -0.7))):
+        assert emb.make_immersion(name, **params)(u).tobytes() == want(u).tobytes()
     with pytest.raises(ConfigError):
         emb.make_immersion("no_such_surface")
     with pytest.raises(ConfigError):
@@ -173,9 +180,8 @@ def test_convexity_invariant_under_chart_change(bump):
     def reparam(w):
         return bump(m @ np.asarray(w))
 
-    chart2 = emb.Immersion("reparam", reparam, domain=((-0.7, 0.7), (-0.7, 0.7)))
     d1 = emb.embedding_data_at(bump, m @ u0)
-    d2 = emb.embedding_data_at(chart2, u0)
+    d2 = emb.embedding_data_at(reparam, u0)
     k1 = emb.principal_curvatures(d1)
     k2 = emb.principal_curvatures(d2)
     assert np.allclose(k1, k2, atol=1e-8)
@@ -186,12 +192,10 @@ def test_degenerate_metric_fails_loudly():
         # lightlike direction: rank-deficient tangent map
         return np.array([0.0, 0.0, np.cosh(u[0]), np.sinh(u[0])])
 
-    F = emb.Immersion("degenerate", bad)
     with pytest.raises((DegenerateDataError, DomainError)):
-        emb.embedding_data_at(F, [0.1, 0.0])
+        emb.embedding_data_at(bad, [0.1, 0.0])
 
 
 def test_off_quadric_immersion_rejected():
-    F = emb.Immersion("off", lambda u: np.array([u[0], u[1], 1.1, 0.0]))
     with pytest.raises(DomainError):
-        emb.embedding_data_at(F, [0.0, 0.0])
+        emb.embedding_data_at(lambda u: np.array([u[0], u[1], 1.1, 0.0]), [0.0, 0.0])

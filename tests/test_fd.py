@@ -237,18 +237,18 @@ def test_pointwise_callables_through_jet(bump):
     b = rig.b_from_mu(pointwise(mu, 2), frame, DEFAULT_DIFF.inner2)
     assert abs(np.trace(b)) < 1e-9
     plane = emb.make_immersion("totally_geodesic")
-    k = emb.gaussian_curvature(emb.Immersion("pointwise", pointwise(plane.evaluator, 2)), u)
+    k = emb.gaussian_curvature(pointwise(plane, 2), u)
     assert abs(k + 1.0) < 1e-6
 
-    single = emb.Immersion("pointwise", pointwise(bump.evaluator, 2))
-    ext = con.ExtensionMetric(single)
+    single = pointwise(bump, 2)
+    ext = con.extension_metric(single)
     p = np.array([0.2, -0.1, -0.5])
     r = con.riemann_constant_curvature_residual(pointwise(ext, 3), p, FDScheme(1e-2, True))
-    assert r == con.extension_curvature(ext, p) < 1e-3
+    assert r == con.extension_curvature(single, p) < 1e-3
 
 
 def test_marked_metric_called_once_on_the_jet(bump):
-    ext = con.ExtensionMetric(bump)
+    ext = con.extension_metric(bump)
     p = np.array([0.2, -0.1, -0.5])
     shapes = []
 
@@ -259,7 +259,7 @@ def test_marked_metric_called_once_on_the_jet(bump):
     metric.batched = True
     r = con.riemann_constant_curvature_residual(metric, p, FDScheme(1e-2, True))
     assert shapes == [(37, 3)]
-    assert r == con.extension_curvature(ext, p)
+    assert r == con.extension_curvature(bump, p)
 
 
 def test_builtin_metric_fields_are_marked_batched(bump, monkeypatch):
@@ -268,7 +268,7 @@ def test_builtin_metric_fields_are_marked_batched(bump, monkeypatch):
     # call per point
     p = np.array([[0.2, -0.1, -0.5], [0.1, 0.3, -0.4], [-0.3, 0.0, -0.6], [0.0, 0.2, -0.3]])
     scheme = FDScheme(1e-2, True)
-    ext = con.ExtensionMetric(bump)
+    ext = con.extension_metric(bump)
     per_point = [con.riemann_constant_curvature_residual(pointwise(ext, 3), q, scheme)
                  for q in p]
     data_calls = []
@@ -281,16 +281,16 @@ def test_builtin_metric_fields_are_marked_batched(bump, monkeypatch):
     r = con.riemann_constant_curvature_residual(ext, p, scheme)
     assert data_calls == [(37, 4, 2)]
     assert r.tobytes() == np.array(per_point).tobytes()
-    assert r.tobytes() == con.extension_curvature(ext, p).tobytes()
+    assert r.tobytes() == con.extension_curvature(bump, p).tobytes()
 
     immersion_calls = []
 
     def evaluator(w):
         immersion_calls.append(w.shape)
-        return bump.evaluator(w)
+        return bump(w)
 
     evaluator.batched = True
-    g = emb.metric_field(emb.Immersion("counted", evaluator))
+    g = emb.metric_field(evaluator)
     u = p[:, :2]
     gamma = emb.christoffels(g, u, DEFAULT_DIFF.field)
     assert immersion_calls == [(8, 9, 4, 2)]
@@ -301,7 +301,7 @@ def test_builtin_metric_fields_are_marked_batched(bump, monkeypatch):
 def test_pointwise_evaluator_gets_the_builtin_bits(bump):
     # a non-batched evaluator is called one (2,) point at a time on every
     # stacked stencil, and the layers return the bits of the built-in one
-    single = emb.Immersion("pointwise", pointwise(bump.evaluator, 2))
+    single = pointwise(bump, 2)
     pts = np.random.default_rng(7).uniform(-0.8, 0.8, (5, 2))
 
     def mu(w):

@@ -183,8 +183,7 @@ def crooked(u):
 def test_transfer_precondition_detector():
     # the connection transfer needs Codazzi for E + JB, which is Codazzi for
     # B: the crooked surface satisfies it, and the structure residual says so
-    F = emb.Immersion("crooked", crooked)
-    assert emb.structure_residuals(F, np.array([0.1, 0.2]))[1] < 1e-4
+    assert emb.structure_residuals(crooked, np.array([0.1, 0.2]))[1] < 1e-4
 
 
 def test_pointwise_evaluator_through_exterior_identities():
@@ -193,6 +192,6 @@ def test_pointwise_evaluator_through_exterior_identities():
     def mu(w):
         return 0.3 * np.sin(1.3 * w[0]) * np.cos(0.9 * w[1]) + 0.1 * w[0] * w[1]
 
-    ra, rb = exterior_derivative_identities(emb.Immersion("crooked", crooked), mu,
+    ra, rb = exterior_derivative_identities(crooked, mu,
                                             [0.2, 0.15])
     assert ra < 1e-5 and rb < 1e-5

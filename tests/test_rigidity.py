@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -409,6 +411,25 @@ def pencil(ops, s):
 def test_rigidity_operator_constant_function():
     ops = fu.discrete_operators(fu.genus2_mesh(2))
     assert rig.constant_function_check(ops, -0.7) < 1e-12
+
+
+@pytest.mark.parametrize("change", ["extra", "moved"])
+def test_constant_function_check_rejects_operators_on_two_patterns(change):
+    # the check combines S and M entry by entry on S's pattern: S with one
+    # more stored entry in row 0, or with its last row-0 entry moved to a
+    # column that row does not reach (row sums and nnz unchanged)
+    ops = fu.discrete_operators(fu.genus2_mesh(3))
+    s = ops.stiffness
+    j = np.setdiff1d(np.arange(ops.n), s.indices[s.indptr[0]:s.indptr[1]])[0]
+    if change == "extra":
+        stiffness = s + scipy.sparse.csr_matrix(([1e-3], ([0], [j])), shape=s.shape)
+        assert stiffness.nnz == s.nnz + 1
+    else:
+        stiffness = s.copy()
+        stiffness.indices[s.indptr[1] - 1] = j
+        assert stiffness.nnz == s.nnz
+    with pytest.raises(DomainError, match="do not share one sparsity pattern"):
+        rig.constant_function_check(dataclasses.replace(ops, stiffness=stiffness), -0.7)
 
 
 def test_rigidity_operator_rejects_bad_parameter():
