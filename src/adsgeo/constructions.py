@@ -20,14 +20,13 @@ of a batch raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .batch import any_of, det, inv, singular_values
 from .embedding import (CHART_CORNER_R2, NORMAL_FLOOR, EmbeddingData, Immersion,
                         _curvature_from_known, christoffel_symbols, embedding_data_at,
-                        family_immersion, metric_and_normal, metric_field, normal_field,
+                        family_immersion, metric_and_normal, normal_field,
                         require_strong_convexity, third_fundamental_form)
 from .errors import DegenerateDataError, DomainError, FocalPointError
 from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, jet_partials, jet_shifts,
@@ -269,29 +268,14 @@ def extension_curvature(immersion: Immersion, p, cfg: DiffConfig = DEFAULT_DIFF)
 # ---------------------------------------------------------------------------
 # constant-curvature slice selection
 
-@dataclass(frozen=True)
-class PhiKResult:
-    s: float
-    left_metric: Callable[[np.ndarray], np.ndarray]
-    surface_metric: Callable[[np.ndarray], np.ndarray]
-
-
-def phi_k_fuchsian(K: float, cfg: DiffConfig = DEFAULT_DIFF) -> PhiKResult:
-    """Left metric and normalized K-surface metric on the umbilic family.
-
-    Picks s in (-pi/2, 0) with -1/cos(s)^2 = K, returns the left metric of
-    the family member and its induced metric rescaled by |K| to curvature
-    -1.  Both coincide with the base hyperbolic metric.
+def phi_k_fuchsian(K: float, u, cfg: DiffConfig = DEFAULT_DIFF):
+    """(s, left metric, normalized K-surface metric) of the umbilic family
+    member with -1/cos(s)^2 = K, s in (-pi/2, 0), the metrics at chart points
+    u; the induced metric is rescaled by |K| to curvature -1.  Both metrics
+    coincide with the base hyperbolic metric.
     """
     if not K < -1.0:
         raise DomainError(f"constant-curvature slice needs K < -1, got K = {K}")
     s = -np.arccos(1.0 / np.sqrt(-K))
-    surface = family_immersion(s)
-
-    def left(u):
-        return mess_metric(embedding_data_at(surface, u, cfg=cfg), +1)
-
-    def normalized(u):
-        return (-K) * np.asarray(metric_field(surface, cfg)(u), dtype=float)
-
-    return PhiKResult(s=s, left_metric=left, surface_metric=normalized)
+    data = embedding_data_at(family_immersion(s), u, cfg=cfg)
+    return s, mess_metric(data, +1), (-K) * data.I

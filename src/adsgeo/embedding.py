@@ -190,10 +190,6 @@ class EmbeddingData:
         return EmbeddingData(u=self.u[index], point=self.point[index], I=self.I[index],
                              B=self.B[index], J=self.J[index], n=self.n[index])
 
-    @property
-    def second_form(self):
-        return self.I @ self.B
-
 
 def complex_structure(I):
     """Rotation by +pi/2 for the metric I in the chart orientation."""
@@ -427,7 +423,7 @@ def third_fundamental_form(data: EmbeddingData):
 def principal_curvatures(data: EmbeddingData):
     """Eigenvalues of B, ascending along the last axis (real since B is
     I-self-adjoint): those of the pencil (II, I), in closed form."""
-    return vector(*eigvalsh(data.second_form, data.I))
+    return vector(*eigvalsh(data.I @ data.B, data.I))
 
 
 def require_strong_convexity(B) -> float:

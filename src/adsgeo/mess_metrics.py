@@ -122,12 +122,3 @@ def sharp_metric_derivative_residual(immersion: Immersion, u,
         resid = resid - gamma[..., m, :, None, :] * i_sharp[..., None, :, m, None]
     return np.abs(resid).max(axis=(-3, -2, -1))
 
-
-def verify_left_metric_hyperbolic(immersion: Immersion, samples,
-                                  cfg: DiffConfig = DEFAULT_DIFF):
-    """(|K# + 1| at each sample, shape (N,), and its maximum as a float).
-
-    One batched call over the whole sample set, shape (N, 2)."""
-    samples = np.asarray(samples, dtype=float).reshape(-1, 2)
-    resid = np.abs(sharp_curvature(immersion, samples, cfg=cfg) + 1.0)
-    return resid, float(np.max(resid, initial=0.0))

@@ -10,8 +10,9 @@ when the linearized Gauss equation tr(B^{-1} Bdot) = 0 holds; through the
 Cayley-Hamilton identity J B = (1 + K) (J B)^{-1} the pair is equivalent
 to tr(b) = 0, tr(J B b) = 0.  The layer works on 2x2 entry tuples
 (m11, m12, m21, m22) (``batch.mul2``, ``inv2``, ``trace2``) of one pair or
-of n pairs, with products written out: no stacked matmul, and pair i of a
-batch gets the bits of ``trace_conditions`` on pair i alone.
+of n pairs, with products written out: no stacked matmul, so pair i of a
+stack gets the bits of pair i alone.  ``linearized_chain_batch`` reports
+the maxima of ``trace_conditions`` over n random convex pairs.
 
 Field layer: b built from a potential, b = J# (-D# D# mu + mu E), is
 traceless by pure algebra and satisfies the sharp Codazzi equation up to
@@ -81,10 +82,11 @@ def b_from_bdot(data: EmbeddingData, bdot):
     return b, np.swapaxes(b, -1, -2) @ i_sharp + i_sharp @ b
 
 
-def trace_conditions(data: EmbeddingData, bdot) -> dict:
+def trace_conditions(I, B, bdot) -> dict:
     """The residuals of ``linearized_chain_batch``, signed, plus the
-    equivalence gap, at one pair or at each pair of a stack of data: a dict
-    of numbers or of arrays of the stack's shape.
+    equivalence gap, at one (I, B, Bdot) or at each of a stack, with
+    J = ``complex_structure(I)`` as in ``embedding_data_at``: a dict of
+    numbers or of arrays of the stack's shape.
 
     Keys: tr_b, tr_jbb, tr_first = tr((E + JB) b), tr_second =
     tr((E + (JB)^{-1}) b), tr_binv_bdot, cayley_hamilton and
@@ -93,8 +95,8 @@ def trace_conditions(data: EmbeddingData, bdot) -> dict:
     pairs are linear images of each other through JB = (1+K)(JB)^{-1}, so
     the residual pairs are compared directly.
     """
-    det_b = require_strong_convexity(data.B)
-    J, B, bdot = entries(data.J), entries(data.B), entries(bdot)
+    det_b = require_strong_convexity(B)
+    J, B, bdot = entries(complex_structure(I)), entries(B), entries(bdot)
     t = _traces(J, B, _b_of_bdot(J, B, bdot), bdot)
     t["cayley_hamilton"] = _cayley_hamilton(J, B)
     # (b1, b2) = L (b4, b5) with L = [[1, 1], [1, 1/(1+K)]], K < -1
@@ -161,14 +163,14 @@ def random_convex_pairs(rng, n: int):
 
 
 def linearized_chain_batch(n: int, seed: int = 0):
-    """Max residuals of the trace identities over n >= 1 random convex pairs."""
+    """Max |residual| of each trace identity of ``trace_conditions`` over
+    n >= 1 random convex pairs (``random_convex_pairs``), without the
+    equivalence gap."""
     if not isinstance(n, numbers.Integral) or n < 1:
         raise DomainError(f"linearized chain needs an integer n >= 1, got {n!r}")
-    I, B, bdot = random_convex_pairs(np.random.default_rng(seed), n)
-    J, B, bdot = entries(complex_structure(I)), entries(B), entries(bdot)
-    residuals = _traces(J, B, _b_of_bdot(J, B, bdot), bdot)
-    residuals["cayley_hamilton"] = _cayley_hamilton(J, B)
-    return {k: float(np.abs(v).max()) for k, v in residuals.items()}
+    residuals = trace_conditions(*random_convex_pairs(np.random.default_rng(seed), n))
+    return {k: float(np.abs(v).max()) for k, v in residuals.items()
+            if k != "equivalence_gap"}
 
 
 # ---------------------------------------------------------------------------

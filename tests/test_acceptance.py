@@ -43,10 +43,10 @@ def test_criterion_01_gauss_codazzi_residuals():
 
 def test_criterion_02_left_metric_hyperbolicity():
     t0 = time.time()
-    _, worst_family = mes.verify_left_metric_hyperbolic(
-        emb.family_immersion(-0.7), _samples(2, 100))
-    _, worst_bump = mes.verify_left_metric_hyperbolic(
-        emb.bump_immersion(), _samples(3, 100))
+    worst_family = np.abs(mes.sharp_curvature(emb.family_immersion(-0.7),
+                                              _samples(2, 100)) + 1.0).max()
+    worst_bump = np.abs(mes.sharp_curvature(emb.bump_immersion(),
+                                            _samples(3, 100)) + 1.0).max()
     ok = worst_family < 1e-6 and worst_bump < 1e-5
     _verdict(2, ok, f"|K#+1| family {worst_family:.2e} < 1e-6, "
                     f"bump {worst_bump:.2e} < 1e-5", t0, 10.0)
@@ -166,13 +166,12 @@ def test_criterion_10_phi_k_on_family():
     t0 = time.time()
     worst_metric = worst_param = 0.0
     for K in (-2.0, -4.0):
-        res = con.phi_k_fuchsian(K)
-        worst_param = max(worst_param, abs(-1.0 / np.cos(res.s) ** 2 - K))
         pts = _samples(10, 10)
+        s, left, surface = con.phi_k_fuchsian(K, pts)
+        worst_param = max(worst_param, abs(-1.0 / np.cos(s) ** 2 - K))
         g = emb.hyperbolic_metric(pts)
-        worst_metric = max(worst_metric,
-                           float(np.abs(res.left_metric(pts) - g).max()),
-                           float(np.abs(res.surface_metric(pts) - g).max()))
+        worst_metric = max(worst_metric, float(np.abs(left - g).max()),
+                           float(np.abs(surface - g).max()))
     ok = worst_metric < 1e-6 and worst_param < 1e-12
     _verdict(10, ok, f"metrics {worst_metric:.2e} < 1e-6, "
                      f"parameter {worst_param:.2e} < 1e-12", t0, 5.0)

@@ -28,13 +28,13 @@ coordinate = st.floats(-0.8, 0.8)
 chart_points = st.lists(st.tuples(coordinate, coordinate),
                         min_size=1, max_size=4).map(np.array)
 schemes = st.builds(FDScheme, st.floats(1e-3, 5e-2), st.booleans())
+# values on a 0.01 grid: no underflow, so relative errors stay meaningful
+# and distinct triangle corners lie at least 0.01 apart
+grid = st.integers(-300, 300).map(lambda i: i / 100.0)
 # corners of geodesic triangles on the hyperboloid, one column per triangle
-triangle_corners = st.lists(
-    st.tuples(*[st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))] * 3),
-    min_size=1, max_size=6)
-# entries on a 0.01 grid: no underflow, so relative errors stay meaningful
-square = st.lists(st.integers(-300, 300).map(lambda i: i / 100.0),
-                  min_size=4, max_size=4).map(lambda x: np.reshape(x, (2, 2)))
+triangle_corners = st.lists(st.tuples(*[st.tuples(grid, grid)] * 3),
+                            min_size=1, max_size=6)
+square = st.lists(grid, min_size=4, max_size=4).map(lambda x: np.reshape(x, (2, 2)))
 pencils = st.lists(st.tuples(square, square), min_size=1, max_size=8)
 extension_points = st.lists(st.tuples(coordinate, coordinate, st.floats(-1.4, 0.0)),
                             min_size=1, max_size=3).map(np.array)
@@ -182,9 +182,7 @@ def test_trace_conditions_are_batch_rows(seed, n):
     signed = rig._traces(je, be, rig._b_of_bdot(je, be, bde), bde)
     signed["cayley_hamilton"] = rig._cayley_hamilton(je, be)
     for i in range(n):
-        data = emb.EmbeddingData(u=np.zeros(2), point=np.zeros(4), I=I[i], B=B[i],
-                                 J=J[i], n=np.zeros(4))
-        tc = rig.trace_conditions(data, bdot=bdot[i])
+        tc = rig.trace_conditions(I[i], B[i], bdot[i])
         assert_rows_equal([tc[k] for k in signed], [v[i] for v in signed.values()])
     worst = {k: float(np.abs(v).max()) for k, v in signed.items()}
     assert rig.linearized_chain_batch(n, seed) == worst

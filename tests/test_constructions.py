@@ -225,23 +225,23 @@ def test_family_equivariance_under_holonomy():
 
 
 def test_phi_k_values(rng):
-    res4 = con.phi_k_fuchsian(-4.0)
-    assert res4.s == pytest.approx(-np.pi / 3, abs=1e-12)
+    s4, _, _ = con.phi_k_fuchsian(-4.0, np.zeros(2))
+    assert s4 == pytest.approx(-np.pi / 3, abs=1e-12)
     for K in (-2.0, -4.0):
-        res = con.phi_k_fuchsian(K)
-        assert -1.0 / np.cos(res.s) ** 2 == pytest.approx(K, abs=1e-12)
         for _ in range(3):
             u = rng.uniform(-0.8, 0.8, 2)
+            s, left, surface = con.phi_k_fuchsian(K, u)
+            assert -1.0 / np.cos(s) ** 2 == pytest.approx(K, abs=1e-12)
             g = emb.hyperbolic_metric(u)
-            assert np.abs(res.left_metric(u) - g).max() < 1e-6
-            assert np.abs(res.surface_metric(u) - g).max() < 1e-6
+            assert np.abs(left - g).max() < 1e-6
+            assert np.abs(surface - g).max() < 1e-6
 
 
 def test_phi_k_limit_towards_totally_geodesic():
-    res = con.phi_k_fuchsian(-1.0 - 1e-8)
-    assert abs(res.s) < 2e-4
+    s, _, _ = con.phi_k_fuchsian(-1.0 - 1e-8, np.zeros(2))
+    assert abs(s) < 2e-4
 
 
 def test_phi_k_rejects_bad_curvature():
     with pytest.raises(DomainError):
-        con.phi_k_fuchsian(-0.5)
+        con.phi_k_fuchsian(-0.5, np.zeros(2))

@@ -15,7 +15,7 @@ from adsgeo import constructions as con
 from adsgeo import embedding as emb
 from adsgeo import mess_metrics as mes
 from adsgeo import rigidity as rig
-from adsgeo.fd import (DEFAULT_DIFF, FDScheme, evaluate, jet_partials, jet_shifts,
+from adsgeo.fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, jet_partials, jet_shifts,
                        jet_stencil, stencil, stencil_partials)
 
 
@@ -190,6 +190,13 @@ def test_stencil_is_a_new_array(build):
     first[0] = 7.0
     assert u.tobytes() == before
     assert build(u, scheme).tobytes() == again.tobytes()
+
+
+def test_second_order_step_is_four_first_order_steps():
+    # the step of second differences follows immersion_step; the default
+    # keeps the bits of 2e-3
+    assert DiffConfig(immersion_step=1e-4).inner2.step == 4e-4
+    assert DiffConfig().inner2.step == 2e-3
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ UNREFERENCED_ALLOWED = {
     # for their report rows
     "rigidity.variation_formula_residual": "first variation of I#, a future row",
     "mess_metrics.sharp_metric_derivative_residual": "D# compatibility, a future row",
-    "rigidity.trace_conditions": "pointwise trace conditions, a future row",
     # reference implementations that tests compare the batched paths against
     "embedding.christoffels": "Christoffel symbols of any metric field",
     "constructions.riemann_constant_curvature_residual":

@@ -79,8 +79,8 @@ def test_trace_conditions_stack_matches_points(request, surface):
     bdot = np.array([[0.3, 0.1], [0.1, -0.2]])
     data = emb.embedding_data_at(F, points)
     singles = [emb.embedding_data_at(F, u) for u in points]
-    stacked = rig.trace_conditions(data, bdot)
-    each = [rig.trace_conditions(d, bdot) for d in singles]
+    stacked = rig.trace_conditions(data.I, data.B, bdot)
+    each = [rig.trace_conditions(d.I, d.B, bdot) for d in singles]
     for key, values in stacked.items():
         assert values.tobytes() == np.array([t[key] for t in each]).tobytes()
     assert rig.cayley_hamilton_residual(data).tobytes() == np.array(
@@ -92,16 +92,14 @@ def test_umbilic_fixture_trace_example():
     # the linearized Gauss equation, so all four traces vanish
     F = emb.family_immersion(-np.pi / 4)
     d = emb.embedding_data_at(F, [0.0, 0.0])
-    tc = rig.trace_conditions(d, bdot=np.diag([1e-3, -1e-3]))
+    tc = rig.trace_conditions(d.I, d.B, np.diag([1e-3, -1e-3]))
     assert abs(tc["tr_b"]) < 1e-10
     assert abs(tc["tr_jbb"]) < 1e-10
     assert abs(tc["tr_first"]) < 1e-10
     assert abs(tc["tr_second"]) < 1e-10
     assert abs(tc["tr_binv_bdot"]) < 1e-12
     # synthetic umbilic data with B = +E behaves identically
-    d_plus = emb.EmbeddingData(u=d.u, point=d.point, I=d.I, B=np.eye(2),
-                               J=d.J, n=d.n)
-    tc2 = rig.trace_conditions(d_plus, bdot=np.diag([1e-3, -1e-3]))
+    tc2 = rig.trace_conditions(d.I, np.eye(2), np.diag([1e-3, -1e-3]))
     assert max(abs(tc2[k]) for k in ("tr_b", "tr_jbb", "tr_first", "tr_second")) < 1e-10
 
 
@@ -110,7 +108,7 @@ def test_linearized_gauss_detector():
     F = emb.family_immersion(-np.pi / 4)
     d = emb.embedding_data_at(F, [0.0, 0.0])
     eps = 1e-3
-    tc = rig.trace_conditions(d, bdot=eps * np.eye(2))
+    tc = rig.trace_conditions(d.I, d.B, eps * np.eye(2))
     k = np.tan(-np.pi / 4)
     expected = -2.0 * k * eps / (1.0 + k * k)
     assert tc["tr_jbb"] == pytest.approx(expected, rel=1e-6)
@@ -153,9 +151,7 @@ def test_first_trace_vanishes_for_any_self_adjoint_variation(rng):
         I, B, _ = convex_pair(rng)
         s = rng.standard_normal((2, 2))
         bdot = np.linalg.solve(I, s + s.T)        # unprojected
-        d = emb.EmbeddingData(u=np.zeros(2), point=np.zeros(4), I=I, B=B,
-                              J=emb.complex_structure(I), n=np.zeros(4))
-        tc = rig.trace_conditions(d, bdot=bdot)
+        tc = rig.trace_conditions(I, B, bdot)
         assert abs(tc["tr_first"]) < 1e-12
         assert tc["cayley_hamilton"] < 1e-10
         # the unprojected pair still satisfies the equivalence identity
@@ -181,7 +177,7 @@ def test_trace_conditions_require_convexity():
     F = emb.make_immersion("totally_geodesic")
     d = emb.embedding_data_at(F, [0.0, 0.0])
     with pytest.raises(ConvexityError):
-        rig.trace_conditions(d, bdot=np.eye(2))
+        rig.trace_conditions(d.I, d.B, np.eye(2))
 
 
 # ---------------------------------------------------------------------------
