@@ -213,14 +213,13 @@ def _curvature_residual(h, d, dd):
     h_inv = np.linalg.inv(h)
     batch = h.ndim - 2
     dh = np.stack(list(d), axis=batch)             # dh[..., a, :, :] = d_a h
-    ddh = np.ascontiguousarray(np.moveaxis(dd, (0, 1), (batch, batch + 1)))
 
-    gamma = christoffel_symbols(h_inv, dh)         # gamma[..., c, a, b]
+    gamma = christoffel_symbols(h_inv, d)          # gamma[..., c, a, b]
     # dgamma[..., e, c, a, b] = d_e Gamma^c_ab, the product rule applied to
     # Gamma = 1/2 h^-1 (dh + dh - dh): d_e h^-1 = -h^-1 (d_e h) h^-1
     dh_inv = -h_inv[..., None, :, :] @ dh @ h_inv[..., None, :, :]
-    dgamma = (christoffel_symbols(dh_inv, dh[..., None, :, :, :])
-              + christoffel_symbols(h_inv[..., None, :, :], ddh))
+    dgamma = (christoffel_symbols(dh_inv, np.expand_dims(d, -3))
+              + christoffel_symbols(h_inv[..., None, :, :], np.moveaxis(dd, 0, -3)))
 
     # R^rho_{sig mu nu} = d_mu G^rho_{nu sig} - d_nu G^rho_{mu sig}
     #                     + G^rho_{mu lam} G^lam_{nu sig} - G^rho_{nu lam} G^lam_{mu sig}

@@ -43,7 +43,7 @@ from .batch import (any_of, components, det, eigvalsh, entries, inv, matrix,
                     quadratic_form, vector)
 from .errors import ConfigError, ConvexityError, DegenerateDataError, DomainError
 from .fd import (DEFAULT_DIFF, DiffConfig, evaluate, jet_partials, jet_stencil,
-                 shift_partials, stencil, stencil_gradient)
+                 shift_partials, stencil, stencil_partials)
 
 MAX_METRIC_CONDITION = 1e6
 STRONG_CONVEXITY_TOL = 1e-8
@@ -353,10 +353,10 @@ def _curvature_from_known(immersion: Immersion, u, known, cfg: DiffConfig):
 
 def christoffel_symbols(g_inv, dg):
     """Gamma[..., k, i, j] = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij) in any
-    dimension, from the inverse metric and the stack dg[..., i, :, :] = d_i g
-    (the layout of ``fd.stencil_gradient``).  The sum over l runs in index
+    dimension, from the inverse metric and the partials dg[i] = d_i g on the
+    leading axis of ``fd.stencil_partials``.  The sum over l runs in index
     order."""
-    dg = np.asarray(dg, dtype=float)
+    dg = np.moveaxis(np.asarray(dg, dtype=float), 0, -3)
     # t[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     t = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
     g_inv = np.asarray(g_inv, dtype=float)
@@ -369,30 +369,21 @@ def christoffel_symbols(g_inv, dg):
 def christoffels(g_field, u, scheme):
     """Christoffel symbols Gamma[..., k, i, j] of a chart metric field, from
     its values on ``fd.stencil(u, scheme)`` (``fd.evaluate``)."""
-    values = evaluate(g_field, stencil(u, scheme))
-    g, dg = stencil_gradient(values, u, scheme)
+    g, dg = stencil_partials(evaluate(g_field, stencil(u, scheme)), scheme)
     return christoffel_symbols(inv(g), dg)
 
 
-def exterior_covariant_derivative(gamma, x, dx1, dx2):
+def exterior_covariant_derivative(gamma, x, dx):
     """d^D X (d1, d2) = D_1(X d2) - D_2(X d1) of an operator field X.
 
     ``gamma`` are the Christoffel symbols of D, ``x`` is X at the point and
-    ``dx1``, ``dx2`` its chart partials.
+    ``dx[i]`` its chart partials, on the leading axis.
     """
-    vec = dx1[..., :, 1] - dx2[..., :, 0]
+    vec = dx[0][..., :, 1] - dx[1][..., :, 0]
     for k in range(2):
         vec = vec + (gamma[..., :, 0, k] * x[..., k, 1, None]
                      - gamma[..., :, 1, k] * x[..., k, 0, None])
     return vec
-
-
-def codazzi_norm(gamma, x, dx, I):
-    """|d^D X (d1, d2)|_I of an operator field X, from the Christoffel symbols
-    of D, X at the point, its partials dx[..., i, :, :] = d_i X (the layout
-    of ``fd.stencil_gradient``) and the metric I at the point."""
-    vec = exterior_covariant_derivative(gamma, x, dx[..., 0, :, :], dx[..., 1, :, :])
-    return np.sqrt(np.maximum(quadratic_form(vec, I), 0.0))
 
 
 def structure_residuals(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
@@ -409,10 +400,11 @@ def structure_residuals(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF)
     K = _curvature_from_known(immersion, u, data.I, cfg)
 
     centre = data[0]
-    _, dfields = stencil_gradient(np.stack([data.I, data.B], axis=-3), u, cfg.field)
-    gamma = christoffel_symbols(inv(centre.I), dfields[..., 0, :, :])
+    d = shift_partials(np.stack([data.I, data.B], axis=-3)[1:], cfg.field)
+    gamma = christoffel_symbols(inv(centre.I), d[..., 0, :, :])
+    vec = exterior_covariant_derivative(gamma, centre.B, d[..., 1, :, :])
     return (K + 1.0 + det(centre.B),
-            codazzi_norm(gamma, centre.B, dfields[..., 1, :, :], centre.I))
+            np.sqrt(np.maximum(quadratic_form(vec, centre.I), 0.0)))
 
 
 def third_fundamental_form(data: EmbeddingData):

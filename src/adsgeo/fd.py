@@ -16,11 +16,11 @@ bits of the same call on that point alone.
 
 First partials: ``stencil(u, scheme)`` holds the centre ``u`` and the
 shifted points of the first differences, and ``stencil_partials`` turns the
-values there into ``f(u)`` and the first partials ``d[i]``;
-``shift_partials`` does the same from the shifted points alone, for a
-caller that has no use for ``f(u)``, and ``stencil_gradient`` stacks the
-partials batch-first.  Stencils nest: ``stencil(stencil(u, s), s)`` holds
-every point of a difference of a difference.
+values there into ``f(u)`` and the first partials ``d[i]``, on a leading
+axis that every caller keeps; ``shift_partials`` does the same from the
+shifted points alone, for a caller that has no use for ``f(u)``.  Stencils
+nest: ``stencil(stencil(u, s), s)`` holds every point of a difference of a
+difference.
 
 Second partials come from one fused stencil: ``jet_stencil(u, scheme)``
 holds every distinct point (17 in 2-D, 37 in 3-D with Richardson), where
@@ -211,14 +211,6 @@ def stencil_partials(values, scheme: FDScheme):
     partials ``d[i]`` on a leading axis."""
     values = np.asarray(values)
     return values[0], shift_partials(values[1:], scheme)
-
-
-def stencil_gradient(values, u, scheme: FDScheme):
-    """``(f(u), df)`` from ``values = f(stencil(u, scheme))``, with the
-    partials stacked batch-first: ``df[..., i, ...]`` is ``d[i]`` of
-    ``stencil_partials``, shape batch + (dim,) + value-shape."""
-    f0, d = stencil_partials(values, scheme)
-    return f0, np.stack(list(d), axis=np.ndim(u) - 1)
 
 
 def jet_shifts(dim: int, scheme: FDScheme):

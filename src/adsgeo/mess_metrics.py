@@ -24,7 +24,7 @@ from .batch import any_of, det, entries, inv, singular_values
 from .embedding import (EmbeddingData, Immersion, _curvature_from_known,
                         christoffel_symbols, embedding_data_at)
 from .errors import DegenerateDataError
-from .fd import DEFAULT_DIFF, DiffConfig, stencil, stencil_gradient
+from .fd import DEFAULT_DIFF, DiffConfig, shift_partials, stencil
 
 MAX_SHARP_CONDITION = 1e8
 
@@ -81,13 +81,13 @@ def _sharp_frame(data: EmbeddingData, a_stencil, u, scheme) -> SharpData:
     and the factor E + JB formed from it (``_sharp_factor(data, +1)``)."""
     centre = data[0]
     a = a_stencil[0]
-    _, partials = stencil_gradient(np.stack([data.I, a_stencil], axis=-3), u, scheme)
+    partials = shift_partials(np.stack([data.I, a_stencil], axis=-3)[1:], scheme)
     da = partials[..., 1, :, :]
     gamma = christoffel_symbols(inv(centre.I), partials[..., 0, :, :])
 
     a_inv = inv(a)
     # D#_i (d_j) = A^{-1} [ dA_i . e_j + Gamma_i^k(e_j) A e_k ], as vec[k, i, j]
-    vec = np.swapaxes(da, -3, -2) + gamma @ a[..., None, :, :]
+    vec = np.moveaxis(da, 0, -2) + gamma @ a[..., None, :, :]
     gamma_sharp = (a_inv @ vec.reshape(vec.shape[:-2] + (4,))).reshape(vec.shape)
 
     i_sharp = _pull_back(a, centre.I)
@@ -116,7 +116,7 @@ def sharp_metric_derivative_residual(immersion: Immersion, u,
     frame = _sharp_frame(data, a_stencil, u, cfg.field)
     gamma, i_sharp = frame.christoffels, frame.I_sharp
     # resid[..., k, i, j] = d_k I#_ij, with I# = A^T I A on the stencil
-    _, resid = stencil_gradient(_pull_back(a_stencil, data.I), u, cfg.field)
+    resid = np.moveaxis(shift_partials(_pull_back(a_stencil, data.I)[1:], cfg.field), 0, -3)
     for m in range(2):
         resid = resid - gamma[..., m, :, :, None] * i_sharp[..., None, None, m, :]
         resid = resid - gamma[..., m, :, None, :] * i_sharp[..., None, :, m, None]

@@ -223,7 +223,7 @@ def sharp_codazzi_residual(immersion: Immersion, b_field, u,
     ``frame.I_sharp[0]`` hold the bits of a frame at u alone."""
     frame = sharp_frame(immersion, stencil(u, cfg.field), cfg=cfg)
     b, d = stencil_partials(b_field(frame), cfg.field)
-    vec = exterior_covariant_derivative(frame.christoffels[0], b, *d)
+    vec = exterior_covariant_derivative(frame.christoffels[0], b, d)
     return float(np.sqrt(max(vec @ frame.I_sharp[0] @ vec, 0.0)))
 
 
@@ -260,12 +260,11 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
     mu_jsharp0, d_mu_jsharp = stencil_partials(mu_jsharp, cfg.field)
 
     v0, j_sharp, da_sharp = v_out[0], fr.J_sharp[0, 0], fr.da_sharp[0, 0]
-    lhs_a = exterior_covariant_derivative(gamma[0], dv_op0, d_dv_op[0], d_dv_op[1])
+    lhs_a = exterior_covariant_derivative(gamma[0], dv_op0, d_dv_op)
     rhs_a = -sharp_curvature(immersion, u, cfg=cfg) * (j_sharp @ v0) * da_sharp
     resid_a = float(np.abs(lhs_a - rhs_a).max())
 
-    lhs_b = exterior_covariant_derivative(gamma[0], mu_jsharp0,
-                                          d_mu_jsharp[0], d_mu_jsharp[1])
+    lhs_b = exterior_covariant_derivative(gamma[0], mu_jsharp0, d_mu_jsharp)
     rhs_b = -np.linalg.solve(fr.I_sharp[0, 0], dmu[0, 0]) * da_sharp
     resid_b = float(np.abs(lhs_b - rhs_b).max())
     return resid_a, resid_b

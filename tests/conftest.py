@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from adsgeo import embedding
-from adsgeo.batch import inv
-from adsgeo.fd import stencil_gradient
+from adsgeo.batch import inv, quadratic_form
+from adsgeo.fd import stencil_partials
 
 # hypothesis imports its patch writer only once a property test fails; with
 # libcst installed that import warns (mypy_extensions.TypedDict is
@@ -34,12 +34,13 @@ def family_07():
     return embedding.family_immersion(-0.7)
 
 
-def codazzi_on_stencil(I_values, x_values, u, scheme):
+def codazzi_on_stencil(I_values, x_values, scheme):
     """|d^D X (d1, d2)|_I at u from the values of a metric field I and an
     operator field X on ``fd.stencil(u, scheme)``: the arithmetic of the
     Codazzi row of ``embedding.structure_residuals``."""
-    I, dI = stencil_gradient(I_values, u, scheme)
-    x, dx = stencil_gradient(x_values, u, scheme)
-    gamma = embedding.christoffel_symbols(inv(I), dI)
-    return embedding.codazzi_norm(gamma, x, dx, I)
+    I, dI = stencil_partials(I_values, scheme)
+    x, dx = stencil_partials(x_values, scheme)
+    vec = embedding.exterior_covariant_derivative(
+        embedding.christoffel_symbols(inv(I), dI), x, dx)
+    return np.sqrt(np.maximum(quadratic_form(vec, I), 0.0))
 

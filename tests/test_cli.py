@@ -13,6 +13,7 @@ from adsgeo import cli
 from adsgeo import embedding as emb
 from adsgeo import rigidity as rig
 from adsgeo.errors import ConfigError
+from adsgeo.fd import DiffConfig
 from adsgeo.report import CheckReport, emit_report
 from test_golden import CASES as GOLDEN_CASES
 
@@ -70,8 +71,9 @@ def test_config_file_unknown_key(tmp_path):
 
 def test_config_file_bad_value(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("samples = not_a_number\n")
-    assert cli.main(["--config", str(cfgfile), "check"]) == 2
+    for text in ("samples = not_a_number\n", "output = xml\n", "samples 3\n"):
+        cfgfile.write_text(text)
+        assert cli.main(["--config", str(cfgfile), "check"]) == 2
 
 
 def test_cli_flag_overrides_config(tmp_path, capsys):
@@ -92,6 +94,24 @@ def test_out_of_range_values_exit_2():
     assert cli.main(["check", "--seed", "-1"]) == 2
     assert cli.main(["check", "--fixture", "graph_bump", "--width", "nan"]) == 2
     assert cli.main(["check", "--tolerance", "inf"]) == 2
+    assert cli.main(["extend", "--points", "0"]) == 2
+    assert cli.main(["check", "--fd-step", "1"]) == 2
+    assert cli.main(["check", "--fixture", "graph_bump", "--amplitude", "0.5"]) == 2
+    assert cli.main(["check", "--fixture", "graph_bump", "--base", "-1.6"]) == 2
+    assert cli.main([]) == 2        # no command: the usage line
+
+
+def test_fd_step_sets_the_immersion_step(capsys):
+    argv = ["check", "--fixture", "graph_bump", "--samples", "3", "--seed", "3",
+            "--output", "csv"]
+    code, out, _ = run_cli(capsys, *argv, "--fd-step", "1e-3")
+    assert code == 0
+    pts = cli._sample_points(np.random.default_rng(3), 3)
+    gauss, codazzi = emb.structure_residuals(emb.bump_immersion(), pts,
+                                             cfg=DiffConfig(immersion_step=1e-3))
+    values = [line.split(",")[2] for line in out.splitlines()[1:-1]]
+    assert values == [f"{v:.9e}" for v in np.stack([gauss, codazzi], axis=-1).ravel()]
+    assert run_cli(capsys, *argv)[1] != out
 
 
 @pytest.mark.parametrize("argv", [

@@ -125,8 +125,8 @@ def test_codazzi_detector_fires_on_perturbed_field(bump):
                              0.1 * w[:, 0] * w[:, 1], np.cos(2.0 * w[:, 1])],
                             axis=-1).reshape(-1, 2, 2)
 
-    clean = codazzi_on_stencil(data.I, data.B, u, scheme)
-    broken = codazzi_on_stencil(data.I, data.B + noise, u, scheme)
+    clean = codazzi_on_stencil(data.I, data.B, scheme)
+    broken = codazzi_on_stencil(data.I, data.B + noise, scheme)
     assert clean < 1e-6
     assert broken > 1e-4    # orders above tolerance: the detector fires
 
@@ -188,12 +188,20 @@ def test_convexity_invariant_under_chart_change(bump):
 
 
 def test_degenerate_metric_fails_loudly():
-    def bad(u):
-        # lightlike direction: rank-deficient tangent map
-        return np.array([0.0, 0.0, np.cosh(u[0]), np.sinh(u[0])])
+    # both evaluators lie on the quadric, so the raise is the metric check's
+    def flat(u):
+        # rank-deficient tangent map: d/du2 vanishes, I = diag(1, 0)
+        return np.array([np.sinh(u[0]), 0.0, np.cosh(u[0]), 0.0])
 
-    with pytest.raises((DegenerateDataError, DomainError)):
-        emb.embedding_data_at(bad, [0.1, 0.0])
+    def squeezed(u):
+        # the hyperboloid chart with u2 scaled by 1e-4: I ~ diag(0.99, 1e-8)
+        return np.append(emb.hyperboloid_point(np.array([u[0], 1e-4 * u[1]])), 0.0)
+
+    with pytest.raises(DegenerateDataError, match="induced metric not spacelike"):
+        emb.embedding_data_at(flat, [0.1, 0.0])
+    with pytest.raises(DegenerateDataError,
+                       match=r"too ill-conditioned: cond = 9\.901e\+07"):
+        emb.embedding_data_at(squeezed, [0.1, 0.0])
 
 
 def test_off_quadric_immersion_rejected():

@@ -171,6 +171,17 @@ def test_mesh_level_must_be_an_integer(level):
         fu.genus2_mesh(level)
 
 
+def test_mesh_rejects_a_side_pairing_off_its_sides(monkeypatch):
+    # g2 turned by 1e-6 about the centre maps side 6 off side 2
+    generators = fu.octagon_generators()
+    pairings = list(generators.side_pairings)
+    pairings[2] = fu.sl2_rotation(1e-6) @ pairings[2]
+    turned = dataclasses.replace(generators, side_pairings=tuple(pairings))
+    monkeypatch.setattr(fu, "octagon_generators", lambda: turned)
+    with pytest.raises(DomainError, match="side pairing mismatch on side 2: distance 5.742e-06"):
+        fu.genus2_mesh(1)
+
+
 def test_mesh_gluing_involutive():
     mesh = fu.genus2_mesh(2)
     pair_of = dict(mesh.boundary_pairs)
@@ -477,6 +488,14 @@ def test_band_and_permuted_mass_match_coo_route(level):
 
 # ---------------------------------------------------------------------------
 # discrete operators
+
+def test_operators_reject_a_degenerate_triangle():
+    mesh = fu.genus2_mesh(1)
+    triangles = mesh.triangles.copy()
+    triangles[0, 1] = triangles[0, 0]       # one corner moved onto another
+    with pytest.raises(DomainError, match="degenerate triangle in mesh"):
+        fu.discrete_operators(dataclasses.replace(mesh, triangles=triangles))
+
 
 def test_operators_structure():
     mesh = fu.genus2_mesh(2)

@@ -1,4 +1,7 @@
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "adsgeo").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+MODULES = {path.stem for path in SOURCES} - {"__init__"}
 
 # public functions kept on purpose even when nothing in src/ or perfbench/ reads them
 UNREFERENCED_ALLOWED = {
@@ -124,3 +128,31 @@ def test_unread_function_detected():
     others = ["from adsgeo import geo as g\ng.by_alias()\n"]
     assert unreferenced(modules, others) == ["geo.only_itself", "io.Thing.read"]
     assert unreferenced(modules) == ["geo.only_itself", "geo.by_alias", "io.Thing.read"]
+
+
+def unresolved_names(text: str) -> list:
+    """Each ``module.attr`` in ``text`` that does not resolve: a backticked
+    name, or the head of a backticked call ``module.attr(...)``, whose module
+    is an adsgeo module.  The others are left alone."""
+    missing = []
+    for module, attr in re.findall(r"`(\w+)\.([\w.]+)[`(]", text):
+        if module not in MODULES:
+            continue
+        try:
+            functools.reduce(getattr, attr.split("."),
+                             importlib.import_module(f"adsgeo.{module}"))
+        except AttributeError:
+            missing.append(f"{module}.{attr}")
+    return missing
+
+
+def test_readme_names_resolve():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.search(r"`fd\.\w+`", text)       # the README does name package code
+    assert unresolved_names(text) == []
+
+
+def test_unresolved_name_detected():
+    text = ("`fd.stencil` and `fd.gone(u)`, `cli.RunConfig.diff`, "
+            "`cli.RunConfig.nothing`, `np.gone` and fd.also_gone unquoted")
+    assert unresolved_names(text) == ["fd.gone", "cli.RunConfig.nothing"]

@@ -6,7 +6,8 @@ import pytest
 from adsgeo import embedding as emb
 from adsgeo import mess_metrics as mm
 from adsgeo.batch import inv
-from adsgeo.fd import DEFAULT_DIFF, DiffConfig, stencil, stencil_gradient
+from adsgeo.errors import DegenerateDataError
+from adsgeo.fd import DEFAULT_DIFF, DiffConfig, shift_partials, stencil
 from adsgeo.rigidity import exterior_derivative_identities
 
 
@@ -15,6 +16,19 @@ def test_zero_shape_operator_gives_base_metric():
     d = emb.embedding_data_at(F, [0.2, -0.4])
     for sign in (+1, -1):
         assert np.allclose(mm.mess_metric(d, sign), d.I, atol=1e-12)
+
+
+def test_mess_metric_rejects_degenerate_data():
+    # hand-made data at one point: J is the rotation of the metric E
+    d = emb.embedding_data_at(emb.make_immersion("totally_geodesic"), [0.2, -0.4])
+    flip, J = np.diag([1.0, -1.0]), emb.complex_structure(np.eye(2))
+    lightlike = emb.EmbeddingData(u=d.u, point=d.point, I=np.eye(2), B=flip, J=J, n=d.n)
+    with pytest.raises(DegenerateDataError, match=r"E \+ JB too close to singular"):
+        mm.mess_metric(lightlike)       # E + JB = [[1, 1], [1, 1]]
+    indefinite = emb.EmbeddingData(u=d.u, point=d.point, I=flip, B=np.zeros((2, 2)),
+                                   J=J, n=d.n)
+    with pytest.raises(DegenerateDataError, match="sharp metric lost positive definiteness"):
+        mm.mess_metric(indefinite)      # A = E, so I# = I
 
 
 def test_family_left_metric_is_base_hyperbolic(rng):
@@ -153,11 +167,10 @@ def test_sharp_torsion_is_codazzi_of_a(bump):
         u = np.array(u)
         data = emb.embedding_data_at(bump, stencil(u, scheme))
         a_stencil = np.eye(2) + data.J @ data.B
-        _, partials = stencil_gradient(np.stack([data.I, a_stencil], axis=-3), u, scheme)
+        partials = shift_partials(np.stack([data.I, a_stencil], axis=-3)[1:], scheme)
         gamma = emb.christoffel_symbols(inv(data.I[0]), partials[:, 0])
-        da = partials[:, 1]
         codazzi = inv(a_stencil[0]) @ emb.exterior_covariant_derivative(
-            gamma, a_stencil[0], da[0], da[1])
+            gamma, a_stencil[0], partials[:, 1])
         assert np.abs(_torsion(mm.sharp_frame(bump, u)) - codazzi).max() < 1e-15
 
 

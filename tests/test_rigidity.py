@@ -8,7 +8,7 @@ import scipy.sparse.linalg
 from adsgeo import embedding as emb
 from adsgeo import fuchsian as fu
 from adsgeo import rigidity as rig
-from adsgeo.errors import ConvexityError, DomainError
+from adsgeo.errors import ConvexityError, DegenerateDataError, DomainError
 from adsgeo.fd import DiffConfig, FDScheme
 from adsgeo.mess_metrics import sharp_frame
 
@@ -178,6 +178,9 @@ def test_trace_conditions_require_convexity():
     d = emb.embedding_data_at(F, [0.0, 0.0])
     with pytest.raises(ConvexityError):
         rig.trace_conditions(d.I, d.B, np.eye(2))
+    # a convex B on an indefinite I: J of the metric does not exist
+    with pytest.raises(DegenerateDataError, match="metric not positive definite"):
+        rig.trace_conditions(np.diag([1.0, -1.0]), np.eye(2), np.eye(2))
 
 
 # ---------------------------------------------------------------------------
