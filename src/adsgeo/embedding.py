@@ -42,8 +42,8 @@ from . import ads_core
 from .batch import (any_of, components, det, eigvalsh, entries, inv, matrix,
                     quadratic_form, vector)
 from .errors import ConfigError, ConvexityError, DegenerateDataError, DomainError
-from .fd import (DEFAULT_DIFF, DiffConfig, evaluate, jet_partials, jet_stencil,
-                 shift_partials, stencil, stencil_partials)
+from .fd import (DEFAULT_DIFF, DiffConfig, evaluate, fused_partials, fused_stencil,
+                 jet_partials, jet_stencil, shift_partials, stencil, stencil_partials)
 
 MAX_METRIC_CONDITION = 1e6
 STRONG_CONVEXITY_TOL = 1e-8
@@ -225,13 +225,10 @@ def _unit_future_normal(point, f1, f2):
     return n / np.asarray(scale)[..., None]
 
 
-def _induced_metric(values, scheme):
-    """I = <dF, dF> with the tangents dF/du1, dF/du2, from the values of the
-    evaluator at the shifted points ``stencil(u, scheme)[1:]``."""
-    f1, f2 = shift_partials(values, scheme)
+def _induced_metric(f1, f2):
+    """I = <dF, dF> from the tangents f1 = dF/du1 and f2 = dF/du2."""
     g12 = ads_core.bilinear22(f1, f2)
-    return (matrix(ads_core.bilinear22(f1, f1), g12, g12, ads_core.bilinear22(f2, f2)),
-            f1, f2)
+    return matrix(ads_core.bilinear22(f1, f1), g12, g12, ads_core.bilinear22(f2, f2))
 
 
 def _require_spacelike(I):
@@ -256,19 +253,19 @@ def embedding_data_at(immersion: Immersion, u,
     II is assembled from symmetric stencils, so B = I^{-1} II is
     I-self-adjoint to rounding; raises when any point leaves the quadric
     (|<F, F> + 1| > 1e-8) or has a non-spacelike or ill-conditioned induced
-    metric.  One immersion call evaluates the 17 points of the second-order
-    stencil (``fd.jet_stencil``, step ``cfg.inner2``), whose centre gives the
-    point, together with the 8 shifted points of the first-order one
-    (``fd.stencil``, step ``cfg.inner``).
+    metric.  One request (``fd.fused_stencil``) asks for the second partials
+    at step ``cfg.inner2`` and the tangents at step ``cfg.inner``: one
+    immersion call evaluates its 25 points, the 17 of the second-order
+    stencil, whose centre gives the point, then the 8 shifted points of the
+    first-order one.
     """
     u = np.asarray(u, dtype=float)
-    second = jet_stencil(u, cfg.inner2)
-    values = evaluate(immersion, np.concatenate([second, stencil(u, cfg.inner)[1:]]))
-    point, _, dd = jet_partials(values[:len(second)], cfg.inner2)
+    values = evaluate(immersion, fused_stencil(u, cfg.inner, cfg.inner2))
+    point, (f1, f2), dd = fused_partials(values, cfg.inner, cfg.inner2)
     if any_of(np.abs(ads_core.bilinear22(point, point) + 1.0) > 1e-8):
         raise DomainError("immersion leaves the quadric at this chart point")
 
-    I, f1, f2 = _induced_metric(values[len(second):], cfg.inner)
+    I = _induced_metric(f1, f2)
     _require_spacelike(I)
     n = _unit_future_normal(point, f1, f2)
 
@@ -282,8 +279,8 @@ def metric_and_normal(immersion: Immersion, u, point, scheme):
     """(I, n) of the immersion at chart points u, from one call on the shifted
     points of a first-difference stencil: the induced metric and the future
     unit normal at ``point``, which is the immersion at u."""
-    I, f1, f2 = _induced_metric(evaluate(immersion, stencil(u, scheme)[1:]), scheme)
-    return I, _unit_future_normal(point, f1, f2)
+    f1, f2 = shift_partials(evaluate(immersion, stencil(u, scheme)[1:]), scheme)
+    return _induced_metric(f1, f2), _unit_future_normal(point, f1, f2)
 
 
 def metric_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
@@ -294,7 +291,7 @@ def metric_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
     sch = cfg.inner
 
     def g(u):
-        return _induced_metric(evaluate(immersion, stencil(u, sch)[1:]), sch)[0]
+        return _induced_metric(*shift_partials(evaluate(immersion, stencil(u, sch)[1:]), sch))
 
     g.batched = True
     return g

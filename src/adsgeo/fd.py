@@ -14,29 +14,38 @@ one call per ``(dim,)`` point, in stack order.  No other code reads the
 mark.  The difference formulas are elementwise, so every point gets the
 bits of the same call on that point alone.
 
-First partials: ``stencil(u, scheme)`` holds the centre ``u`` and the
-shifted points of the first differences, and ``stencil_partials`` turns the
-values there into ``f(u)`` and the first partials ``d[i]``, on a leading
-axis that every caller keeps; ``shift_partials`` does the same from the
-shifted points alone, for a caller that has no use for ``f(u)``.  Stencils
-nest: ``stencil(stencil(u, s), s)`` holds every point of a difference of a
+Each derivative is one request: the first partials at one scheme, the
+second partials at another, or both, with or without the centre ``u``.
+A request has one table of points and one difference pass.  The points
+are the centre, then the shifted points of the second partials (each
+coordinate shifted by each shift of ``_offsets``) and the corners of their
+mixed differences, then the shifted points of the first partials, unless
+they are those of the second.  ``stencil``/``stencil_partials`` ask for
+``f(u)`` and the first partials ``d[i]``, on a leading axis that every
+caller keeps; ``shift_partials`` does the same from the shifted points
+alone, for a caller that has no use for ``f(u)``; ``jet_stencil``/
+``jet_partials`` ask for ``f(u)`` with all first and second partials at one
+scheme (17 points in 2-D, 37 in 3-D with Richardson), so ``jet_stencil``
+starts with the points of ``stencil`` and values on a stencil need only the
+corners to make a jet; ``fused_stencil``/``fused_partials`` ask for the
+first partials at one scheme and the second at another, as
+``embedding_data_at`` does on its 25 points.  Stencils nest:
+``stencil(stencil(u, s), s)`` holds every point of a difference of a
 difference.
 
-Second partials come from one fused stencil: ``jet_stencil(u, scheme)``
-holds every distinct point (17 in 2-D, 37 in 3-D with Richardson), where
-the second differences share the centre and the axis points of the first,
-and ``jet_partials`` turns the values there into ``f(u)`` with all first
-and second partials; its first partials are those of ``stencil_partials``.
-``jet_stencil`` starts with the points of ``stencil``, so values on a
-stencil need only the corners to make a jet.  Each difference formula runs
-once, elementwise over all coordinates (or pairs of coordinates); one
-helper extrapolates each of them from the steps h and h/2 to (4 b - a) / 3.
+The points of a request are built the same way, whatever the batch shape:
+one copy of ``u`` per point, then one indexed add of every shift, read from
+a table of (point, coordinate, shift) entries that is built on first use
+for each (dim, request) and cached.  Each coordinate of a point gets at
+most one add, so it has the bits of a copy of ``u`` shifted in place.
 
-Both stencils are built the same way, whatever the batch shape: one copy
-of ``u`` per point, then one indexed add of every shift, read from a table
-of (point, coordinate, shift) entries that is built once per (dim, scheme,
-order) and cached.  Each coordinate of a point gets at most one add, so it
-has the bits of a copy of ``u`` shifted in place.
+The difference pass writes each numerator once, over both Richardson
+halves t = h and t = h/2 of every coordinate or pair of coordinates,
+reading views of the stacked values: f(+t) - f(-t) for a first difference,
+(f(+t) - 2 f(u)) + f(-t) for a second one and ((f++ - f+-) - f-+) + f-- for
+a mixed one.  One division by the table's divisors 2 t, t t and (4 t) t
+makes the quotients, and with Richardson one (4 b - a) / 3 combines the
+quotient a at h with b at h/2 for all of them.
 
 Two default step sizes are distinguished:
 
@@ -52,8 +61,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -94,85 +106,155 @@ class DiffConfig:
 DEFAULT_DIFF = DiffConfig()
 
 
+def _halves(scheme: FDScheme):
+    """The steps t of the difference quotients: h, and with Richardson h/2."""
+    h = scheme.step
+    return (h, h / 2.0) if scheme.richardson else (h,)
+
+
 def _offsets(scheme: FDScheme):
     """Shifts of one coordinate in a first difference: +h, -h, and with
     Richardson also +h/2, -h/2."""
-    h = scheme.step
-    if not scheme.richardson:
-        return (h, -h)
-    return (h, -h, h / 2.0, -h / 2.0)
+    return tuple(s for t in _halves(scheme) for s in (t, -t))
 
 
-def _richardson(quotient, values, scheme: FDScheme, *args):
-    """The difference quotient a at step h, ``quotient(values, 0, h, *args)``;
-    with Richardson, the values go on with the quotient's inputs at h/2, and
-    the result is (4 b - a) / 3 with b the quotient at h/2."""
-    h = scheme.step
-    a = quotient(values, 0, h, *args)
-    if not scheme.richardson:
-        return a
-    b = quotient(values, len(values) // 2, h / 2.0, *args)
-    return (4.0 * b - a) / 3.0
+class _Table(NamedTuple):
+    """The layout of one request in ``dim`` coordinates."""
+
+    # point r is shifts[r], a tuple of (coordinate, shift) pairs; as
+    # read-only entries, point rows[e] is shifted by steps[e] in cols[e]
+    shifts: tuple
+    rows: np.ndarray
+    cols: np.ndarray
+    steps: np.ndarray
+    # rows where the shifted points of the first and the second partials
+    # start; the corners of the mixed ones follow the latter
+    first: int | None
+    second: int | None
+    # divisors[half, q] of quotient q: the first partials, then the second
+    # ones along each coordinate, then the mixed ones by pair; dd[i, j] is
+    # quotient pick[i, j]
+    divisors: np.ndarray
+    pick: np.ndarray | None
 
 
-def _d1_combine(v, i, t):
-    """First difference (f(+t) - f(-t)) / 2t from v[i] = f(+t), v[i + 1] = f(-t)."""
-    return (v[i] - v[i + 1]) / (2.0 * t)
+@functools.lru_cache(maxsize=64)
+def _table(dim: int, request) -> _Table:
+    """The table of ``request = (centre, first, second)``, built once for
+    each (dim, request): ``centre`` says whether u is the first point, and
+    ``first`` and ``second`` are the schemes of the first and the second
+    partials, or None for partials not asked for.
 
-
-def _d2_combine(v, i, t, twice):
-    """Second difference (f(+t) - 2 f(u) + f(-t)) / t^2 along one coordinate,
-    from v[i] = f(+t), v[i + 1] = f(-t) and ``twice = 2 f(u)``."""
-    return (v[i] - twice + v[i + 1]) / (t * t)
-
-
-def _mixed_combine(v, i, t):
-    """Mixed second difference (f++ - f+- - f-+ + f--) / (4 t^2) from the values
-    v[i:i + 4] at the corners (+t, +t), (+t, -t), (-t, +t), (-t, -t)."""
-    return (v[i] - v[i + 1] - v[i + 2] + v[i + 3]) / (4.0 * t * t)
-
-
-@functools.lru_cache(maxsize=32)
-def _shift_table(dim: int, scheme: FDScheme, order: int):
-    """The layout of the stencil of ``order`` 1 or 2 in ``dim`` coordinates,
-    built once for each (dim, scheme, order): ``(shifts, rows, cols,
-    steps)``.  Point r is ``shifts[r]``, a tuple of (coordinate, shift)
-    pairs, and the read-only arrays hold the same pairs as entries: point
-    ``rows[e]`` is shifted by ``steps[e]`` in coordinate ``cols[e]``.
-
-    The points are the centre ``()``, then, for each coordinate, the centre
-    shifted in it by each shift s of ``_offsets``: these are the points of
-    ``stencil``.  The second-order stencil goes on with, for each corner
-    (+t, +t), (+t, -t), (-t, +t), (-t, -t) of the step t = h, and with
-    Richardson of t = h/2, that corner in each pair of coordinates i < j, in
-    row-major order: the point shifted in i, then in j.
+    The second partials take the centre, the shifted points and, for each
+    corner (+t, +t), (+t, -t), (-t, +t), (-t, -t) of each half t, that
+    corner in each pair of coordinates i < j, in row-major order: the point
+    shifted in i, then in j.  First partials at the scheme of the second
+    ones read the same shifted points.
     """
-    offsets = _offsets(scheme)
-    k = len(offsets)
-    shifts = ((),) + tuple(((i, s),) for i in range(dim) for s in offsets)
-    if order == 2:
-        corners = [(offsets[n], offsets[m]) for t in range(0, k, 2)
-                   for n, m in ((t, t), (t, t + 1), (t + 1, t), (t + 1, t + 1))]
-        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-        shifts += tuple(((i, a), (j, b)) for a, b in corners for i, j in pairs)
+    centre, first, second = request
+    if first is not None and second is not None and first.richardson != second.richardson:
+        # the quotients of a request share one Richardson step
+        raise DomainError("the first and second partials of one request "
+                          "need the same Richardson setting")
+    shifts = ((),) if centre else ()
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    rows = {}
+    for scheme in dict.fromkeys(s for s in (second, first) if s is not None):
+        rows[scheme] = len(shifts)
+        shifts += tuple(((i, s),) for i in range(dim) for s in _offsets(scheme))
+        if scheme == second:
+            corners = [(a, b) for t in _halves(scheme) for a in (t, -t) for b in (t, -t)]
+            shifts += tuple(((i, a), (j, b)) for a, b in corners for i, j in pairs)
+    divisors, pick = [], None
+    if first is not None:
+        divisors += [[2.0 * t for t in _halves(first)]] * dim
+    if second is not None:
+        ts = _halves(second)
+        pick = np.empty((dim, dim), dtype=int)
+        for i in range(dim):
+            pick[i, i] = len(divisors) + i
+        for q, (i, j) in enumerate(pairs, start=len(divisors) + dim):
+            pick[i, j] = pick[j, i] = q
+        divisors += [[t * t for t in ts]] * dim + [[4.0 * t * t for t in ts]] * len(pairs)
     entries = [(row, i, s) for row, shift in enumerate(shifts) for i, s in shift]
     columns = tuple(np.array(column) for column in zip(*entries))
-    for column in columns:
-        column.flags.writeable = False
-    return (shifts,) + columns
+    table = _Table(shifts, *columns, rows.get(first), rows.get(second),
+                   np.ascontiguousarray(np.transpose(divisors)), pick)
+    for array in (*columns, table.divisors, pick):
+        if array is not None:
+            array.flags.writeable = False
+    return table
 
 
-def _points(u, scheme: FDScheme, order: int):
-    """Every point of ``_shift_table(dim, scheme, order)`` at ``u``, on a new
-    leading axis: one copy of ``u`` per point, then one indexed add of all
-    the shifts."""
+def _points(u, request):
+    """Every point of ``request`` at ``u``, on a new leading axis: one copy of
+    ``u`` per point, then one indexed add of all the shifts."""
     u = np.asarray(u, dtype=float)
-    shifts, rows, cols, steps = _shift_table(u.shape[-1], scheme, order)
-    points = u[None].repeat(len(shifts), axis=0)
+    table = _table(u.shape[-1], request)
+    points = u[None].repeat(len(table.shifts), axis=0)
     # only the shifted coordinates get an add: adding a zero offset to the
     # others would turn -0.0 into +0.0
-    points[rows, ..., cols] += steps.reshape((-1,) + (1,) * (u.ndim - 1))
+    points[table.rows, ..., table.cols] += table.steps.reshape((-1,) + (1,) * (u.ndim - 1))
     return points
+
+
+@functools.lru_cache(maxsize=64)
+def _dimension(n: int, request, name: str) -> int:
+    """The number of coordinates whose table of ``request`` has ``n``
+    points; DomainError, naming the count it takes and ``n``, if none has."""
+    centre, first, second = request
+    k = len(_offsets(first or second))
+    separate = first is not None and first != second
+    dim = max(n - centre, 0) // k
+    if second is not None:
+        dim = math.isqrt(dim)
+    if dim < 1 or centre + k * dim * (separate + (second is not None) * dim) != n:
+        terms = ["1"] * centre + [f"{k} dim^2"] * (second is not None) + [f"{k} dim"] * separate
+        raise DomainError(f"{name} takes {' + '.join(terms)} values in dim coordinates, "
+                          f"got {n}")
+    return dim
+
+
+def _partials(values, request, name: str):
+    """``(f(u), d, dd)`` from the values of f at the points of ``request``,
+    None for what it does not ask for: one pass of each numerator over both
+    halves, one division and one Richardson step."""
+    values = np.asarray(values)
+    dim = _dimension(len(values), request, name)
+    table = _table(dim, request)
+    shape = values.shape[1:]
+    halves = len(table.divisors)
+    width = 2 * halves * dim
+    numerators = np.empty(table.divisors.shape + shape)
+    q = 0
+    if table.first is not None:
+        # axis[half, i, 0] = f(+t), axis[half, i, 1] = f(-t) in coordinate i
+        axis = values[table.first:table.first + width].reshape((dim, halves, 2) + shape)
+        axis = axis.swapaxes(0, 1)
+        np.subtract(axis[:, :, 0], axis[:, :, 1], out=numerators[:, :dim])
+        q = dim
+    if table.second is not None:
+        axis = values[table.second:table.second + width].reshape((dim, halves, 2) + shape)
+        axis = axis.swapaxes(0, 1)
+        diag = numerators[:, q:q + dim]
+        np.subtract(axis[:, :, 0], 2.0 * values[0], out=diag)
+        np.add(diag, axis[:, :, 1], out=diag)
+        # corner[half, c, p]: corner c (++, +-, -+, --) of pair p
+        mixed = numerators[:, q + dim:]
+        start = table.second + width
+        corner = values[start:start + 4 * halves * mixed.shape[1]]
+        corner = corner.reshape((halves, 4, mixed.shape[1]) + shape)
+        np.subtract(corner[:, 0], corner[:, 1], out=mixed)
+        np.subtract(mixed, corner[:, 2], out=mixed)
+        np.add(mixed, corner[:, 3], out=mixed)
+    numerators /= table.divisors.reshape(table.divisors.shape + (1,) * len(shape))
+    if halves == 2:
+        quotients = (4.0 * numerators[1] - numerators[0]) / 3.0
+    else:
+        quotients = numerators[0]
+    return (values[0] if request[0] else None,
+            None if table.first is None else quotients[:dim],
+            None if table.pick is None else quotients[table.pick])
 
 
 def evaluate(f, points):
@@ -194,23 +276,19 @@ def stencil(u, scheme: FDScheme):
     coordinate the shifts of ``_offsets`` (9 points in 2-D with Richardson).
     These are the first points of ``jet_stencil``.
     """
-    return _points(u, scheme, 1)
+    return _points(u, (True, scheme, None))
 
 
 def shift_partials(values, scheme: FDScheme):
     """First partials ``d[i]`` from the values of f at the shifted points
-    ``stencil(u, scheme)[1:]``."""
-    values = np.asarray(values)
-    k = len(_offsets(scheme))
-    # values[n::k] is shift n of every coordinate: one combine for all
-    return _richardson(_d1_combine, [values[n::k] for n in range(k)], scheme)
+    ``stencil(u, scheme)[1:]``: k dim values for k shifts per coordinate."""
+    return _partials(values, (False, scheme, None), "shift_partials")[1]
 
 
 def stencil_partials(values, scheme: FDScheme):
     """``(f(u), d)`` from ``values = f(stencil(u, scheme))``, with the first
     partials ``d[i]`` on a leading axis."""
-    values = np.asarray(values)
-    return values[0], shift_partials(values[1:], scheme)
+    return _partials(values, (True, scheme, None), "stencil_partials")[:2]
 
 
 def jet_shifts(dim: int, scheme: FDScheme):
@@ -218,12 +296,12 @@ def jet_shifts(dim: int, scheme: FDScheme):
     a tuple of (coordinate, shift) pairs, after the centre ``()``.  That is
     1 + k dim^2 points for k shifts per coordinate: 17 in 2-D and 37 in 3-D
     with Richardson, each distinct."""
-    return list(_shift_table(dim, scheme, 2)[0])
+    return list(_table(dim, (True, scheme, scheme)).shifts)
 
 
 def jet_stencil(u, scheme: FDScheme):
     """Every point of ``jet_shifts`` at ``u``, on a new leading axis."""
-    return _points(u, scheme, 2)
+    return _points(u, (True, scheme, scheme))
 
 
 def jet_partials(values, scheme: FDScheme):
@@ -231,21 +309,21 @@ def jet_partials(values, scheme: FDScheme):
 
     ``d[i]`` has the bits of ``stencil_partials`` on the first values, those
     at the points of ``stencil``, and ``dd[i, j] = dd[j, i]`` is the second
-    partial (``_d2_combine`` on the diagonal, ``_mixed_combine`` off it).
-    Each formula runs once, elementwise over all coordinates or all pairs.
+    partial.
     """
-    values = np.asarray(values)
-    k = len(_offsets(scheme))
-    dim = math.isqrt((len(values) - 1) // k)
-    f0 = values[0]
-    # shifted[n]: shift n of every coordinate; corners[m]: corner m of every pair
-    shifted = np.swapaxes(values[1:1 + k * dim].reshape((dim, k) + f0.shape), 0, 1)
-    corners = values[1 + k * dim:].reshape((2 * k, dim * (dim - 1) // 2) + f0.shape)
-    diag = _richardson(_d2_combine, shifted, scheme, 2.0 * f0)
-    mixed = iter(_richardson(_mixed_combine, corners, scheme))
-    dd = np.empty((dim, dim) + f0.shape)
-    for i in range(dim):
-        dd[i, i] = diag[i]
-        for j in range(i + 1, dim):
-            dd[i, j] = dd[j, i] = next(mixed)
-    return f0, _richardson(_d1_combine, shifted, scheme), dd
+    return _partials(values, (True, scheme, scheme), "jet_partials")
+
+
+def fused_stencil(u, first: FDScheme, second: FDScheme):
+    """The points of ``jet_stencil(u, second)``, then the shifted points of
+    ``stencil(u, first)``: 25 in 2-D with Richardson, each stencil's points
+    with its own bits.  With ``first`` equal to ``second`` it is the jet."""
+    return _points(u, (True, first, second))
+
+
+def fused_partials(values, first: FDScheme, second: FDScheme):
+    """``(f(u), d, dd)`` from the values of f at ``fused_stencil(u, first,
+    second)``: ``d`` has the bits of ``shift_partials`` at ``first`` on the
+    last values and ``dd`` those of ``jet_partials`` at ``second`` on the
+    others.  The jet's own first partials are not formed."""
+    return _partials(values, (True, first, second), "fused_partials")

@@ -30,7 +30,8 @@ MAX_SHARP_CONDITION = 1e8
 
 
 def _sharp_factor(data: EmbeddingData, sign: int):
-    a = np.eye(2) + float(sign) * (data.J @ data.B)
+    jb = data.J @ data.B
+    a = np.eye(2) + (jb if sign > 0 else -jb)
     big, small = singular_values(a)
     if any_of(big > MAX_SHARP_CONDITION * small):
         raise DegenerateDataError("E + JB too close to singular (near-lightlike data)")

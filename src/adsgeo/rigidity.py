@@ -287,10 +287,14 @@ def jbj_sharp(data: EmbeddingData):
     j_sharp = inv(a) @ (data.J @ a)
     op = data.J @ data.B @ j_sharp
     i_sharp = _pull_back(a, data.I)
-    sym = i_sharp @ op
-    sym_t = np.swapaxes(sym, -1, -2)
-    selfadj = np.abs(sym - sym_t).max(axis=(-2, -1))
-    eigs = vector(*eigvalsh(0.5 * (sym + sym_t), i_sharp))
+    s11, s12, s21, s22 = entries(i_sharp @ op)
+    # the largest entry of |S - S^T|: NaN, as there, when a diagonal entry
+    # is not finite
+    selfadj = np.abs(s12 - s21) + ((s11 - s11) + (s22 - s22))
+    # the lower triangle of (S + S^T) / 2, all that eigvalsh reads; its
+    # diagonal is that of S, bit for bit
+    mid = 0.5 * (s21 + s12)
+    eigs = vector(*eigvalsh(matrix(s11, mid, mid, s22), i_sharp))
     return op, eigs, selfadj
 
 

@@ -1,9 +1,11 @@
-"""The fused second-order stencil (``fd.jet_stencil``, ``fd.jet_partials``)
-and the first-order one (``fd.stencil``, ``fd.stencil_partials``) against
-the separate one-coordinate difference formulas they replaced, kept here as
-the reference, their points against copies of ``u`` shifted in place, and
-the one calling rule ``fd.evaluate`` that every layer differentiating a user
-callable follows."""
+"""The fused second-order stencil (``fd.jet_stencil``, ``fd.jet_partials``),
+the first-order one (``fd.stencil``, ``fd.stencil_partials``) and the
+request of ``embedding_data_at`` (``fd.fused_stencil``,
+``fd.fused_partials``) against the separate one-coordinate difference
+formulas they replaced, kept here as the reference, their points against
+copies of ``u`` shifted in place, and the one calling rule ``fd.evaluate``
+that every layer differentiating a user callable follows."""
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -15,8 +17,10 @@ from adsgeo import constructions as con
 from adsgeo import embedding as emb
 from adsgeo import mess_metrics as mes
 from adsgeo import rigidity as rig
-from adsgeo.fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, jet_partials, jet_shifts,
-                       jet_stencil, stencil, stencil_partials)
+from adsgeo.errors import DomainError
+from adsgeo.fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, fused_partials,
+                       fused_stencil, jet_partials, jet_shifts, jet_stencil, shift_partials,
+                       stencil, stencil_partials)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +97,9 @@ CHECKS = settings(max_examples=40, deadline=None, database=None)
 @CHECKS
 @given(batch=st.sampled_from([(), (3,), (2, 4)]), dim=st.sampled_from([2, 3]),
        kind=st.sampled_from(sorted(FIELDS)), richardson=st.booleans(),
-       step=st.floats(1e-4, 1e-1), seed=st.integers(0, 2 ** 32 - 1))
-def test_jet_matches_reference_formulas(batch, dim, kind, richardson, step, seed):
+       step=st.floats(1e-4, 1e-1), first_step=st.floats(1e-4, 1e-1),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_jet_matches_reference_formulas(batch, dim, kind, richardson, step, first_step, seed):
     field = FIELDS[kind]
     scheme = FDScheme(step, richardson)
     u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=batch + (dim,))
@@ -113,6 +118,51 @@ def test_jet_matches_reference_formulas(batch, dim, kind, richardson, step, seed
             # the callers of the separate formulas took i <= j and mirrored
             ref = ref_d2(field, u, i, j, scheme).tobytes()
             assert dd[i, j].tobytes() == dd[j, i].tobytes() == ref
+    # the fused request: first partials at another step, second ones at step
+    first = FDScheme(first_step, richardson)
+    f0, d, dd_fused = fused_partials(field(fused_stencil(u, first, scheme)), first, scheme)
+    assert f0.tobytes() == centre.tobytes()
+    assert dd_fused.tobytes() == dd.tobytes()
+    for i in range(dim):
+        assert d[i].tobytes() == ref_d1(field, u, i, first).tobytes()
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+def test_fused_request_is_the_jet_and_the_stencil(batch, richardson):
+    # embedding_data_at's one request: the jet at inner2, then the shifted
+    # points of the stencil at inner, with the bits of the separate requests
+    cfg = DiffConfig(richardson=richardson)
+    u = np.random.default_rng(len(batch)).uniform(-0.8, 0.8, batch + (2,))
+    jet, first = jet_stencil(u, cfg.inner2), stencil(u, cfg.inner)[1:]
+    points = fused_stencil(u, cfg.inner, cfg.inner2)
+    assert points.tobytes() == np.concatenate([jet, first]).tobytes()
+    assert len(points) == (25 if richardson else 13)
+    values = emb.bump_immersion()(points)
+    f0, d, dd = fused_partials(values, cfg.inner, cfg.inner2)
+    want = jet_partials(values[:len(jet)], cfg.inner2)
+    assert f0.tobytes() == want[0].tobytes()
+    assert dd.shape == want[2].shape and dd.tobytes() == want[2].tobytes()
+    want_d = shift_partials(values[len(jet):], cfg.inner)
+    assert d.shape == want_d.shape and d.tobytes() == want_d.tobytes()
+
+
+def test_fused_request_needs_one_richardson_setting():
+    with pytest.raises(DomainError, match="Richardson"):
+        fused_stencil(np.zeros(2), FDScheme(1e-3, True), FDScheme(1e-2, False))
+
+
+@pytest.mark.parametrize("partials, scheme, rows, expected", [
+    (shift_partials, DEFAULT_DIFF.inner, 7, "4 dim values"),
+    (stencil_partials, DEFAULT_DIFF.inner, 8, "1 + 4 dim values"),
+    (shift_partials, FDScheme(1e-3, False), 3, "2 dim values"),
+    (jet_partials, DEFAULT_DIFF.inner2, 20, "1 + 4 dim^2 values"),
+])
+def test_partials_reject_a_stack_that_fits_no_stencil(partials, scheme, rows, expected):
+    # a length that fits no stencil once broadcast slices of unequal length
+    # into a wrong answer, or failed in a numpy reshape
+    with pytest.raises(DomainError, match=f"takes {re.escape(expected)} .*got {rows}$"):
+        partials(np.zeros((rows, 4)), scheme)
 
 
 @pytest.mark.parametrize("richardson", [True, False])

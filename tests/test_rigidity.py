@@ -8,6 +8,7 @@ import scipy.sparse.linalg
 from adsgeo import embedding as emb
 from adsgeo import fuchsian as fu
 from adsgeo import rigidity as rig
+from adsgeo.batch import eigvalsh, inv
 from adsgeo.errors import ConvexityError, DegenerateDataError, DomainError
 from adsgeo.fd import DiffConfig, FDScheme
 from adsgeo.mess_metrics import sharp_frame
@@ -383,6 +384,63 @@ def test_jbj_eigenvalues_negated_principal_curvatures(bump, rng):
         k = emb.principal_curvatures(d)
         assert np.abs(np.sort(eigs) - np.sort(-k)).max() < 1e-8
         assert selfadj < 1e-10
+
+
+def ref_jbj_sharp(data):
+    """``jbj_sharp`` in matmul form: the residual is the largest entry of
+    |S - S^T| and the pencil (S + S^T) / 2, for S = I# J B J#."""
+    a = np.eye(2) + 1.0 * (data.J @ data.B)
+    op = data.J @ data.B @ (inv(a) @ (data.J @ a))
+    i_sharp = np.swapaxes(a, -1, -2) @ data.I @ a
+    sym = i_sharp @ op
+    sym_t = np.swapaxes(sym, -1, -2)
+    return (np.abs(sym - sym_t).max(axis=(-2, -1)),
+            np.stack(eigvalsh(0.5 * (sym + sym_t), i_sharp), axis=-1))
+
+
+def test_jbj_matches_matmul_reference(bump, rng):
+    # the entry form keeps the bits of the matmul form, one point or a batch
+    u = rng.uniform(-0.8, 0.8, (6, 2))
+    for data in [emb.embedding_data_at(bump, u)] + [emb.embedding_data_at(bump, w) for w in u]:
+        _, eigs, selfadj = rig.jbj_sharp(data)
+        ref_selfadj, ref_eigs = ref_jbj_sharp(data)
+        assert np.asarray(selfadj).tobytes() == np.asarray(ref_selfadj).tobytes()
+        assert eigs.tobytes() == ref_eigs.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field, index", [("I", (0, 0)), ("B", (1, 1)), ("J", (0, 1))])
+def test_jbj_non_finite_data_gives_nan_residual(bump, field, index, bad):
+    # a non-finite entry that passes the guards reaches S = I# J B J#; its
+    # self-adjointness residual must then be NaN, which fails every
+    # tolerance, as the largest entry of |S - S^T| is
+    data = emb.embedding_data_at(bump, np.array([[0.3, -0.2], [-0.1, 0.4]]))
+    m = getattr(data, field).copy()
+    m[(0,) + index] = bad
+    broken = dataclasses.replace(data, **{field: m})
+    with np.errstate(all="ignore"):
+        try:
+            _, _, selfadj = rig.jbj_sharp(broken)
+        except (ConvexityError, DegenerateDataError):
+            return
+        assert np.isnan(selfadj[0]) and np.isnan(ref_jbj_sharp(broken[0])[0])
+    assert not selfadj[0] <= 1.0
+    # the other point of the batch keeps the bits of its own call
+    assert selfadj[1].tobytes() == rig.jbj_sharp(data[1])[2].tobytes()
+
+
+def test_jbj_diagonal_overflow_gives_nan_residual(monkeypatch):
+    # an I# so large that S = I# J B J# overflows on its diagonal alone:
+    # |S - S^T| is NaN there, so the residual must be NaN, not |s12 - s21|
+    data = emb.embedding_data_at(emb.family_immersion(-1.4), [0.3, -0.2])
+    op = rig.jbj_sharp(data)[0]                 # -tan(-1.4) E = 5.8 E
+    assert abs(op[0, 0]) > 2.0 > abs(op[0, 1])
+    scale = 0.5 * np.finfo(float).max
+    monkeypatch.setattr(rig, "_pull_back", lambda a, I: np.diag([scale, 1.0]))
+    with np.errstate(all="ignore"):
+        sym = np.diag([scale, 1.0]) @ op
+        assert np.isfinite(sym[0, 1]) and not np.isfinite(sym[0, 0])
+        assert np.isnan(rig.jbj_sharp(data)[2])
 
 
 def test_jbj_negative_definite_on_past_convex():
