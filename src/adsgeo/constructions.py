@@ -29,8 +29,7 @@ from .embedding import (CHART_CORNER_R2, NORMAL_FLOOR, EmbeddingData, Immersion,
                         family_immersion, metric_and_normal, normal_field,
                         require_strong_convexity, third_fundamental_form)
 from .errors import DegenerateDataError, DomainError, FocalPointError
-from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, jet_partials, jet_shifts,
-                 jet_stencil)
+from .fd import DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, partials, shifts, stencil
 from .mess_metrics import mess_metric
 
 # ---------------------------------------------------------------------------
@@ -196,19 +195,19 @@ _COMPONENTS = tuple(np.array(ix) for ix in zip(*[
 def riemann_constant_curvature_residual(metric, p, scheme: FDScheme):
     """Relative residual of R_abcd + (h_ac h_bd - h_ad h_bc) at points p.
 
-    ``metric`` is any callable p -> 3x3 symmetric matrix, evaluated on
-    ``fd.jet_stencil(p, scheme)`` by ``fd.evaluate``; derivatives are taken
-    componentwise by central differences.  The maximum over the six
-    independent components is normalized by the squared Frobenius norm of
-    h.  Every sum over an index runs in index order.
+    ``metric`` is any callable p -> 3x3 symmetric matrix, evaluated on the
+    jet ``fd.stencil(p, scheme, scheme)`` by ``fd.evaluate``; derivatives
+    are taken componentwise by central differences.  The maximum over the
+    six independent components is normalized by the squared Frobenius norm
+    of h.  Every sum over an index runs in index order.
     """
-    h = evaluate(metric, jet_stencil(p, scheme))
-    return _curvature_residual(*jet_partials(h, scheme))
+    h = evaluate(metric, stencil(p, scheme, scheme))
+    return _curvature_residual(*partials(h, scheme, scheme))
 
 
 def _curvature_residual(h, d, dd):
     """The residual of ``riemann_constant_curvature_residual`` from the
-    metric's ``fd.jet_partials``: h, d[a] = d_a h, dd[a, b] = d_a d_b h."""
+    metric's jet ``fd.partials``: h, d[a] = d_a h, dd[a, b] = d_a d_b h."""
     h = np.asarray(h, dtype=float)
     h_inv = np.linalg.inv(h)
     batch = h.ndim - 2
@@ -255,13 +254,13 @@ def extension_curvature(immersion: Immersion, p, cfg: DiffConfig = DEFAULT_DIFF)
     if any_of(~inside):
         raise DomainError(f"stencil of half-width {scheme.step} leaves s-range "
                           f"at s = {np.ravel(s)[np.argmin(inside)]}")
-    s_points = jet_stencil(p, scheme)[..., 2]
-    data = embedding_data_at(immersion, jet_stencil(p[..., :2], scheme), cfg=cfg)
+    s_points = stencil(p, scheme, scheme)[..., 2]
+    data = embedding_data_at(immersion, stencil(p[..., :2], scheme, scheme), cfg=cfg)
     # each 3-D stencil point sits over the 2-D one with its shifts of u1, u2
-    chart = {shift: k for k, shift in enumerate(jet_shifts(2, scheme))}
-    over = [chart[tuple(c for c in shift if c[0] < 2)] for shift in jet_shifts(3, scheme)]
+    chart = {shift: k for k, shift in enumerate(shifts(2, scheme, scheme))}
+    over = [chart[tuple(c for c in shift if c[0] < 2)] for shift in shifts(3, scheme, scheme)]
     h = _extension_block(data.I[over], data.B[over], s_points)
-    return _curvature_residual(*jet_partials(h, scheme))
+    return _curvature_residual(*partials(h, scheme, scheme))
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,7 @@ from . import ads_core
 from .batch import (any_of, components, det, eigvalsh, entries, inv, matrix,
                     quadratic_form, vector)
 from .errors import ConfigError, ConvexityError, DegenerateDataError, DomainError
-from .fd import (DEFAULT_DIFF, DiffConfig, evaluate, fused_partials, fused_stencil,
-                 jet_partials, jet_stencil, shift_partials, stencil, stencil_partials)
+from .fd import DEFAULT_DIFF, DiffConfig, evaluate, partials, shift_partials, stencil
 
 MAX_METRIC_CONDITION = 1e6
 STRONG_CONVEXITY_TOL = 1e-8
@@ -253,15 +252,15 @@ def embedding_data_at(immersion: Immersion, u,
     II is assembled from symmetric stencils, so B = I^{-1} II is
     I-self-adjoint to rounding; raises when any point leaves the quadric
     (|<F, F> + 1| > 1e-8) or has a non-spacelike or ill-conditioned induced
-    metric.  One request (``fd.fused_stencil``) asks for the second partials
-    at step ``cfg.inner2`` and the tangents at step ``cfg.inner``: one
-    immersion call evaluates its 25 points, the 17 of the second-order
-    stencil, whose centre gives the point, then the 8 shifted points of the
-    first-order one.
+    metric.  One request, ``fd.stencil(u, cfg.inner, cfg.inner2)``, asks
+    for the second partials at step ``cfg.inner2`` and the tangents at step
+    ``cfg.inner``: one immersion call evaluates its 25 points, the 17 of the
+    second-order stencil, whose centre gives the point, then the 8 shifted
+    points of the first-order one.
     """
     u = np.asarray(u, dtype=float)
-    values = evaluate(immersion, fused_stencil(u, cfg.inner, cfg.inner2))
-    point, (f1, f2), dd = fused_partials(values, cfg.inner, cfg.inner2)
+    values = evaluate(immersion, stencil(u, cfg.inner, cfg.inner2))
+    point, (f1, f2), dd = partials(values, cfg.inner, cfg.inner2)
     if any_of(np.abs(ads_core.bilinear22(point, point) + 1.0) > 1e-8):
         raise DomainError("immersion leaves the quadric at this chart point")
 
@@ -305,7 +304,7 @@ def normal_field(immersion: Immersion, cfg: DiffConfig = DEFAULT_DIFF):
 
     def nf(u):
         values = evaluate(immersion, stencil(u, sch))
-        return _unit_future_normal(values[0], *shift_partials(values[1:], sch))
+        return _unit_future_normal(values[0], *partials(values, sch)[1])
 
     nf.batched = True
     return nf
@@ -335,23 +334,23 @@ def _brioschi(g, dg, ddg):
 
 def gaussian_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
     """Curvature of the induced metric (Brioschi on the metric field), with
-    the metric field called once on the whole ``fd.jet_stencil``."""
-    g = metric_field(immersion, cfg)(jet_stencil(u, cfg.field))
-    return _brioschi(*jet_partials(g, cfg.field))
+    the metric field called once on the whole jet ``fd.stencil(u, s, s)``."""
+    g = metric_field(immersion, cfg)(stencil(u, cfg.field, cfg.field))
+    return _brioschi(*partials(g, cfg.field, cfg.field))
 
 
 def _curvature_from_known(immersion: Immersion, u, known, cfg: DiffConfig):
     """``gaussian_curvature`` at u, bit for bit, given the metric ``known``
     from ``embedding_data_at`` at the first points of its jet (u alone, or
     the field-step ``fd.stencil``); the metric field makes the rest."""
-    rest = metric_field(immersion, cfg)(jet_stencil(u, cfg.field)[len(known):])
-    return _brioschi(*jet_partials(np.concatenate([known, rest]), cfg.field))
+    rest = metric_field(immersion, cfg)(stencil(u, cfg.field, cfg.field)[len(known):])
+    return _brioschi(*partials(np.concatenate([known, rest]), cfg.field, cfg.field))
 
 
 def christoffel_symbols(g_inv, dg):
     """Gamma[..., k, i, j] = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij) in any
     dimension, from the inverse metric and the partials dg[i] = d_i g on the
-    leading axis of ``fd.stencil_partials``.  The sum over l runs in index
+    leading axis of ``fd.partials``.  The sum over l runs in index
     order."""
     dg = np.moveaxis(np.asarray(dg, dtype=float), 0, -3)
     # t[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
@@ -366,7 +365,7 @@ def christoffel_symbols(g_inv, dg):
 def christoffels(g_field, u, scheme):
     """Christoffel symbols Gamma[..., k, i, j] of a chart metric field, from
     its values on ``fd.stencil(u, scheme)`` (``fd.evaluate``)."""
-    g, dg = stencil_partials(evaluate(g_field, stencil(u, scheme)), scheme)
+    g, dg = partials(evaluate(g_field, stencil(u, scheme)), scheme)[:2]
     return christoffel_symbols(inv(g), dg)
 
 
@@ -397,7 +396,7 @@ def structure_residuals(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF)
     K = _curvature_from_known(immersion, u, data.I, cfg)
 
     centre = data[0]
-    d = shift_partials(np.stack([data.I, data.B], axis=-3)[1:], cfg.field)
+    d = partials(np.stack([data.I, data.B], axis=-3), cfg.field)[1]
     gamma = christoffel_symbols(inv(centre.I), d[..., 0, :, :])
     vec = exterior_covariant_derivative(gamma, centre.B, d[..., 1, :, :])
     return (K + 1.0 + det(centre.B),

@@ -14,24 +14,24 @@ one call per ``(dim,)`` point, in stack order.  No other code reads the
 mark.  The difference formulas are elementwise, so every point gets the
 bits of the same call on that point alone.
 
-Each derivative is one request: the first partials at one scheme, the
-second partials at another, or both, with or without the centre ``u``.
-A request has one table of points and one difference pass.  The points
-are the centre, then the shifted points of the second partials (each
-coordinate shifted by each shift of ``_offsets``) and the corners of their
-mixed differences, then the shifted points of the first partials, unless
-they are those of the second.  ``stencil``/``stencil_partials`` ask for
-``f(u)`` and the first partials ``d[i]``, on a leading axis that every
-caller keeps; ``shift_partials`` does the same from the shifted points
-alone, for a caller that has no use for ``f(u)``; ``jet_stencil``/
-``jet_partials`` ask for ``f(u)`` with all first and second partials at one
-scheme (17 points in 2-D, 37 in 3-D with Richardson), so ``jet_stencil``
-starts with the points of ``stencil`` and values on a stencil need only the
-corners to make a jet; ``fused_stencil``/``fused_partials`` ask for the
-first partials at one scheme and the second at another, as
-``embedding_data_at`` does on its 25 points.  Stencils nest:
-``stencil(stencil(u, s), s)`` holds every point of a difference of a
-difference.
+Each derivative is one request ``(u, first, second)``: the first partials
+at scheme ``first``, and optionally the second partials at scheme
+``second``.  A request has one table of points and one difference pass.
+``stencil(u, first, second)`` stacks its points on a leading axis that
+every caller keeps: the centre ``u``, then the shifted points of the
+second partials (each coordinate shifted by each shift of ``_offsets``)
+and the corners of their mixed differences, then the shifted points of the
+first partials, unless they are those of the second.
+``partials(values, first, second)`` turns the values of f there into
+``(f(u), d, dd)``.  The jet ``stencil(u, s, s)`` (17 points in 2-D, 37 in
+3-D with Richardson) starts with the points of ``stencil(u, s)``, so
+values on a stencil need only the corners to make a jet;
+``embedding_data_at`` asks for its tangents at one scheme and its second
+partials at another on 25 points.  ``shift_partials`` takes the first
+partials from the shifted points alone, for a caller that never evaluates
+f(u), and ``shifts`` lists the points of a request as (coordinate, shift)
+pairs.  Stencils nest: ``stencil(stencil(u, s), s)`` holds every point of
+a difference of a difference.
 
 The points of a request are built the same way, whatever the batch shape:
 one copy of ``u`` per point, then one indexed add of every shift, read from
@@ -269,61 +269,31 @@ def evaluate(f, points):
     return values.reshape(points.shape[:-1] + values.shape[1:])
 
 
-def stencil(u, scheme: FDScheme):
-    """Every chart point of the first differences at ``u``, in one array.
-
-    The stencil is a new leading axis: the centre ``u``, then for each
-    coordinate the shifts of ``_offsets`` (9 points in 2-D with Richardson).
-    These are the first points of ``jet_stencil``.
-    """
-    return _points(u, (True, scheme, None))
-
-
-def shift_partials(values, scheme: FDScheme):
-    """First partials ``d[i]`` from the values of f at the shifted points
-    ``stencil(u, scheme)[1:]``: k dim values for k shifts per coordinate."""
-    return _partials(values, (False, scheme, None), "shift_partials")[1]
-
-
-def stencil_partials(values, scheme: FDScheme):
-    """``(f(u), d)`` from ``values = f(stencil(u, scheme))``, with the first
-    partials ``d[i]`` on a leading axis."""
-    return _partials(values, (True, scheme, None), "stencil_partials")[:2]
-
-
-def jet_shifts(dim: int, scheme: FDScheme):
-    """The points of the second-order stencil in ``dim`` coordinates, each as
-    a tuple of (coordinate, shift) pairs, after the centre ``()``.  That is
-    1 + k dim^2 points for k shifts per coordinate: 17 in 2-D and 37 in 3-D
-    with Richardson, each distinct."""
-    return list(_table(dim, (True, scheme, scheme)).shifts)
-
-
-def jet_stencil(u, scheme: FDScheme):
-    """Every point of ``jet_shifts`` at ``u``, on a new leading axis."""
-    return _points(u, (True, scheme, scheme))
-
-
-def jet_partials(values, scheme: FDScheme):
-    """``(f(u), d, dd)`` from the values of f at ``jet_stencil(u, scheme)``.
-
-    ``d[i]`` has the bits of ``stencil_partials`` on the first values, those
-    at the points of ``stencil``, and ``dd[i, j] = dd[j, i]`` is the second
-    partial.
-    """
-    return _partials(values, (True, scheme, scheme), "jet_partials")
-
-
-def fused_stencil(u, first: FDScheme, second: FDScheme):
-    """The points of ``jet_stencil(u, second)``, then the shifted points of
-    ``stencil(u, first)``: 25 in 2-D with Richardson, each stencil's points
-    with its own bits.  With ``first`` equal to ``second`` it is the jet."""
+def stencil(u, first: FDScheme, second: FDScheme | None = None):
+    """Every point of the request ``(u, first, second)``, on a new leading
+    axis: the centre ``u``, then the points of the second partials at
+    ``second``, then the shifted points of the first partials at ``first``
+    unless they are the second's (9 points in 2-D with Richardson for
+    ``first`` alone, 17 for the jet ``stencil(u, s, s)``, 25 for two
+    schemes)."""
     return _points(u, (True, first, second))
 
 
-def fused_partials(values, first: FDScheme, second: FDScheme):
-    """``(f(u), d, dd)`` from the values of f at ``fused_stencil(u, first,
-    second)``: ``d`` has the bits of ``shift_partials`` at ``first`` on the
-    last values and ``dd`` those of ``jet_partials`` at ``second`` on the
-    others.  The jet's own first partials are not formed."""
-    return _partials(values, (True, first, second), "fused_partials")
+def partials(values, first: FDScheme, second: FDScheme | None = None):
+    """``(f(u), d, dd)`` from ``values = f(stencil(u, first, second))``: the
+    first partials ``d[i]`` at ``first`` on a leading axis, and the second
+    partials ``dd[i, j] = dd[j, i]`` at ``second``, None without it."""
+    return _partials(values, (True, first, second), "partials")
+
+
+def shift_partials(values, first: FDScheme):
+    """First partials ``d[i]`` from the values of f at the shifted points
+    ``stencil(u, first)[1:]`` alone, for a caller that never evaluates the
+    centre: k dim values for k shifts per coordinate."""
+    return _partials(values, (False, first, None), "shift_partials")[1]
+
+
+def shifts(dim: int, first: FDScheme, second: FDScheme | None = None):
+    """The points of ``stencil(u, first, second)`` in ``dim`` coordinates, each
+    as a tuple of (coordinate, shift) pairs, the centre ``()`` first."""
+    return _table(dim, (True, first, second)).shifts

@@ -24,7 +24,7 @@ from .batch import any_of, det, entries, inv, singular_values
 from .embedding import (EmbeddingData, Immersion, _curvature_from_known,
                         christoffel_symbols, embedding_data_at)
 from .errors import DegenerateDataError
-from .fd import DEFAULT_DIFF, DiffConfig, shift_partials, stencil
+from .fd import DEFAULT_DIFF, DiffConfig, partials, stencil
 
 MAX_SHARP_CONDITION = 1e8
 
@@ -82,9 +82,9 @@ def _sharp_frame(data: EmbeddingData, a_stencil, u, scheme) -> SharpData:
     and the factor E + JB formed from it (``_sharp_factor(data, +1)``)."""
     centre = data[0]
     a = a_stencil[0]
-    partials = shift_partials(np.stack([data.I, a_stencil], axis=-3)[1:], scheme)
-    da = partials[..., 1, :, :]
-    gamma = christoffel_symbols(inv(centre.I), partials[..., 0, :, :])
+    d = partials(np.stack([data.I, a_stencil], axis=-3), scheme)[1]
+    da = d[..., 1, :, :]
+    gamma = christoffel_symbols(inv(centre.I), d[..., 0, :, :])
 
     a_inv = inv(a)
     # D#_i (d_j) = A^{-1} [ dA_i . e_j + Gamma_i^k(e_j) A e_k ], as vec[k, i, j]
@@ -117,7 +117,7 @@ def sharp_metric_derivative_residual(immersion: Immersion, u,
     frame = _sharp_frame(data, a_stencil, u, cfg.field)
     gamma, i_sharp = frame.christoffels, frame.I_sharp
     # resid[..., k, i, j] = d_k I#_ij, with I# = A^T I A on the stencil
-    resid = np.moveaxis(shift_partials(_pull_back(a_stencil, data.I)[1:], cfg.field), 0, -3)
+    resid = np.moveaxis(partials(_pull_back(a_stencil, data.I), cfg.field)[1], 0, -3)
     for m in range(2):
         resid = resid - gamma[..., m, :, :, None] * i_sharp[..., None, None, m, :]
         resid = resid - gamma[..., m, :, None, :] * i_sharp[..., None, :, m, None]

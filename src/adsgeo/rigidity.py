@@ -37,8 +37,8 @@ from .batch import cholesky2, det2, eigvalsh, entries, inv, inv2, matrix, mul2, 
 from .embedding import (EmbeddingData, Immersion, complex_structure,
                         exterior_covariant_derivative, require_strong_convexity)
 from .errors import DomainError
-from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, jet_partials, jet_stencil,
-                 shift_partials, stencil, stencil_partials)
+from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, partials, shift_partials,
+                 stencil)
 from .fuchsian import DiscreteOperators, laplace_eigenvalues, shared_pattern
 from .mess_metrics import (SharpData, _pull_back, _sharp_factor, mess_metric,
                            sharp_curvature, sharp_frame)
@@ -187,10 +187,11 @@ def b_from_mu(mu, sharp: SharpData, scheme: FDScheme):
 
     The covariant Hessian uses the sharp Christoffel symbols; tr(b) = 0
     holds by algebra (J# composed with an I#-self-adjoint operator).  mu is
-    evaluated on ``fd.jet_stencil`` around every frame point (``fd.evaluate``);
-    each frame point gets the bits of a frame of its own.
+    evaluated on the jet ``fd.stencil(u, scheme, scheme)`` around every
+    frame point (``fd.evaluate``); each frame point gets the bits of a
+    frame of its own.
     """
-    mu0, dmu, ddmu = jet_partials(evaluate(mu, jet_stencil(sharp.u, scheme)), scheme)
+    mu0, dmu, ddmu = partials(evaluate(mu, stencil(sharp.u, scheme, scheme)), scheme, scheme)
     dmu = np.moveaxis(dmu, 0, -1)
     # Gamma#[..., :, i, j] . dmu for each (i, j), as a stack of (1, 2) @ (2, 1)
     # products: those keep the bits of a 1-D dot, where an elementwise sum
@@ -222,7 +223,7 @@ def sharp_codazzi_residual(immersion: Immersion, b_field, u,
     field once; its centre is u, so ``frame.christoffels[0]`` and
     ``frame.I_sharp[0]`` hold the bits of a frame at u alone."""
     frame = sharp_frame(immersion, stencil(u, cfg.field), cfg=cfg)
-    b, d = stencil_partials(b_field(frame), cfg.field)
+    b, d = partials(b_field(frame), cfg.field)[:2]
     vec = exterior_covariant_derivative(frame.christoffels[0], b, d)
     return float(np.sqrt(max(vec @ frame.I_sharp[0] @ vec, 0.0)))
 
@@ -250,14 +251,14 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
     dmu = np.moveaxis(shift_partials(evaluate(mu, shifted), cfg.inner2), 0, -1)
 
     v = _gradient_field(fr, dmu)
-    v_out, dv = stencil_partials(v, cfg.field)
+    v_out, dv = partials(v, cfg.field)[:2]
     gamma = fr.christoffels[0]
     # D# v: column j is d_j v + Gamma#[:, j, :] v, at each outer point
     dv_op = np.stack([dv[j] + (gamma[:, :, j, :] @ v_out[..., None])[..., 0]
                       for j in range(2)], axis=-1)
-    dv_op0, d_dv_op = stencil_partials(dv_op, cfg.field)
+    dv_op0, d_dv_op = partials(dv_op, cfg.field)[:2]
     mu_jsharp = evaluate(mu, points[0])[:, None, None] * fr.J_sharp[0]
-    mu_jsharp0, d_mu_jsharp = stencil_partials(mu_jsharp, cfg.field)
+    mu_jsharp0, d_mu_jsharp = partials(mu_jsharp, cfg.field)[:2]
 
     v0, j_sharp, da_sharp = v_out[0], fr.J_sharp[0, 0], fr.da_sharp[0, 0]
     lhs_a = exterior_covariant_derivative(gamma[0], dv_op0, d_dv_op)

@@ -6,7 +6,7 @@ import pytest
 
 from adsgeo import embedding
 from adsgeo.batch import inv, quadratic_form
-from adsgeo.fd import stencil_partials
+from adsgeo.fd import partials
 
 # hypothesis imports its patch writer only once a property test fails; with
 # libcst installed that import warns (mypy_extensions.TypedDict is
@@ -38,8 +38,8 @@ def codazzi_on_stencil(I_values, x_values, scheme):
     """|d^D X (d1, d2)|_I at u from the values of a metric field I and an
     operator field X on ``fd.stencil(u, scheme)``: the arithmetic of the
     Codazzi row of ``embedding.structure_residuals``."""
-    I, dI = stencil_partials(I_values, scheme)
-    x, dx = stencil_partials(x_values, scheme)
+    I, dI = partials(I_values, scheme)[:2]
+    x, dx = partials(x_values, scheme)[:2]
     vec = embedding.exterior_covariant_derivative(
         embedding.christoffel_symbols(inv(I), dI), x, dx)
     return np.sqrt(np.maximum(quadratic_form(vec, I), 0.0))

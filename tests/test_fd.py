@@ -1,7 +1,6 @@
-"""The fused second-order stencil (``fd.jet_stencil``, ``fd.jet_partials``),
-the first-order one (``fd.stencil``, ``fd.stencil_partials``) and the
-request of ``embedding_data_at`` (``fd.fused_stencil``,
-``fd.fused_partials``) against the separate one-coordinate difference
+"""The requests of ``fd.stencil`` and ``fd.partials``: the first partials
+``(u, s)``, the jet ``(u, s, s)`` and the request ``(u, inner, inner2)`` of
+``embedding_data_at``, against the separate one-coordinate difference
 formulas they replaced, kept here as the reference, their points against
 copies of ``u`` shifted in place, and the one calling rule ``fd.evaluate``
 that every layer differentiating a user callable follows."""
@@ -18,9 +17,8 @@ from adsgeo import embedding as emb
 from adsgeo import mess_metrics as mes
 from adsgeo import rigidity as rig
 from adsgeo.errors import DomainError
-from adsgeo.fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, fused_partials,
-                       fused_stencil, jet_partials, jet_shifts, jet_stencil, shift_partials,
-                       stencil, stencil_partials)
+from adsgeo.fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, partials, shift_partials,
+                       shifts, stencil)
 
 
 # ---------------------------------------------------------------------------
@@ -103,14 +101,14 @@ def test_jet_matches_reference_formulas(batch, dim, kind, richardson, step, firs
     field = FIELDS[kind]
     scheme = FDScheme(step, richardson)
     u = np.random.default_rng(seed).uniform(-1.0, 1.0, size=batch + (dim,))
-    points = jet_stencil(u, scheme)
-    f0, d, dd = jet_partials(field(points), scheme)
+    points = stencil(u, scheme, scheme)
+    f0, d, dd = partials(field(points), scheme, scheme)
     # every point distinct, the first ones those of the first-order stencil
     assert len({p.tobytes() for p in points}) == len(points) \
         == 1 + len(_offsets(scheme)) * dim * dim
     first_points = stencil(u, scheme)
     assert points[:len(first_points)].tobytes() == first_points.tobytes()
-    centre, first = stencil_partials(field(first_points), scheme)
+    centre, first, _ = partials(field(first_points), scheme)
     assert f0.tobytes() == centre.tobytes() == np.asarray(field(u)).tobytes()
     for i in range(dim):
         assert d[i].tobytes() == first[i].tobytes() == ref_d1(field, u, i, scheme).tobytes()
@@ -120,7 +118,7 @@ def test_jet_matches_reference_formulas(batch, dim, kind, richardson, step, firs
             assert dd[i, j].tobytes() == dd[j, i].tobytes() == ref
     # the fused request: first partials at another step, second ones at step
     first = FDScheme(first_step, richardson)
-    f0, d, dd_fused = fused_partials(field(fused_stencil(u, first, scheme)), first, scheme)
+    f0, d, dd_fused = partials(field(stencil(u, first, scheme)), first, scheme)
     assert f0.tobytes() == centre.tobytes()
     assert dd_fused.tobytes() == dd.tobytes()
     for i in range(dim):
@@ -134,13 +132,13 @@ def test_fused_request_is_the_jet_and_the_stencil(batch, richardson):
     # points of the stencil at inner, with the bits of the separate requests
     cfg = DiffConfig(richardson=richardson)
     u = np.random.default_rng(len(batch)).uniform(-0.8, 0.8, batch + (2,))
-    jet, first = jet_stencil(u, cfg.inner2), stencil(u, cfg.inner)[1:]
-    points = fused_stencil(u, cfg.inner, cfg.inner2)
+    jet, first = stencil(u, cfg.inner2, cfg.inner2), stencil(u, cfg.inner)[1:]
+    points = stencil(u, cfg.inner, cfg.inner2)
     assert points.tobytes() == np.concatenate([jet, first]).tobytes()
     assert len(points) == (25 if richardson else 13)
     values = emb.bump_immersion()(points)
-    f0, d, dd = fused_partials(values, cfg.inner, cfg.inner2)
-    want = jet_partials(values[:len(jet)], cfg.inner2)
+    f0, d, dd = partials(values, cfg.inner, cfg.inner2)
+    want = partials(values[:len(jet)], cfg.inner2, cfg.inner2)
     assert f0.tobytes() == want[0].tobytes()
     assert dd.shape == want[2].shape and dd.tobytes() == want[2].tobytes()
     want_d = shift_partials(values[len(jet):], cfg.inner)
@@ -148,21 +146,31 @@ def test_fused_request_is_the_jet_and_the_stencil(batch, richardson):
 
 
 def test_fused_request_needs_one_richardson_setting():
+    schemes = FDScheme(1e-3, True), FDScheme(1e-2, False)
     with pytest.raises(DomainError, match="Richardson"):
-        fused_stencil(np.zeros(2), FDScheme(1e-3, True), FDScheme(1e-2, False))
+        stencil(np.zeros(2), *schemes)
+    # 25 rows fit the request's length in 2-D, so the setting is what fails
+    with pytest.raises(DomainError, match="Richardson"):
+        partials(np.zeros((25, 4)), *schemes)
 
 
-@pytest.mark.parametrize("partials, scheme, rows, expected", [
-    (shift_partials, DEFAULT_DIFF.inner, 7, "4 dim values"),
-    (stencil_partials, DEFAULT_DIFF.inner, 8, "1 + 4 dim values"),
-    (shift_partials, FDScheme(1e-3, False), 3, "2 dim values"),
-    (jet_partials, DEFAULT_DIFF.inner2, 20, "1 + 4 dim^2 values"),
+# label: the kind of request and the first part of the test id, the old
+# name of its partials call where it had one; scheme: the schemes of the
+# request, (first,) or (first, second)
+@pytest.mark.parametrize("label, scheme, rows, expected", [
+    ("shift_partials", (DEFAULT_DIFF.inner,), 7, "4 dim values"),
+    ("stencil_partials", (DEFAULT_DIFF.inner,), 8, "1 + 4 dim values"),
+    ("shift_partials", (FDScheme(1e-3, False),), 3, "2 dim values"),
+    ("jet_partials", (DEFAULT_DIFF.inner2,) * 2, 20, "1 + 4 dim^2 values"),
+    ("fused", (DEFAULT_DIFF.inner, DEFAULT_DIFF.inner2), 24,
+     "1 + 4 dim^2 + 4 dim values"),
 ])
-def test_partials_reject_a_stack_that_fits_no_stencil(partials, scheme, rows, expected):
+def test_partials_reject_a_stack_that_fits_no_stencil(label, scheme, rows, expected):
     # a length that fits no stencil once broadcast slices of unequal length
     # into a wrong answer, or failed in a numpy reshape
+    call = shift_partials if label == "shift_partials" else partials
     with pytest.raises(DomainError, match=f"takes {re.escape(expected)} .*got {rows}$"):
-        partials(np.zeros((rows, 4)), scheme)
+        call(np.zeros((rows, 4)), *scheme)
 
 
 @pytest.mark.parametrize("richardson", [True, False])
@@ -171,19 +179,20 @@ def test_jet_stencil_follows_jet_shifts(dim, richardson):
     # the layout extension_curvature reads its chart points from
     scheme = FDScheme(1e-2, richardson)
     u = np.linspace(-0.4, 0.5, 2 * dim).reshape(2, dim)
-    shifts = jet_shifts(dim, scheme)
-    assert shifts[0] == () and len(shifts) == 1 + len(_offsets(scheme)) * dim * dim
-    for point, shift in zip(jet_stencil(u, scheme), shifts, strict=True):
+    jet = shifts(dim, scheme, scheme)
+    assert jet[0] == () and len(jet) == 1 + len(_offsets(scheme)) * dim * dim
+    for point, shift in zip(stencil(u, scheme, scheme), jet, strict=True):
         expected = u.copy()
         for i, s in shift:
             expected[..., i] += s
         assert point.tobytes() == expected.tobytes()
 
 
-def ref_points(u, shifts):
-    """Each point of ``shifts`` as a copy of ``u`` shifted in place, stacked."""
+def ref_points(u, layout):
+    """Each point of ``layout``, as listed by ``fd.shifts``, as a copy of ``u``
+    shifted in place, stacked."""
     points = []
-    for shift in shifts:
+    for shift in layout:
         v = np.array(u, dtype=float)
         for i, s in shift:
             v = _shift(v, i, s)
@@ -191,9 +200,14 @@ def ref_points(u, shifts):
     return np.array(points)
 
 
-def stencil_shifts(dim, scheme, build):
-    shifts = jet_shifts(dim, scheme)
-    return shifts[:1 + len(_offsets(scheme)) * dim] if build is stencil else shifts
+# the three requests, by the label of their test ids (the old name of the
+# call that built the first two): the first partials, the jet and the
+# request of embedding_data_at, inner = inner2 / 4
+REQUESTS = {
+    "stencil": lambda richardson: (FDScheme(1e-2, richardson),),
+    "jet_stencil": lambda richardson: (FDScheme(1e-2, richardson),) * 2,
+    "fused": lambda richardson: (FDScheme(2.5e-3, richardson), FDScheme(1e-2, richardson)),
+}
 
 
 EDGE_POINTS = {
@@ -206,13 +220,13 @@ EDGE_POINTS = {
 
 
 @pytest.mark.parametrize("richardson", [True, False])
-@pytest.mark.parametrize("build", [stencil, jet_stencil])
+@pytest.mark.parametrize("build", list(REQUESTS))
 @pytest.mark.parametrize("case", sorted(EDGE_POINTS))
 def test_stencil_points_match_copy_and_add(case, build, richardson):
-    scheme = FDScheme(1e-2, richardson)
+    schemes = REQUESTS[build](richardson)
     u = EDGE_POINTS[case]()
-    points = build(u, scheme)
-    want = ref_points(u, stencil_shifts(u.shape[-1], scheme, build))
+    points = stencil(u, *schemes)
+    want = ref_points(u, shifts(u.shape[-1], *schemes))
     assert points.shape == want.shape and points.tobytes() == want.tobytes()
     assert points[0].tobytes() == np.ascontiguousarray(u).tobytes()
 
@@ -221,25 +235,25 @@ def test_nested_stencil_matches_copy_and_add():
     # the stencil of a stencil, as exterior_derivative_identities builds it
     scheme = DEFAULT_DIFF.field
     u = np.array([0.3, -0.0])
-    shifts = stencil_shifts(2, scheme, stencil)
+    first = shifts(2, scheme)
     nested = stencil(stencil(u, scheme), scheme)
-    want = ref_points(ref_points(u, shifts), shifts)
+    want = ref_points(ref_points(u, first), first)
     assert nested.shape == want.shape == (9, 9, 2)
     assert nested.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("build", [stencil, jet_stencil])
+@pytest.mark.parametrize("build", list(REQUESTS))
 def test_stencil_is_a_new_array(build):
     # writing to a stencil touches neither u nor the next stencil
-    scheme = FDScheme(1e-2, True)
+    schemes = REQUESTS[build](True)
     u = np.array([[0.3, -0.2], [0.1, 0.4]])
     before = u.tobytes()
-    first = build(u, scheme)
+    first = stencil(u, *schemes)
     again = first.copy()
     first += 1.0
     first[0] = 7.0
     assert u.tobytes() == before
-    assert build(u, scheme).tobytes() == again.tobytes()
+    assert stencil(u, *schemes).tobytes() == again.tobytes()
 
 
 def test_second_order_step_is_four_first_order_steps():

@@ -1,7 +1,9 @@
 import ast
 import functools
 import importlib
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "adsgeo").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 MODULES = {path.stem for path in SOURCES} - {"__init__"}
 
 # public functions kept on purpose even when nothing in src/ or perfbench/ reads them
@@ -156,3 +159,27 @@ def test_unresolved_name_detected():
     text = ("`fd.stencil` and `fd.gone(u)`, `cli.RunConfig.diff`, "
             "`cli.RunConfig.nothing`, `np.gone` and fd.also_gone unquoted")
     assert unresolved_names(text) == ["fd.gone", "cli.RunConfig.nothing"]
+
+
+def doc_text(source: str) -> str:
+    """The docstrings and comments of ``source``, one per line; the other
+    string literals, such as the text a test feeds a checker, are left out."""
+    docs = [ast.get_docstring(node, clean=False) for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+    comments = [token.string for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                if token.type == tokenize.COMMENT]
+    return "\n".join([doc for doc in docs if doc] + comments)
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_docstring_names_resolve(path):
+    assert unresolved_names(doc_text(path.read_text(encoding="utf-8"))) == []
+
+
+def test_stale_docstring_name_detected():
+    source = ('"""Module text names ``fd.gone``."""\n'
+              'def f():\n'
+              '    """Calls ``fd.stencil(u, s)``."""\n'
+              '    # reads `fd.lost`\n'
+              '    return "`fd.fixture` text"\n')
+    assert unresolved_names(doc_text(source)) == ["fd.gone", "fd.lost"]
