@@ -86,21 +86,32 @@ def _sharp_frame(data: EmbeddingData, a_stencil, u, scheme) -> SharpData:
     da = d[..., 1, :, :]
     gamma = christoffel_symbols(inv(centre.I), d[..., 0, :, :])
 
-    a_inv = inv(a)
     # D#_i (d_j) = A^{-1} [ dA_i . e_j + Gamma_i^k(e_j) A e_k ], as vec[k, i, j]
     vec = np.moveaxis(da, 0, -2) + gamma @ a[..., None, :, :]
-    gamma_sharp = (a_inv @ vec.reshape(vec.shape[:-2] + (4,))).reshape(vec.shape)
+    gamma_sharp = (inv(a) @ vec.reshape(vec.shape[:-2] + (4,))).reshape(vec.shape)
 
-    i_sharp = _pull_back(a, centre.I)
-    return SharpData(u=u, I_sharp=i_sharp, J_sharp=a_inv @ centre.J @ a,
+    i_sharp, j_sharp = _sharp_structure(centre, a)
+    return SharpData(u=u, I_sharp=i_sharp, J_sharp=j_sharp,
                      da_sharp=np.sqrt(det(i_sharp)), christoffels=gamma_sharp)
 
 
+def _sharp_structure(data: EmbeddingData, a):
+    """(I#, J#) = (A^T I A, A^{-1} J A) at the points of ``data``, from the
+    factor A = E + JB formed there (``_sharp_factor(data, +1)``)."""
+    return _pull_back(a, data.I), inv(a) @ data.J @ a
+
+
+def _sharp_curvature(immersion: Immersion, u, known, a, cfg: DiffConfig):
+    """K# = K / det(A) at u, with K from ``_curvature_from_known(immersion,
+    u, known, cfg)`` and the factor A = E + JB at u."""
+    return _curvature_from_known(immersion, u, known, cfg) / det(a)
+
+
 def sharp_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
-    """K# = K / det(E + JB) at chart points u: the one implementation of K#."""
+    """K# = K / det(E + JB) at chart points u, through ``_sharp_curvature``,
+    the one implementation of K#."""
     data = embedding_data_at(immersion, u, cfg=cfg)
-    K = _curvature_from_known(immersion, u, data.I[None], cfg)
-    return K / det(_sharp_factor(data, +1))
+    return _sharp_curvature(immersion, u, data.I[None], _sharp_factor(data, +1), cfg)
 
 
 def sharp_metric_derivative_residual(immersion: Immersion, u,

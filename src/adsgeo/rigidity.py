@@ -34,14 +34,14 @@ import numbers
 import numpy as np
 
 from .batch import cholesky2, det2, eigvalsh, entries, inv, inv2, matrix, mul2, trace2, vector
-from .embedding import (EmbeddingData, Immersion, complex_structure,
+from .embedding import (EmbeddingData, Immersion, complex_structure, embedding_data_at,
                         exterior_covariant_derivative, require_strong_convexity)
 from .errors import DomainError
 from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, partials, shift_partials,
                  stencil)
 from .fuchsian import DiscreteOperators, laplace_eigenvalues, shared_pattern
-from .mess_metrics import (SharpData, _pull_back, _sharp_factor, mess_metric,
-                           sharp_curvature, sharp_frame)
+from .mess_metrics import (SharpData, _pull_back, _sharp_curvature, _sharp_factor,
+                           _sharp_frame, _sharp_structure, mess_metric, sharp_frame)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +176,19 @@ def linearized_chain_batch(n: int, seed: int = 0):
 # ---------------------------------------------------------------------------
 # potentials: b = J# (-D# D# mu + mu E)
 
-def _gradient_field(sharp: SharpData, dmu):
-    """The vector field v = -J# D# mu from the chart gradient dmu, (..., 2)."""
-    return (-sharp.J_sharp @ np.linalg.solve(sharp.I_sharp, dmu[..., None]))[..., 0]
+def _gradient_field(i_sharp, j_sharp, dmu):
+    """The vector field v = -J# D# mu from I#, J# and the chart gradient
+    dmu, (..., 2)."""
+    return (-j_sharp @ np.linalg.solve(i_sharp, dmu[..., None]))[..., 0]
+
+
+def _chart_point(u):
+    """u as one chart point of shape (2,); the sharp identities below are
+    checked at a single point and return floats."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (2,):
+        raise DomainError(f"expected one chart point of shape (2,), got shape {u.shape}")
+    return u
 
 
 def b_from_mu(mu, sharp: SharpData, scheme: FDScheme):
@@ -221,8 +231,9 @@ def sharp_codazzi_residual(immersion: Immersion, b_field, u,
 
     One sharp frame on the field-step ``fd.stencil(u)`` is handed to the
     field once; its centre is u, so ``frame.christoffels[0]`` and
-    ``frame.I_sharp[0]`` hold the bits of a frame at u alone."""
-    frame = sharp_frame(immersion, stencil(u, cfg.field), cfg=cfg)
+    ``frame.I_sharp[0]`` hold the bits of a frame at u alone.  u is one
+    point of shape (2,); anything else raises DomainError."""
+    frame = sharp_frame(immersion, stencil(_chart_point(u), cfg.field), cfg=cfg)
     b, d = partials(b_field(frame), cfg.field)[:2]
     vec = exterior_covariant_derivative(frame.christoffels[0], b, d)
     return float(np.sqrt(max(vec @ frame.I_sharp[0] @ vec, 0.0)))
@@ -235,38 +246,46 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
         d^{D#}(D# v)(d1, d2) = -K# (J# v) da#,
         d^{D#}(mu J#)(d1, d2) = -(D# mu) da#,
 
-    evaluated for the vector field v = -J# D# mu of the potential.
+    evaluated for the vector field v = -J# D# mu of the potential, at one
+    chart point u of shape (2,) (anything else raises DomainError).
 
-    Both field-step differences come from one sharp frame on the nested
-    stencil: ``points[j, i]`` is stencil point j around outer stencil point
-    i, so ``points[0]`` is the outer stencil and ``points[0, 0]`` is u.  K# is
-    needed at u only and comes from ``sharp_curvature``.  The gradient of
-    the potential at every nested point comes from one ``cfg.inner2``
-    stencil around them all; mu is evaluated (``fd.evaluate``) on the
-    shifted points of that stencil and at the outer points."""
-    u = np.asarray(u, dtype=float)
+    Both field-step differences come from one embedding-data call on the
+    nested stencil ``points = stencil(stencil(u))``: ``points[j, i]`` is
+    stencil point j around outer stencil point i, so ``points[0]`` is the
+    outer stencil and ``points[0, 0]`` is u.  As ``points`` is also the
+    stencil around ``points[0]``, those data give the sharp frame at the
+    outer points, I# and J# at every nested point, and K# at u, with the
+    metric on the outer stencil as the first points of its Brioschi jet.
+    The gradient of the potential at every nested point comes from one
+    ``cfg.inner2`` stencil around them all; mu is evaluated
+    (``fd.evaluate``) on the shifted points of that stencil and at the
+    outer points."""
+    u = _chart_point(u)
     points = stencil(stencil(u, cfg.field), cfg.field)
-    fr = sharp_frame(immersion, points, cfg=cfg)
+    data = embedding_data_at(immersion, points, cfg=cfg)
+    a = _sharp_factor(data, +1)
+    fr = _sharp_frame(data, a, points[0], cfg.field)
     shifted = stencil(points, cfg.inner2)[1:]
     dmu = np.moveaxis(shift_partials(evaluate(mu, shifted), cfg.inner2), 0, -1)
 
-    v = _gradient_field(fr, dmu)
+    v = _gradient_field(*_sharp_structure(data, a), dmu)
     v_out, dv = partials(v, cfg.field)[:2]
-    gamma = fr.christoffels[0]
+    gamma = fr.christoffels
     # D# v: column j is d_j v + Gamma#[:, j, :] v, at each outer point
     dv_op = np.stack([dv[j] + (gamma[:, :, j, :] @ v_out[..., None])[..., 0]
                       for j in range(2)], axis=-1)
     dv_op0, d_dv_op = partials(dv_op, cfg.field)[:2]
-    mu_jsharp = evaluate(mu, points[0])[:, None, None] * fr.J_sharp[0]
+    mu_jsharp = evaluate(mu, points[0])[:, None, None] * fr.J_sharp
     mu_jsharp0, d_mu_jsharp = partials(mu_jsharp, cfg.field)[:2]
 
-    v0, j_sharp, da_sharp = v_out[0], fr.J_sharp[0, 0], fr.da_sharp[0, 0]
+    v0, j_sharp, da_sharp = v_out[0], fr.J_sharp[0], fr.da_sharp[0]
+    k_sharp = _sharp_curvature(immersion, u, data.I[0], a[0, 0], cfg)
     lhs_a = exterior_covariant_derivative(gamma[0], dv_op0, d_dv_op)
-    rhs_a = -sharp_curvature(immersion, u, cfg=cfg) * (j_sharp @ v0) * da_sharp
+    rhs_a = -k_sharp * (j_sharp @ v0) * da_sharp
     resid_a = float(np.abs(lhs_a - rhs_a).max())
 
     lhs_b = exterior_covariant_derivative(gamma[0], mu_jsharp0, d_mu_jsharp)
-    rhs_b = -np.linalg.solve(fr.I_sharp[0, 0], dmu[0, 0]) * da_sharp
+    rhs_b = -np.linalg.solve(fr.I_sharp[0], dmu[0, 0]) * da_sharp
     resid_b = float(np.abs(lhs_b - rhs_b).max())
     return resid_a, resid_b
 

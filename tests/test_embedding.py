@@ -116,6 +116,23 @@ def test_structure_residuals_family_batch(rng):
             assert codazzi < 1e-6
 
 
+@pytest.mark.parametrize("cfg", [DiffConfig(), DiffConfig(field_step=0.08, richardson=False)],
+                         ids=["default", "coarse"])
+@pytest.mark.parametrize("surface", ["bump", "family_07"])
+def test_curvature_from_known_is_gaussian_curvature(request, surface, cfg):
+    # structure_residuals, sharp_curvature and exterior_derivative_identities
+    # take K this way: the metric known at u, or on the field-step stencil,
+    # stands in for the first points of the Brioschi jet, bit for bit
+    imm = request.getfixturevalue(surface)
+    for u in np.random.default_rng(8).uniform(-0.7, 0.7, (3, 2)):
+        want = np.asarray(emb.gaussian_curvature(imm, u, cfg)).tobytes()
+        at_u = emb.embedding_data_at(imm, u, cfg).I[None]
+        on_stencil = emb.embedding_data_at(imm, stencil(u, cfg.field), cfg).I
+        for known in (at_u, on_stencil):
+            got = emb._curvature_from_known(imm, u, known, cfg)
+            assert np.asarray(got).tobytes() == want
+
+
 def test_codazzi_detector_fires_on_perturbed_field(bump):
     u = np.array([0.3, -0.1])
     scheme = DiffConfig().field

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse.linalg
 
 from adsgeo import embedding as emb
 from adsgeo import fuchsian as fu
+from adsgeo import mess_metrics as mm
 from adsgeo import rigidity as rig
 from adsgeo.batch import eigvalsh, inv
 from adsgeo.errors import ConvexityError, DegenerateDataError, DomainError
@@ -329,7 +331,8 @@ def test_exterior_derivative_identities_convergence(bump):
 
 def test_exterior_derivative_identities_pinned(bump):
     # values of the single-point evaluation (one sharp frame per stencil
-    # point); one frame over the nested stencil must reproduce every bit
+    # point); one embedding-data call on the nested stencil must reproduce
+    # every bit
     assert rig.exterior_derivative_identities(bump, smooth_mu(11), [0.2, 0.15]) \
         == (7.618537696540972e-09, 1.010196114259454e-08)
     pinned = {0.08: (0.001507056130315071, 0.00043253684696009653),
@@ -354,6 +357,60 @@ def test_exterior_derivative_identities_pinned(bump):
             bump, counted(smooth_mu(seed, batched=True), shapes), u)
         assert tuple(r.hex() for r in got) == values
         assert shapes == [(8, 9, 9, 2), (9, 2)]
+
+
+@pytest.mark.parametrize("u, shape", [([[0.1, 0.2], [0.3, -0.1]], "(2, 2)"),
+                                      ([[0.1, 0.2]], "(1, 2)"),
+                                      ([0.1, 0.2, 0.3], "(3,)"),
+                                      (0.1, "()")],
+                         ids=["stack", "one_row", "three", "scalar"])
+def test_sharp_identities_need_one_point(bump, u, shape):
+    # both return floats of one point; a stack used to give silently wrong
+    # exterior residuals and a numpy error from the Codazzi residual
+    mu = smooth_mu(11)
+    message = re.escape(f"got shape {shape}")
+    with pytest.raises(DomainError, match=message):
+        rig.exterior_derivative_identities(bump, mu, u)
+    with pytest.raises(DomainError, match=message):
+        rig.sharp_codazzi_residual(bump, rig.b_field_from_mu(bump, mu), u)
+
+
+def test_exterior_identities_one_embedding_data_call(bump, monkeypatch):
+    data_shapes, frames, evals = [], [], []
+    data_at = emb.embedding_data_at
+
+    def counted_data(immersion, u, cfg=DiffConfig()):
+        data_shapes.append(np.shape(u))
+        return data_at(immersion, u, cfg=cfg)
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            frames.append(name)
+            return fn(*args, **kwargs)
+        return spy
+
+    for module in (emb, mm, rig):
+        monkeypatch.setattr(module, "embedding_data_at", counted_data)
+    monkeypatch.setattr(rig, "sharp_frame", counted("sharp_frame", mm.sharp_frame))
+    monkeypatch.setattr(mm, "sharp_frame", counted("sharp_frame", mm.sharp_frame))
+    monkeypatch.setattr(mm, "sharp_curvature", counted("sharp_curvature", mm.sharp_curvature))
+
+    def ev(u):
+        evals.append(np.shape(u)[:-1])
+        return bump(u)
+
+    ev.batched = True
+    got = rig.exterior_derivative_identities(ev, smooth_mu(11), [0.2, 0.15])
+    assert tuple(r.hex() for r in got) == ("0x1.05c55dc400000p-27", "0x1.5b19ca3800000p-27")
+    # the data on the nested stencil serve the frame at the outer points,
+    # I# and J# at all 81 points and the Brioschi jet's first 9 points
+    assert data_shapes == [(9, 9, 2)]
+    assert frames == []
+    # 25 points around each of the 81 nested points, then the metric field
+    # on the 8 shifted points around each of the 8 jet points off the outer
+    # stencil: 2,025 + 64
+    assert len(evals) == 2
+    assert sum(int(np.prod(shape)) for shape in evals) == 2089
 
 
 # ---------------------------------------------------------------------------
