@@ -216,7 +216,6 @@ class Genus2Mesh:
     vertex_class: np.ndarray
     n_classes: int
     boundary_pairs: tuple
-    side_paths: tuple = field(repr=False)
 
     @property
     def n_triangles(self) -> int:
@@ -285,12 +284,16 @@ def _halfedge_keys(triangles, n):
     return _edge_keys(triangles, np.roll(triangles, -1, axis=1), n).ravel()
 
 
-def _subdivide(vertices, triangles, side_paths):
+def _subdivide(vertices, triangles, sides):
     """Split every triangle at its edge midpoints.
 
     New vertices are numbered in the order in which a scan over the
     triangles, edges (v0, v1), (v1, v2), (v0, v2) in turn, first meets
-    their edge; each side path gains the midpoints of its edges.
+    their edge.  Triangle t = (v0, v1, v2) has the children 4t + c
+    (v0, m01, m02), (v1, m12, m01), (v2, m02, m12), (m01, m12, m02), so
+    half-edge 3t + e, from corner e to corner e + 1 mod 3, splits into
+    half-edges 3 (4t + e) and 3 (4t + (e + 1) mod 3) + 2 of the children:
+    each boundary half-edge in the rows of ``sides`` becomes that pair.
     """
     n = len(vertices)
     v0, v1, v2 = triangles.T
@@ -305,11 +308,9 @@ def _subdivide(vertices, triangles, side_paths):
     m01, m12, m02 = midpoint_id[inverse].reshape(-1, 3).T
     children = np.stack([v0, m01, m02, v1, m12, m01, v2, m02, m12, m01, m12, m02],
                         axis=1).reshape(-1, 3)
-    paths = np.empty((len(side_paths), 2 * side_paths.shape[1] - 1), dtype=np.int64)
-    paths[:, ::2] = side_paths
-    paths[:, 1::2] = midpoint_id[np.searchsorted(
-        edges, _edge_keys(side_paths[:, :-1], side_paths[:, 1:], n))]
-    return np.concatenate([vertices, midpoints]), children, paths
+    t, e = np.divmod(sides, 3)
+    halves = np.stack([3 * (4 * t + e), 3 * (4 * t + (e + 1) % 3) + 2], axis=-1)
+    return np.concatenate([vertices, midpoints]), children, halves.reshape(len(sides), -1)
 
 
 def genus2_mesh(level: int) -> Genus2Mesh:
@@ -328,15 +329,19 @@ def genus2_mesh(level: int) -> Genus2Mesh:
 
     vertices = np.array([[0.0, 0.0, 1.0]] + _octagon_corners())
     triangles = np.array([(0, 1 + k, 1 + (k + 1) % 8) for k in range(8)], dtype=np.int64)
-    side_paths = np.array([[1 + k, 1 + (k + 1) % 8] for k in range(8)], dtype=np.int64)
+    # side k (corner k to k + 1) is half-edge 1 of fan triangle k
+    sides = 3 * np.arange(8, dtype=np.int64)[:, None] + 1
     for _ in range(level):
-        vertices, triangles, side_paths = _subdivide(vertices, triangles, side_paths)
+        vertices, triangles, sides = _subdivide(vertices, triangles, sides)
     n = len(vertices)
+    # a side's vertices: the starts of its half-edges, then the next side's start
+    starts = triangles.ravel()[sides]
+    paths = np.column_stack([starts, np.roll(starts[:, 0], -1)])
 
     # vertex gluing: side k matches side k+4 reversed (vertex j of the far
     # side onto vertex n_sub - j of the near side), checked against the
     # explicit pairing isometries within the documented tolerance
-    near, far = side_paths[:4, ::-1], side_paths[4:]
+    near, far = paths[:4, ::-1], paths[4:]
     for k, g in enumerate(octagon_generators().side_pairings):
         dist = hyp_dist_small(so21_of_sl2(g) @ vertices[far[k]].T, vertices[near[k]].T)
         bad = np.flatnonzero(dist > GLUING_DISTANCE_TOL)
@@ -349,31 +354,12 @@ def genus2_mesh(level: int) -> Genus2Mesh:
                                    shape=(n, n))
     n_classes, labels = scipy.sparse.csgraph.connected_components(glue, directed=False)
 
-    # boundary half-edge pairing: each side edge has exactly one owner.  Only
-    # half-edges with both ends on a side path can lie on one, so the lookup
-    # runs over those alone
-    on_side = np.zeros(n, dtype=bool)
-    on_side[side_paths] = True
-    ends = on_side[triangles]
-    candidates = np.flatnonzero(ends & np.roll(ends, -1, axis=1))
-    tri, e = np.divmod(candidates, 3)
-    edges, first, owners = np.unique(
-        _edge_keys(triangles[tri, e], triangles[tri, (e + 1) % 3], n),
-        return_index=True, return_counts=True)
-    owner = candidates[first]
-
-    def halfedges(path):
-        at = np.searchsorted(edges, _edge_keys(path[:, :-1], path[:, 1:], n))
-        if (owners[at] != 1).any():
-            raise DomainError("boundary edge is not simple")
-        return owner[at]
-
-    h_near, h_far = halfedges(near), halfedges(far)
+    # side k's half-edges, in reverse, glue to those of side k + 4
+    h_near, h_far = sides[:4, ::-1], sides[4:]
     pairs = np.stack([h_near, h_far, h_far, h_near], axis=-1).reshape(-1, 2)
     return Genus2Mesh(level=level, vertices=vertices, triangles=triangles,
                       vertex_class=labels.astype(np.int64), n_classes=int(n_classes),
-                      boundary_pairs=tuple(map(tuple, pairs.tolist())),
-                      side_paths=tuple(map(tuple, side_paths.tolist())))
+                      boundary_pairs=tuple(map(tuple, pairs.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -72,14 +72,14 @@ def sharp_frame(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF) -> Shar
     d^D A = 0 on trust: its torsion is A^{-1} d^D A, and the Codazzi row
     of ``embedding.structure_residuals`` measures |d^D B|_I = |d^D A|_I.
     """
-    u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
-    return _sharp_frame(data, _sharp_factor(data, +1), u, cfg.field)
+    return _sharp_frame(data, _sharp_factor(data, +1), cfg.field)
 
 
-def _sharp_frame(data: EmbeddingData, a_stencil, u, scheme) -> SharpData:
-    """``sharp_frame`` at u from the embedding data on ``stencil(u, scheme)``
-    and the factor E + JB formed from it (``_sharp_factor(data, +1)``)."""
+def _sharp_frame(data: EmbeddingData, a_stencil, scheme) -> SharpData:
+    """``sharp_frame`` at the centre points u = ``data.u[0]`` from the
+    embedding data on ``stencil(u, scheme)`` and the factor E + JB formed
+    from it (``_sharp_factor(data, +1)``)."""
     centre = data[0]
     a = a_stencil[0]
     d = partials(np.stack([data.I, a_stencil], axis=-3), scheme)[1]
@@ -91,7 +91,7 @@ def _sharp_frame(data: EmbeddingData, a_stencil, u, scheme) -> SharpData:
     gamma_sharp = (inv(a) @ vec.reshape(vec.shape[:-2] + (4,))).reshape(vec.shape)
 
     i_sharp, j_sharp = _sharp_structure(centre, a)
-    return SharpData(u=u, I_sharp=i_sharp, J_sharp=j_sharp,
+    return SharpData(u=centre.u, I_sharp=i_sharp, J_sharp=j_sharp,
                      da_sharp=np.sqrt(det(i_sharp)), christoffels=gamma_sharp)
 
 
@@ -122,10 +122,9 @@ def sharp_metric_derivative_residual(immersion: Immersion, u,
     frame and the partials of I# from one embedding-data call on the
     field-step stencil.
     """
-    u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
     a_stencil = _sharp_factor(data, +1)
-    frame = _sharp_frame(data, a_stencil, u, cfg.field)
+    frame = _sharp_frame(data, a_stencil, cfg.field)
     gamma, i_sharp = frame.christoffels, frame.I_sharp
     # resid[..., k, i, j] = d_k I#_ij, with I# = A^T I A on the stencil
     resid = np.moveaxis(partials(_pull_back(a_stencil, data.I), cfg.field)[1], 0, -3)

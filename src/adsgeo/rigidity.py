@@ -33,15 +33,15 @@ import numbers
 
 import numpy as np
 
-from .batch import cholesky2, det2, eigvalsh, entries, inv, inv2, matrix, mul2, trace2, vector
+from .batch import cholesky2, det2, eigvalsh, entries, inv2, matrix, mul2, trace2, vector
 from .embedding import (EmbeddingData, Immersion, complex_structure, embedding_data_at,
                         exterior_covariant_derivative, require_strong_convexity)
 from .errors import DomainError
 from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, partials, shift_partials,
                  stencil)
 from .fuchsian import DiscreteOperators, laplace_eigenvalues, shared_pattern
-from .mess_metrics import (SharpData, _pull_back, _sharp_curvature, _sharp_factor,
-                           _sharp_frame, _sharp_structure, mess_metric, sharp_frame)
+from .mess_metrics import (SharpData, _sharp_curvature, _sharp_factor, _sharp_frame,
+                           _sharp_structure, mess_metric, sharp_frame)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +264,7 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
     points = stencil(stencil(u, cfg.field), cfg.field)
     data = embedding_data_at(immersion, points, cfg=cfg)
     a = _sharp_factor(data, +1)
-    fr = _sharp_frame(data, a, points[0], cfg.field)
+    fr = _sharp_frame(data, a, cfg.field)
     shifted = stencil(points, cfg.inner2)[1:]
     dmu = np.moveaxis(shift_partials(evaluate(mu, shifted), cfg.inner2), 0, -1)
 
@@ -303,10 +303,8 @@ def jbj_sharp(data: EmbeddingData):
     (``batch.eigvalsh``).
     """
     require_strong_convexity(data.B)
-    a = _sharp_factor(data, +1)
-    j_sharp = inv(a) @ (data.J @ a)
+    i_sharp, j_sharp = _sharp_structure(data, _sharp_factor(data, +1))
     op = data.J @ data.B @ j_sharp
-    i_sharp = _pull_back(a, data.I)
     s11, s12, s21, s22 = entries(i_sharp @ op)
     # the largest entry of |S - S^T|: NaN, as there, when a diagonal entry
     # is not finite

@@ -192,9 +192,8 @@ def test_mesh_gluing_involutive():
 
 def test_mesh_boundary_vertices_identified_in_pairs():
     mesh = fu.genus2_mesh(1)
-    # all 8 octagon corners collapse to a single vertex class
-    corner_ids = [path[0] for path in mesh.side_paths]
-    classes = {mesh.vertex_class[i] for i in corner_ids}
+    # all 8 octagon corners, vertices 1-8, collapse to a single vertex class
+    classes = {mesh.vertex_class[i] for i in range(1, 9)}
     assert len(classes) == 1
 
 
@@ -219,12 +218,30 @@ def test_element_stacks_match_calls_on_each_triangle():
     assert mesh.area_angle_defect() == total
 
 
+def _side_paths_from_geometry(mesh):
+    """The vertices on each octagon side's geodesic, ordered by distance
+    from the side's first corner, one row per side."""
+    corners = fu._octagon_corners()
+    points = mesh.vertices.T
+    paths = []
+    for k in range(8):
+        a, b = corners[k], corners[(k + 1) % 8]
+        # the unit spacelike normal of the plane through a, b and the origin
+        normal = np.cross(a, b) * np.array([1.0, 1.0, -1.0])
+        normal /= np.sqrt(fu.mdot(normal, normal))
+        on_side = np.flatnonzero(np.abs(fu.mdot(points, normal)) < 1e-9)
+        paths.append(on_side[np.argsort(fu.hyp_dist(a[:, None], points[:, on_side]))])
+    return np.array(paths)
+
+
 def _boundary_pairs_from_all_halfedges(mesh):
-    """boundary_pairs by a lookup among all half-edge keys of the mesh."""
+    """boundary_pairs by a lookup among all half-edge keys of the mesh,
+    along side paths found from the vertex positions alone."""
     n = len(mesh.vertices)
     edges, owner, owners = np.unique(fu._halfedge_keys(mesh.triangles, n),
                                      return_index=True, return_counts=True)
-    paths = np.array(mesh.side_paths)
+    paths = _side_paths_from_geometry(mesh)
+    assert paths.shape == (8, 2 ** mesh.level + 1)
     near, far = paths[:4, ::-1], paths[4:]
 
     def halfedges(path):
@@ -238,11 +255,29 @@ def _boundary_pairs_from_all_halfedges(mesh):
     return tuple(map(tuple, pairs.tolist()))
 
 
-@pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("level", range(fu.MAX_MESH_LEVEL + 1))
 def test_boundary_pairs_match_lookup_over_all_halfedges(level):
     mesh = fu.genus2_mesh(level)
     assert mesh.boundary_pairs == _boundary_pairs_from_all_halfedges(mesh)
     assert len(mesh.boundary_pairs) == 8 * 2 ** level
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_subdivide_splits_each_halfedge_at_its_midpoint(level):
+    # the two child half-edges that _subdivide names for half-edge h run
+    # from h's first corner to the midpoint of h and on to h's second one
+    mesh = fu.genus2_mesh(level)
+    halfedges = np.arange(3 * mesh.n_triangles)[:, None]
+    vertices, children, halves = fu._subdivide(mesh.vertices, mesh.triangles, halfedges)
+
+    def ends(triangles, h):
+        return triangles.ravel()[h], np.roll(triangles, -1, axis=1).ravel()[h]
+
+    start, end = ends(mesh.triangles, halfedges[:, 0])
+    (start0, mid0), (mid1, end1) = ends(children, halves[:, 0]), ends(children, halves[:, 1])
+    assert (start0 == start).all() and (end1 == end).all() and (mid0 == mid1).all()
+    assert (mid0 >= len(mesh.vertices)).all()
+    assert vertices[mid0].tolist() == fu.hyp_midpoint(vertices[start].T, vertices[end].T).T.tolist()
 
 
 def test_element_area_converges_to_octagon_area():

@@ -123,7 +123,7 @@ MESH7_DIGEST = "86aa4cffcbc53679a3061e9a0ed5e0d6cd8f72683e1d81ef204152d38eb14ee8
 
 PAYLOAD_DIGESTS = {
     "linearized_chain_batch": "78e64543f0b6acaa4a4a48ae1fc8f43b3183906d18038d78897956ea3892313d",
-    "jbj_sharp": "27f11bff47a36ece79bb04925667b74f49cb0bf2520a54afeb950d8341a37385",
+    "jbj_sharp": "d7d71cd525f3e182b8cb6545350ee447b0185a0033e5c4c02cba83f4a11f29ab",
     "sharp_codazzi_order": "237f7651505b250f62d31106f27da58dd973ab8b948850bdee91087cb7d10714",
     "exterior_derivative_identities":
         "791aa12f7846ec1a3f1a1242727104f3278aad07cd6f6256f51e7ee63b42f7ec",
