@@ -50,6 +50,8 @@ DEFAULT_TOLS = {
     "phi_k_metric": 1e-6,
     "phi_k_parameter": 1e-12,
 }
+# the most rows a surface command makes: --samples, or --points per extend s value
+MAX_ROWS = 100000
 
 
 @dataclass
@@ -99,8 +101,8 @@ class RunConfig:
             raise ConfigError("s2 applies to the fuchsian_family fixture only")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 1 <= self.samples <= 100000:
-            raise ConfigError(f"samples must lie in [1, 100000], got {self.samples}")
+        if not 1 <= self.samples <= MAX_ROWS:
+            raise ConfigError(f"samples must lie in [1, {MAX_ROWS}], got {self.samples}")
         if not 1 <= self.points <= 10000:
             raise ConfigError(f"points must lie in [1, 10000], got {self.points}")
         if not 0 <= self.mesh_level <= fuc.MAX_MESH_LEVEL:
@@ -241,11 +243,14 @@ def run_extend(cfg: RunConfig, report: CheckReport, immersion: emb.Immersion):
     for sv in s_values:
         if not -np.pi / 2 + 0.05 < sv <= 0.0:
             raise ConfigError(f"extension sample s={sv} outside (-pi/2+0.05, 0]")
+    rows = len(s_values) * cfg.points
+    if rows > MAX_ROWS:
+        raise ConfigError(f"s-list times points makes {rows} rows, more than {MAX_ROWS}")
     tol_name = ("extension_riemann_bump" if cfg.fixture == "graph_bump"
                 else "extension_riemann")
     # rows ordered by s, then by point; each s value takes the next
     # cfg.points draws
-    u = _sample_points(rng, len(s_values) * cfg.points, box=0.7)
+    u = _sample_points(rng, rows, box=0.7)
     pts = np.column_stack([u, np.repeat(s_values, cfg.points)])
     report.add("extension_riemann", _chart_locations(pts),
                con.extension_curvature(immersion, pts, cfg.diff()), cfg.tol(tol_name))
@@ -267,12 +272,12 @@ def run_rigidity(cfg: RunConfig, report: CheckReport):
 
 
 def run_fuchsian(cfg: RunConfig, report: CheckReport):
-    hol = fuc.octagon_generators()
+    side_pairings, quadruple = fuc.octagon_generators()
     report.add("relator_residual", ["commutator", "octagon_word"],
-               [hol.commutator_relator_residual(), hol.octagon_relator_residual()],
-               cfg.tol("relator_residual"))
+               fuc.relator_residuals(side_pairings, quadruple), cfg.tol("relator_residual"))
     report.add("generator_trace", ["a1", "b1", "a2", "b2"],
-               np.abs(hol.traces()) - fuc.GENERATOR_TRACE, cfg.tol("generator_trace"))
+               np.abs([np.trace(m) for m in quadruple]) - fuc.GENERATOR_TRACE,
+               cfg.tol("generator_trace"))
     mesh = fuc.genus2_mesh(cfg.mesh_level)
     loc = f"level={cfg.mesh_level}"
     report.add("euler_characteristic", loc, mesh.euler_characteristic() + 2,

@@ -102,37 +102,9 @@ def residual_to_pm_identity(m) -> float:
 # ---------------------------------------------------------------------------
 # holonomy generators
 
-@dataclass(frozen=True)
-class HolonomySet:
-    """Standard genus-2 generators plus the octagon side pairings."""
-
-    a1: np.ndarray
-    b1: np.ndarray
-    a2: np.ndarray
-    b2: np.ndarray
-    side_pairings: tuple = field(repr=False)
-
-    @property
-    def quadruple(self):
-        return (self.a1, self.b1, self.a2, self.b2)
-
-    def commutator_relator_residual(self) -> float:
-        def comm(x, y):
-            return x @ y @ np.linalg.inv(x) @ np.linalg.inv(y)
-
-        return residual_to_pm_identity(
-            comm(self.a1, self.b1) @ comm(self.a2, self.b2))
-
-    def octagon_relator_residual(self) -> float:
-        return residual_to_pm_identity(
-            word_matrix(OCTAGON_RELATOR_WORD, self.side_pairings))
-
-    def traces(self):
-        return tuple(float(np.trace(m)) for m in self.quadruple)
-
-
-def octagon_generators() -> HolonomySet:
-    """Holonomy of the regular-octagon genus-2 surface.
+def octagon_generators():
+    """Holonomy of the regular-octagon genus-2 surface: (side_pairings,
+    quadruple), the tuples (g_0, g_1, g_2, g_3) and (a1, b1, a2, b2).
 
     Side pairings translate opposite sides through the center; the standard
     quadruple is the frozen change of generators above.
@@ -143,9 +115,17 @@ def octagon_generators() -> HolonomySet:
         rot = sl2_rotation(theta)
         pairings.append(rot @ sl2_x_translation(length) @ rot.T)
     pairings = tuple(pairings)
-    words = [word_matrix(w, pairings) for w in STANDARD_QUADRUPLE_WORDS]
-    return HolonomySet(a1=words[0], b1=words[1], a2=words[2], b2=words[3],
-                       side_pairings=pairings)
+    return pairings, tuple(word_matrix(w, pairings) for w in STANDARD_QUADRUPLE_WORDS)
+
+
+def relator_residuals(side_pairings, quadruple):
+    """Distances to +-Id of [a1, b1] [a2, b2] and of the octagon word."""
+    def comm(x, y):
+        return x @ y @ np.linalg.inv(x) @ np.linalg.inv(y)
+
+    a1, b1, a2, b2 = quadruple
+    return (residual_to_pm_identity(comm(a1, b1) @ comm(a2, b2)),
+            residual_to_pm_identity(word_matrix(OCTAGON_RELATOR_WORD, side_pairings)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +183,12 @@ class Genus2Mesh:
     ``vertices`` are chart-local hyperboloid positions, shape (n, 3) (seam
     vertices are duplicated); ``vertex_class`` (int64) maps them onto the
     glued complex whose vertex count is ``n_classes``.  ``boundary_pairs``
-    identifies boundary half-edges 3*tri + e, where edge e of triangle
-    (v0, v1, v2) joins vertices (ve, v(e+1 mod 3)).  The methods hand the
-    point helpers above (3, M) stacks, one column per triangle, cut from
-    one contiguous (coordinate, corner, M) gather of the corners, so each
-    triangle gets the bits of a call on its own corners.
+    (int64, shape (4 * 2^level, 2)) has one (near, far) row per gluing of
+    boundary half-edges 3*tri + e, where edge e of triangle (v0, v1, v2)
+    joins vertices (ve, v(e+1 mod 3)).  The methods hand the point helpers
+    above (3, M) stacks, one column per triangle, cut from one contiguous
+    (coordinate, corner, M) gather of the corners, so each triangle gets
+    the bits of a call on its own corners.
     """
 
     level: int
@@ -215,21 +196,20 @@ class Genus2Mesh:
     triangles: np.ndarray
     vertex_class: np.ndarray
     n_classes: int
-    boundary_pairs: tuple
+    boundary_pairs: np.ndarray
 
     @property
     def n_triangles(self) -> int:
         return len(self.triangles)
 
     def glued_edge_count(self) -> int:
-        # boundary_pairs lists both directions; each unordered pair is one edge
         interior = np.ones(3 * self.n_triangles, dtype=bool)
-        interior[np.array(self.boundary_pairs).ravel()] = False
+        interior[self.boundary_pairs.ravel()] = False
         keys = _halfedge_keys(self.triangles, len(self.vertices))[interior]
         keys.sort()
         # the distinct keys: the first, then one more at each change
         distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-        return distinct + len(self.boundary_pairs) // 2
+        return distinct + len(self.boundary_pairs)
 
     def euler_characteristic(self) -> int:
         return self.n_classes - self.glued_edge_count() + self.n_triangles
@@ -342,7 +322,7 @@ def genus2_mesh(level: int) -> Genus2Mesh:
     # side onto vertex n_sub - j of the near side), checked against the
     # explicit pairing isometries within the documented tolerance
     near, far = paths[:4, ::-1], paths[4:]
-    for k, g in enumerate(octagon_generators().side_pairings):
+    for k, g in enumerate(octagon_generators()[0]):
         dist = hyp_dist_small(so21_of_sl2(g) @ vertices[far[k]].T, vertices[near[k]].T)
         bad = np.flatnonzero(dist > GLUING_DISTANCE_TOL)
         if bad.size:
@@ -356,10 +336,9 @@ def genus2_mesh(level: int) -> Genus2Mesh:
 
     # side k's half-edges, in reverse, glue to those of side k + 4
     h_near, h_far = sides[:4, ::-1], sides[4:]
-    pairs = np.stack([h_near, h_far, h_far, h_near], axis=-1).reshape(-1, 2)
     return Genus2Mesh(level=level, vertices=vertices, triangles=triangles,
                       vertex_class=labels.astype(np.int64), n_classes=int(n_classes),
-                      boundary_pairs=tuple(map(tuple, pairs.tolist())))
+                      boundary_pairs=np.stack([h_near, h_far], axis=-1).reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +572,8 @@ def reduced_pencil(ops: DiscreteOperators):
     B is then replaced by (B + B^T) / 2.  The pivot rows hold the identity
     only for a pencil that commutes with D8, so the B returned is checked
     against all of it, X Q r = Q B r, for one fixed random vector r: a
-    real or imaginary part whose residual exceeds SYMMETRY_TOL of max|X|
-    max|Q r| in that part raises DomainError.  This also catches a
+    real or imaginary part whose residual is NaN or exceeds SYMMETRY_TOL of
+    max|X| max|Q r| in that part raises DomainError.  This also catches a
     symmetric B from a pencil that is not; a break whose residual is
     orthogonal to r passes."""
     import scipy.sparse
@@ -628,7 +607,7 @@ def reduced_pencil(ops: DiscreteOperators):
     for name, take, top in zip(("real", "imaginary"), (np.real, np.imag), tops):
         # two real products: Q times a complex vector would copy Q to complex
         worst = np.abs(take(lhs) - ops.basis @ take(back)).max()
-        if worst > SYMMETRY_TOL * top * scale:
+        if not worst <= SYMMETRY_TOL * top * scale:
             raise DomainError(
                 f"the reduced pencil's {name} part fails X Q = Q B: the residual {worst:.3e} "
                 f"exceeds {SYMMETRY_TOL:g} of max|X| max|Q r| = {top * scale:.3e}, so the "
@@ -755,8 +734,7 @@ def laplace_eigenvalues(ops: DiscreteOperators, k: int = 6, seed: int = 0):
 # plain-text mesh exchange format
 
 def export_mesh(mesh: Genus2Mesh) -> str:
-    # boundary_pairs lists each gluing twice, as (near, far) then (far, near)
-    gluings = [sorted(pair) for pair in mesh.boundary_pairs[::2]]
+    gluings = np.sort(mesh.boundary_pairs, axis=1).tolist()
     lines = [f"# genus-2 octagon mesh, level {mesh.level}", f"vertices {len(mesh.vertices)}"]
     lines += [f"{x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
     lines.append(f"triangles {len(mesh.triangles)}")

@@ -341,11 +341,11 @@ def kernel_dimension(eigs) -> float:
 
     The split point with the largest magnitude ratio defines the candidate
     kernel; it only counts when that ratio exceeds 10.  Fewer than two
-    eigenvalues have no gap to measure: the count is NaN (inconclusive), so
-    that no bound on it is met.
+    eigenvalues, or one that is not finite, leave no gap to measure: the
+    count is NaN (inconclusive), so that no bound on it is met.
     """
     mags = np.sort(np.abs(np.asarray(eigs, dtype=float)))
-    if len(mags) < 2:
+    if len(mags) < 2 or not np.isfinite(mags).all():
         return float("nan")
     floor = 1e-300
     ratios = mags[1:] / np.maximum(mags[:-1], floor)

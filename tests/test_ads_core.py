@@ -9,9 +9,9 @@ E1 = np.array([1.0, 0, 0, 0])
 E3 = np.array([0, 0, 1.0, 0])
 E4 = np.array([0, 0, 0, 1.0])
 
-_HOLONOMY = octagon_generators()
+_PAIRINGS, _QUADRUPLE = octagon_generators()
 # the 4 side pairings and the standard quadruple (a1, b1, a2, b2)
-FUCHSIAN_ELEMENTS = _HOLONOMY.side_pairings + _HOLONOMY.quadruple
+FUCHSIAN_ELEMENTS = _PAIRINGS + _QUADRUPLE
 
 
 def test_bilinear_signature():

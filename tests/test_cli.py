@@ -170,6 +170,9 @@ def test_rigidity_nan_eigenvalue_fails(monkeypatch, capsys):
     assert code == 1
     row = next(ln for ln in out.splitlines() if ln.startswith("eigenvalue_0"))
     assert row.split()[2:] == ["nan", "inf", "FAIL"]
+    # and the spectrum has no gap to count a kernel by
+    row = next(ln for ln in out.splitlines() if ln.startswith("kernel_dimension"))
+    assert row.split()[2:] == ["nan", "0.0", "FAIL"]
 
 
 def test_fuchsian_command_with_export(tmp_path, capsys):
@@ -271,6 +274,18 @@ def test_extend_rejects_bad_slist():
     # an empty list used to pass with no row checked
     for empty in ("", ",", " "):
         assert cli.main(["extend", f"--s-list={empty}"]) == 2
+
+
+def test_extend_rejects_more_rows_than_samples(monkeypatch, capsys):
+    # 11 s values of 10,000 points each would be 110,000 rows
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("extend sampled points before checking its row count")
+
+    monkeypatch.setattr(cli, "_sample_points", no_sampling)
+    s_list = ",".join(["-0.5"] * 11)
+    code, _, err = run_cli(capsys, "extend", f"--s-list={s_list}", "--points", "10000")
+    assert code == 2
+    assert "makes 110000 rows, more than 100000" in err
 
 
 def test_mess_surface_independence_rows(capsys):

@@ -214,7 +214,7 @@ def test_family_equivariance_under_holonomy():
 
     s = -0.6
     F = emb.family_immersion(s)
-    m = octagon_generators().side_pairings[1]
+    m = octagon_generators()[0][1]
     g3 = so21_of_sl2(m)
     u = np.array([0.3, 0.2])
     moved_chart = g3 @ emb.hyperboloid_point(u)

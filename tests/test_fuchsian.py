@@ -20,36 +20,37 @@ from adsgeo.rigidity import rigidity_spectrum
 def test_generator_traces_match_octagon_trigonometry():
     # trace oracle: translation length between opposite sides is twice the
     # apothem, cosh of half of it = cot(pi/8) = 1 + sqrt(2)
-    hol = fu.octagon_generators()
+    side_pairings, quadruple = fu.octagon_generators()
     target = 2.0 * (1.0 + np.sqrt(2.0))
-    for g in hol.side_pairings:
+    for g in side_pairings:
         assert abs(np.trace(g)) == pytest.approx(target, abs=1e-12)
         assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-12)
-    for tr in hol.traces():
-        assert abs(tr) == pytest.approx(target, abs=1e-12)
+    for m in quadruple:
+        assert abs(np.trace(m)) == pytest.approx(target, abs=1e-12)
 
 
 def test_translation_length_against_midpoint_distance():
     # independent cross-check: the pairing must displace one side midpoint
     # onto the opposite one, a distance of twice the apothem
-    hol = fu.octagon_generators()
-    g0 = fu.so21_of_sl2(hol.side_pairings[0])
+    pairing = fu.octagon_generators()[0][0]
+    g0 = fu.so21_of_sl2(pairing)
     corners = fu._octagon_corners()
     m0 = fu.hyp_midpoint(corners[0], corners[1])
     m4 = fu.hyp_midpoint(corners[4], corners[5])
     assert fu.hyp_dist_small(g0 @ m4, m0) < 1e-12
     length = fu.hyp_dist(m0, m4)
     assert np.cosh(length / 2.0) == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-12)
-    assert abs(np.trace(hol.side_pairings[0])) == pytest.approx(
+    assert abs(np.trace(pairing)) == pytest.approx(
         2.0 * np.cosh(length / 2.0), abs=1e-12)
 
 
 def test_relators():
-    hol = fu.octagon_generators()
-    assert hol.commutator_relator_residual() < 1e-8
-    assert hol.octagon_relator_residual() < 1e-8
+    side_pairings, quadruple = fu.octagon_generators()
+    commutator, octagon_word = fu.relator_residuals(side_pairings, quadruple)
+    assert commutator < 1e-8
+    assert octagon_word < 1e-8
     # every generator and side pairing is hyperbolic
-    assert all(abs(np.trace(g)) > 2.0 + 1e-9 for g in hol.quadruple + hol.side_pairings)
+    assert all(abs(np.trace(g)) > 2.0 + 1e-9 for g in quadruple + side_pairings)
 
 
 def test_standard_quadruple_is_symplectic_on_homology():
@@ -65,9 +66,7 @@ def test_standard_quadruple_is_symplectic_on_homology():
 
 def test_standard_quadruple_regenerates_pairings():
     # a2, b2 are words in the pairings; conversely g2, g3 are recovered
-    hol = fu.octagon_generators()
-    g0, g1, g2, g3 = hol.side_pairings
-    a2, b2 = hol.a2, hol.b2
+    (g0, g1, g2, g3), (_, _, a2, b2) = fu.octagon_generators()
     g2_back = np.linalg.inv(g0) @ b2 @ g1
     g3_back = np.linalg.inv(np.linalg.inv(g1) @ a2 @ g0)
     assert np.abs(g2_back - g2).max() < 1e-10
@@ -75,11 +74,11 @@ def test_standard_quadruple_regenerates_pairings():
 
 
 def test_rotation_conjugation_cycles_pairings():
-    hol = fu.octagon_generators()
+    side_pairings = fu.octagon_generators()[0]
     rho = fu.sl2_rotation(np.pi / 4.0)
     for k in range(3):
-        conj = rho @ hol.side_pairings[k] @ np.linalg.inv(rho)
-        assert np.abs(conj - hol.side_pairings[k + 1]).max() < 1e-12
+        conj = rho @ side_pairings[k] @ np.linalg.inv(rho)
+        assert np.abs(conj - side_pairings[k + 1]).max() < 1e-12
 
 
 def test_octagon_area_gauss_bonnet():
@@ -173,21 +172,23 @@ def test_mesh_level_must_be_an_integer(level):
 
 def test_mesh_rejects_a_side_pairing_off_its_sides(monkeypatch):
     # g2 turned by 1e-6 about the centre maps side 6 off side 2
-    generators = fu.octagon_generators()
-    pairings = list(generators.side_pairings)
+    side_pairings, quadruple = fu.octagon_generators()
+    pairings = list(side_pairings)
     pairings[2] = fu.sl2_rotation(1e-6) @ pairings[2]
-    turned = dataclasses.replace(generators, side_pairings=tuple(pairings))
-    monkeypatch.setattr(fu, "octagon_generators", lambda: turned)
+    monkeypatch.setattr(fu, "octagon_generators", lambda: (tuple(pairings), quadruple))
     with pytest.raises(DomainError, match="side pairing mismatch on side 2: distance 5.742e-06"):
         fu.genus2_mesh(1)
 
 
 def test_mesh_gluing_involutive():
+    # each boundary half-edge (one whose edge no other half-edge shares)
+    # appears exactly once in boundary_pairs, and never in its own row
     mesh = fu.genus2_mesh(2)
-    pair_of = dict(mesh.boundary_pairs)
-    for h1, h2 in mesh.boundary_pairs:
-        assert pair_of[h2] == h1
-        assert h1 != h2
+    keys = fu._halfedge_keys(mesh.triangles, len(mesh.vertices))
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    boundary = np.flatnonzero(counts[inverse] == 1)
+    assert np.array_equal(np.sort(mesh.boundary_pairs.ravel()), boundary)
+    assert (mesh.boundary_pairs[:, 0] != mesh.boundary_pairs[:, 1]).all()
 
 
 def test_mesh_boundary_vertices_identified_in_pairs():
@@ -250,16 +251,15 @@ def _boundary_pairs_from_all_halfedges(mesh):
         assert (owners[at] == 1).all()
         return owner[at]
 
-    h_near, h_far = halfedges(near), halfedges(far)
-    pairs = np.stack([h_near, h_far, h_far, h_near], axis=-1).reshape(-1, 2)
-    return tuple(map(tuple, pairs.tolist()))
+    return np.stack([halfedges(near), halfedges(far)], axis=-1).reshape(-1, 2)
 
 
 @pytest.mark.parametrize("level", range(fu.MAX_MESH_LEVEL + 1))
 def test_boundary_pairs_match_lookup_over_all_halfedges(level):
     mesh = fu.genus2_mesh(level)
-    assert mesh.boundary_pairs == _boundary_pairs_from_all_halfedges(mesh)
-    assert len(mesh.boundary_pairs) == 8 * 2 ** level
+    assert np.array_equal(mesh.boundary_pairs, _boundary_pairs_from_all_halfedges(mesh))
+    assert mesh.boundary_pairs.dtype == np.int64
+    assert mesh.boundary_pairs.shape == (4 * 2 ** level, 2)
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -316,9 +316,7 @@ def test_mesh_export_roundtrip(tmp_path):
     verts, tris, glue = parse_mesh_text(text)
     assert np.allclose(verts, mesh.vertices)
     assert np.array_equal(tris, mesh.triangles)
-    assert len(glue) == len(mesh.boundary_pairs) // 2
-    for h1, h2 in glue:
-        assert (h1, h2) in mesh.boundary_pairs or (h2, h1) in mesh.boundary_pairs
+    assert glue == [tuple(sorted(pair)) for pair in mesh.boundary_pairs.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -718,6 +716,16 @@ def test_reduced_pencil_rejects_a_commuting_pencil_that_is_not_symmetric():
     assert np.array_equal(stiffness.indices, s.indices)
     with pytest.raises(DomainError, match="real part fails X Q = Q B"):
         fu.reduced_pencil(dataclasses.replace(ops, stiffness=stiffness))
+
+
+@pytest.mark.parametrize("name", ["stiffness", "mass"])
+def test_reduced_pencil_rejects_a_nan_entry(name):
+    # one stored NaN makes the residual of X Q = Q B NaN, which must fail
+    ops = fu.discrete_operators(fu.genus2_mesh(3))
+    x = getattr(ops, name).copy()
+    x.data[0] = np.nan
+    with pytest.raises(DomainError, match="fails X Q = Q B"):
+        fu.reduced_pencil(dataclasses.replace(ops, **{name: x}))
 
 
 def test_reduced_pencil_rejects_operators_on_two_patterns():

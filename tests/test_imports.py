@@ -31,6 +31,12 @@ UNREFERENCED_ALLOWED = {
 # dataclasses whose fields are read by name, through dataclasses.fields
 FIELDS_READ_BY_NAME = {"cli.RunConfig"}
 
+# parameters kept on purpose although their function never reads them
+UNREAD_PARAMETERS_ALLOWED = {
+    ("rigidity.b_field_from_mu", "immersion"):
+        "perfbench passes mu and cfg positionally until its next revision (ROADMAP item 10)",
+}
+
 
 def unread_imports(source: str) -> list:
     """Names an import binds in ``source`` that no expression reads."""
@@ -156,6 +162,74 @@ def test_unread_function_detected():
     assert unreferenced(modules, others) == ["geo.only_itself", "io.Thing.read", "io.Point.y"]
     assert unreferenced(modules) == ["geo.only_itself", "geo.by_alias", "io.Thing.read",
                                      "io.Point.y"]
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def parameter_names(function) -> list:
+    args = function.args
+    named = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+    return [arg.arg for arg in named if arg]
+
+
+def reads(function, name: str) -> bool:
+    """Whether the body of ``function`` loads ``name``, in nested functions
+    too unless they take a parameter of that name."""
+    todo = list(function.body) if isinstance(function.body, list) else [function.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            return True
+        if isinstance(node, FUNCTIONS) and name in parameter_names(node):
+            # its defaults and decorators still run in the enclosing scope
+            todo += node.args.defaults + [d for d in node.args.kw_defaults if d]
+            todo += getattr(node, "decorator_list", [])
+        else:
+            todo += ast.iter_child_nodes(node)
+    return False
+
+
+def unread_parameters(modules: dict) -> list:
+    """(function, parameter) of each parameter that its function never
+    reads, over every function, method and lambda of ``modules`` (module
+    name -> source), nested ones included, named "module.Class.outer.inner"
+    with "<lambda>" for a lambda."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.ClassDef,) + FUNCTIONS):
+                name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+            if isinstance(child, FUNCTIONS):
+                found.extend((name, p) for p in parameter_names(child) if not reads(child, p))
+            visit(child, name)
+
+    for module, source in modules.items():
+        visit(ast.parse(source), module)
+    return found
+
+
+def test_every_parameter_is_read():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    # an allowed parameter that its function does read is stale and must go
+    assert sorted(set(unread_parameters(modules)) ^ set(UNREAD_PARAMETERS_ALLOWED)) == []
+
+
+def test_unread_parameter_detected():
+    modules = {"geo": ("def used(a, /, b=1, *rest, key, **extra):\n"
+                       "    return a + b + len(rest) + key + len(extra)\n\n\n"
+                       "def outer(x, y, z):\n"
+                       "    def inner(y, z=z):\n"
+                       "        return y + z\n\n"
+                       "    scale = lambda v, unit: v * x\n"
+                       "    return inner(scale(1, 0))\n\n\n"
+                       "class Thing:\n"
+                       "    def size(self, units):\n"
+                       "        return self.n\n")}
+    assert unread_parameters(modules) == [("geo.outer", "y"), ("geo.outer.<lambda>", "unit"),
+                                          ("geo.Thing.size", "units")]
 
 
 def unresolved_names(text: str) -> list:

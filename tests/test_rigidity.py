@@ -595,6 +595,10 @@ def test_kernel_dimension_rule():
     assert rig.kernel_dimension([1e-13, 5e-13, 2.0]) == 2
     assert rig.kernel_dimension([0.5, 1.0, 2.0]) == 0
     assert np.isnan(rig.kernel_dimension([2.0]))
+    # a spectrum with a value that is not finite has no gap to read
+    assert np.isnan(rig.kernel_dimension([np.nan, -2.5, -9.0, -9.1, -9.2, -12.0]))
+    assert np.isnan(rig.kernel_dimension([-1e-9, np.nan, -9.0, -9.1, -9.2, -12.0]))
+    assert np.isnan(rig.kernel_dimension([np.inf, -2.5, -9.0]))
 
 
 def test_laplace_positivity_by_parts(rng):
