@@ -10,8 +10,10 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -81,10 +83,20 @@ class RunConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+        if not self.k_curvature < -1.0:
+            raise ConfigError(f"K must be < -1, got {self.k_curvature}")
         # an unknown fixture name is reported by make_immersion
         _, names = emb.FIXTURES.get(self.fixture, (None, ()))
         immersion = emb.make_immersion(self.fixture,
                                        **{name: getattr(self, name) for name in names})
+        # the family members whose normal the command resolves, by flag
+        members = []
+        if "fixture" in COMMANDS[self.command][2] and self.fixture == "fuchsian_family":
+            members.append(("--s", self.s))
+        if self.s2 is not None:
+            members.append(("--s2", self.s2))
+        if self.command == "phik":
+            members.append(("--k", con.slice_parameter(self.k_curvature)))
         try:
             emb.family_immersion(self.s)
             if self.s2 is not None:
@@ -97,6 +109,11 @@ class RunConfig:
                                         else 0.0)
         except AdsGeoError as exc:
             raise ConfigError(f"{self.command}: {exc}") from exc
+        for flag, s in members:
+            try:
+                emb.require_family_normal(s)
+            except AdsGeoError as exc:
+                raise ConfigError(f"{self.command} {flag}: {exc}") from exc
         if self.s2 is not None and self.fixture != "fuchsian_family":
             raise ConfigError("s2 applies to the fuchsian_family fixture only")
         if self.seed < 0:
@@ -107,8 +124,6 @@ class RunConfig:
             raise ConfigError(f"points must lie in [1, 10000], got {self.points}")
         if not 0 <= self.mesh_level <= fuc.MAX_MESH_LEVEL:
             raise ConfigError(f"mesh-level must lie in [0, {fuc.MAX_MESH_LEVEL}]")
-        if not self.k_curvature < -1.0:
-            raise ConfigError(f"K must be < -1, got {self.k_curvature}")
         if self.tolerance is not None and not self.tolerance > 0.0:
             raise ConfigError("tolerance must be positive")
         if self.fd_step is not None and not 1e-6 <= self.fd_step <= 0.1:
@@ -373,7 +388,34 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# glibc's mallopt parameters (malloc.h) and the values main sets: numpy
+# temporaries below 4 MiB come from the heap, and up to 64 MiB of freed heap
+# top stays mapped, so a repeated layer call reuses pages it already touched
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MALLOC_POLICY = ((M_MMAP_THRESHOLD, 4 << 20), (M_TRIM_THRESHOLD, 64 << 20))
+
+
+@functools.cache
+def _malloc_policy() -> bool:
+    """Set MALLOC_POLICY once per process, on glibc only; True when set.
+
+    glibc's default mmap threshold follows the largest freed mapped block
+    and its trim threshold is twice that, so the pages of freed temporaries
+    go back to the OS and every later call faults them in again.  Elsewhere,
+    or when mallopt refuses a value, nothing is set."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (ValueError, OSError):       # no such name off glibc
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all(mallopt(param, value) for param, value in MALLOC_POLICY)
+
+
 def main(argv=None) -> int:
+    _malloc_policy()
     parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None:

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import any_of, det, inv, singular_values
-from .embedding import (CHART_CORNER_R2, NORMAL_FLOOR, EmbeddingData, Immersion,
-                        _curvature_from_known, christoffel_symbols, embedding_data_at,
-                        family_immersion, metric_and_normal, normal_field,
+from .embedding import (EmbeddingData, Immersion, _curvature_from_known,
+                        christoffel_symbols, embedding_data_at, family_immersion,
+                        metric_and_normal, normal_field, require_normal_floor,
                         require_strong_convexity, third_fundamental_form)
-from .errors import DegenerateDataError, DomainError, FocalPointError
+from .errors import DomainError, FocalPointError
 from .fd import DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, partials, shifts, stencil
 from .mess_metrics import mess_metric
 
@@ -66,16 +66,11 @@ def require_family_dual(s: float):
 
     On the family B = tan(s) E and I = cos(s)^2 g_hyp, so the unnormalized
     normal of the dual immersion (``embedding.normal_field``) has <n, n> =
-    -det III = -det(B)^2 det(I) = -sin(s)^4 / (1 + |u|^2); it must stay below
-    -NORMAL_FLOOR at the corners of the box, where |u|^2 = CHART_CORNER_R2.
+    -det III = -det(B)^2 det(I) = -sin(s)^4 / (1 + |u|^2)
+    (``embedding.require_normal_floor``).
     """
     family_immersion(s)     # rejects s outside (-pi/2, 0]
-    sn2 = np.sin(s) * np.sin(s)
-    corner = sn2 * sn2 / (1.0 + CHART_CORNER_R2)
-    if not corner > NORMAL_FLOOR:
-        raise DegenerateDataError(
-            f"dual normal unresolvable at s = {s}: sin(s)^4 / (1 + |u|^2) "
-            f"= {corner:.3e} <= {NORMAL_FLOOR:g} at the box corners")
+    require_normal_floor(np.sin(s) ** 2, "dual", s)
 
 
 def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
@@ -266,14 +261,19 @@ def extension_curvature(immersion: Immersion, p, cfg: DiffConfig = DEFAULT_DIFF)
 # ---------------------------------------------------------------------------
 # constant-curvature slice selection
 
+def slice_parameter(K: float) -> float:
+    """The family parameter s in (-pi/2, 0) of curvature -1/cos(s)^2 = K."""
+    if not K < -1.0:
+        raise DomainError(f"constant-curvature slice needs K < -1, got K = {K}")
+    return -np.arccos(1.0 / np.sqrt(-K))
+
+
 def phi_k_fuchsian(K: float, u, cfg: DiffConfig = DEFAULT_DIFF):
     """(s, left metric, normalized K-surface metric) of the umbilic family
     member with -1/cos(s)^2 = K, s in (-pi/2, 0), the metrics at chart points
     u; the induced metric is rescaled by |K| to curvature -1.  Both metrics
     coincide with the base hyperbolic metric.
     """
-    if not K < -1.0:
-        raise DomainError(f"constant-curvature slice needs K < -1, got K = {K}")
-    s = -np.arccos(1.0 / np.sqrt(-K))
+    s = slice_parameter(K)
     data = embedding_data_at(family_immersion(s), u, cfg=cfg)
     return s, mess_metric(data, +1), (-K) * data.I

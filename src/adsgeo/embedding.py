@@ -95,6 +95,27 @@ def family_immersion(s: float = -0.7) -> Immersion:
     return ev
 
 
+def require_normal_floor(c2: float, what: str, s: float):
+    """Raise unless a normal with <n, n> = -c2^2 / (1 + |u|^2) stays below
+    -NORMAL_FLOOR over the chart box, where |u|^2 <= CHART_CORNER_R2.
+
+    That is the unnormalized normal of ``_unit_future_normal`` on the family
+    member s, with c2 = cos(s)^2 since I = cos(s)^2 g_hyp, and on its dual
+    immersion, with c2 = sin(s)^2 (``constructions.require_family_dual``).
+    """
+    corner = c2 * c2 / (1.0 + CHART_CORNER_R2)
+    if not corner > NORMAL_FLOOR:
+        raise DegenerateDataError(f"{what} normal unresolvable at s = {s}: <n, n> = "
+                                  f"-{corner:.3e} >= -{NORMAL_FLOOR:g} at the box corners")
+
+
+def require_family_normal(s: float):
+    """Reject a family member too close to the focal end s = -pi/2 for its
+    normal to be resolved: cos(s)^4 / (1 + |u|^2) <= NORMAL_FLOOR at the box
+    corners, s <= -1.57038 or so."""
+    require_normal_floor(np.cos(s) ** 2, "family", s)
+
+
 def _totally_geodesic() -> Immersion:
     """The plane {x4 = 0}: the family member at s = 0, B = 0."""
     return family_immersion(0.0)

@@ -1,5 +1,7 @@
 import json
 import os
+import platform
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -12,10 +14,11 @@ import adsgeo
 from adsgeo import cli
 from adsgeo import embedding as emb
 from adsgeo import rigidity as rig
-from adsgeo.errors import ConfigError
+from adsgeo.errors import ConfigError, DegenerateDataError
 from adsgeo.fd import DiffConfig
 from adsgeo.report import CheckReport, emit_report
 from test_golden import CASES as GOLDEN_CASES
+from test_golden import GOLDEN, SEED
 
 
 def run_cli(capsys, *argv):
@@ -497,3 +500,166 @@ def test_surface_commands_load_no_scipy(capsys):
     got = json.loads(done.stdout)
     assert got["loaded"] == []
     assert got["runs"] == [[0, run_cli(capsys, *argv)[1]] for argv in SURFACE_COMMANDS]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["check", "--fixture", "fuchsian_family", "--s", "-1.5707"], "--s"),
+    (["mess", "--fixture", "fuchsian_family", "--s", "-1.5707"], "--s"),
+    (["dual", "--fixture", "fuchsian_family", "--s", "-1.5707"], "--s"),
+    (["extend", "--fixture", "fuchsian_family", "--s", "-1.5707"], "--s"),
+    (["mess", "--s2", "-1.5707"], "--s2"),
+    (["phik", "--k=-2e7"], "--k"),
+    (["phik", "--k=-1e32"], "--k"),
+], ids=["check_s", "mess_s", "dual_s", "extend_s", "mess_s2", "phik_k2e7", "phik_k1e32"])
+def test_family_focal_end_is_a_config_error(capsys, argv, flag):
+    # <n, n> = -cos(s)^4 / (1 + |u|^2) of the family's unnormalized normal
+    # is above -NORMAL_FLOOR at the box corners: rejected before any row,
+    # naming the flag that set s
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"adsgeo: config error: {argv[0]} {flag}: family normal ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--s", "-1.57037", "--samples", "5"],
+    ["mess", "--s", "-0.2", "--s2", "-1.57037", "--samples", "5"],
+    ["extend", "--s", "-1.57037", "--points", "2"],
+    ["phik", "--k=-5.7e6", "--samples", "30"],
+    ["rigidity", "--s", "-1.5707963", "--mesh-level", "1"],
+], ids=["check_s", "mess_s2", "extend_s", "phik_k", "rigidity_s"])
+def test_family_just_inside_focal_bound_reports(capsys, argv):
+    # the whole accepted range makes its report; rigidity takes s only
+    # through tan|s|, so its range runs up to -pi/2
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in ((0,) if argv[0] == "rigidity" else (0, 1))
+    assert "summary:" in out
+
+
+@pytest.mark.parametrize("s,fails", [(-1.5703, False), (-1.57045, True)])
+def test_family_normal_bound_is_where_the_normal_fails(s, fails):
+    # the bound at the box corner (1, 1) agrees with the normal that
+    # embedding_data_at resolves there
+    surface = emb.family_immersion(s)
+    for check in (lambda: emb.require_family_normal(s),
+                  lambda: emb.embedding_data_at(surface, [1.0, 1.0])):
+        if fails:
+            with pytest.raises(DegenerateDataError):
+                check()
+        else:
+            check()
+
+
+def readme_command_lines():
+    """The argv of each line of README's "Command line" sh block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert all(argv[0] == "adsgeo" for argv in lines)
+    return [argv[1:] for argv in lines]
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=lambda argv: argv[0])
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys, argv):
+    # every documented command line parses and makes its report
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:       # argparse rejects the line
+        code = exc.code
+    assert code in (0, 1), capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the malloc policy that cli.main sets
+
+ON_GLIBC = platform.libc_ver()[0] == "glibc"
+
+MALLOPT_CALLS = """
+import ctypes, importlib, io, pkgutil, sys
+calls = []
+
+class Spy(ctypes.CDLL):
+    def __getattr__(self, name):
+        calls.append(name)
+        return super().__getattr__(name)
+
+ctypes.CDLL = Spy
+import adsgeo
+for module in pkgutil.iter_modules(adsgeo.__path__):
+    importlib.import_module("adsgeo." + module.name)
+on_import = calls.count("mallopt")
+from adsgeo import cli
+sys.stdout = io.StringIO()
+for _ in range(3):
+    cli.main(["version"])
+sys.stdout = sys.__stdout__
+print(on_import, calls.count("mallopt"), cli._malloc_policy())
+"""
+
+
+def _python(script):
+    """The words that ``script`` prints, run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(adsgeo.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    return done.stdout.split()
+
+
+def test_malloc_policy_once_per_process_and_never_on_import():
+    on_import, after_main, applied = _python(MALLOPT_CALLS)
+    assert on_import == "0"
+    assert after_main == ("1" if ON_GLIBC else "0")
+    assert applied == str(ON_GLIBC)
+
+
+@pytest.fixture
+def fresh_policy():
+    cli._malloc_policy.cache_clear()
+    yield
+    cli._malloc_policy.cache_clear()
+
+
+@pytest.mark.parametrize("confstr", [None, ValueError, OSError],
+                         ids=["unset", "unknown_name", "error"])
+def test_malloc_policy_off_glibc_is_a_no_op(fresh_policy, monkeypatch, tmp_path, confstr):
+    def no_glibc(name):
+        if confstr is not None:
+            raise confstr(name)
+        return None
+
+    def no_libc(*args, **kwargs):
+        raise AssertionError("libc loaded off glibc")
+
+    monkeypatch.setattr(os, "confstr", no_glibc)
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_libc)
+    assert cli._malloc_policy() is False
+    target = tmp_path / "check_bump.table"
+    argv = ["check", "--fixture", "graph_bump", "--samples", "3", "--seed", SEED,
+            "--out-file", str(target)]
+    assert cli.main(argv) == 0
+    assert target.read_bytes() == (GOLDEN / "check_bump.table").read_bytes()
+
+
+CHECK_FAULTS = """
+import io, resource, sys
+from adsgeo import cli
+argv = ["check", "--fixture", "graph_bump", "--samples", "100"]
+sys.stdout = io.TextIOWrapper(io.BytesIO())
+faults = []
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cli.main(argv)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+sys.stdout = sys.__stdout__
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(not ON_GLIBC, reason="the policy is set on glibc only")
+def test_malloc_policy_keeps_freed_temporaries_mapped():
+    # glibc's default trims the freed temporaries of each layer call, about
+    # 540 minor faults per check at 100 samples; under the policy a warm
+    # check reuses pages it already touched
+    faults = [int(f) for f in _python(CHECK_FAULTS)]
+    assert sum(faults[2:]) / 3 < 100, faults
