@@ -226,11 +226,14 @@ def run_mess(cfg: RunConfig, report: CheckReport, immersion: emb.Immersion):
                 else "left_curvature")
     pts = _sample_points(rng, cfg.samples)
     locations = _chart_locations(pts)
-    resid = np.abs(mes.sharp_curvature(immersion, pts, cfg=diff) + 1.0)
-    report.add("left_curvature", locations, resid, cfg.tol(tol_name))
+    # one embedding-data call serves K# (as in sharp_curvature) and I#
+    data = emb.embedding_data_at(immersion, pts, cfg=diff)
+    k_sharp = mes._sharp_curvature(immersion, pts, data.I[None], mes._sharp_factor(data, +1),
+                                   diff)
+    report.add("left_curvature", locations, np.abs(k_sharp + 1.0), cfg.tol(tol_name))
     if cfg.s2 is not None:
         other = emb.make_immersion("fuchsian_family", s=cfg.s2)
-        a = mes.mess_metric(emb.embedding_data_at(immersion, pts, cfg=diff), +1)
+        a = mes.mess_metric(data, +1)
         b = mes.mess_metric(emb.embedding_data_at(other, pts, cfg=diff), +1)
         report.add("metric_match", locations, np.abs(a - b).max(axis=(-2, -1)),
                    cfg.tol("metric_match"))

@@ -133,6 +133,10 @@ def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
     symmetric, with eigenvalue cos(t)^2 along circles and cos(t)^2 / (1 + r^2)
     - t'(r)^2 along rays; both must be positive, with condition at most
     MAX_METRIC_CONDITION, for r^2 up to CHART_CORNER_R2: over the chart box.
+    The unnormalized normal of ``_unit_future_normal`` has <n, n> = -det I,
+    the product of the two, which must stay below -NORMAL_FLOOR there, as
+    ``require_normal_floor`` asks of the family: near the focal end
+    t = -pi/2 both eigenvalues vanish.
     """
     # comparisons are written so that NaN parameters fail them
     if not width >= 0.2:
@@ -153,6 +157,11 @@ def bump_immersion(amplitude: float = 0.05, width: float = 1.0,
         raise DomainError(
             f"bump parameters give a non-spacelike or ill-conditioned metric: "
             f"eigenvalues {small[worst]:.3e}, {big[worst]:.3e} at r = {r[worst]:.3f}")
+    det_i = circle * ray
+    if not (det_i > NORMAL_FLOOR).all():
+        worst = int(np.argmin(det_i))
+        raise DomainError(f"bump normal unresolvable: <n, n> = -{det_i[worst]:.3e} >= "
+                          f"-{NORMAL_FLOOR:g} at r = {r[worst]:.3f}")
 
     def ev(u):
         # y1, y2 are the chart coordinates, split from u once

@@ -39,13 +39,17 @@ a table of (point, coordinate, shift) entries that is built on first use
 for each (dim, request) and cached.  Each coordinate of a point gets at
 most one add, so it has the bits of a copy of ``u`` shifted in place.
 
-The difference pass writes each numerator once, over both Richardson
-halves t = h and t = h/2 of every coordinate or pair of coordinates,
-reading views of the stacked values: f(+t) - f(-t) for a first difference,
-(f(+t) - 2 f(u)) + f(-t) for a second one and ((f++ - f+-) - f-+) + f-- for
-a mixed one.  One division by the table's divisors 2 t, t t and (4 t) t
-makes the quotients, and with Richardson one (4 b - a) / 3 combines the
-quotient a at h with b at h/2 for all of them.
+The difference pass forms every numerator as ((A - B) - C) + D, over both
+Richardson halves t = h and t = h/2 of every coordinate or pair of
+coordinates at once: each operand is one gather of rows, listed in the
+table, of the values extended by three rows +0.0, -0.0 and 2 f(u).  A
+first difference f(+t) - f(-t) is ((f(+t) - f(-t)) - +0.0) + -0.0, a second
+one (f(+t) - 2 f(u)) + f(-t) is ((f(+t) - 2 f(u)) - +0.0) + f(-t) and a
+mixed one is ((f++ - f+-) - f-+) + f--.  Subtracting +0.0 and adding -0.0
+keep every bit, signed zeros and NaN included.  One division by the
+table's divisors 2 t, t t and (4 t) t makes the quotients, and with
+Richardson one (4 b - a) / 3 combines the quotient a at h with b at h/2 for
+all of them.
 
 Two default step sizes are distinguished:
 
@@ -90,15 +94,16 @@ class DiffConfig:
     field_step: float = 1.5e-2
     richardson: bool = True
 
-    @property
+    # each scheme is built on first use and kept on the instance
+    @functools.cached_property
     def inner(self) -> FDScheme:
         return FDScheme(self.immersion_step, self.richardson)
 
-    @property
+    @functools.cached_property
     def inner2(self) -> FDScheme:
         return FDScheme(4.0 * self.immersion_step, self.richardson)
 
-    @property
+    @functools.cached_property
     def field(self) -> FDScheme:
         return FDScheme(self.field_step, self.richardson)
 
@@ -127,10 +132,10 @@ class _Table(NamedTuple):
     rows: np.ndarray
     cols: np.ndarray
     steps: np.ndarray
-    # rows where the shifted points of the first and the second partials
-    # start; the corners of the mixed ones follow the latter
-    first: int | None
-    second: int | None
+    # numerator q at half h is ((A - B) - C) + D with A the row A[h, q] of
+    # the values extended by the rows +0.0, -0.0 and 2 f(u), numbered from
+    # len(shifts) on, and B, C and D likewise
+    gather: tuple
     # divisors[half, q] of quotient q: the first partials, then the second
     # ones along each coordinate, then the mixed ones by pair; dd[i, j] is
     # quotient pick[i, j]
@@ -165,10 +170,25 @@ def _table(dim: int, request) -> _Table:
         if scheme == second:
             corners = [(a, b) for t in _halves(scheme) for a in (t, -t) for b in (t, -t)]
             shifts += tuple(((i, a), (j, b)) for a, b in corners for i, j in pairs)
-    divisors, pick = [], None
+    # the extra rows follow the points; in a block of shifted points from
+    # row r, f(+t) and f(-t) in coordinate i at half h are rows r + k i + 2 h
+    # and the next one, and the corners of the mixed partials follow the
+    # block of the second partials
+    plus, minus, twice = range(len(shifts), len(shifts) + 3)
+    halves = range(len(_halves(first or second)))
+    k = 2 * len(halves)
+    quads, divisors, pick = [], [], None
     if first is not None:
+        r = rows[first]
+        quads += [[(r + k * i + 2 * h, r + k * i + 2 * h + 1, plus, minus) for h in halves]
+                  for i in range(dim)]
         divisors += [[2.0 * t for t in _halves(first)]] * dim
     if second is not None:
+        r = rows[second]
+        quads += [[(r + k * i + 2 * h, twice, plus, r + k * i + 2 * h + 1) for h in halves]
+                  for i in range(dim)]
+        quads += [[tuple(r + k * dim + (4 * h + c) * len(pairs) + p for c in range(4))
+                   for h in halves] for p in range(len(pairs))]
         ts = _halves(second)
         pick = np.empty((dim, dim), dtype=int)
         for i in range(dim):
@@ -178,9 +198,9 @@ def _table(dim: int, request) -> _Table:
         divisors += [[t * t for t in ts]] * dim + [[4.0 * t * t for t in ts]] * len(pairs)
     entries = [(row, i, s) for row, shift in enumerate(shifts) for i, s in shift]
     columns = tuple(np.array(column) for column in zip(*entries))
-    table = _Table(shifts, *columns, rows.get(first), rows.get(second),
-                   np.ascontiguousarray(np.transpose(divisors)), pick)
-    for array in (*columns, table.divisors, pick):
+    gather = tuple(np.ascontiguousarray(operand) for operand in np.transpose(quads))
+    table = _Table(shifts, *columns, gather, np.ascontiguousarray(np.transpose(divisors)), pick)
+    for array in (*columns, *gather, table.divisors, pick):
         if array is not None:
             array.flags.writeable = False
     return table
@@ -217,43 +237,33 @@ def _dimension(n: int, request, name: str) -> int:
 
 def _partials(values, request, name: str):
     """``(f(u), d, dd)`` from the values of f at the points of ``request``,
-    None for what it does not ask for: one pass of each numerator over both
-    halves, one division and one Richardson step."""
+    None for what it does not ask for: one pass of four gathers over all
+    numerators and both halves, one division and one Richardson step.  The
+    operands are gathered one at a time, so a large stack holds the extended
+    values, the numerators and one operand, not all four operands at once."""
     values = np.asarray(values)
-    dim = _dimension(len(values), request, name)
+    n = len(values)
+    dim = _dimension(n, request, name)
     table = _table(dim, request)
     shape = values.shape[1:]
-    halves = len(table.divisors)
-    width = 2 * halves * dim
-    numerators = np.empty(table.divisors.shape + shape)
-    q = 0
-    if table.first is not None:
-        # axis[half, i, 0] = f(+t), axis[half, i, 1] = f(-t) in coordinate i
-        axis = values[table.first:table.first + width].reshape((dim, halves, 2) + shape)
-        axis = axis.swapaxes(0, 1)
-        np.subtract(axis[:, :, 0], axis[:, :, 1], out=numerators[:, :dim])
-        q = dim
-    if table.second is not None:
-        axis = values[table.second:table.second + width].reshape((dim, halves, 2) + shape)
-        axis = axis.swapaxes(0, 1)
-        diag = numerators[:, q:q + dim]
-        np.subtract(axis[:, :, 0], 2.0 * values[0], out=diag)
-        np.add(diag, axis[:, :, 1], out=diag)
-        # corner[half, c, p]: corner c (++, +-, -+, --) of pair p
-        mixed = numerators[:, q + dim:]
-        start = table.second + width
-        corner = values[start:start + 4 * halves * mixed.shape[1]]
-        corner = corner.reshape((halves, 4, mixed.shape[1]) + shape)
-        np.subtract(corner[:, 0], corner[:, 1], out=mixed)
-        np.subtract(mixed, corner[:, 2], out=mixed)
-        np.add(mixed, corner[:, 3], out=mixed)
+    extended = np.empty((n + 3,) + shape)
+    extended[:n] = values
+    extended[n] = 0.0
+    extended[n + 1] = -0.0
+    # 2 f(u), read by the second partials only
+    np.multiply(extended[:1], 2.0, out=extended[n + 2:])
+    a, b, c, d = table.gather
+    numerators = extended.take(a, axis=0)
+    numerators -= extended.take(b, axis=0)
+    numerators -= extended.take(c, axis=0)
+    numerators += extended.take(d, axis=0)
     numerators /= table.divisors.reshape(table.divisors.shape + (1,) * len(shape))
-    if halves == 2:
+    if len(numerators) == 2:
         quotients = (4.0 * numerators[1] - numerators[0]) / 3.0
     else:
         quotients = numerators[0]
     return (values[0] if request[0] else None,
-            None if table.first is None else quotients[:dim],
+            None if request[1] is None else quotients[:dim],
             None if table.pick is None else quotients[table.pick])
 
 

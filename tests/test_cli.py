@@ -370,7 +370,7 @@ EVALUATOR_CALLS = [
     (["check", "--fixture", "fuchsian_family", "--s", "-1.2", "--samples", "100"], 2, 28900),
     (["mess", "--fixture", "graph_bump", "--samples", "100"], 2, 15300),
     (["mess", "--fixture", "fuchsian_family", "--s", "-0.2", "--s2", "-1.2",
-      "--samples", "100"], 4, 20300),
+      "--samples", "100"], 3, 17800),
     (["dual", "--fixture", "graph_bump", "--samples", "50"], 3, 11250),
     (["extend", "--fixture", "graph_bump", "--points", "20"], 1, 25500),
 ]
@@ -518,6 +518,24 @@ def test_family_focal_end_is_a_config_error(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"adsgeo: config error: {argv[0]} {flag}: family normal ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("params", [
+    ["--base", "-1.5707", "--amplitude", "0.0001"],
+    ["--base", "-1.5706", "--amplitude", "-0.0001"],
+], ids=["amplitude_up", "amplitude_down"])
+def test_bump_focal_end_is_a_config_error(monkeypatch, capsys, params):
+    # <n, n> = -det I of the bump's unnormalized normal is above
+    # -NORMAL_FLOOR somewhere on its radial grid: rejected before any row
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(emb, "structure_residuals", no_rows)
+    code, out, err = run_cli(capsys, "check", "--fixture", "graph_bump", *params,
+                             "--samples", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("adsgeo: config error: bump normal unresolvable: <n, n> = -")
     assert err.count("\n") == 1
 
 

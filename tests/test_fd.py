@@ -263,6 +263,18 @@ def test_second_order_step_is_four_first_order_steps():
     assert DiffConfig().inner2.step == 2e-3
 
 
+def test_schemes_built_once_per_config():
+    # each scheme is one object per config; the kept schemes change neither
+    # the config's equality nor its hash
+    cfg = DiffConfig(field_step=0.08, richardson=False)
+    schemes = cfg.inner, cfg.inner2, cfg.field
+    assert (cfg.inner, cfg.inner2, cfg.field) == schemes
+    assert all(a is b for a, b in zip((cfg.inner, cfg.inner2, cfg.field), schemes))
+    assert schemes == (FDScheme(5e-4, False), FDScheme(2e-3, False), FDScheme(0.08, False))
+    fresh = DiffConfig(field_step=0.08, richardson=False)
+    assert fresh == cfg and hash(fresh) == hash(cfg)
+
+
 # ---------------------------------------------------------------------------
 # the calling rule: an unmarked callable gets one point per call
 
@@ -389,3 +401,126 @@ def test_pointwise_evaluator_gets_the_builtin_bits(bump):
     for got, want in zip(emb.structure_residuals(single, pts),
                          emb.structure_residuals(bump, pts), strict=True):
         assert got.tobytes() == want.tobytes() and got.shape == (5,)
+
+
+# ---------------------------------------------------------------------------
+# the request layout and difference pass before the one-gather pass, kept as
+# the reference: a table of shifts, the points as copies of u with one
+# indexed add, and each numerator kind formed from views of the values
+
+def _halves(scheme):
+    h = scheme.step
+    return (h, h / 2.0) if scheme.richardson else (h,)
+
+
+def ref_table(dim, request):
+    """(shifts, rows, cols, steps, first, second, divisors, pick)."""
+    centre, first, second = request
+    shifts = ((),) if centre else ()
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    rows = {}
+    for scheme in dict.fromkeys(s for s in (second, first) if s is not None):
+        rows[scheme] = len(shifts)
+        shifts += tuple(((i, s),) for i in range(dim) for s in _offsets(scheme))
+        if scheme == second:
+            corners = [(a, b) for t in _halves(scheme) for a in (t, -t) for b in (t, -t)]
+            shifts += tuple(((i, a), (j, b)) for a, b in corners for i, j in pairs)
+    divisors, pick = [], None
+    if first is not None:
+        divisors += [[2.0 * t for t in _halves(first)]] * dim
+    if second is not None:
+        ts = _halves(second)
+        pick = np.empty((dim, dim), dtype=int)
+        for i in range(dim):
+            pick[i, i] = len(divisors) + i
+        for q, (i, j) in enumerate(pairs, start=len(divisors) + dim):
+            pick[i, j] = pick[j, i] = q
+        divisors += [[t * t for t in ts]] * dim + [[4.0 * t * t for t in ts]] * len(pairs)
+    entries = [(row, i, s) for row, shift in enumerate(shifts) for i, s in shift]
+    rows_, cols, steps = (np.array(column) for column in zip(*entries))
+    return (shifts, rows_, cols, steps, rows.get(first), rows.get(second),
+            np.ascontiguousarray(np.transpose(divisors)), pick)
+
+
+def ref_request_points(u, request):
+    u = np.asarray(u, dtype=float)
+    shifts, rows, cols, steps = ref_table(u.shape[-1], request)[:4]
+    points = u[None].repeat(len(shifts), axis=0)
+    points[rows, ..., cols] += steps.reshape((-1,) + (1,) * (u.ndim - 1))
+    return points
+
+
+def ref_request_partials(values, request, dim):
+    values = np.asarray(values)
+    _, _, _, _, first, second, divisors, pick = ref_table(dim, request)
+    shape = values.shape[1:]
+    halves = len(divisors)
+    width = 2 * halves * dim
+    numerators = np.empty(divisors.shape + shape)
+    q = 0
+    if first is not None:
+        axis = values[first:first + width].reshape((dim, halves, 2) + shape).swapaxes(0, 1)
+        np.subtract(axis[:, :, 0], axis[:, :, 1], out=numerators[:, :dim])
+        q = dim
+    if second is not None:
+        axis = values[second:second + width].reshape((dim, halves, 2) + shape).swapaxes(0, 1)
+        diag = numerators[:, q:q + dim]
+        np.subtract(axis[:, :, 0], 2.0 * values[0], out=diag)
+        np.add(diag, axis[:, :, 1], out=diag)
+        mixed = numerators[:, q + dim:]
+        start = second + width
+        corner = values[start:start + 4 * halves * mixed.shape[1]]
+        corner = corner.reshape((halves, 4, mixed.shape[1]) + shape)
+        np.subtract(corner[:, 0], corner[:, 1], out=mixed)
+        np.subtract(mixed, corner[:, 2], out=mixed)
+        np.add(mixed, corner[:, 3], out=mixed)
+    numerators /= divisors.reshape(divisors.shape + (1,) * len(shape))
+    quotients = (4.0 * numerators[1] - numerators[0]) / 3.0 if halves == 2 else numerators[0]
+    return (values[0] if request[0] else None,
+            None if first is None else quotients[:dim],
+            None if pick is None else quotients[pick])
+
+
+# the requests by kind, from two schemes of one Richardson setting
+KINDS = {"centre": lambda a, b: (True, a, None), "shift_only": lambda a, b: (False, a, None),
+         "jet": lambda a, b: (True, b, b), "two_schemes": lambda a, b: (True, a, b)}
+SPECIAL_VALUES = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1e-300,
+                           1e300, -1.0])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(chart=st.sampled_from([(2,), (5, 2), (9, 100, 2)]),
+       value=st.sampled_from([(), (4,), (2, 2)]), kind=st.sampled_from(sorted(KINDS)),
+       richardson=st.booleans(), steps=st.tuples(st.floats(1e-6, 1e-1), st.floats(1e-6, 1e-1)),
+       special=st.sampled_from([0.0, 0.05, 0.5, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_partials_keep_the_reference_bits(chart, value, kind, richardson, steps, special, seed):
+    # the one-gather pass against the reference, bit for bit: signed zeros,
+    # infinities and NaN of either sign in the values, -0.0 in the points,
+    # and NaN where the reference has NaN
+    request = KINDS[kind](*(FDScheme(step, richardson) for step in steps))
+    centre, first, second = request
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, chart)
+    u[rng.random(chart) < special / 2] = -0.0
+    points = stencil(u, first, second)
+    want_points = ref_request_points(u, (True, first, second))
+    assert points.shape == want_points.shape and points.tobytes() == want_points.tobytes()
+    if not centre:
+        points = points[1:]
+    values = rng.standard_normal(points.shape[:-1] + value)
+    mask = rng.random(values.shape) < special
+    values[mask] = rng.choice(SPECIAL_VALUES, int(mask.sum()))
+    with np.errstate(all="ignore"):     # inf - inf, overflow
+        got = (partials(values, first, second) if centre
+               else (None, shift_partials(values, first), None))
+        want = ref_request_partials(values, request, chart[-1])
+    for g, w in zip(got, want, strict=True):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.shape == w.shape and g.dtype == w.dtype
+            # where two NaNs meet, numpy's strided and contiguous loops return
+            # different ones: np.add(-nan, +nan) gives +nan on the reference's
+            # strided views and -nan on contiguous arrays, so a NaN's sign
+            # and payload are not part of the reference's bits
+            nan = np.isnan(w)
+            assert np.array_equal(np.isnan(g), nan) and g[~nan].tobytes() == w[~nan].tobytes()

@@ -140,6 +140,18 @@ def test_linearized_chain_batch_pinned():
         'cayley_hamilton': 6.394884621840902e-14}
 
 
+@pytest.mark.parametrize("n", [1, rig.CHAIN_CHUNK - 1, rig.CHAIN_CHUNK, rig.CHAIN_CHUNK + 1,
+                               2 * rig.CHAIN_CHUNK + 1])
+def test_linearized_chain_batch_chunks_are_one_draw(n):
+    # chunks drawn in turn from one rng continue its stream: the maxima are
+    # those of trace_conditions over one unchunked draw of n pairs
+    residuals = rig.trace_conditions(*rig.random_convex_pairs(np.random.default_rng(5), n))
+    worst = {k: float(np.abs(v).max()) for k, v in residuals.items()
+             if k != "equivalence_gap"}
+    got = rig.linearized_chain_batch(n, 5)
+    assert list(got) == list(worst) and got == worst
+
+
 @pytest.mark.parametrize("n", [0, -1, 2.5])
 def test_linearized_chain_batch_needs_a_pair(n):
     # n = 0 used to pass every bound with no pair checked
