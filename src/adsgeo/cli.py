@@ -130,6 +130,9 @@ class RunConfig:
             raise ConfigError("fd-step must lie in [1e-6, 0.1]")
         if self.output not in FORMATS:
             raise ConfigError(f"output must be one of {FORMATS}")
+        for name in ("out_file", "export_mesh"):
+            if getattr(self, name) == "":
+                raise ConfigError(f"{name.replace('_', '-')} must name a file, got an empty path")
         return immersion
 
     def tol(self, name: str) -> float:

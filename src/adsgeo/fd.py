@@ -76,8 +76,8 @@ from .errors import DomainError
 class FDScheme:
     """One finite-difference layer: step plus Richardson switch."""
 
-    step: float = 1e-4
-    richardson: bool = True
+    step: float
+    richardson: bool
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def _table(dim: int, request) -> _Table:
     """The table of ``request = (centre, first, second)``, built once for
     each (dim, request): ``centre`` says whether u is the first point, and
     ``first`` and ``second`` are the schemes of the first and the second
-    partials, or None for partials not asked for.
+    partials, ``second`` None when no second partials are asked for.
 
     The second partials take the centre, the shifted points and, for each
     corner (+t, +t), (+t, -t), (-t, +t), (-t, -t) of each half t, that
@@ -157,7 +157,7 @@ def _table(dim: int, request) -> _Table:
     ones read the same shifted points.
     """
     centre, first, second = request
-    if first is not None and second is not None and first.richardson != second.richardson:
+    if second is not None and first.richardson != second.richardson:
         # the quotients of a request share one Richardson step
         raise DomainError("the first and second partials of one request "
                           "need the same Richardson setting")
@@ -175,14 +175,13 @@ def _table(dim: int, request) -> _Table:
     # and the next one, and the corners of the mixed partials follow the
     # block of the second partials
     plus, minus, twice = range(len(shifts), len(shifts) + 3)
-    halves = range(len(_halves(first or second)))
+    halves = range(len(_halves(first)))
     k = 2 * len(halves)
-    quads, divisors, pick = [], [], None
-    if first is not None:
-        r = rows[first]
-        quads += [[(r + k * i + 2 * h, r + k * i + 2 * h + 1, plus, minus) for h in halves]
-                  for i in range(dim)]
-        divisors += [[2.0 * t for t in _halves(first)]] * dim
+    r = rows[first]
+    quads = [[(r + k * i + 2 * h, r + k * i + 2 * h + 1, plus, minus) for h in halves]
+             for i in range(dim)]
+    divisors = [[2.0 * t for t in _halves(first)]] * dim
+    pick = None
     if second is not None:
         r = rows[second]
         quads += [[(r + k * i + 2 * h, twice, plus, r + k * i + 2 * h + 1) for h in halves]
@@ -223,8 +222,8 @@ def _dimension(n: int, request, name: str) -> int:
     """The number of coordinates whose table of ``request`` has ``n``
     points; DomainError, naming the count it takes and ``n``, if none has."""
     centre, first, second = request
-    k = len(_offsets(first or second))
-    separate = first is not None and first != second
+    k = len(_offsets(first))
+    separate = first != second
     dim = max(n - centre, 0) // k
     if second is not None:
         dim = math.isqrt(dim)
@@ -237,10 +236,11 @@ def _dimension(n: int, request, name: str) -> int:
 
 def _partials(values, request, name: str):
     """``(f(u), d, dd)`` from the values of f at the points of ``request``,
-    None for what it does not ask for: one pass of four gathers over all
-    numerators and both halves, one division and one Richardson step.  The
-    operands are gathered one at a time, so a large stack holds the extended
-    values, the numerators and one operand, not all four operands at once."""
+    f(u) or dd None when it does not ask for it: one pass of four gathers
+    over all numerators and both halves, one division and one Richardson
+    step.  The operands are gathered one at a time, so a large stack holds
+    the extended values, the numerators and one operand, not all four
+    operands at once."""
     values = np.asarray(values)
     n = len(values)
     dim = _dimension(n, request, name)
@@ -263,7 +263,7 @@ def _partials(values, request, name: str):
     else:
         quotients = numerators[0]
     return (values[0] if request[0] else None,
-            None if request[1] is None else quotients[:dim],
+            quotients[:dim],
             None if table.pick is None else quotients[table.pick])
 
 

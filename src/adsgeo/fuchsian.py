@@ -137,15 +137,11 @@ def mdot(p, q):
 
 
 def hyp_dist(p, q):
-    """Hyperbolic distance of points, or of (3, n) coordinate stacks."""
-    return np.arccosh(np.maximum(-mdot(p, q), 1.0))
-
-
-def hyp_dist_small(p, q):
-    """Chord version of ``hyp_dist``, accurate for tiny separations where
-    arccosh is not: a float for points, an array for (3, n) stacks."""
+    """Hyperbolic distance of hyperboloid points, or of (3, n) stacks:
+    2 asinh(|p - q| / 2), as the chord's Minkowski norm is 2 sinh(d / 2),
+    at full relative precision on short edges as on long ones."""
     d = p - q
-    return np.sqrt(np.maximum(mdot(d, d), 0.0))
+    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(mdot(d, d), 0.0)))
 
 
 def hyp_midpoint(p, q):
@@ -230,7 +226,7 @@ class Genus2Mesh:
     @functools.cached_property
     def element_geometry(self):
         """(lengths, areas) of the Euclidean-layout elements: the hyperbolic
-        length of the edge opposite each triangle corner, shape (M, 3), and
+        length of the edge opposite each triangle corner, shape (3, M), and
         the Heron area of each triangle, shape (M,)."""
         corners = self._corners
         lengths = np.stack([hyp_dist(corners[:, 1], corners[:, 2]),
@@ -239,7 +235,7 @@ class Genus2Mesh:
         la, lb, lc = lengths
         s = 0.5 * (la + lb + lc)
         areas = np.sqrt(np.maximum(s * (s - la) * (s - lb) * (s - lc), 0.0))
-        return lengths.T, areas
+        return lengths, areas
 
     def area_elementwise(self) -> float:
         """Total area of the Euclidean-layout elements (what the mass
@@ -323,7 +319,7 @@ def genus2_mesh(level: int) -> Genus2Mesh:
     # explicit pairing isometries within the documented tolerance
     near, far = paths[:4, ::-1], paths[4:]
     for k, g in enumerate(octagon_generators()[0]):
-        dist = hyp_dist_small(so21_of_sl2(g) @ vertices[far[k]].T, vertices[near[k]].T)
+        dist = hyp_dist(so21_of_sl2(g) @ vertices[far[k]].T, vertices[near[k]].T)
         bad = np.flatnonzero(dist > GLUING_DISTANCE_TOL)
         if bad.size:
             raise DomainError(
@@ -384,7 +380,7 @@ def symmetry_permutations(mesh: Genus2Mesh):
         at = np.empty_like(by)
         at[by] = np.searchsorted(keys, needles[by])
         image = order[np.minimum(at, len(order) - 1)]
-        dist = hyp_dist_small(moved, points[:, image])
+        dist = hyp_dist(moved, points[:, image])
         bad = np.flatnonzero(dist > GLUING_DISTANCE_TOL)
         if bad.size:
             raise DomainError(f"{name} does not map the mesh onto itself: "
@@ -520,7 +516,7 @@ def discrete_operators(mesh: Genus2Mesh) -> DiscreteOperators:
     lengths, area = mesh.element_geometry
     if area.min() < 1e-14:
         raise DomainError("degenerate triangle in mesh")
-    lensq = lengths.T ** 2                              # (edge, M)
+    lensq = lengths ** 2                                # (edge, M)
     # cot[i]: cotangent of the angle at corner i, opposite edge i
     cot = (lensq[[1, 0, 0]] + lensq[[2, 2, 1]] - lensq) / (4.0 * area)
     k_local = np.empty((3, 3, len(area)))               # (row, col, M)

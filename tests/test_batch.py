@@ -237,10 +237,10 @@ def test_hyperboloid_helpers_columns(triangles):
     p, q, r = corners
     columns = [corners[:, :, t] for t in range(corners.shape[2])]
     defects = [fu.triangle_area_defect(*c) for c in columns]
-    dists = [fu.hyp_dist_small(a, b) for a, b, _ in columns]
+    dists = [fu.hyp_dist(a, b) for a, b, _ in columns]
     assert all(isinstance(x, float) for x in defects + dists)
     assert_rows_equal(np.transpose(fu.triangle_angles(p, q, r)),
                       [fu.triangle_angles(*c) for c in columns])
     assert_rows_equal(fu.triangle_area_defect(p, q, r), defects)
-    assert_rows_equal(fu.hyp_dist_small(p, q), dists)
+    assert_rows_equal(fu.hyp_dist(p, q), dists)
     assert_rows_equal(fu.hyp_midpoint(p, q).T, [fu.hyp_midpoint(a, b) for a, b, _ in columns])

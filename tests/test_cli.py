@@ -214,6 +214,25 @@ def test_unwritable_export_mesh_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--samples", "1", "--out-file", ""],
+    ["fuchsian", "--mesh-level", "0", "--export-mesh", ""],
+], ids=["out_file", "export_mesh"])
+def test_empty_path_flag_is_a_config_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("adsgeo: config error:") and "empty path" in err
+
+
+@pytest.mark.parametrize("command,key", [("check", "out_file"), ("fuchsian", "export_mesh")])
+def test_empty_path_config_key_is_a_config_error(tmp_path, capsys, command, key):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"samples = 1\nmesh_level = 0\n{key} =\n")
+    code, out, err = run_cli(capsys, "--config", str(cfgfile), command)
+    assert code == 2 and out == ""
+    assert err.startswith("adsgeo: config error:") and "empty path" in err
+
+
 @pytest.mark.parametrize("argv,builds", [
     (["check", "--fixture", "graph_bump", "--samples", "2"], 1),
     (["mess", "--fixture", "graph_bump", "--samples", "2"], 1),

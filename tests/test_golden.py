@@ -62,24 +62,24 @@ DIGESTS = [
     # with 2 and 10 unknowns.  Level 0 has one eigenvalue, so its
     # kernel_dimension row is NaN and it exits 1.
     ("fuchsian7", ["fuchsian", "--mesh-level", "7"], 0,
-     "96d21cd1007199e12eb8b65de91d385e961147fd3d331eb3b2be25f057c94a21"),
+     "ce3f94497a41311d1e7d0e727e80d3595a96c69190ddd8b673dd2dfdb6f11400"),
     ("fuchsian6", ["fuchsian", "--mesh-level", "6"], 0,
-     "2a0e7e6f2d6812b42087bca6545f7a630a3e3492ba14a1f48b7bffbb5d9bd863"),
+     "3405421e59bc69606860569a297ef381f3f66f9965401f2a2d4fbe880c1d7ebb"),
     ("fuchsian3.records", ["fuchsian", "--mesh-level", "3", "--output", "records"], 0,
      "828e69c49aec353a16763d0499c7aedcdddbde12c28371658f5a77287c3591f4"),
     ("rigidity5", ["rigidity", "--mesh-level", "5"], 0,
-     "66d87ac653a33501a48cf11ba65a814af1c318617e7cbe4164e05e89ddb9d38c"),
+     "4ab70f206ec58a0e7757c18aabc4ed9e223981785a615f178b73d0960335427a"),
     ("rigidity7", ["rigidity", "--mesh-level", "7"], 0,
-     "676eff6016fdc9a36d4ee1afee3d5ba66255b643274c848353f6b676ebce3102"),
+     "90f3485253a2c186b97e4aa7e56b8434d8699dee1f24f09ebf0b6660cbd13733"),
     ("rigidity6", ["rigidity", "--mesh-level", "6", "--s", "-1.3", "--seed", "5"], 0,
-     "3a31d12e1cc8e1ab4e1d5c4976d724171cbb2c3eddcc844e2786555bf2b31e91"),
+     "09fc1b202e94cc27ef328e929ce7b279f45f5c9880fe57d65b138999095193f7"),
     ("rigidity4", ["rigidity", "--mesh-level", "4", "--seed", "1"], 0,
-     "54722cb4a5fbe46e4ca28e80c2a4582ba90f0a69982b452238d4499d6f4f1335"),
+     "875c677513121a2ba67658bc761f53339ec40b28020274bd25a18d0437150fc1"),
     ("rigidity3.records", ["rigidity", "--mesh-level", "3", "--s", "-1.3", "--seed", "5",
                            "--output", "records"], 0,
-     "1bc9acf52956145c49b48def947dfee04eb0d2d5cfb6e21d67fe2a018b37a417"),
+     "da4c878c401bf232c8dce3ecc008ce1927bef18d23f5396a75836dd68bc830ee"),
     ("rigidity1", ["rigidity", "--mesh-level", "1"], 0,
-     "4251fba4e0a31ee527d8d2bb107d96569dbf232b7e216ff868abf831f52b5105"),
+     "a9be7a153f07e6737f1d89fe0021d551b8da11f19d141e1ba7f32fee4c82371d"),
     ("rigidity0", ["rigidity", "--mesh-level", "0"], 1,
      "433a8b0a3af5b065c81865e7a4d1fa76b1311383da8d6102c1c151e7a371709d"),
     # the benchmark's surface_fd command lines at seed 1, and the records
@@ -107,16 +107,16 @@ DIGESTS = [
     ("phik.records", ["phik", "--output", "records", "--seed", "1"], 0,
      "403c0fe6cb1e2ce48096c2463a77eb27ace26b5826b05baebcf699e553e68033"),
     ("rigidity5.csv", ["rigidity", "--mesh-level", "5", "--output", "csv", "--seed", "1"], 0,
-     "6d8b102c9b58c6c42791bad4d3ee7d69be08223a8d7be9c6024871c148c204f8"),
+     "9ca52539f8a406814c4064290d8c7a709baefb3b6334230fcda512b5c39b0eb6"),
     # the benchmark's genus2_fem command lines at seed 1
     ("bench_rigidity3", ["rigidity", "--mesh-level", "3", "--seed", "1"], 0,
-     "c4cee1cc62621b372774950310b5a9bb122fdbce55f0051e552b429256daa4a9"),
+     "c5e5d2e996b4cce24adfe864683252019d5b4cd5888e9b8916b00622ac4118b3"),
     ("bench_fuchsian3", ["fuchsian", "--mesh-level", "3", "--seed", "1"], 0,
      "8d3d2986530e9e22427a180c69a1e2a9dab1ae93da93d82533ffecbaaabb69fe"),
     ("bench_rigidity6", ["rigidity", "--mesh-level", "6", "--seed", "1"], 0,
-     "75a541bb673512c3ffa98bced5d3ec1fa7fcd6af165f78261bb2f0a06946383a"),
+     "6cc6308f2bfdbf74054d81b3efbe1b386e35430512894ad5c99b4cab104c7b7d"),
     ("bench_fuchsian6", ["fuchsian", "--mesh-level", "6", "--seed", "1"], 0,
-     "40b334ee77161c0cafd07ab26f0c92a5d2fab90e727df424d67ea494d2ba7177"),
+     "5b550a31f5286c2eac6a2629ec0e60d791bb0f196ef153088e64d4471a8ecbcb"),
 ]
 
 MESH7_DIGEST = "86aa4cffcbc53679a3061e9a0ed5e0d6cd8f72683e1d81ef204152d38eb14ee8"

@@ -28,6 +28,18 @@ UNREFERENCED_ALLOWED = {
         "the extension metric itself, the reference of extension_curvature",
 }
 
+# names that perfbench traces or counts by string and the package no longer
+# defines: their metrics read 0 until perfbench's next revision (ROADMAP item 10)
+PERFBENCH_DEAD_NAMES = {
+    "fd.d1", "fd.d2", "constructions.ExtensionMetric.__call__",
+    "embedding.brioschi_curvature", "embedding.codazzi_residual_fields",
+    "rigidity.rigidity_operator", "fuchsian.hyp_dist_small",
+}
+# the perfbench constants that list adsgeo names: a collection literal, or
+# a call on one, whose entries (or a dict's keys) are "module.attr" names
+PERFBENCH_NAME_LISTS = {"tracer.py": ("COUNTED", "SKIPPED"),
+                        "run.py": ("INCLUSIVE", "SELF", "CALLS")}
+
 # dataclasses whose fields are read by name, through dataclasses.fields
 FIELDS_READ_BY_NAME = {"cli.RunConfig"}
 
@@ -282,3 +294,43 @@ def test_stale_docstring_name_detected():
               '    # reads `fd.lost`\n'
               '    return "`fd.fixture` text"\n')
     assert unresolved_names(doc_text(source)) == ["fd.gone", "fd.lost"]
+
+
+def perfbench_names() -> set:
+    """Every adsgeo name in PERFBENCH_NAME_LISTS, read from the sources."""
+    names = set()
+    for file, constants in PERFBENCH_NAME_LISTS.items():
+        found = set()
+        for node in ast.parse((ROOT / "perfbench" / file).read_text(encoding="utf-8")).body:
+            target = getattr(node, "targets", [None])[0]
+            if getattr(target, "id", None) in constants:
+                found.add(target.id)
+                value = node.value.args[0] if isinstance(node.value, ast.Call) else node.value
+                names |= set(ast.literal_eval(value))
+        assert found == set(constants), file
+    return names
+
+
+def resolves(name: str) -> bool:
+    """Whether ``module.attr`` or ``module.Class.attr`` is defined where the
+    tracer looks for it: in the adsgeo module, then in the class's own dict
+    (an attribute a class only inherits, such as ``__call__``, is not)."""
+    module, *path = name.split(".")
+    obj = importlib.import_module(f"adsgeo.{module}")
+    for attr in path:
+        if attr not in vars(obj):
+            return False
+        obj = vars(obj)[attr]
+    return True
+
+
+def test_perfbench_names_resolve():
+    # a dead name that resolves again, or that perfbench stops naming, is stale
+    names = perfbench_names()
+    assert sorted(name for name in names if not resolves(name)) == sorted(PERFBENCH_DEAD_NAMES)
+
+
+def test_unresolved_perfbench_name_detected():
+    assert resolves("fuchsian.hyp_dist") and resolves("fuchsian.Genus2Mesh.area_elementwise")
+    assert not resolves("fuchsian.Genus2Mesh.__call__")
+    assert not resolves("fuchsian.gone") and not resolves("fd.FDScheme.gone")
