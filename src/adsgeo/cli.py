@@ -229,10 +229,9 @@ def run_mess(cfg: RunConfig, report: CheckReport, immersion: emb.Immersion):
                 else "left_curvature")
     pts = _sample_points(rng, cfg.samples)
     locations = _chart_locations(pts)
-    # one embedding-data call serves K# (as in sharp_curvature) and I#
+    # one embedding-data call serves K# and I#
     data = emb.embedding_data_at(immersion, pts, cfg=diff)
-    k_sharp = mes._sharp_curvature(immersion, pts, data.I[None], mes._sharp_factor(data, +1),
-                                   diff)
+    k_sharp = mes.sharp_curvature(immersion, pts, diff, data=data)
     report.add("left_curvature", locations, np.abs(k_sharp + 1.0), cfg.tol(tol_name))
     if cfg.s2 is not None:
         other = emb.make_immersion("fuchsian_family", s=cfg.s2)

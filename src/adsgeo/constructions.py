@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import any_of, det, inv, singular_values
-from .embedding import (EmbeddingData, Immersion, _curvature_from_known,
-                        christoffel_symbols, embedding_data_at, family_immersion,
-                        metric_and_normal, normal_field, require_normal_floor,
-                        require_strong_convexity, third_fundamental_form)
+from .embedding import (EmbeddingData, Immersion, christoffel_symbols, embedding_data_at,
+                        family_immersion, gaussian_curvature, metric_and_normal,
+                        normal_field, require_normal_floor, require_strong_convexity,
+                        third_fundamental_form)
 from .errors import DomainError, FocalPointError
 from .fd import DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, partials, shifts, stencil
 from .mess_metrics import mess_metric
@@ -92,7 +92,7 @@ def dual_surface(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
     """
     u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, u, cfg=cfg)
-    k_measured = _curvature_from_known(immersion, u, data.I[None], cfg)
+    k_measured = gaussian_curvature(immersion, u, cfg, known=data.I[None])
     dual = dual_data_pointwise(data, K=k_measured)
 
     i_star, ddual_point = metric_and_normal(normal_field(immersion, cfg), u, data.n,

@@ -362,19 +362,17 @@ def _brioschi(g, dg, ddg):
     return (det_m1 - det_m2) / (det_g * det_g)
 
 
-def gaussian_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
+def gaussian_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF, known=None):
     """Curvature of the induced metric (Brioschi on the metric field), with
-    the metric field called once on the whole jet ``fd.stencil(u, s, s)``."""
-    g = metric_field(immersion, cfg)(stencil(u, cfg.field, cfg.field))
+    the metric field called once on the whole jet ``fd.stencil(u, s, s)``,
+    or, bit for bit, on the rest of it given the metric ``known`` from
+    ``embedding_data_at`` at its first points (u alone, on a leading axis
+    of length 1, or the field-step ``fd.stencil``)."""
+    jet = stencil(u, cfg.field, cfg.field)
+    g = metric_field(immersion, cfg)(jet if known is None else jet[len(known):])
+    if known is not None:
+        g = np.concatenate([known, g])
     return _brioschi(*partials(g, cfg.field, cfg.field))
-
-
-def _curvature_from_known(immersion: Immersion, u, known, cfg: DiffConfig):
-    """``gaussian_curvature`` at u, bit for bit, given the metric ``known``
-    from ``embedding_data_at`` at the first points of its jet (u alone, or
-    the field-step ``fd.stencil``); the metric field makes the rest."""
-    rest = metric_field(immersion, cfg)(stencil(u, cfg.field, cfg.field)[len(known):])
-    return _brioschi(*partials(np.concatenate([known, rest]), cfg.field, cfg.field))
 
 
 def christoffel_symbols(g_inv, dg):
@@ -423,7 +421,7 @@ def structure_residuals(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF)
     """
     u = np.asarray(u, dtype=float)
     data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
-    K = _curvature_from_known(immersion, u, data.I, cfg)
+    K = gaussian_curvature(immersion, u, cfg, known=data.I)
 
     centre = data[0]
     d = partials(np.stack([data.I, data.B], axis=-3), cfg.field)[1]

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .batch import any_of, det, entries, inv, singular_values
-from .embedding import (EmbeddingData, Immersion, _curvature_from_known,
-                        christoffel_symbols, embedding_data_at)
+from .embedding import (EmbeddingData, Immersion, christoffel_symbols, embedding_data_at,
+                        gaussian_curvature)
 from .errors import DegenerateDataError
 from .fd import DEFAULT_DIFF, DiffConfig, partials, stencil
 
@@ -64,25 +64,21 @@ class SharpData:
     christoffels: np.ndarray        # Gamma#[..., k, i, j]
 
 
-def sharp_frame(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF) -> SharpData:
+def sharp_frame(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
+                data: EmbeddingData | None = None) -> SharpData:
     """Connection, complex structure and area form of the plus metric.
 
     One embedding-data call on the field-step stencil gives the data at u
-    (its centre) and the partials of I and of A = E + JB.  The frame takes
-    d^D A = 0 on trust: its torsion is A^{-1} d^D A, and the Codazzi row
-    of ``embedding.structure_residuals`` measures |d^D B|_I = |d^D A|_I.
+    (its centre) and the partials of I and of A = E + JB; a caller that
+    holds those data passes them as ``data``.  The frame takes d^D A = 0 on
+    trust: its torsion is A^{-1} d^D A, and the Codazzi row of
+    ``embedding.structure_residuals`` measures |d^D B|_I = |d^D A|_I.
     """
-    data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
-    return _sharp_frame(data, _sharp_factor(data, +1), cfg.field)
-
-
-def _sharp_frame(data: EmbeddingData, a_stencil, scheme) -> SharpData:
-    """``sharp_frame`` at the centre points u = ``data.u[0]`` from the
-    embedding data on ``stencil(u, scheme)`` and the factor E + JB formed
-    from it (``_sharp_factor(data, +1)``)."""
-    centre = data[0]
-    a = a_stencil[0]
-    d = partials(np.stack([data.I, a_stencil], axis=-3), scheme)[1]
+    if data is None:
+        data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
+    a_stencil = _sharp_factor(data, +1)
+    centre, a = data[0], a_stencil[0]
+    d = partials(np.stack([data.I, a_stencil], axis=-3), cfg.field)[1]
     da = d[..., 1, :, :]
     gamma = christoffel_symbols(inv(centre.I), d[..., 0, :, :])
 
@@ -90,28 +86,35 @@ def _sharp_frame(data: EmbeddingData, a_stencil, scheme) -> SharpData:
     vec = np.moveaxis(da, 0, -2) + gamma @ a[..., None, :, :]
     gamma_sharp = (inv(a) @ vec.reshape(vec.shape[:-2] + (4,))).reshape(vec.shape)
 
-    i_sharp, j_sharp = _sharp_structure(centre, a)
+    # I# and J# as in sharp_structure, from the factor already formed at u
+    i_sharp, j_sharp = _pull_back(a, centre.I), inv(a) @ centre.J @ a
     return SharpData(u=centre.u, I_sharp=i_sharp, J_sharp=j_sharp,
                      da_sharp=np.sqrt(det(i_sharp)), christoffels=gamma_sharp)
 
 
-def _sharp_structure(data: EmbeddingData, a):
-    """(I#, J#) = (A^T I A, A^{-1} J A) at the points of ``data``, from the
-    factor A = E + JB formed there (``_sharp_factor(data, +1)``)."""
+def sharp_structure(data: EmbeddingData):
+    """(I#, J#) = (A^T I A, A^{-1} J A) at the points of ``data``, with the
+    factor A = E + JB formed there."""
+    a = _sharp_factor(data, +1)
     return _pull_back(a, data.I), inv(a) @ data.J @ a
 
 
-def _sharp_curvature(immersion: Immersion, u, known, a, cfg: DiffConfig):
-    """K# = K / det(A) at u, with K from ``_curvature_from_known(immersion,
-    u, known, cfg)`` and the factor A = E + JB at u."""
-    return _curvature_from_known(immersion, u, known, cfg) / det(a)
+def sharp_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF,
+                    data: EmbeddingData | None = None):
+    """K# = K / det(E + JB) at chart points u, the one implementation of K#.
 
-
-def sharp_curvature(immersion: Immersion, u, cfg: DiffConfig = DEFAULT_DIFF):
-    """K# = K / det(E + JB) at chart points u, through ``_sharp_curvature``,
-    the one implementation of K#."""
-    data = embedding_data_at(immersion, u, cfg=cfg)
-    return _sharp_curvature(immersion, u, data.I[None], _sharp_factor(data, +1), cfg)
+    ``data`` are the embedding data at u or on field-step stencils around
+    u, nested or not (u first on each stencil axis); one embedding-data
+    call at u makes them if missing.  Their metric at u, or on the stencil
+    around u, gives the first points of the Brioschi jet."""
+    if data is None:
+        data = embedding_data_at(immersion, u, cfg=cfg)
+    while data.u.ndim > np.ndim(u) + 1:
+        data = data[0]
+    if data.u.ndim == np.ndim(u):
+        data = data[None]
+    k = gaussian_curvature(immersion, u, cfg, known=data.I)
+    return k / det(_sharp_factor(data[0], +1))
 
 
 def sharp_metric_derivative_residual(immersion: Immersion, u,
@@ -123,13 +126,11 @@ def sharp_metric_derivative_residual(immersion: Immersion, u,
     field-step stencil.
     """
     data = embedding_data_at(immersion, stencil(u, cfg.field), cfg=cfg)
-    a_stencil = _sharp_factor(data, +1)
-    frame = _sharp_frame(data, a_stencil, cfg.field)
+    frame = sharp_frame(immersion, u, cfg, data=data)
     gamma, i_sharp = frame.christoffels, frame.I_sharp
     # resid[..., k, i, j] = d_k I#_ij, with I# = A^T I A on the stencil
-    resid = np.moveaxis(partials(_pull_back(a_stencil, data.I), cfg.field)[1], 0, -3)
+    resid = np.moveaxis(partials(mess_metric(data), cfg.field)[1], 0, -3)
     for m in range(2):
         resid = resid - gamma[..., m, :, :, None] * i_sharp[..., None, None, m, :]
         resid = resid - gamma[..., m, :, None, :] * i_sharp[..., None, :, m, None]
     return np.abs(resid).max(axis=(-3, -2, -1))
-

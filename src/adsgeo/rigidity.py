@@ -40,8 +40,8 @@ from .errors import DomainError
 from .fd import (DEFAULT_DIFF, DiffConfig, FDScheme, evaluate, partials, shift_partials,
                  stencil)
 from .fuchsian import DiscreteOperators, laplace_eigenvalues, shared_pattern
-from .mess_metrics import (SharpData, _sharp_curvature, _sharp_factor, _sharp_frame,
-                           _sharp_structure, mess_metric, sharp_frame)
+from .mess_metrics import (SharpData, mess_metric, sharp_curvature, sharp_frame,
+                           sharp_structure)
 
 
 # pairs per chunk of linearized_chain_batch: each temporary of a chunk takes
@@ -279,12 +279,11 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
     u = _chart_point(u)
     points = stencil(stencil(u, cfg.field), cfg.field)
     data = embedding_data_at(immersion, points, cfg=cfg)
-    a = _sharp_factor(data, +1)
-    fr = _sharp_frame(data, a, cfg.field)
+    fr = sharp_frame(immersion, points[0], cfg, data=data)
     shifted = stencil(points, cfg.inner2)[1:]
     dmu = np.moveaxis(shift_partials(evaluate(mu, shifted), cfg.inner2), 0, -1)
 
-    v = _gradient_field(*_sharp_structure(data, a), dmu)
+    v = _gradient_field(*sharp_structure(data), dmu)
     v_out, dv = partials(v, cfg.field)[:2]
     gamma = fr.christoffels
     # D# v: column j is d_j v + Gamma#[:, j, :] v, at each outer point
@@ -295,7 +294,7 @@ def exterior_derivative_identities(immersion: Immersion, mu, u,
     mu_jsharp0, d_mu_jsharp = partials(mu_jsharp, cfg.field)[:2]
 
     v0, j_sharp, da_sharp = v_out[0], fr.J_sharp[0], fr.da_sharp[0]
-    k_sharp = _sharp_curvature(immersion, u, data.I[0], a[0, 0], cfg)
+    k_sharp = sharp_curvature(immersion, u, cfg, data=data)
     lhs_a = exterior_covariant_derivative(gamma[0], dv_op0, d_dv_op)
     rhs_a = -k_sharp * (j_sharp @ v0) * da_sharp
     resid_a = float(np.abs(lhs_a - rhs_a).max())
@@ -319,7 +318,7 @@ def jbj_sharp(data: EmbeddingData):
     (``batch.eigvalsh``).
     """
     require_strong_convexity(data.B)
-    i_sharp, j_sharp = _sharp_structure(data, _sharp_factor(data, +1))
+    i_sharp, j_sharp = sharp_structure(data)
     op = data.J @ data.B @ j_sharp
     s11, s12, s21, s22 = entries(i_sharp @ op)
     # the largest entry of |S - S^T|: NaN, as there, when a diagonal entry

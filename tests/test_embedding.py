@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from adsgeo import ads_core as core
 from adsgeo import embedding as emb
+from adsgeo import mess_metrics as mm
 from adsgeo.errors import ConfigError, DegenerateDataError, DomainError
 from adsgeo.fd import DiffConfig, stencil
 from conftest import codazzi_on_stencil
@@ -120,17 +123,30 @@ def test_structure_residuals_family_batch(rng):
                          ids=["default", "coarse"])
 @pytest.mark.parametrize("surface", ["bump", "family_07"])
 def test_curvature_from_known_is_gaussian_curvature(request, surface, cfg):
-    # structure_residuals, sharp_curvature and exterior_derivative_identities
-    # take K this way: the metric known at u, or on the field-step stencil,
-    # stands in for the first points of the Brioschi jet, bit for bit
+    # structure_residuals, dual_surface, sharp_curvature and
+    # exterior_derivative_identities take K this way: the metric known at
+    # u, or on the field-step stencil, stands in for the first points of
+    # the Brioschi jet, bit for bit; K# and the sharp frame keep their bits
+    # when handed the embedding data their caller holds
     imm = request.getfixturevalue(surface)
     for u in np.random.default_rng(8).uniform(-0.7, 0.7, (3, 2)):
         want = np.asarray(emb.gaussian_curvature(imm, u, cfg)).tobytes()
-        at_u = emb.embedding_data_at(imm, u, cfg).I[None]
-        on_stencil = emb.embedding_data_at(imm, stencil(u, cfg.field), cfg).I
-        for known in (at_u, on_stencil):
-            got = emb._curvature_from_known(imm, u, known, cfg)
+        at_u = emb.embedding_data_at(imm, u, cfg)
+        on_stencil = emb.embedding_data_at(imm, stencil(u, cfg.field), cfg)
+        nested = emb.embedding_data_at(imm, stencil(stencil(u, cfg.field), cfg.field), cfg)
+        for known in (at_u.I[None], on_stencil.I):
+            got = emb.gaussian_curvature(imm, u, cfg, known=known)
             assert np.asarray(got).tobytes() == want
+
+        k_sharp = np.asarray(mm.sharp_curvature(imm, u, cfg)).tobytes()
+        for data in (at_u, on_stencil, nested):
+            assert np.asarray(mm.sharp_curvature(imm, u, cfg, data=data)).tobytes() == k_sharp
+        for centre, data in ((u, on_stencil), (stencil(u, cfg.field), nested)):
+            frame, got = mm.sharp_frame(imm, centre, cfg), mm.sharp_frame(imm, centre, cfg,
+                                                                            data=data)
+            for field in dataclasses.fields(mm.SharpData):
+                assert (getattr(got, field.name).tobytes()
+                        == getattr(frame, field.name).tobytes()), field.name
 
 
 def test_codazzi_detector_fires_on_perturbed_field(bump):

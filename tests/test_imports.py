@@ -176,6 +176,59 @@ def test_unread_function_detected():
                                      "io.Point.y"]
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_crossings(modules: dict) -> list:
+    """(module, "other._name") for each private name of another package
+    module that a module of ``modules`` (module name -> source) imports, or
+    reads as an attribute of a name bound to that module, in order."""
+    found = []
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        aliases = {}                # name bound to a package module -> that module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "adsgeo"
+                                                     or node.module.startswith("adsgeo.")):
+                other = (node.module or "").rpartition(".")[2]
+                for alias in node.names:
+                    if other in ("", "adsgeo"):
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif is_private(alias.name) and other != module:
+                        found.append((module, f"{other}.{alias.name}"))
+            elif isinstance(node, ast.Import):
+                aliases.update({alias.asname: alias.name.rpartition(".")[2]
+                                for alias in node.names
+                                if alias.asname and alias.name.startswith("adsgeo.")})
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and aliases.get(node.value.id, module) != module and is_private(node.attr)):
+                found.append((module, f"{aliases[node.value.id]}.{node.attr}"))
+    return found
+
+
+def test_no_private_name_crosses_a_module():
+    # a module that needs another's helper calls its public function, which
+    # the tracer sees by name
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert private_crossings(modules) == []
+
+
+def test_private_crossing_detected():
+    modules = {
+        "geo": ("from .fd import _table, stencil\n"
+                "from . import report as rep, __version__\n"
+                "from adsgeo.batch import _cols\n"
+                "import adsgeo.fd as fd2\n\n\n"
+                "def _own():\n    return rep._emit(rep.emit_report, fd2._step, rep.__doc__)\n"),
+        "fd": ("from .fd import _table\n\n\n"
+               "def f(np):\n    return _table(np._private) + __version__\n"),
+    }
+    assert private_crossings(modules) == [("geo", "fd._table"), ("geo", "batch._cols"),
+                                          ("geo", "report._emit"), ("geo", "fd._step")]
+
+
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import re
 
 import numpy as np
@@ -397,15 +398,17 @@ def test_exterior_identities_one_embedding_data_call(bump, monkeypatch):
 
     def counted(name, fn):
         def spy(*args, **kwargs):
-            frames.append(name)
+            data = inspect.signature(fn).bind(*args, **kwargs).arguments.get("data")
+            frames.append((name, None if data is None else data.u.shape))
             return fn(*args, **kwargs)
         return spy
 
     for module in (emb, mm, rig):
         monkeypatch.setattr(module, "embedding_data_at", counted_data)
-    monkeypatch.setattr(rig, "sharp_frame", counted("sharp_frame", mm.sharp_frame))
-    monkeypatch.setattr(mm, "sharp_frame", counted("sharp_frame", mm.sharp_frame))
-    monkeypatch.setattr(mm, "sharp_curvature", counted("sharp_curvature", mm.sharp_curvature))
+    for name in ("sharp_frame", "sharp_structure", "sharp_curvature"):
+        spy = counted(name, getattr(mm, name))
+        monkeypatch.setattr(rig, name, spy)
+        monkeypatch.setattr(mm, name, spy)
 
     def ev(u):
         evals.append(np.shape(u)[:-1])
@@ -415,9 +418,11 @@ def test_exterior_identities_one_embedding_data_call(bump, monkeypatch):
     got = rig.exterior_derivative_identities(ev, smooth_mu(11), [0.2, 0.15])
     assert tuple(r.hex() for r in got) == ("0x1.05c55dc400000p-27", "0x1.5b19ca3800000p-27")
     # the data on the nested stencil serve the frame at the outer points,
-    # I# and J# at all 81 points and the Brioschi jet's first 9 points
+    # I# and J# at all 81 points and K# at u, with the Brioschi jet's first
+    # 9 points, each through its public function
     assert data_shapes == [(9, 9, 2)]
-    assert frames == []
+    assert frames == [("sharp_frame", (9, 9, 2)), ("sharp_structure", (9, 9, 2)),
+                      ("sharp_curvature", (9, 9, 2))]
     # 25 points around each of the 81 nested points, then the metric field
     # on the 8 shifted points around each of the 8 jet points off the outer
     # stencil: 2,025 + 64
